@@ -153,7 +153,6 @@ def build_method(obj, ctx: str = "method"):
             expr = compile_expression(obj["entries"], ("m", "n"))
             return MatrixSpec(
                 name=obj.get("name", "custom_matrix"),
-                entry=lambda m, n: complex(expr(m=float(m), n=float(n))),
                 row_block=lambda m, lo, hi: np.asarray(
                     expr(m=float(m), n=np.arange(lo, hi, dtype=float)), dtype=complex
                 ) * np.ones(hi - lo),
@@ -162,7 +161,6 @@ def build_method(obj, ctx: str = "method"):
             expr = compile_expression(obj["coeff"], ("n", "r"))
             return SeqToFuncSpec(
                 name=obj.get("name", "custom_seq_to_func"),
-                coeff=lambda n, r: complex(expr(n=float(n), r=float(r))),
                 F=_domain_from(obj.get("F", "unit"), ctx),
                 coeff_block=lambda r, lo, hi: np.asarray(
                     expr(n=np.arange(lo, hi, dtype=float), r=float(r)), dtype=complex
@@ -183,7 +181,6 @@ def build_method(obj, ctx: str = "method"):
                 raise ConfigError(f"{ctx}: unknown support {support_tag!r}")
             return KernelSpec(
                 name=obj.get("name", "custom_kernel"),
-                kernel=lambda r, t: complex(expr(r=float(r), t=float(t))),
                 E=_domain_from(obj.get("E", "unit"), ctx),
                 F=_domain_from(obj.get("F", "unit"), ctx),
                 measure=obj.get("measure", "lebesgue"),

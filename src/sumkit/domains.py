@@ -8,7 +8,8 @@ points marching toward the boundary / infinity.
 An exact limit at infinity is not computable from finitely many samples, so
 the estimator reports three-valued outcomes (converged / diverged /
 inconclusive) from a Cauchy-window heuristic, with a residual and an
-oscillation flag as diagnostics.
+oscillation flag as diagnostics.  The trend helpers (log-log slope and
+non-increasing test) are shared by the regularity and Taylor verdicts.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .vspace import VectorValue
 
@@ -160,3 +163,17 @@ def estimate_limit_at_infinity(
     stalled = tail_diam > 10.0 * tol and tail_diam > 0.5 * mid_diam
     return ConvergenceEstimate(INCONCLUSIVE, None, tail_diam, n, w, tol,
                                stalled=stalled, failed_points=failed_points)
+
+
+def loglog_slope(values: Sequence[float]) -> float:
+    """Slope of log(value) against log(position) over the given values."""
+    if len(values) < 2:
+        return 0.0
+    ys = np.log(np.maximum(np.abs(np.asarray(values, dtype=float)), 1e-300))
+    xs = np.log(np.arange(1, len(values) + 1, dtype=float))
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
+def non_increasing(values: Sequence[float]) -> bool:
+    """Each value is at most its predecessor, up to rounding slack."""
+    return all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(values, values[1:]))

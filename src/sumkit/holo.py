@@ -28,8 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domains import NAT, UNIT_INTERVAL, parameter_grid
-from .integrate import QuadratureConfig, SUBSTITUTION_NONE, _adaptive
+from .domains import NAT, UNIT_INTERVAL, loglog_slope, non_increasing, parameter_grid
+from .integrate import QuadratureConfig, _adaptive
 from .methods import DEFAULT_TRUNCATION, NonSummableError, TruncationPolicy
 
 H2 = "h2"
@@ -150,35 +150,34 @@ class SumDecay:
 
 
 class TaylorFunction:
-    """Lazy coefficient stream with a declared decay class and a home space."""
+    """Lazy coefficient stream with a declared decay class and a home space.
 
-    __slots__ = ("_coeff", "_block", "decay", "space", "name")
+    ``block(lo, hi)`` returns the coefficients a_lo .. a_{hi-1}; the scalar
+    and dense accessors are derived from it.
+    """
 
-    def __init__(self, coeff=None, block=None, decay=None, space: SeriesSpace = SeriesSpace(),
-                 name: str = ""):
-        if coeff is None and block is None:
-            raise ValueError("need coeff or block")
+    __slots__ = ("_block", "decay", "space", "name")
+
+    def __init__(self, block, decay=None, space: SeriesSpace = SeriesSpace(), name: str = ""):
         if decay is None:
             raise ValueError("experiments refuse undeclared-decay coefficient streams")
-        self._coeff = coeff
         self._block = block
         self.decay = decay
         self.space = space
         self.name = name
 
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        return np.asarray(self._block(lo, hi), dtype=complex)
+
     def coeff(self, k: int) -> complex:
-        if self._coeff is not None:
-            return complex(self._coeff(k))
         return complex(self._block(k, k + 1)[0])
 
     def coeff_array(self, upto: int) -> np.ndarray:
         """Coefficients a_0 .. a_upto as a dense array."""
-        if self._block is not None:
-            return np.asarray(self._block(0, upto + 1), dtype=complex)
-        return np.asarray([self.coeff(k) for k in range(upto + 1)], dtype=complex)
+        return self.block(0, upto + 1)
 
     def in_space(self, space: SeriesSpace) -> "TaylorFunction":
-        return TaylorFunction(self._coeff, self._block, self.decay, space, self.name)
+        return TaylorFunction(self._block, self.decay, space, self.name)
 
 
 def taylor_from_coefficients(coeffs: Sequence[complex], space: SeriesSpace = SeriesSpace(),
@@ -230,7 +229,7 @@ def taylor_sub(f: TaylorFunction, g: TaylorFunction) -> TaylorFunction:
     if f.space != g.space:
         raise ValueError("space mismatch")
     return TaylorFunction(
-        block=lambda lo, hi: f.coeff_array(hi - 1)[lo:] - g.coeff_array(hi - 1)[lo:],
+        block=lambda lo, hi: f.block(lo, hi) - g.block(lo, hi),
         decay=SumDecay(f.decay, g.decay),
         space=f.space,
         name=f"{f.name}-{g.name}",
@@ -286,10 +285,7 @@ def partial_sum(f: TaylorFunction, n: int) -> TaylorFunction:
         raise ValueError("partial sum index must be >= 0")
 
     def block(lo, hi):
-        out = f.coeff_array(hi - 1)[lo:].copy() if lo <= hi - 1 else np.zeros(0, dtype=complex)
-        ks = np.arange(lo, hi)
-        out[ks > n] = 0.0
-        return out
+        return np.where(np.arange(lo, hi) > n, 0.0, f.block(lo, hi))
 
     if isinstance(f.decay, (FinitelySupported, CappedDecay)) and _decay_degree(f.decay) <= n:
         decay = f.decay
@@ -310,7 +306,7 @@ def _multiplied(f: TaylorFunction, mult_block: Callable[[int, int], np.ndarray],
                 name: str) -> TaylorFunction:
     """Coefficientwise |multiplier| <= 1 transform; decay class is inherited."""
     return TaylorFunction(
-        block=lambda lo, hi: mult_block(lo, hi) * f.coeff_array(hi - 1)[lo:],
+        block=lambda lo, hi: mult_block(lo, hi) * f.block(lo, hi),
         decay=f.decay,
         space=f.space,
         name=name,
@@ -460,7 +456,7 @@ class TaylorConvergenceReport:
             "space": self.space,
             "chain": list(self.chain),
             "cells": [[str(p), d] for p, d in self.cells],
-            "status": self.status,
+            "verdict": self.status,
             "route": self.route,
             "residual": self.residual,
             "notes": list(self.notes),
@@ -474,21 +470,12 @@ def _classify_distances(distances: Sequence[float], tol: float) -> tuple:
     if all(d <= tol for d in tail):
         return CONVERGED_TO_ZERO, "tol"
     half = distances[len(distances) // 2:]
-    slope = _slope(half)
-    non_increasing = all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(half, half[1:]))
-    if non_increasing and slope <= -_DECAY_SLOPE:
+    slope = loglog_slope(half)
+    if non_increasing(half) and slope <= -_DECAY_SLOPE:
         return CONVERGED_TO_ZERO, "decay-trend"
     if distances[-1] > 10.0 * tol and slope > -0.01:
         return NOT_CONVERGED, ""
     return UNDECIDED, ""
-
-
-def _slope(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    ys = np.log(np.maximum(np.abs(np.asarray(values, dtype=float)), 1e-300))
-    xs = np.log(np.arange(1, len(values) + 1, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def _apply_step(step: str, g: TaylorFunction, param, quad, trunc) -> TaylorFunction:

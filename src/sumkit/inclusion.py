@@ -40,7 +40,6 @@ from .methods import (
     MatrixSpec,
     MethodSpec,
     NonSummableError,
-    SeqToFuncSpec,
     SequenceSource,
     TruncationPolicy,
     as_kernel,
@@ -73,13 +72,8 @@ class CaseResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class InclusionReport:
-    method_a: str
-    method_b: str
-    cases: tuple
-    margin: float
-    notes: tuple = field(default=_NOTES)
+class _CaseTally:
+    """Verdict tallies shared by the inclusion and weak-inclusion reports."""
 
     @property
     def verdict_counts(self) -> dict:
@@ -91,6 +85,15 @@ class InclusionReport:
     @property
     def has_violation(self) -> bool:
         return any(c.verdict == VIOLATES for c in self.cases)
+
+
+@dataclass(frozen=True)
+class InclusionReport(_CaseTally):
+    method_a: str
+    method_b: str
+    cases: tuple
+    margin: float
+    notes: tuple = field(default=_NOTES)
 
     def rows(self) -> list:
         out = []
@@ -200,22 +203,18 @@ class OperatorFamily:
     """
 
     name: str
-    apply: Callable[[int, VectorValue], VectorValue]
+    apply_block: Callable[[np.ndarray, VectorValue], np.ndarray]  # (ns, x) -> rows S_n(x)
     target: Callable[[VectorValue], VectorValue]
     dense_witnesses: tuple
     space: SpaceDescriptor
-    apply_block: Optional[Callable[[np.ndarray, VectorValue], np.ndarray]] = None
+
+    def apply(self, n: int, x: VectorValue) -> VectorValue:
+        return VectorValue(self.apply_block(np.asarray([n]), x)[0], self.space)
 
     def source_for(self, x: VectorValue) -> SequenceSource:
-        if self.apply_block is not None:
-            return SequenceSource(
-                space=self.space,
-                block=lambda lo, hi: self.apply_block(np.arange(lo, hi), x),
-                name=f"{self.name}(x)",
-            )
         return SequenceSource(
             space=self.space,
-            term=lambda n: self.apply(n, x),
+            block=lambda lo, hi: self.apply_block(np.arange(lo, hi), x),
             name=f"{self.name}(x)",
         )
 
@@ -223,11 +222,6 @@ class OperatorFamily:
 def truncation_family(space: SpaceDescriptor) -> OperatorFamily:
     """Coordinate-truncation operators S_n = diag(1 for k <= n) with S = I."""
     dim = space.dim
-
-    def apply(n: int, x: VectorValue) -> VectorValue:
-        coords = x.coords.copy()
-        coords[n + 1:] = 0.0
-        return VectorValue(coords, space)
 
     def apply_block(ns: np.ndarray, x: VectorValue) -> np.ndarray:
         mask = (np.arange(dim)[None, :] <= ns[:, None]).astype(complex)
@@ -238,11 +232,10 @@ def truncation_family(space: SpaceDescriptor) -> OperatorFamily:
     )
     return OperatorFamily(
         name="truncation",
-        apply=apply,
+        apply_block=apply_block,
         target=lambda x: x,
         dense_witnesses=witnesses,
         space=space,
-        apply_block=apply_block,
     )
 
 
@@ -322,12 +315,9 @@ def regularity_evidence(spec: MethodSpec, tol: float = 1e-6,
     """Run the appropriate regularity checker; returns (bool, report)."""
     if isinstance(spec, MatrixSpec):
         report = check_matrix_st(spec, tol=tol, trunc=trunc)
-    elif isinstance(spec, SeqToFuncSpec):
+    else:
         report = check_kernel_st(as_kernel(spec), r_depth=r_depth,
                                  exhaust_depth=exhaust_depth, quad=quad, tol=tol, trunc=trunc)
-    else:
-        report = check_kernel_st(spec, r_depth=r_depth, exhaust_depth=exhaust_depth,
-                                 quad=quad, tol=tol, trunc=trunc)
     return report.overall == REGULAR_EVIDENCE, report
 
 
@@ -447,23 +437,12 @@ def _functional_source(source, phi: LinearFunctional):
 
 
 @dataclass(frozen=True)
-class WeakInclusionReport:
+class WeakInclusionReport(_CaseTally):
     method_a: str
     method_b: str
     cases: tuple  # CaseResult per (test, functional)
     margin: float
     notes: tuple = field(default=_NOTES)
-
-    @property
-    def verdict_counts(self) -> dict:
-        counts: dict = {}
-        for case in self.cases:
-            counts[case.verdict] = counts.get(case.verdict, 0) + 1
-        return counts
-
-    @property
-    def has_violation(self) -> bool:
-        return any(c.verdict == VIOLATES for c in self.cases)
 
     def rows(self) -> list:
         return [(f"distance[{c.label}]", "", c.distance, c.verdict) for c in self.cases]

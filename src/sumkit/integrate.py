@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_legendre
 
-from .vspace import LinearFunctional, SpaceDescriptor, VectorValue, space_norm
+from .vspace import SCALAR, LinearFunctional, SpaceDescriptor, VectorValue, space_norm
 
 SUBSTITUTION_NONE = "none"
 SUBSTITUTION_LOG_BOUNDARY = "log_boundary"
@@ -126,10 +126,8 @@ def adaptive_quadrature_batch(
     if b < a:
         raise ValueError(f"empty interval [{a}, {b}]")
     if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
-        g, ua, ub = _log_boundary_wrap(fbatch, a, b)
-        arr, err, n = _adaptive(g, ua, ub, cfg.tol, cfg.max_depth)
-    else:
-        arr, err, n = _adaptive(fbatch, a, b, cfg.tol, cfg.max_depth)
+        fbatch, a, b = _log_boundary_wrap(fbatch, a, b)
+    arr, err, n = _adaptive(fbatch, a, b, cfg.tol, cfg.max_depth)
     return QuadratureResult(VectorValue(arr, space), err, n)
 
 
@@ -158,13 +156,8 @@ def quad_scalar(g: Callable[[float], complex], interval, cfg: QuadratureConfig =
     def fbatch(ts: np.ndarray) -> np.ndarray:
         return np.asarray([complex(g(float(t))) for t in ts], dtype=complex)[:, None]
 
-    a, b = float(interval[0]), float(interval[1])
-    if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
-        gb, ua, ub = _log_boundary_wrap(fbatch, a, b)
-        arr, err, n = _adaptive(gb, ua, ub, cfg.tol, cfg.max_depth)
-    else:
-        arr, err, n = _adaptive(fbatch, a, b, cfg.tol, cfg.max_depth)
-    return complex(arr[0]), err, n
+    res = adaptive_quadrature_batch(fbatch, interval, cfg, SCALAR)
+    return complex(res.value.coords[0]), res.err_estimate, res.evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +252,7 @@ def weak_integral_check(
             vals = fbatch(ts)
             return (vals @ _phi.weights)[:, None]
 
-        a, b = float(interval[0]), float(interval[1])
-        if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
-            gb, ua, ub = _log_boundary_wrap(gbatch, a, b)
-            arr, _, _ = _adaptive(gb, ua, ub, cfg.tol, cfg.max_depth)
-        else:
-            arr, _, _ = _adaptive(gbatch, a, b, cfg.tol, cfg.max_depth)
-        lhs = complex(arr[0])
+        lhs = complex(adaptive_quadrature_batch(gbatch, interval, cfg, SCALAR).value.coords[0])
         rhs = phi(candidate)
         diff = abs(lhs - rhs)
         reports.append(FunctionalCheck(idx, lhs, rhs, diff, diff <= cfg.tol * (1.0 + abs(rhs))))
@@ -319,5 +306,4 @@ def norm_integral(
             [space_norm(f(float(t)).coords, tag) for t in ts], dtype=complex
         )[:, None]
 
-    arr, _, _ = _adaptive(fbatch, float(interval[0]), float(interval[1]), cfg.tol, cfg.max_depth)
-    return float(arr[0].real)
+    return float(adaptive_quadrature_batch(fbatch, interval, cfg, SCALAR).value.coords[0].real)

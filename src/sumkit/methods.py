@@ -14,9 +14,16 @@ infinite summation here carries a numeric tail certificate instead:
   tail is closed analytically with the scatter as the certified error.
 
 Both certificates are evidence from the sampled prefix, not proofs about the
-unseen tail; reports and errors say which rule fired.  A summation that
-achieves no certificate within ``max_terms`` raises NonSummableError carrying
-the partial sum and the best bound seen.
+unseen tail.  Reports do not yet say which rule fired; only a failure is
+explained: a summation that achieves no certificate within ``max_terms``
+raises NonSummableError naming the reason, with the partial sum and the best
+bound seen.
+
+Every object is given by one vectorised callable (``row_block``,
+``coeff_block``, ``kernel_batch``, ``block``, ``batch``); the scalar accessors
+``entry``, ``coeff``, ``kernel``, ``term`` and ``value`` evaluate it on a
+single index.  A counting kernel sums over its support ``(lo, hi)``
+starting at ``lo``.
 """
 
 from __future__ import annotations
@@ -80,61 +87,37 @@ DEFAULT_TRUNCATION = TruncationPolicy()
 
 
 class SequenceSource:
-    """Lazy X-valued sequence; ``block`` is the vectorized fast path."""
+    """Lazy X-valued sequence given by its vectorised ``block(lo, hi)``."""
 
-    def __init__(self, term=None, space: SpaceDescriptor = SCALAR, block=None, name: str = ""):
-        if term is None and block is None:
-            raise ValueError("need term or block")
+    def __init__(self, block, space: SpaceDescriptor = SCALAR, name: str = ""):
         self.space = space
         self.name = name
-        self._term = term
         self._block = block
 
     def term(self, n: int) -> VectorValue:
-        if self._term is not None:
-            out = self._term(n)
-            if isinstance(out, VectorValue):
-                return out
-            return VectorValue(np.atleast_1d(np.asarray(out, dtype=complex)), self.space)
-        return VectorValue(self._block(n, n + 1)[0], self.space)
+        return VectorValue(self.block(n, n + 1)[0], self.space)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        if self._block is not None:
-            arr = np.asarray(self._block(lo, hi), dtype=complex)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            return arr
-        return np.stack([self.term(n).coords for n in range(lo, hi)])
+        arr = np.asarray(self._block(lo, hi), dtype=complex)
+        return arr[:, None] if arr.ndim == 1 else arr
 
 
 class FunctionSource:
-    """Lazy X-valued function on [0, R); ``batch`` is the vectorized path."""
+    """Lazy X-valued function on [0, R) given by its vectorised ``batch(ts)``."""
 
-    def __init__(self, value=None, space: SpaceDescriptor = SCALAR, batch=None,
+    def __init__(self, batch, space: SpaceDescriptor = SCALAR,
                  domain: HalfOpenInterval = UNIT_INTERVAL, name: str = ""):
-        if value is None and batch is None:
-            raise ValueError("need value or batch")
         self.space = space
         self.domain = domain
         self.name = name
-        self._value = value
         self._batch = batch
 
     def value(self, t: float) -> VectorValue:
-        if self._value is not None:
-            out = self._value(t)
-            if isinstance(out, VectorValue):
-                return out
-            return VectorValue(np.atleast_1d(np.asarray(out, dtype=complex)), self.space)
-        return VectorValue(self._batch(np.asarray([t]))[0], self.space)
+        return VectorValue(self.batch(np.asarray([t]))[0], self.space)
 
     def batch(self, ts: np.ndarray) -> np.ndarray:
-        if self._batch is not None:
-            arr = np.asarray(self._batch(ts), dtype=complex)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            return arr
-        return np.stack([self.value(float(t)).coords for t in ts])
+        arr = np.asarray(self._batch(ts), dtype=complex)
+        return arr[:, None] if arr.ndim == 1 else arr
 
 
 def scalar_sequence(fn: Callable[[np.ndarray], np.ndarray], name: str = "") -> SequenceSource:
@@ -190,21 +173,22 @@ def combine_sources(alpha: complex, u, beta: complex, v):
 # Method specs
 
 
+def _whole_row(m: int) -> tuple:
+    return (0, None)
+
+
 @dataclass(frozen=True)
 class MatrixSpec:
     """Rows a_{m, n}; transform m |-> sum_n a_{m, n} v_n on E = F = naturals."""
 
     name: str
-    entry: Callable[[int, int], complex]
-    row_block: Optional[Callable[[int, int, int], np.ndarray]] = None  # (m, lo, hi)
-    row_support: Optional[Callable[[int], tuple]] = None  # (lo, hi) inclusive; hi None = infinite
+    row_block: Callable[[int, int, int], np.ndarray]  # (m, lo, hi) -> a_{m, lo..hi-1}
+    row_support: Callable[[int], tuple] = _whole_row  # (lo, hi) inclusive; hi None = infinite
     row_tail_abs: Optional[Callable[[int, int], float]] = None   # sum_{n > N} |a_{m, n}|
     row_tail_sum: Optional[Callable[[int, int], complex]] = None  # sum_{n > N} a_{m, n}
 
-    def coeff_block(self, m: int, lo: int, hi: int) -> np.ndarray:
-        if self.row_block is not None:
-            return np.asarray(self.row_block(m, lo, hi), dtype=complex)
-        return np.asarray([self.entry(m, n) for n in range(lo, hi)], dtype=complex)
+    def entry(self, m: int, n: int) -> complex:
+        return complex(self.row_block(m, n, n + 1)[0])
 
 
 @dataclass(frozen=True)
@@ -212,16 +196,13 @@ class SeqToFuncSpec:
     """Coefficients a_n(r); transform r |-> sum_n a_n(r) v_n, r in F."""
 
     name: str
-    coeff: Callable[[int, float], complex]
+    coeff_block: Callable[[float, int, int], np.ndarray]  # (r, lo, hi) -> a_lo(r)..a_{hi-1}(r)
     F: HalfOpenInterval = UNIT_INTERVAL
-    coeff_block: Optional[Callable[[float, int, int], np.ndarray]] = None  # (r, lo, hi)
     tail_abs: Optional[Callable[[float, int], float]] = None
     tail_sum: Optional[Callable[[float, int], complex]] = None
 
-    def block(self, r: float, lo: int, hi: int) -> np.ndarray:
-        if self.coeff_block is not None:
-            return np.asarray(self.coeff_block(r, lo, hi), dtype=complex)
-        return np.asarray([self.coeff(n, r) for n in range(lo, hi)], dtype=complex)
+    def coeff(self, n: int, r: float) -> complex:
+        return complex(self.coeff_block(r, n, n + 1)[0])
 
 
 @dataclass(frozen=True)
@@ -229,20 +210,17 @@ class KernelSpec:
     """Kernel a(r, t) integrated against v over E (counting or Lebesgue)."""
 
     name: str
-    kernel: Callable[[float, float], complex]
+    kernel_batch: Callable[[float, np.ndarray], np.ndarray]  # (r, ts) -> a(r, ts)
     E: IndexDomain = UNIT_INTERVAL
     F: IndexDomain = UNIT_INTERVAL
     measure: str = "lebesgue"
-    kernel_batch: Optional[Callable[[float, np.ndarray], np.ndarray]] = None  # (r, ts)
     support: Optional[Callable[[float], tuple]] = None  # (lo, hi) subset of E, else full E
     substitution: str = SUBSTITUTION_NONE
     tail_abs: Optional[Callable[[float, int], float]] = None   # counting measure only
     tail_sum: Optional[Callable[[float, int], complex]] = None
 
-    def batch(self, r: float, ts: np.ndarray) -> np.ndarray:
-        if self.kernel_batch is not None:
-            return np.asarray(self.kernel_batch(r, ts), dtype=complex)
-        return np.asarray([self.kernel(r, float(t)) for t in ts], dtype=complex)
+    def kernel(self, r: float, t) -> complex:
+        return complex(self.kernel_batch(r, np.asarray([t]))[0])
 
 
 MethodSpec = Union[MatrixSpec, SeqToFuncSpec, KernelSpec]
@@ -267,7 +245,6 @@ def method_index_domain(spec: MethodSpec) -> IndexDomain:
 def identity_method() -> MatrixSpec:
     return MatrixSpec(
         name="identity",
-        entry=lambda m, n: 1.0 if m == n else 0.0,
         row_block=lambda m, lo, hi: (np.arange(lo, hi) == m).astype(complex),
         row_support=lambda m: (m, m),
         row_tail_abs=lambda m, N: 0.0 if N >= m else 1.0,
@@ -278,7 +255,6 @@ def identity_method() -> MatrixSpec:
 def series_summation_method() -> MatrixSpec:
     return MatrixSpec(
         name="series_summation",
-        entry=lambda m, n: 1.0 if n <= m else 0.0,
         row_block=lambda m, lo, hi: (np.arange(lo, hi) <= m).astype(complex),
         row_support=lambda m: (0, m),
         row_tail_abs=lambda m, N: float(max(m - N, 0)),
@@ -289,7 +265,6 @@ def series_summation_method() -> MatrixSpec:
 def cesaro_method() -> MatrixSpec:
     return MatrixSpec(
         name="cesaro",
-        entry=lambda m, n: 1.0 / (m + 1) if n <= m else 0.0,
         row_block=lambda m, lo, hi: (np.arange(lo, hi) <= m) / (m + 1.0) + 0j,
         row_support=lambda m: (0, m),
         row_tail_abs=lambda m, N: max(m - N, 0) / (m + 1.0),
@@ -298,9 +273,6 @@ def cesaro_method() -> MatrixSpec:
 
 
 def abel_method() -> SeqToFuncSpec:
-    def coeff(n, r):
-        return (1.0 - r) * r**n
-
     def coeff_block(r, lo, hi):
         ns = np.arange(lo, hi, dtype=float)
         # r**n via exp(n log r) stays accurate for r close to 1 and large n
@@ -309,7 +281,6 @@ def abel_method() -> SeqToFuncSpec:
 
     return SeqToFuncSpec(
         name="abel",
-        coeff=coeff,
         F=UNIT_INTERVAL,
         coeff_block=coeff_block,
         tail_abs=lambda r, N: r ** (N + 1),
@@ -318,11 +289,6 @@ def abel_method() -> SeqToFuncSpec:
 
 
 def logarithmic_method() -> KernelSpec:
-    def kernel(r, t):
-        if 0.0 <= t < r:
-            return -1.0 / math.log1p(-r) / (1.0 - t)
-        return 0.0
-
     def kernel_batch(r, ts):
         ts = np.asarray(ts, dtype=float)
         pref = -1.0 / math.log1p(-r)
@@ -333,7 +299,6 @@ def logarithmic_method() -> KernelSpec:
 
     return KernelSpec(
         name="logarithmic",
-        kernel=kernel,
         E=UNIT_INTERVAL,
         F=UNIT_INTERVAL,
         measure="lebesgue",
@@ -341,6 +306,15 @@ def logarithmic_method() -> KernelSpec:
         support=lambda r: (0.0, r),
         substitution="log_boundary",
     )
+
+
+def _at(fn, param):
+    """Fix the parameter of a (param, N) tail function; None stays None."""
+    return None if fn is None else (lambda N: fn(param, N))
+
+
+def _times(factor, fn):
+    return None if fn is None else (lambda *args: factor * fn(*args))
 
 
 def scaled_method(spec: MethodSpec, factor: complex) -> MethodSpec:
@@ -351,38 +325,18 @@ def scaled_method(spec: MethodSpec, factor: complex) -> MethodSpec:
         return replace(
             spec,
             name=f"{factor:g}*{spec.name}" if factor.imag == 0 else f"scaled({spec.name})",
-            entry=lambda m, n, _e=spec.entry: factor * _e(m, n),
-            row_block=(None if spec.row_block is None
-                       else lambda m, lo, hi, _b=spec.row_block: factor * np.asarray(_b(m, lo, hi))),
-            row_tail_abs=(None if spec.row_tail_abs is None
-                          else lambda m, N, _t=spec.row_tail_abs: mag * _t(m, N)),
-            row_tail_sum=(None if spec.row_tail_sum is None
-                          else lambda m, N, _t=spec.row_tail_sum: factor * _t(m, N)),
+            row_block=_times(factor, spec.row_block),
+            row_tail_abs=_times(mag, spec.row_tail_abs),
+            row_tail_sum=_times(factor, spec.row_tail_sum),
         )
     if isinstance(spec, SeqToFuncSpec):
-        return replace(
-            spec,
-            name=f"scaled({spec.name})",
-            coeff=lambda n, r, _c=spec.coeff: factor * _c(n, r),
-            coeff_block=(None if spec.coeff_block is None
-                         else lambda r, lo, hi, _b=spec.coeff_block: factor * np.asarray(_b(r, lo, hi))),
-            tail_abs=(None if spec.tail_abs is None
-                      else lambda r, N, _t=spec.tail_abs: mag * _t(r, N)),
-            tail_sum=(None if spec.tail_sum is None
-                      else lambda r, N, _t=spec.tail_sum: factor * _t(r, N)),
-        )
+        return replace(spec, name=f"scaled({spec.name})",
+                       coeff_block=_times(factor, spec.coeff_block),
+                       tail_abs=_times(mag, spec.tail_abs), tail_sum=_times(factor, spec.tail_sum))
     if isinstance(spec, KernelSpec):
-        return replace(
-            spec,
-            name=f"scaled({spec.name})",
-            kernel=lambda r, t, _k=spec.kernel: factor * _k(r, t),
-            kernel_batch=(None if spec.kernel_batch is None
-                          else lambda r, ts, _b=spec.kernel_batch: factor * np.asarray(_b(r, ts))),
-            tail_abs=(None if spec.tail_abs is None
-                      else lambda r, N, _t=spec.tail_abs: mag * _t(r, N)),
-            tail_sum=(None if spec.tail_sum is None
-                      else lambda r, N, _t=spec.tail_sum: factor * _t(r, N)),
-        )
+        return replace(spec, name=f"scaled({spec.name})",
+                       kernel_batch=_times(factor, spec.kernel_batch),
+                       tail_abs=_times(mag, spec.tail_abs), tail_sum=_times(factor, spec.tail_sum))
     raise TypeError(f"not a method spec: {spec!r}")
 
 
@@ -391,33 +345,25 @@ def as_kernel(spec: MethodSpec) -> KernelSpec:
     if isinstance(spec, KernelSpec):
         return spec
     if isinstance(spec, MatrixSpec):
-        def support(r):
-            if spec.row_support is None:
-                return (0, None)
-            _, hi = spec.row_support(int(r))  # rows are zero before lo; start at 0
-            return (0, hi)
+        def by_row(fn):
+            return None if fn is None else (lambda r, N: fn(int(r), N))
 
         return KernelSpec(
             name=f"{spec.name}_as_kernel",
-            kernel=lambda r, t: spec.entry(int(r), int(t)),
             E=NAT,
             F=NAT,
             measure="counting",
-            kernel_batch=lambda r, ts: spec.coeff_block(int(r), int(ts[0]), int(ts[-1]) + 1),
-            support=support,
-            tail_abs=(None if spec.row_tail_abs is None
-                      else lambda r, N: spec.row_tail_abs(int(r), N)),
-            tail_sum=(None if spec.row_tail_sum is None
-                      else lambda r, N: spec.row_tail_sum(int(r), N)),
+            kernel_batch=lambda r, ts: spec.row_block(int(r), int(ts[0]), int(ts[-1]) + 1),
+            support=lambda r: spec.row_support(int(r)),
+            tail_abs=by_row(spec.row_tail_abs),
+            tail_sum=by_row(spec.row_tail_sum),
         )
     return KernelSpec(
         name=f"{spec.name}_as_kernel",
-        kernel=lambda r, t: spec.coeff(int(t), r),
         E=NAT,
         F=spec.F,
         measure="counting",
-        kernel_batch=lambda r, ts: spec.block(r, int(ts[0]), int(ts[-1]) + 1),
-        support=lambda r: (0, None),
+        kernel_batch=lambda r, ts: spec.coeff_block(r, int(ts[0]), int(ts[-1]) + 1),
         tail_abs=spec.tail_abs,
         tail_sum=spec.tail_sum,
     )
@@ -437,18 +383,23 @@ def _row_norms(arr: np.ndarray, tag: str) -> np.ndarray:
 
 
 def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy,
-                   support_end: Optional[int] = None,
+                   support: tuple = (0, None),
                    tail_abs=None, tail_sum=None, label: str = "series"):
-    """Sum sum_n c_n v_n with a numeric tail certificate.
+    """Sum sum_n c_n v_n over support = (lo, hi) with a numeric tail certificate.
 
-    coeff_block(lo, hi) -> complex array; tail_abs/tail_sum(N) describe the
-    coefficient tail beyond N (up to support_end).  Returns (coords, bound,
-    terms).  Raises NonSummableError when no certificate is reached.
+    The sum runs from n = lo up to hi inclusive (hi None: no end) and takes
+    at most policy.max_terms terms.  coeff_block(a, b) -> complex array of
+    c_a .. c_{b-1}; tail_abs/tail_sum(N) describe the coefficient tail beyond
+    the absolute index N (up to hi).  Returns (coords, bound, terms).
+    Raises NonSummableError when no certificate is reached.
     """
+    lo, support_end = support
     space = source.space
     dim = space.dim
     acc = np.zeros(dim, dtype=complex)
-    n = 0
+    if support_end is not None and support_end < lo:
+        return acc, 0.0, 0
+    n = lo
     block = policy.start_block
     prev_abs = None
     geo_ok = 0
@@ -456,10 +407,10 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
 
     def fail(msg, bound=None):
         partial = VectorValue(acc, space) if np.all(np.isfinite(acc.view(float))) else None
-        raise NonSummableError(f"{label}: {msg}", partial=partial, bound=bound, terms=n)
+        raise NonSummableError(f"{label}: {msg}", partial=partial, bound=bound, terms=n - lo)
 
-    while n < policy.max_terms:
-        hi = min(n + block, policy.max_terms)
+    while n - lo < policy.max_terms:
+        hi = min(n + block, lo + policy.max_terms)
         if support_end is not None:
             hi = min(hi, support_end + 1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -478,12 +429,12 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
         n = hi
 
         if support_end is not None and n > support_end:
-            return acc, 0.0, n
+            return acc, 0.0, n - lo
 
         if tail_abs is not None:
             w_abs = float(tail_abs(N))
             if w_abs * sup_recent <= policy.tail_tol:
-                return acc, w_abs * sup_recent, n
+                return acc, w_abs * sup_recent, n - lo
             if tail_sum is not None and vs.shape[0] >= 2:
                 # center on the last term: exact (dev = 0) for stable blocks
                 center = vs[-1]
@@ -492,13 +443,13 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
                     # stabilized closure: recent terms are flat to within dev,
                     # close the tail with the exact remaining weight
                     acc = acc + complex(tail_sum(N)) * center
-                    return acc, w_abs * dev, n
+                    return acc, w_abs * dev, n - lo
 
         if blk_abs > 1e200:
             fail("terms overflowing")
         if prev_abs is not None and block == policy.max_block:
             if blk_abs == 0.0 and prev_abs == 0.0:
-                return acc, 0.0, n
+                return acc, 0.0, n - lo
             if prev_abs > 0.0:
                 q = blk_abs / prev_abs
                 if q <= 0.999:
@@ -506,7 +457,7 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
                     if geo_ok >= 2:
                         tail_est = blk_abs * q / (1.0 - q)
                         if tail_est <= policy.tail_tol:
-                            return acc, tail_est, n
+                            return acc, tail_est, n - lo
                 else:
                     geo_ok = 0
             if blk_abs > prev_abs:
@@ -531,28 +482,9 @@ def matrix_transform(spec: MatrixSpec, v: SequenceSource, m: int,
     """Row application sum_n a_{m, n} v_n; exact for finitely supported rows."""
     if m < 0:
         raise ValueError("row index must be >= 0")
-    support = spec.row_support(m) if spec.row_support is not None else (0, None)
-    lo, hi = support
-    if lo > 0:
-        def coeffs(a, b):
-            return spec.coeff_block(m, a + lo, b + lo)
-
-        def vblock(a, b):
-            return v.block(a + lo, b + lo)
-
-        shifted = SequenceSource(space=v.space, block=vblock, name=v.name)
-        end = None if hi is None else hi - lo
-        coords, _, _ = _certified_sum(
-            coeffs, shifted, trunc, support_end=end,
-            tail_abs=None if spec.row_tail_abs is None else (lambda N: spec.row_tail_abs(m, N + lo)),
-            tail_sum=None if spec.row_tail_sum is None else (lambda N: spec.row_tail_sum(m, N + lo)),
-            label=f"{spec.name} row {m}")
-        return VectorValue(coords, v.space)
     coords, _, _ = _certified_sum(
-        lambda a, b: spec.coeff_block(m, a, b), v, trunc, support_end=hi,
-        tail_abs=None if spec.row_tail_abs is None else (lambda N: spec.row_tail_abs(m, N)),
-        tail_sum=None if spec.row_tail_sum is None else (lambda N: spec.row_tail_sum(m, N)),
-        label=f"{spec.name} row {m}")
+        lambda a, b: spec.row_block(m, a, b), v, trunc, spec.row_support(m),
+        _at(spec.row_tail_abs, m), _at(spec.row_tail_sum, m), label=f"{spec.name} row {m}")
     return VectorValue(coords, v.space)
 
 
@@ -563,49 +495,48 @@ def seq2func_transform(spec: SeqToFuncSpec, v: SequenceSource, r: float,
     if not (0.0 <= r < right):
         raise ValueError(f"parameter {r} outside [0, {right})")
     coords, _, _ = _certified_sum(
-        lambda a, b: spec.block(r, a, b), v, trunc,
-        tail_abs=None if spec.tail_abs is None else (lambda N: spec.tail_abs(r, N)),
-        tail_sum=None if spec.tail_sum is None else (lambda N: spec.tail_sum(r, N)),
-        label=f"{spec.name} at r={r}")
+        lambda a, b: spec.coeff_block(r, a, b), v, trunc, (0, None),
+        _at(spec.tail_abs, r), _at(spec.tail_sum, r), label=f"{spec.name} at r={r}")
     return VectorValue(coords, v.space)
+
+
+def _kernel_support(spec: KernelSpec, r, quad: QuadratureConfig) -> tuple:
+    """(lo, hi, cfg): where a(r, .) lives in E and how to integrate it there.
+
+    The support defaults to all of E.  Counting measure sums the integers
+    lo..hi (hi None: no end); Lebesgue measure needs a bounded [lo, hi] and
+    uses the spec's substitution unless ``quad`` names one.
+    """
+    if spec.measure == "counting":
+        lo, hi = spec.support(r) if spec.support is not None else (0, None)
+        return int(lo), (None if hi is None else int(hi)), quad
+    if spec.support is not None:
+        lo, hi = spec.support(r)
+    else:
+        lo, hi = 0.0, (spec.E.right if isinstance(spec.E, HalfOpenInterval) else math.inf)
+    if math.isinf(hi):
+        raise ValueError("unbounded kernel support needs an explicit support declaration")
+    cfg = quad if quad.substitution != SUBSTITUTION_NONE else replace(quad, substitution=spec.substitution)
+    return lo, hi, cfg
 
 
 def kernel_transform(spec: KernelSpec, v, r: float,
                      quad: QuadratureConfig = QuadratureConfig(),
                      trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> VectorValue:
     """Integrate a(r, .) v(.) over E (componentwise for Lebesgue measure)."""
+    if spec.measure != "counting" and not isinstance(v, FunctionSource):
+        raise TypeError("Lebesgue kernels need a FunctionSource")
+    lo, hi, cfg = _kernel_support(spec, r, quad)
     if spec.measure == "counting":
-        support_end = None
-        lo = 0
-        if spec.support is not None:
-            s_lo, s_hi = spec.support(r)
-            lo, support_end = int(s_lo), (None if s_hi is None else int(s_hi))
-        if lo != 0:
-            raise NotImplementedError("counting supports must start at 0")
         coords, _, _ = _certified_sum(
-            lambda a, b: spec.batch(r, np.arange(a, b)), v, trunc,
-            support_end=support_end,
-            tail_abs=None if spec.tail_abs is None else (lambda N: spec.tail_abs(r, N)),
-            tail_sum=None if spec.tail_sum is None else (lambda N: spec.tail_sum(r, N)),
-            label=f"{spec.name} at r={r}")
+            lambda a, b: spec.kernel_batch(r, np.arange(a, b)), v, trunc, (lo, hi),
+            _at(spec.tail_abs, r), _at(spec.tail_sum, r), label=f"{spec.name} at r={r}")
         return VectorValue(coords, v.space)
 
-    if not isinstance(v, FunctionSource):
-        raise TypeError("Lebesgue kernels need a FunctionSource")
-    if spec.support is not None:
-        a, b = spec.support(r)
-    else:
-        right = spec.E.right if isinstance(spec.E, HalfOpenInterval) else math.inf
-        a, b = 0.0, right
-    if math.isinf(b):
-        raise ValueError("unbounded kernel support needs an explicit support declaration")
-
     def integrand(ts: np.ndarray) -> np.ndarray:
-        return spec.batch(r, ts)[:, None] * v.batch(ts)
+        return spec.kernel_batch(r, ts)[:, None] * v.batch(ts)
 
-    cfg = quad if quad.substitution != SUBSTITUTION_NONE else replace(quad, substitution=spec.substitution)
-    result = adaptive_quadrature_batch(integrand, (a, b), cfg, v.space)
-    return result.value
+    return adaptive_quadrature_batch(integrand, (lo, hi), cfg, v.space).value
 
 
 def transform_at(spec: MethodSpec, source, param,

@@ -16,17 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .domains import DiscreteNat, exhaustion, parameter_grid
-from .integrate import (
-    QuadratureConfig,
-    QuadratureError,
-    SUBSTITUTION_NONE,
-    adaptive_quadrature_batch,
-)
+from .domains import exhaustion, loglog_slope, non_increasing, parameter_grid
+from .integrate import QuadratureConfig, QuadratureError, adaptive_quadrature_batch
 from .methods import (
     DEFAULT_TRUNCATION,
     KernelSpec,
@@ -34,9 +29,11 @@ from .methods import (
     NonSummableError,
     SequenceSource,
     TruncationPolicy,
+    _at,
     _certified_sum,
+    _kernel_support,
 )
-from .vspace import SCALAR, VectorValue
+from .vspace import SCALAR
 
 PASS = "pass"
 FAIL = "fail"
@@ -67,19 +64,6 @@ class ConditionCheck:
     note: str = ""
 
 
-def _loglog_slope(values: Sequence[float]) -> float:
-    """Slope of log(value) against log(position) over the given values."""
-    if len(values) < 2:
-        return 0.0
-    ys = np.log(np.maximum(np.abs(np.asarray(values, dtype=float)), 1e-300))
-    xs = np.log(np.arange(1, len(values) + 1, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
-def _non_increasing(values: Sequence[float]) -> bool:
-    return all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(values, values[1:]))
-
-
 def _decay_verdict(values: Sequence[float], tol: float) -> tuple:
     """Evidence that a grid path of nonnegative values tends to 0.
 
@@ -88,10 +72,10 @@ def _decay_verdict(values: Sequence[float], tol: float) -> tuple:
     Returns (verdict, witness_detail, note).
     """
     tail = values[len(values) // 2:]
-    slope = _loglog_slope(tail)
+    slope = loglog_slope(tail)
     if values[-1] <= tol:
         return PASS, "", "reached tol at the largest grid point"
-    if _non_increasing(tail) and slope <= -GROWTH_SLOPE:
+    if non_increasing(tail) and slope <= -GROWTH_SLOPE:
         return PASS, "", f"decaying trend (slope {slope:.3g})"
     # falsified only when mass is present across the whole tail yet not decaying;
     # a path that just became nonzero at the end is undecided, not failed
@@ -104,53 +88,24 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
-# ---------------------------------------------------------------------------
-# Matrix form
+class _RegularityReport:
+    """CSV rows, JSON form and overall verdict shared by both report kinds.
 
+    Subclasses are frozen dataclasses with ``method`` and ``notes`` fields
+    that yield their condition checks, in report order, from conditions().
+    """
 
-def _row_abs_sum(spec: MatrixSpec, m: int, trunc: TruncationPolicy) -> float:
-    ones = SequenceSource(space=SCALAR, block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex))
-    support = spec.row_support(m) if spec.row_support is not None else (0, None)
-    end = support[1]
-    tail = None if spec.row_tail_abs is None else (lambda N: spec.row_tail_abs(m, N))
-    coords, _, _ = _certified_sum(
-        lambda a, b: np.abs(spec.coeff_block(m, a, b)) + 0j, ones, trunc,
-        support_end=end, tail_abs=tail, tail_sum=tail,
-        label=f"{spec.name} |row| {m}")
-    return float(coords[0].real)
+    @property
+    def overall(self) -> str:
+        verdicts = {c.verdict for c in self.conditions()}
+        if FAIL in verdicts:
+            return NOT_REGULAR
+        return INCONCLUSIVE_OVERALL if UNDECIDED in verdicts else REGULAR_EVIDENCE
 
-
-def _row_sum(spec: MatrixSpec, m: int, trunc: TruncationPolicy) -> complex:
-    support = spec.row_support(m) if spec.row_support is not None else (0, None)
-    end = support[1]
-    if end is not None and end - support[0] <= 2_000_000:
-        # finite row: exact compensated summation, no tolerance involved
-        entries = spec.coeff_block(m, support[0], end + 1)
-        return complex(math.fsum(entries.real), math.fsum(entries.imag))
-    ones = SequenceSource(space=SCALAR, block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex))
-    coords, _, _ = _certified_sum(
-        lambda a, b: spec.coeff_block(m, a, b), ones, trunc,
-        support_end=end,
-        tail_abs=None if spec.row_tail_abs is None else (lambda N: spec.row_tail_abs(m, N)),
-        tail_sum=None if spec.row_tail_sum is None else (lambda N: spec.row_tail_sum(m, N)),
-        label=f"{spec.name} row sum {m}")
-    return complex(coords[0])
-
-
-@dataclass(frozen=True)
-class MatrixRegularityReport:
-    method: str
-    c1: ConditionCheck
-    c2: tuple  # one ConditionCheck per tracked column
-    c3: ConditionCheck
-    overall: str
-    witness: str = ""
-    notes: tuple = field(default=_FOOTER_NOTES)
-
-    def conditions(self):
-        yield self.c1
-        yield from self.c2
-        yield self.c3
+    @property
+    def witness(self) -> str:
+        """Witness of the first failing condition, or ""."""
+        return next((c.witness for c in self.conditions() if c.verdict == FAIL), "")
 
     def rows(self) -> list:
         out = []
@@ -178,6 +133,48 @@ class MatrixRegularityReport:
             ],
             "notes": list(self.notes),
         }
+
+
+# ---------------------------------------------------------------------------
+# Matrix form
+
+
+_ONES = SequenceSource(block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex))
+
+
+def _row_abs_sum(spec: MatrixSpec, m: int, trunc: TruncationPolicy) -> float:
+    tail = _at(spec.row_tail_abs, m)
+    coords, _, _ = _certified_sum(
+        lambda a, b: np.abs(spec.row_block(m, a, b)) + 0j, _ONES, trunc, spec.row_support(m),
+        tail_abs=tail, tail_sum=tail, label=f"{spec.name} |row| {m}")
+    return float(coords[0].real)
+
+
+def _row_sum(spec: MatrixSpec, m: int, trunc: TruncationPolicy) -> complex:
+    lo, end = spec.row_support(m)
+    if end is not None and end - lo <= 2_000_000:
+        # finite row: exact compensated summation, no tolerance involved
+        entries = np.asarray(spec.row_block(m, lo, end + 1), dtype=complex)
+        return complex(math.fsum(entries.real), math.fsum(entries.imag))
+    coords, _, _ = _certified_sum(
+        lambda a, b: spec.row_block(m, a, b), _ONES, trunc, (lo, end),
+        tail_abs=_at(spec.row_tail_abs, m), tail_sum=_at(spec.row_tail_sum, m),
+        label=f"{spec.name} row sum {m}")
+    return complex(coords[0])
+
+
+@dataclass(frozen=True)
+class MatrixRegularityReport(_RegularityReport):
+    method: str
+    c1: ConditionCheck
+    c2: tuple  # one ConditionCheck per tracked column
+    c3: ConditionCheck
+    notes: tuple = field(default=_FOOTER_NOTES)
+
+    def conditions(self):
+        yield self.c1
+        yield from self.c2
+        yield self.c3
 
 
 def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
@@ -210,7 +207,7 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
         c1 = ConditionCheck("c1_row_abs_sum", UNDECIDED, tuple(c1_cells),
                             note="tail certificate unavailable for some rows")
     else:
-        slope = _loglog_slope(c1_values[half:])
+        slope = loglog_slope(c1_values[half:])
         if slope > GROWTH_SLOPE:
             c1 = ConditionCheck(
                 "c1_row_abs_sum", FAIL, tuple(c1_cells),
@@ -259,103 +256,53 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
     else:
         c3 = ConditionCheck("c3_row_sum", PASS, tuple(c3_cells))
 
-    checks = [c1] + c2_checks + [c3]
-    failing = [c for c in checks if c.verdict == FAIL]
-    undecided = [c for c in checks if c.verdict == UNDECIDED]
-    if failing:
-        overall, witness = NOT_REGULAR, failing[0].witness
-    elif undecided:
-        overall, witness = INCONCLUSIVE_OVERALL, ""
-    else:
-        overall, witness = REGULAR_EVIDENCE, ""
-    return MatrixRegularityReport(spec.name, c1, tuple(c2_checks), c3, overall, witness)
+    return MatrixRegularityReport(spec.name, c1, tuple(c2_checks), c3)
 
 
 # ---------------------------------------------------------------------------
 # Kernel form
 
 
-def _kernel_abs_integral(spec: KernelSpec, r, upto: Optional[float],
-                         quad: QuadratureConfig, trunc: TruncationPolicy) -> float:
-    """integral of |a(r, t)| over E (or over the window [0, upto])."""
-    if spec.measure == "counting":
-        end = None
-        if spec.support is not None:
-            _, s_hi = spec.support(r)
-            end = None if s_hi is None else int(s_hi)
-        if upto is not None:
-            end = int(upto) if end is None else min(end, int(upto))
-        ones = SequenceSource(space=SCALAR, block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex))
-        tail = None if (spec.tail_abs is None or upto is not None) else (lambda N: spec.tail_abs(r, N))
-        coords, _, _ = _certified_sum(
-            lambda a, b: np.abs(spec.batch(r, np.arange(a, b))) + 0j, ones, trunc,
-            support_end=end, tail_abs=tail, tail_sum=tail,
-            label=f"{spec.name} |kernel| r={r}")
-        return float(coords[0].real)
+def _kernel_integral(spec: KernelSpec, r, quad: QuadratureConfig, trunc: TruncationPolicy,
+                     upto=None, absolute: bool = False):
+    """Integral of a(r, .) -- of |a(r, .)| when ``absolute`` -- over its support.
 
-    if spec.support is not None:
-        a, b = spec.support(r)
-    else:
-        a, b = 0.0, spec.E.right
+    ``upto`` cuts the support to the compact window [0, upto].  Absolute
+    integrals are returned as floats.
+    """
+    lo, hi, cfg = _kernel_support(spec, r, quad)
     if upto is not None:
-        b = min(b, upto)
-    if b <= a:
-        return 0.0
-    if math.isinf(b):
-        raise ValueError("unbounded support needs an explicit support declaration")
+        hi = min(hi, upto) if hi is not None else upto
 
-    def integrand(ts):
-        return np.abs(spec.batch(r, ts)).astype(complex)[:, None]
+    def weights(ts):
+        a = spec.kernel_batch(r, ts)
+        return np.abs(a) + 0j if absolute else a
 
-    cfg = quad if quad.substitution != SUBSTITUTION_NONE else \
-        QuadratureConfig(quad.tol, quad.max_depth, spec.substitution)
-    res = adaptive_quadrature_batch(integrand, (a, b), cfg, SCALAR)
-    return float(res.value.coords[0].real)
-
-
-def _kernel_signed_integral(spec: KernelSpec, r, quad: QuadratureConfig,
-                            trunc: TruncationPolicy) -> complex:
     if spec.measure == "counting":
-        end = None
-        if spec.support is not None:
-            _, s_hi = spec.support(r)
-            end = None if s_hi is None else int(s_hi)
-        ones = SequenceSource(space=SCALAR, block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex))
+        tail_abs = tail_sum = None
+        if upto is None:
+            tail_abs = _at(spec.tail_abs, r)
+            tail_sum = tail_abs if absolute else _at(spec.tail_sum, r)
         coords, _, _ = _certified_sum(
-            lambda a, b: spec.batch(r, np.arange(a, b)), ones, trunc,
-            support_end=end,
-            tail_abs=None if spec.tail_abs is None else (lambda N: spec.tail_abs(r, N)),
-            tail_sum=None if spec.tail_sum is None else (lambda N: spec.tail_sum(r, N)),
-            label=f"{spec.name} kernel sum r={r}")
-        return complex(coords[0])
-
-    if spec.support is not None:
-        a, b = spec.support(r)
+            lambda a, b: weights(np.arange(a, b)), _ONES, trunc,
+            (lo, None if hi is None else int(hi)), tail_abs, tail_sum,
+            label=f"{spec.name} {'|kernel|' if absolute else 'kernel sum'} r={r}")
+        value = complex(coords[0])
+    elif hi <= lo:
+        value = 0.0
     else:
-        a, b = 0.0, spec.E.right
-    if b <= a:
-        return 0.0
-    if math.isinf(b):
-        raise ValueError("unbounded support needs an explicit support declaration")
-
-    def integrand(ts):
-        return spec.batch(r, ts)[:, None]
-
-    cfg = quad if quad.substitution != SUBSTITUTION_NONE else \
-        QuadratureConfig(quad.tol, quad.max_depth, spec.substitution)
-    res = adaptive_quadrature_batch(integrand, (a, b), cfg, SCALAR)
-    return complex(res.value.coords[0])
+        res = adaptive_quadrature_batch(lambda ts: weights(ts)[:, None], (lo, hi), cfg, SCALAR)
+        value = complex(res.value.coords[0])
+    return float(value.real) if absolute else value
 
 
 @dataclass(frozen=True)
-class KernelRegularityReport:
+class KernelRegularityReport(_RegularityReport):
     method: str
     k1: ConditionCheck
     k2: ConditionCheck
     k3: tuple  # one ConditionCheck per compact window
     k4: ConditionCheck
-    overall: str
-    witness: str = ""
     notes: tuple = field(default=_FOOTER_NOTES)
 
     def conditions(self):
@@ -363,33 +310,6 @@ class KernelRegularityReport:
         yield self.k2
         yield from self.k3
         yield self.k4
-
-    def rows(self) -> list:
-        out = []
-        for check in self.conditions():
-            for param, value, verdict in check.cells:
-                out.append((check.condition, param, value, verdict))
-            out.append((check.condition, "", "", check.verdict))
-        out.append(("overall", "", "", self.overall))
-        return out
-
-    def to_jsonable(self) -> dict:
-        return {
-            "method": self.method,
-            "overall": self.overall,
-            "witness": self.witness,
-            "conditions": [
-                {
-                    "condition": c.condition,
-                    "verdict": c.verdict,
-                    "witness": c.witness,
-                    "note": c.note,
-                    "cells": [[str(p), repr(v), verd] for p, v, verd in c.cells],
-                }
-                for c in self.conditions()
-            ],
-            "notes": list(self.notes),
-        }
 
 
 def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12,
@@ -412,7 +332,7 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     k1_undecided = False
     for r in r_grid:
         try:
-            val = _kernel_abs_integral(spec, r, None, quad, trunc)
+            val = _kernel_integral(spec, r, quad, trunc, absolute=True)
             abs_values[r] = val
             k1_cells.append((r, val, PASS))
         except (QuadratureError, NonSummableError) as exc:
@@ -424,7 +344,7 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
 
     vals = [abs_values[r] for r in r_grid if r in abs_values]
     if len(vals) >= 2:
-        slope = _loglog_slope(vals[half:])
+        slope = loglog_slope(vals[half:])
         if slope > GROWTH_SLOPE:
             k2 = ConditionCheck("k2_abs_sup", FAIL,
                                 tuple((r, v, "") for r, v in abs_values.items()),
@@ -439,14 +359,13 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     # condition 3: mass escapes every compact window
     k3_checks = []
     for j in range(exhaust_depth + 1):
-        window = exhaustion(spec.E, j)
-        upto = window.hi if not isinstance(spec.E, DiscreteNat) else window.hi
+        upto = exhaustion(spec.E, j).hi
         cells = []
         values = []
         undecided = False
         for r in r_grid:
             try:
-                val = _kernel_abs_integral(spec, r, upto, quad, trunc)
+                val = _kernel_integral(spec, r, quad, trunc, upto, absolute=True)
                 cells.append((r, val, ""))
                 values.append(val)
             except (QuadratureError, NonSummableError):
@@ -466,7 +385,7 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     k4_undecided = False
     for r in r_grid:
         try:
-            s = _kernel_signed_integral(spec, r, quad, trunc)
+            s = _kernel_integral(spec, r, quad, trunc)
         except (QuadratureError, NonSummableError):
             k4_cells.append((r, math.nan, UNDECIDED))
             k4_undecided = True
@@ -485,16 +404,7 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     else:
         k4 = ConditionCheck("k4_total_mass", PASS, tuple(k4_cells))
 
-    checks = [k1, k2] + k3_checks + [k4]
-    failing = [c for c in checks if c.verdict == FAIL]
-    undecided_checks = [c for c in checks if c.verdict == UNDECIDED]
-    if failing:
-        overall, witness = NOT_REGULAR, failing[0].witness
-    elif undecided_checks:
-        overall, witness = INCONCLUSIVE_OVERALL, ""
-    else:
-        overall, witness = REGULAR_EVIDENCE, ""
-    return KernelRegularityReport(spec.name, k1, k2, tuple(k3_checks), k4, overall, witness)
+    return KernelRegularityReport(spec.name, k1, k2, tuple(k3_checks), k4)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ forms and brute-force evaluation) inside each test, never from the code path
 under test.
 """
 
+import hashlib
+import json
 import math
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +69,9 @@ from sumkit.regularity import (
     group_norm_scalar_row,
 )
 from sumkit.vspace import SpaceDescriptor, VectorValue, coordinate_functionals
+
+
+PINNED_DIGESTS = Path(__file__).parent / "data" / "shipped_csv_sha256.json"
 
 
 @contextmanager
@@ -273,8 +279,12 @@ def test_criterion_09_group_norm_is_l1_partial_sum():
 
 def test_criterion_10_determinism_of_shipped_configs(tmp_path):
     with criterion(10, "byte-identical CSVs across two runs of every shipped config"):
+        # sha256 of every shipped CSV, pinned when the digests were recorded;
+        # a change to any shipped number must update this file deliberately
+        pinned = json.loads(PINNED_DIGESTS.read_text())
         names = sorted(shipped_configs())
         assert len(names) >= 6
+        assert sorted({key.split("/")[0] for key in pinned}) == names
         for name in names:
             config = str(builtin_config_path(name))
             out1 = tmp_path / f"{name}-run1"
@@ -284,7 +294,10 @@ def test_criterion_10_determinism_of_shipped_configs(tmp_path):
             csvs1 = sorted(p.name for p in out1.glob("*.csv"))
             csvs2 = sorted(p.name for p in out2.glob("*.csv"))
             assert csvs1 == csvs2 and csvs1
+            assert csvs1 == sorted(k.split("/")[1] for k in pinned if k.startswith(name + "/"))
             for csv_name in csvs1:
                 b1 = (out1 / csv_name).read_bytes()
                 b2 = (out2 / csv_name).read_bytes()
                 assert b1 == b2, f"{name}/{csv_name} differs between runs"
+                assert hashlib.sha256(b1).hexdigest() == pinned[f"{name}/{csv_name}"], \
+                    f"{name}/{csv_name} differs from its pinned digest"

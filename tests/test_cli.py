@@ -78,6 +78,21 @@ def test_main_exit_2_on_missing_config(tmp_path):
 # execution and artifacts
 
 
+def test_taylor_verdict_survives_in_report_json(tmp_path):
+    config = {"experiments": [{
+        "id": "geo-partial-sums", "kind": "taylor", "space": "h2",
+        "function": {"generator": "geometric", "c": 1.0, "rho": 0.5},
+        "chain": ["partial_sums"], "depth": 8,
+    }]}
+    out = tmp_path / "out"
+    assert run_config(config, str(out)) == 0
+    entry = json.loads(_read(out / "report.json"))["experiments"][0]
+    assert entry["status"] == "completed"
+    last = _read(out / "geo-partial-sums.csv").strip().split("\n")[-1]
+    assert last.startswith("geo-partial-sums,holo,,overall,")
+    assert entry["verdict"] == last.split(",")[-1] == "converged_to_zero"
+
+
 def test_run_minimal_config_artifacts(tmp_path):
     out = tmp_path / "out"
     code = run_config(MINIMAL, str(out))

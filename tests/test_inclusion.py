@@ -147,9 +147,6 @@ def test_transfer_oscillating_family_reduces_coordinatewise():
     space = SpaceDescriptor(3, "l2")
     P = np.diag([1.0, 0.0, 0.0]).astype(complex)
 
-    def apply(n, x):
-        return VectorValue(x.coords + (-1.0) ** n * (P @ x.coords), space)
-
     def apply_block(ns, x):
         signs = (-1.0) ** ns
         return x.coords[None, :] + signs[:, None] * (P @ x.coords)[None, :]
@@ -159,7 +156,6 @@ def test_transfer_oscillating_family_reduces_coordinatewise():
     witnesses = (VectorValue([0, 1, 0], space), VectorValue([0, 0, 1], space))
     family = OperatorFamily(
         name="oscillating",
-        apply=apply,
         target=lambda x: x,
         dense_witnesses=witnesses,
         space=space,

@@ -117,6 +117,22 @@ def test_log_boundary_substitution_near_singularity():
     assert err <= cfg.tol
 
 
+def test_norm_integral_honours_the_log_boundary_substitution():
+    # without the substitution the 1/(1-t) blow-up at the right end forces
+    # deep bisection; with it the integrand is flat and a few panels suffice
+    cfg = QuadratureConfig(substitution=SUBSTITUTION_LOG_BOUNDARY)
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if len(calls) > 1000:
+            raise RuntimeError("evaluation budget exhausted")
+        return VectorValue([1.0 / (1.0 - t), 0.0], SPACE2)
+
+    value = norm_integral(f, (0.0, 1.0 - 2.0**-20), cfg)
+    assert value == pytest.approx(20.0 * math.log(2.0), abs=1e-9)
+
+
 def test_against_scipy_oracle():
     for f, a, b in [
         (lambda t: math.exp(t) * math.cos(3 * t), 0.0, 2.0),

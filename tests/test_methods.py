@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sumkit.domains import CONVERGED, DIVERGED, parameter_grid, UNIT_INTERVAL
+from sumkit.domains import CONVERGED, DIVERGED, NAT, parameter_grid, UNIT_INTERVAL
 from sumkit.integrate import QuadratureConfig
 from sumkit.methods import (
+    KernelSpec,
     NonSummableError,
     TruncationPolicy,
     abel_method,
@@ -58,7 +59,7 @@ def test_cesaro_row_sums_exactly_one_on_canonical_grid():
     # exact float identity on the grids the toolkit exercises (m = 2^k, small m)
     spec = cesaro_method()
     for m in list(range(0, 33)) + [2**k for k in range(1, 15)]:
-        entries = spec.coeff_block(m, 0, m + 1)
+        entries = spec.row_block(m, 0, m + 1)
         assert math.fsum(entries.real) == 1.0
         assert math.fsum(entries.imag) == 0.0
 
@@ -185,6 +186,24 @@ def test_abel_as_kernel_consistency():
         direct = seq2func_transform(spec, ALT, r)
         via_kernel = kernel_transform(kern, ALT, r)
         assert (direct - via_kernel).norm() <= 1e-13
+
+
+def test_counting_kernel_sums_from_the_support_start():
+    # a(r, n) = 1/2 for n in {r, r + 1} averages two neighbouring terms
+    spec = KernelSpec(
+        name="half_pair",
+        kernel_batch=lambda r, ts: np.full(len(ts), 0.5, dtype=complex),
+        E=NAT,
+        F=NAT,
+        measure="counting",
+        support=lambda r: (r, r + 1),
+    )
+    ones = scalar_sequence(lambda n: np.ones_like(n, dtype=float), "ones")
+    est = summability_limit(spec, ones, depth=10, tol=1e-12)
+    assert est.status == CONVERGED
+    assert _scalar(est.value) == 1.0
+    v = scalar_sequence(lambda n: n * 1.0, "n")
+    assert _scalar(kernel_transform(spec, v, 8)) == 8.5
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sumkit.domains import HALF_LINE, UNIT_INTERVAL, exhaustion, parameter_grid
+from sumkit.domains import HALF_LINE, NAT, UNIT_INTERVAL, exhaustion, parameter_grid
 from sumkit.integrate import QuadratureConfig
 from sumkit.methods import (
     KernelSpec,
@@ -107,7 +107,6 @@ def test_translation_kernel_mass_escapes_every_window():
 
     spec = KernelSpec(
         name="translation",
-        kernel=lambda r, t: 1.0 if r <= t <= r + 1.0 else 0.0,
         E=HALF_LINE,
         F=HALF_LINE,
         measure="lebesgue",
@@ -122,6 +121,23 @@ def test_translation_kernel_mass_escapes_every_window():
         for r, value, _ in check.cells:
             expected = max(0.0, min(c_j, r + 1.0) - r)
             assert value == pytest.approx(expected, abs=1e-10)
+
+
+def test_counting_kernel_mass_starts_at_the_support_start():
+    # a(r, n) = 1/2 for n in {r, r + 1}: total mass 1, not the (r + 2)/2
+    # that summing from n = 0 would give
+    spec = KernelSpec(
+        name="half_pair",
+        kernel_batch=lambda r, ts: np.full(len(ts), 0.5, dtype=complex),
+        E=NAT,
+        F=NAT,
+        measure="counting",
+        support=lambda r: (r, r + 1),
+    )
+    report = check_kernel_st(spec, r_depth=10, exhaust_depth=4)
+    assert [value for _, value, _ in report.k4.cells] == [1.0] * 10
+    assert [value for _, value, _ in report.k1.cells] == [1.0] * 10
+    assert report.overall == REGULAR_EVIDENCE
 
 
 def test_abel_coefficients_as_kernel_regular_k4_exact():
