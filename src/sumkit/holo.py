@@ -6,15 +6,18 @@ or power law) that certifies truncation tails.  Three norms are implemented:
 
 * h2        -- l2 norm of the coefficients;
 * wiener    -- l1 norm of the coefficients;
-* disk_grid -- max modulus over a boundary grid.  This approximates the true
-               sup norm from below; the dropped coefficient tail bounds the
-               additional error, and reports carry that bound.
+* disk_grid -- max modulus over the N-th roots of unity (N boundary points),
+               evaluated exactly as one DFT of the coefficients folded mod N.
+               This approximates the true sup norm from below; the dropped
+               coefficient tail bounds the additional error, and reports
+               carry that bound.
 
 The radial dilate multiplies coefficient k by r^k; it is computed both as the
 literal weighted sum of partial sums and through that multiplier, and the two
 must agree coefficientwise (an internal consistency check).  The logarithmic
-mean applies the multiplier (-1/log(1-r)) * integral_0^r t^k/(1-t) dt, with
-the k = 0 multiplier equal to 1 exactly.
+mean applies the multiplier lambda_k(r) = (-1/log(1-r)) integral_0^r t^k/(1-t) dt
+in its closed form (L - sum_{j<=k} r^j/j) / L with L = -log(1-r) (Hardy,
+Divergent Series), one cumulative sum per block; lambda_0 = 1 exactly.
 
 Monomials have norm one in h2 and wiener, so the k-th root of ||z^k|| stays
 bounded by one and the dilate is a bounded operator on all built-in spaces.
@@ -29,7 +32,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domains import NAT, UNIT_INTERVAL, loglog_slope, non_increasing, parameter_grid
-from .integrate import QuadratureConfig, _adaptive
+# Unused here; perfbench/layers.py wraps ``holo._adaptive`` by name.
+from .integrate import _adaptive  # noqa: F401
 from .methods import DEFAULT_TRUNCATION, NonSummableError, TruncationPolicy
 
 H2 = "h2"
@@ -262,11 +266,13 @@ def series_norm(f: TaylorFunction, trunc: TruncationPolicy = DEFAULT_TRUNCATION)
         return float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
     if tag == WIENER:
         return float(np.sum(np.abs(coeffs)))
-    # disk_grid: max modulus over the boundary grid of the truncated series;
-    # underestimates the sup norm by at most the l1 tail (<= tail_tol)
-    grid = np.exp(2j * math.pi * np.arange(f.space.boundary_points) / f.space.boundary_points)
-    values = np.polynomial.polynomial.polyval(grid, coeffs)
-    return float(np.max(np.abs(values)))
+    # disk_grid: max modulus over the N-th roots of unity of the truncated
+    # series; underestimates the sup norm by at most the l1 tail (<= tail_tol).
+    # z^k and z^(k mod N) agree on the grid, so p(w^j) = sum_k folded_k w^(jk)
+    # is an unnormalised inverse DFT of the coefficients folded mod N.
+    points = f.space.boundary_points
+    folded = np.pad(coeffs, (0, -coeffs.size % points)).reshape(-1, points).sum(axis=0)
+    return float(np.max(np.abs(np.fft.ifft(folded, norm="forward"))))
 
 
 def disk_grid_error_bound(f: TaylorFunction, trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
@@ -382,40 +388,32 @@ def abel_dilate(f: TaylorFunction, r: float,
     return _multiplied(f, _dilate_mult_block(r), f"A_{r:g}({f.name})")
 
 
-def log_mean_multiplier(k: int, r: float,
-                        quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """lambda_k(r) = (-1/log(1-r)) integral_0^r t^k/(1-t) dt; lambda_0 = 1 exactly."""
+def _log_mean_mult_block(r: float):
+    """Block of lambda_k(r) = (L - S_k) / L, S_k = sum_{j<=k} r^j/j, L = -log(1-r).
+
+    S_k comes from one cumulative sum from j = 1, so S_0 = 0 and lambda_0 = 1
+    exactly.
+    """
     if not 0.0 < r < 1.0:
         raise ValueError("logarithmic mean needs 0 < r < 1")
-    if k == 0:
-        return 1.0
-    # substitute u = -log(1-t): integrand becomes (1-e^-u)^k, bounded by 1
-    big_u = -math.log1p(-r)
-
-    def gbatch(us: np.ndarray) -> np.ndarray:
-        return ((-np.expm1(-us)) ** k).astype(complex)[:, None]
-
-    arr, _, _ = _adaptive(gbatch, 0.0, big_u, quad.tol, quad.max_depth)
-    return float(arr[0].real / big_u)
-
-
-def log_taylor_mean(f: TaylorFunction, r: float,
-                    quad: QuadratureConfig = QuadratureConfig(),
-                    trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> TaylorFunction:
-    """Logarithmic mean: coefficient k gets the multiplier lambda_k(r)."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("logarithmic mean needs 0 < r < 1")
-    cache: dict = {}
+    big = -math.log1p(-r)
 
     def mult(lo, hi):
-        out = np.empty(hi - lo, dtype=complex)
-        for i, k in enumerate(range(lo, hi)):
-            if k not in cache:
-                cache[k] = log_mean_multiplier(k, r, quad)
-            out[i] = cache[k]
-        return out
+        js = np.arange(1, max(hi, 1), dtype=float)
+        head = np.concatenate(([0.0], np.cumsum(np.exp(js * math.log(r)) / js)))
+        return (big - head[lo:hi]) / big
 
-    return _multiplied(f, mult, f"L_{r:g}({f.name})")
+    return mult
+
+
+def log_mean_multiplier(k: int, r: float) -> float:
+    """lambda_k(r) = (-1/log(1-r)) integral_0^r t^k/(1-t) dt; lambda_0 = 1 exactly."""
+    return float(_log_mean_mult_block(r)(k, k + 1)[0])
+
+
+def log_taylor_mean(f: TaylorFunction, r: float) -> TaylorFunction:
+    """Logarithmic mean: coefficient k gets the multiplier lambda_k(r)."""
+    return _multiplied(f, _log_mean_mult_block(r), f"L_{r:g}({f.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +476,18 @@ def _classify_distances(distances: Sequence[float], tol: float) -> tuple:
     return UNDECIDED, ""
 
 
-def _apply_step(step: str, g: TaylorFunction, param, quad, trunc) -> TaylorFunction:
+def _apply_step(step: str, g: TaylorFunction, param, trunc) -> TaylorFunction:
     if step == PARTIAL_SUMS:
         return partial_sum(g, int(param))
     if step == ABEL_DILATE:
         return abel_dilate(g, float(param), trunc, verify=False)
     if step == LOG_MEAN:
-        return log_taylor_mean(g, float(param), quad, trunc)
+        return log_taylor_mean(g, float(param))
     raise ValueError(f"unknown chain step {step!r}")
 
 
 def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: Sequence[str],
                                   depth: int = 20, tol: float = 1e-4,
-                                  quad: QuadratureConfig = QuadratureConfig(),
                                   trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> TaylorConvergenceReport:
     """Distance ||chain_param(f) - f|| along the parameter grid, judged against 0.
 
@@ -517,7 +514,7 @@ def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: 
     for param in grid:
         g = fx
         for step in chain:
-            g = _apply_step(step, g, param, quad, trunc)
+            g = _apply_step(step, g, param, trunc)
         dist = series_norm(taylor_sub(g, fx), trunc)
         cells.append((param, dist))
         distances.append(dist)

@@ -340,6 +340,21 @@ def scaled_method(spec: MethodSpec, factor: complex) -> MethodSpec:
     raise TypeError(f"not a method spec: {spec!r}")
 
 
+def _at_indices(block, ts) -> np.ndarray:
+    """block(lo, hi) read at the integer indices ts, one value per index.
+
+    A contiguous increasing run (every internal caller passes ``np.arange``)
+    is one block call; any other 1-d array falls back to one call per index.
+    """
+    ts = np.asarray(ts)
+    if ts.size == 0:
+        return np.zeros(0, dtype=complex)
+    lo, hi = int(ts[0]), int(ts[-1]) + 1
+    if hi - lo == ts.size and (ts.size < 3 or (ts[1:] - ts[:-1] == 1).all()):
+        return block(lo, hi)
+    return np.array([block(int(t), int(t) + 1)[0] for t in ts], dtype=complex)
+
+
 def as_kernel(spec: MethodSpec) -> KernelSpec:
     """Recast a matrix or sequence-to-function method as a counting kernel."""
     if isinstance(spec, KernelSpec):
@@ -353,7 +368,8 @@ def as_kernel(spec: MethodSpec) -> KernelSpec:
             E=NAT,
             F=NAT,
             measure="counting",
-            kernel_batch=lambda r, ts: spec.row_block(int(r), int(ts[0]), int(ts[-1]) + 1),
+            kernel_batch=lambda r, ts: _at_indices(
+                lambda lo, hi: spec.row_block(int(r), lo, hi), ts),
             support=lambda r: spec.row_support(int(r)),
             tail_abs=by_row(spec.row_tail_abs),
             tail_sum=by_row(spec.row_tail_sum),
@@ -363,7 +379,7 @@ def as_kernel(spec: MethodSpec) -> KernelSpec:
         E=NAT,
         F=spec.F,
         measure="counting",
-        kernel_batch=lambda r, ts: spec.coeff_block(r, int(ts[0]), int(ts[-1]) + 1),
+        kernel_batch=lambda r, ts: _at_indices(lambda lo, hi: spec.coeff_block(r, lo, hi), ts),
         tail_abs=spec.tail_abs,
         tail_sum=spec.tail_sum,
     )

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from sumkit.domains import UNIT_INTERVAL, parameter_grid
 from sumkit.holo import (
     ABEL_DILATE,
     CONVERGED_TO_ZERO,
@@ -26,6 +28,7 @@ from sumkit.holo import (
     taylor_sub,
     taylor_summability_experiment,
 )
+from sumkit.integrate import QuadratureConfig, _adaptive
 from sumkit.methods import TruncationPolicy
 
 H2 = SeriesSpace("h2")
@@ -131,6 +134,49 @@ def test_log_multipliers_in_unit_interval_and_monotone_to_one():
         assert values[-1] > values[0] or k == 0
 
 
+def _mp_log_multiplier(k, r):
+    """lambda_k(r) from its integral, r^(k+1)/(k+1) 2F1(1, k+1; k+2; r) / L, in mpmath."""
+    if k == 0:
+        return mpmath.mpf(1)
+    r = mpmath.mpf(r)
+    return r ** (k + 1) / (k + 1) * mpmath.hyp2f1(1, k + 1, k + 2, r) / -mpmath.log1p(-r)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 2.0**-20, 1.0 - 2.0**-40])
+def test_log_multiplier_matches_mpmath_integral(r):
+    with mpmath.workdps(30):
+        for k in (0, 1, 2, 7, 64, 255, 1024, 4096):
+            ref = _mp_log_multiplier(k, r)
+            assert abs(log_mean_multiplier(k, r) - ref) <= 1e-13, (k, r)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 2.0**-20])
+def test_log_multiplier_matches_adaptive_quadrature(r):
+    # the substituted integral u = -log(1-t): (1/L) integral_0^L (1-e^-u)^k du
+    quad = QuadratureConfig()
+    big_u = -math.log1p(-r)
+    for k in (1, 2, 7, 64, 255):
+        arr, _, _ = _adaptive(lambda us: ((-np.expm1(-us)) ** k).astype(complex)[:, None],
+                              0.0, big_u, quad.tol, quad.max_depth)
+        assert abs(log_mean_multiplier(k, r) - arr[0].real / big_u) <= 1e-12, (k, r)
+
+
+def test_log_mean_h2_distances_match_mpmath_on_shipped_grid():
+    # ||L_r f - f||_2 for f = sum (z/2)^k: sqrt(sum_k ((1 - lambda_k) 2^-k)^2),
+    # with 1 - lambda_k = (sum_{j<=k} r^j/j) / L summed at 30 digits
+    f = geometric_taylor(1.0, 0.5, H2)
+    with mpmath.workdps(30):
+        for r in parameter_grid(UNIT_INTERVAL, 20):
+            rm = mpmath.mpf(r)
+            big = -mpmath.log1p(-rm)
+            head, total = mpmath.mpf(0), mpmath.mpf(0)
+            for k in range(1, 120):
+                head += rm**k / k
+                total += (head / big * mpmath.mpf(2) ** -k) ** 2
+            dist = series_norm(taylor_sub(log_taylor_mean(f, r), f))
+            assert abs(dist - mpmath.sqrt(total)) <= 1e-14, r
+
+
 def test_log_mean_keeps_constants():
     p = taylor_from_coefficients([5.0], H2)
     m = log_taylor_mean(p, 0.7)
@@ -167,6 +213,27 @@ def test_disk_grid_is_max_modulus_on_grid():
     # f(z) = z^2 + 1: max over |z| = 1 is 2 (attained at z = +/- 1)
     f = taylor_from_coefficients([1, 0, 1], DISK)
     assert series_norm(f) == pytest.approx(2.0, rel=1e-10)
+
+
+def _polyval_grid_max(coeffs, points):
+    grid = np.exp(2j * math.pi * np.arange(points) / points)
+    return float(np.max(np.abs(np.polynomial.polynomial.polyval(grid, coeffs))))
+
+
+@pytest.mark.parametrize("points,degree", [(8, 5), (8, 20), (64, 200), (4096, 100), (4096, 5000)])
+def test_disk_grid_dft_matches_polyval_on_the_grid(points, degree):
+    # degree >= points exercises the folding of coefficients mod the grid size
+    rng = np.random.default_rng(points + degree)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    f = taylor_from_coefficients(coeffs, SeriesSpace("disk_grid", points))
+    ref = _polyval_grid_max(coeffs, points)
+    assert series_norm(f) == pytest.approx(ref, rel=1e-12)
+
+
+def test_disk_grid_dft_matches_polyval_for_geometric_series():
+    f = geometric_taylor(1.0, 0.9, SeriesSpace("disk_grid", 16))
+    n = 512  # certified truncation of the l1 tail at 1e-14 for rho = 0.9
+    assert series_norm(f) == pytest.approx(_polyval_grid_max(f.coeff_array(n), 16), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

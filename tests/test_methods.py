@@ -262,3 +262,15 @@ def test_vector_sequence_roundtrip():
     assert t2 == VectorValue([2, 4, 1], space)
     est = matrix_transform(identity_method(), v, 7)
     assert est == VectorValue([7, 49, 1], space)
+
+
+def test_as_kernel_reads_every_index_of_a_batch():
+    cesaro = as_kernel(cesaro_method())
+    assert np.array_equal(cesaro.kernel_batch(3, np.array([0, 5])), [0.25, 0.0])
+    assert np.array_equal(cesaro.kernel_batch(3, np.array([4, 0, 0])), [0.0, 0.25, 0.25])
+    assert np.array_equal(cesaro.kernel_batch(3, np.arange(2, 6)), [0.25, 0.25, 0.0, 0.0])
+    assert cesaro.kernel_batch(3, np.array([], dtype=int)).shape == (0,)
+    abel = as_kernel(abel_method())
+    ts = np.array([7, 1, 30])
+    expected = [abel_method().coeff(int(t), 0.5) for t in ts]
+    assert np.allclose(abel.kernel_batch(0.5, ts), expected, rtol=1e-15, atol=0)
