@@ -4,7 +4,13 @@ The adaptive engine bisects panels and estimates each panel's error from the
 difference between a 7-point Gauss-Legendre value on the panel and the sum of
 the same rule on its two halves (polynomial exactness degree 13).  Panels are
 accepted against a length-proportional share of the global tolerance, so the
-total error estimate is <= cfg.tol.
+total error estimate is <= cfg.tol.  Refinement is level-synchronous: every
+panel still pending at one bisection depth is evaluated in a single integrand
+call, and accepted panels are summed left to right, so the result equals a
+depth-first refinement of the same panel tree bit for bit.  cfg.max_evaluations
+bounds the integrand evaluations (and so the memory of a level); a level that
+would exceed it raises QuadratureError naming the worst pending panel, as
+QUADPACK's subinterval ``limit`` does.
 
 Integrands with the 1/(1-t) boundary blow-up are handled by the log-boundary
 substitution u = -log(1-t), which makes the transformed integrand bounded.
@@ -41,11 +47,16 @@ class QuadratureError(RuntimeError):
 class QuadratureConfig:
     tol: float = 1e-10
     max_depth: int = 50
+    max_evaluations: int = 100_000
     substitution: str = SUBSTITUTION_NONE
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
+        if self.max_evaluations < _GL_ORDER:
+            raise ValueError(f"max_evaluations must be >= {_GL_ORDER} (one panel)")
         if self.substitution not in (SUBSTITUTION_NONE, SUBSTITUTION_LOG_BOUNDARY):
             raise ValueError(f"unknown substitution {self.substitution!r}")
 
@@ -57,47 +68,85 @@ class QuadratureResult:
     evaluations: int
 
 
-def _panel(fbatch, a: float, b: float) -> np.ndarray:
-    """7-point Gauss-Legendre value of a batch integrand on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = fbatch(mid + half * _GL_X)  # shape (7, d)
-    return half * (_GL_W @ vals)
+def _panels(fbatch, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """7-point Gauss-Legendre values of a batch integrand on the panels [lo_i, hi_i].
+
+    One integrand call on all 7 n nodes; ``matmul`` reduces each panel's 7
+    rows exactly as ``_GL_W @ vals`` does for that panel alone, so row i does
+    not depend on which other panels share the call.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    vals = fbatch((mid[:, None] + half[:, None] * _GL_X).ravel())  # shape (7 n, d)
+    return half[:, None] * np.matmul(_GL_W, vals.reshape(len(lo), _GL_ORDER, vals.shape[1]))
 
 
-def _adaptive(fbatch, a: float, b: float, tol: float, max_depth: int):
-    """Adaptive bisection; returns (value array, err_estimate, evaluations)."""
+def _adaptive(fbatch, a: float, b: float, tol: float, max_depth: int,
+              max_evaluations: int = QuadratureConfig.max_evaluations):
+    """Adaptive bisection; returns (value array, err_estimate, evaluations).
+
+    Level-synchronous: each level bisects every pending panel and evaluates
+    all the halves in one integrand call (the first call also evaluates the
+    root panel itself).  Accepted panels are summed in order of increasing
+    left endpoint, which is the order a depth-first search of the same panel
+    tree accepts them in, so value, error and evaluation count do not depend
+    on the traversal.  A level that would take the count past
+    ``max_evaluations`` is not evaluated: the error names the pending panel
+    with the largest error estimate.
+    """
     total_len = b - a
     if total_len == 0.0:
         probe = fbatch(np.asarray([a]))
         return np.zeros(probe.shape[1], dtype=complex), 0.0, 1
-    # Stack entries: (a, b, depth, coarse value for the panel).
-    stack = [(a, b, 0, _panel(fbatch, a, b))]
-    evaluations = _GL_ORDER
-    acc = None
-    err_total = 0.0
-    while stack:
-        lo, hi, depth, coarse = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = _panel(fbatch, lo, mid)
-        right = _panel(fbatch, mid, hi)
-        evaluations += 2 * _GL_ORDER
-        fine = left + right
-        err = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
-        budget = tol * (hi - lo) / total_len
-        if err <= budget or (hi - lo) <= 1e-15 * total_len:
-            acc = fine if acc is None else acc + fine
-            err_total += err
-        elif depth >= max_depth:
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    evaluations = 0
+    worst = (a, b), None  # pending panel with the largest error (the root: not yet known)
+    accepted = []  # (left endpoints, panel values, errors), one triple per level
+    for depth in range(max_depth + 1):
+        cost = _GL_ORDER * (2 * len(lo) + (depth == 0))
+        if evaluations + cost > max_evaluations:
+            (wlo, whi), west = worst
             raise QuadratureError(
-                f"max depth {max_depth} exceeded on [{lo}, {hi}] (estimate {err:.3e})",
-                worst_interval=(lo, hi),
-                estimate=err,
+                f"evaluation budget {max_evaluations} exhausted with {len(lo)} panels "
+                f"pending; worst [{wlo}, {whi}]"
+                + ("" if west is None else f" (estimate {west:.3e})"),
+                worst_interval=(wlo, whi),
+                estimate=west,
             )
-        else:
-            stack.append((mid, hi, depth + 1, right))
-            stack.append((lo, mid, depth + 1, left))
-    return acc, err_total, evaluations
+        ends = np.array((lo, 0.5 * (lo + hi), hi)).T  # row i: lo, mid, hi of panel i
+        panels_lo, panels_hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
+        if depth == 0:  # the root's own value comes from the same call
+            panels_lo, panels_hi = np.concatenate((lo, panels_lo)), np.concatenate((hi, panels_hi))
+        vals = _panels(fbatch, panels_lo, panels_hi)
+        evaluations += cost
+        if depth == 0:
+            coarse, vals = vals[:1], vals[1:]
+        halves = vals.reshape(len(lo), 2, -1)
+        fine = halves[:, 0] + halves[:, 1]
+        err = np.abs(fine - coarse).max(axis=1, initial=0.0)
+        width = hi - lo
+        ok = (err <= tol * width / total_len) | (width <= 1e-15 * total_len)
+        bad = (~ok).nonzero()[0]
+        if not bad.size and depth == 0:  # the root panel is accepted
+            return fine[0], float(err[0]), evaluations
+        accepted.append((lo[ok], fine[ok], err[ok]))
+        if not bad.size:
+            break
+        if depth >= max_depth:
+            i = bad[0]  # left-most, as a depth-first search would meet it
+            raise QuadratureError(
+                f"max depth {max_depth} exceeded on [{lo[i]}, {hi[i]}] (estimate {err[i]:.3e})",
+                worst_interval=(float(lo[i]), float(hi[i])),
+                estimate=float(err[i]),
+            )
+        i = bad[np.argmax(err[bad])]
+        worst = (float(lo[i]), float(hi[i])), float(err[i])
+        lo, hi = ends[bad, :2].ravel(), ends[bad, 1:].ravel()
+        coarse = halves[bad].reshape(2 * bad.size, -1)
+    starts, values, errs = (np.concatenate(parts) for parts in zip(*accepted))
+    order = starts.argsort(kind="stable")
+    # cumsum folds left to right, one addition at a time
+    return values[order].cumsum(axis=0)[-1], float(errs[order].cumsum()[-1]), evaluations
 
 
 def _log_boundary_wrap(fbatch, a: float, b: float):
@@ -127,7 +176,7 @@ def adaptive_quadrature_batch(
         raise ValueError(f"empty interval [{a}, {b}]")
     if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
         fbatch, a, b = _log_boundary_wrap(fbatch, a, b)
-    arr, err, n = _adaptive(fbatch, a, b, cfg.tol, cfg.max_depth)
+    arr, err, n = _adaptive(fbatch, a, b, cfg.tol, cfg.max_depth, cfg.max_evaluations)
     return QuadratureResult(VectorValue(arr, space), err, n)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.special import roots_legendre
 
 from sumkit.integrate import (
     MEASURE_COUNTING,
@@ -15,6 +16,8 @@ from sumkit.integrate import (
     SUBSTITUTION_LOG_BOUNDARY,
     StepFunction,
     StepPiece,
+    _adaptive,
+    _log_boundary_wrap,
     adaptive_quadrature,
     operator_commutation_check,
     norm_integral,
@@ -22,6 +25,7 @@ from sumkit.integrate import (
     step_integral,
     weak_integral_check,
 )
+from sumkit.methods import logarithmic_method
 from sumkit.vspace import SpaceDescriptor, VectorValue, coordinate_functionals, zero
 
 SPACE2 = SpaceDescriptor(2, "l2")
@@ -144,6 +148,13 @@ def test_against_scipy_oracle():
         assert got.real == pytest.approx(expected, abs=1e-9)
 
 
+def _two_cusps(t):
+    # a mild cusp at 0.123456 and a stronger one at 0.7: at depth 2 both
+    # quarter panels around them fail, the right one with the larger error
+    return VectorValue([abs(t - 0.123456) ** 0.5 + 1e3 * abs(t - 0.7) ** 0.5],
+                       SpaceDescriptor(1, "l2"))
+
+
 def test_max_depth_raises_quadrature_error():
     cfg = QuadratureConfig(tol=1e-12, max_depth=2)
 
@@ -154,6 +165,118 @@ def test_max_depth_raises_quadrature_error():
     with pytest.raises(QuadratureError) as err:
         adaptive_quadrature(nasty, (0.0, 1.0), cfg)
     assert err.value.worst_interval is not None
+
+    # the left-most failing panel at max_depth is named, as depth-first
+    # refinement meets it first, not the one with the largest error
+    with pytest.raises(QuadratureError) as err:
+        adaptive_quadrature(_two_cusps, (0.0, 1.0), cfg)
+    fbatch = lambda ts: np.stack([_two_cusps(float(t)).coords for t in ts])
+    with pytest.raises(QuadratureError) as oracle:
+        _depth_first_adaptive(fbatch, 0.0, 1.0, cfg.tol, cfg.max_depth)
+    assert err.value.worst_interval == oracle.value.worst_interval == (0.0, 0.25)
+    assert err.value.estimate == oracle.value.estimate
+
+
+def test_config_rejects_negative_depth_and_a_budget_below_one_panel():
+    with pytest.raises(ValueError):
+        QuadratureConfig(max_depth=-1)
+    with pytest.raises(ValueError):
+        QuadratureConfig(max_evaluations=6)
+    QuadratureConfig(max_depth=0, max_evaluations=7)
+
+
+def test_evaluation_budget_raises_with_the_worst_pending_panel():
+    nodes = []
+
+    def cusp(t):
+        nodes.append(t)
+        return VectorValue([abs(t - 0.3) ** 0.5], SpaceDescriptor(1, "l2"))
+
+    cfg = QuadratureConfig(tol=1e-14, max_evaluations=500)
+    with pytest.raises(QuadratureError) as err:
+        adaptive_quadrature(cusp, (0.0, 1.0), cfg)
+    assert "budget" in str(err.value)
+    lo, hi = err.value.worst_interval
+    assert lo <= 0.3 <= hi and hi - lo < 1.0
+    assert err.value.estimate > 0
+    # the level that would pass the budget is never evaluated
+    assert len(nodes) <= cfg.max_evaluations
+    # below 21 evaluations not even the root panel can be bisected
+    with pytest.raises(QuadratureError) as err:
+        adaptive_quadrature(cusp, (0.0, 1.0), QuadratureConfig(max_evaluations=20))
+    assert err.value.worst_interval == (0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# level-synchronous refinement against depth-first refinement
+
+_GL_X, _GL_W = roots_legendre(7)
+
+
+def _depth_first_panel(fbatch, a, b):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = fbatch(mid + half * _GL_X)
+    return half * (_GL_W @ vals)
+
+
+def _depth_first_adaptive(fbatch, a, b, tol, max_depth):
+    """Reference: depth-first refinement, one panel per integrand call."""
+    total_len = b - a
+    stack = [(a, b, 0, _depth_first_panel(fbatch, a, b))]
+    evaluations = 7
+    acc = None
+    err_total = 0.0
+    while stack:
+        lo, hi, depth, coarse = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = _depth_first_panel(fbatch, lo, mid)
+        right = _depth_first_panel(fbatch, mid, hi)
+        evaluations += 14
+        fine = left + right
+        err = float(np.max(np.abs(fine - coarse))) if fine.size else 0.0
+        budget = tol * (hi - lo) / total_len
+        if err <= budget or (hi - lo) <= 1e-15 * total_len:
+            acc = fine if acc is None else acc + fine
+            err_total += err
+        elif depth >= max_depth:
+            raise QuadratureError("max depth", worst_interval=(lo, hi), estimate=err)
+        else:
+            stack.append((mid, hi, depth + 1, right))
+            stack.append((lo, mid, depth + 1, left))
+    return acc, err_total, evaluations
+
+
+def _log_kernel_substituted(r):
+    kernel = logarithmic_method().kernel_batch
+    return _log_boundary_wrap(lambda ts: kernel(r, ts)[:, None], 0.0, r)
+
+
+_SQRT_NODES = []
+
+
+def _sqrt_recording(ts):
+    _SQRT_NODES.extend(ts)
+    return np.sqrt(ts)[:, None]
+
+
+@pytest.mark.parametrize("fbatch, a, b, tol", [
+    (lambda ts: (np.exp(ts) * np.cos(3.0 * ts))[:, None], 0.0, 2.0, 1e-12),
+    (lambda ts: np.column_stack([np.sin(ts), np.exp(1j * ts), 1.0 / (1.0 + ts * ts),
+                                 np.abs(ts - 0.4) ** 1.5 * (1 - 2j)]), -1.0, 4.0, 1e-10),
+    (*_log_kernel_substituted(1.0 - 2.0**-20), 1e-10),
+    (_sqrt_recording, 0.0, 1.0, 1e-12),
+], ids=["smooth-scalar", "C4-valued", "log-kernel-r=1-2^-20", "sqrt-deep"])
+def test_level_synchronous_refinement_is_bit_identical_to_depth_first(fbatch, a, b, tol):
+    _SQRT_NODES.clear()
+    value, err, evaluations = _adaptive(fbatch, a, b, tol, 50)
+    # sqrt's cusp at 0 drives the left-most panel to depth >= 10
+    assert fbatch is not _sqrt_recording or min(_SQRT_NODES) < 2.0**-10
+    expected = _depth_first_adaptive(fbatch, a, b, tol, 50)
+    assert np.array_equal(value, expected[0])
+    assert value.dtype == expected[0].dtype
+    assert err == expected[1]
+    assert evaluations == expected[2]
 
 
 def test_norm_bound_property_on_random_polynomials():

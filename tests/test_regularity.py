@@ -2,13 +2,15 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from sumkit.domains import HALF_LINE, NAT, UNIT_INTERVAL, exhaustion, parameter_grid
-from sumkit.integrate import QuadratureConfig
+from sumkit.integrate import QuadratureConfig, QuadratureError
 from sumkit.methods import (
+    DEFAULT_TRUNCATION,
     KernelSpec,
     abel_method,
     as_kernel,
@@ -21,8 +23,11 @@ from sumkit.methods import (
 from sumkit.regularity import (
     FAIL,
     NOT_REGULAR,
+    INCONCLUSIVE_OVERALL,
     PASS,
     REGULAR_EVIDENCE,
+    UNDECIDED,
+    _kernel_integral,
     check_kernel_st,
     check_matrix_st,
     group_norm_scalar_row,
@@ -84,6 +89,24 @@ def test_logarithmic_kernel_regular_with_analytic_k3_k4():
         for r, value, _ in check.cells:
             expected = math.log1p(-min(r, c_j)) / math.log1p(-r)
             assert value == pytest.approx(expected, abs=1e-8)
+
+
+def test_noisy_log_kernel_integral_stops_at_the_evaluation_budget():
+    # at r = 1 - 2^-28 the substituted |a| integrand is rounding noise near
+    # the boundary, so bisection never settles; the default budget ends it
+    r = 1.0 - 2.0**-28
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError) as err:
+        _kernel_integral(logarithmic_method(), r, QuadratureConfig(), DEFAULT_TRUNCATION,
+                         absolute=True)
+    assert time.perf_counter() - start < 2.0
+    assert "budget" in str(err.value)
+
+    report = check_kernel_st(logarithmic_method(), r_depth=28)
+    assert report.overall == INCONCLUSIVE_OVERALL
+    assert report.k1.verdict == UNDECIDED
+    cell_r, value, verdict = report.k1.cells[-1]
+    assert cell_r == r and math.isnan(value) and verdict == UNDECIDED
 
 
 def test_scaled_logarithmic_flips_only_condition_four():
