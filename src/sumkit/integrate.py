@@ -7,10 +7,11 @@ accepted against a length-proportional share of the global tolerance, so the
 total error estimate is <= cfg.tol.  Refinement is level-synchronous: every
 panel still pending at one bisection depth is evaluated in a single integrand
 call, and accepted panels are summed left to right, so the result equals a
-depth-first refinement of the same panel tree bit for bit.  cfg.max_evaluations
-bounds the integrand evaluations (and so the memory of a level); a level that
-would exceed it raises QuadratureError naming the worst pending panel, as
-QUADPACK's subinterval ``limit`` does.
+depth-first refinement of the same panel tree bit for bit.  A budget of
+_MAX_EVALUATIONS integrand evaluations bounds the work (and so the memory of a
+level), as QUADPACK's subinterval ``limit`` does: a level that would exceed it
+raises QuadratureError naming the failed panel with the largest error at the
+last evaluated level, whose halves were pending.
 
 Integrands with the 1/(1-t) boundary blow-up are handled by the log-boundary
 substitution u = -log(1-t), which makes the transformed integrand bounded.
@@ -32,6 +33,8 @@ SUBSTITUTION_LOG_BOUNDARY = "log_boundary"
 
 _GL_ORDER = 7
 _GL_X, _GL_W = roots_legendre(_GL_ORDER)
+# about 200x the largest count any shipped config, test or benchmark round uses
+_MAX_EVALUATIONS = 100_000
 
 
 class QuadratureError(RuntimeError):
@@ -47,7 +50,6 @@ class QuadratureError(RuntimeError):
 class QuadratureConfig:
     tol: float = 1e-10
     max_depth: int = 50
-    max_evaluations: int = 100_000
     substitution: str = SUBSTITUTION_NONE
 
     def __post_init__(self):
@@ -55,8 +57,6 @@ class QuadratureConfig:
             raise ValueError("tol must be positive")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-        if self.max_evaluations < _GL_ORDER:
-            raise ValueError(f"max_evaluations must be >= {_GL_ORDER} (one panel)")
         if self.substitution not in (SUBSTITUTION_NONE, SUBSTITUTION_LOG_BOUNDARY):
             raise ValueError(f"unknown substitution {self.substitution!r}")
 
@@ -82,7 +82,7 @@ def _panels(fbatch, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _adaptive(fbatch, a: float, b: float, tol: float, max_depth: int,
-              max_evaluations: int = QuadratureConfig.max_evaluations):
+              max_evaluations: int = _MAX_EVALUATIONS):
     """Adaptive bisection; returns (value array, err_estimate, evaluations).
 
     Level-synchronous: each level bisects every pending panel and evaluates
@@ -91,8 +91,9 @@ def _adaptive(fbatch, a: float, b: float, tol: float, max_depth: int,
     left endpoint, which is the order a depth-first search of the same panel
     tree accepts them in, so value, error and evaluation count do not depend
     on the traversal.  A level that would take the count past
-    ``max_evaluations`` is not evaluated: the error names the pending panel
-    with the largest error estimate.
+    ``max_evaluations`` is not evaluated: the error names the failed panel
+    with the largest error at the last evaluated level, whose halves were
+    pending (the root, with no estimate, if the first call does not fit).
     """
     total_len = b - a
     if total_len == 0.0:
@@ -100,7 +101,7 @@ def _adaptive(fbatch, a: float, b: float, tol: float, max_depth: int,
         return np.zeros(probe.shape[1], dtype=complex), 0.0, 1
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     evaluations = 0
-    worst = (a, b), None  # pending panel with the largest error (the root: not yet known)
+    worst = (a, b), None  # worst failed panel of the last level (none yet: the root)
     accepted = []  # (left endpoints, panel values, errors), one triple per level
     for depth in range(max_depth + 1):
         cost = _GL_ORDER * (2 * len(lo) + (depth == 0))
@@ -108,7 +109,7 @@ def _adaptive(fbatch, a: float, b: float, tol: float, max_depth: int,
             (wlo, whi), west = worst
             raise QuadratureError(
                 f"evaluation budget {max_evaluations} exhausted with {len(lo)} panels "
-                f"pending; worst [{wlo}, {whi}]"
+                f"pending; worst failed panel [{wlo}, {whi}]"
                 + ("" if west is None else f" (estimate {west:.3e})"),
                 worst_interval=(wlo, whi),
                 estimate=west,
@@ -176,7 +177,7 @@ def adaptive_quadrature_batch(
         raise ValueError(f"empty interval [{a}, {b}]")
     if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
         fbatch, a, b = _log_boundary_wrap(fbatch, a, b)
-    arr, err, n = _adaptive(fbatch, a, b, cfg.tol, cfg.max_depth, cfg.max_evaluations)
+    arr, err, n = _adaptive(fbatch, a, b, cfg.tol, cfg.max_depth)
     return QuadratureResult(VectorValue(arr, space), err, n)
 
 

@@ -177,34 +177,33 @@ def test_max_depth_raises_quadrature_error():
     assert err.value.estimate == oracle.value.estimate
 
 
-def test_config_rejects_negative_depth_and_a_budget_below_one_panel():
+def test_config_rejects_a_negative_depth():
     with pytest.raises(ValueError):
         QuadratureConfig(max_depth=-1)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_evaluations=6)
-    QuadratureConfig(max_depth=0, max_evaluations=7)
+    QuadratureConfig(max_depth=0)
 
 
-def test_evaluation_budget_raises_with_the_worst_pending_panel():
+def test_evaluation_budget_raises_with_the_worst_failed_panel():
     nodes = []
 
-    def cusp(t):
-        nodes.append(t)
-        return VectorValue([abs(t - 0.3) ** 0.5], SpaceDescriptor(1, "l2"))
+    def cusp(ts):
+        nodes.extend(ts)
+        return np.abs(ts - 0.3)[:, None] ** 0.5
 
-    cfg = QuadratureConfig(tol=1e-14, max_evaluations=500)
     with pytest.raises(QuadratureError) as err:
-        adaptive_quadrature(cusp, (0.0, 1.0), cfg)
+        _adaptive(cusp, 0.0, 1.0, 1e-14, 50, max_evaluations=500)
     assert "budget" in str(err.value)
+    # the named panel failed at the last evaluated level and holds the cusp
     lo, hi = err.value.worst_interval
     assert lo <= 0.3 <= hi and hi - lo < 1.0
     assert err.value.estimate > 0
     # the level that would pass the budget is never evaluated
-    assert len(nodes) <= cfg.max_evaluations
+    assert len(nodes) <= 500
     # below 21 evaluations not even the root panel can be bisected
     with pytest.raises(QuadratureError) as err:
-        adaptive_quadrature(cusp, (0.0, 1.0), QuadratureConfig(max_evaluations=20))
+        _adaptive(cusp, 0.0, 1.0, 1e-14, 50, max_evaluations=20)
     assert err.value.worst_interval == (0.0, 1.0)
+    assert err.value.estimate is None
 
 
 # ---------------------------------------------------------------------------
