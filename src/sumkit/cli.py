@@ -452,13 +452,10 @@ _RUNNERS = {
                  ("method_a", "method_b", "family", "probes"), ("tol", "depth")),
     "weak_inclusion": (_run_weak_inclusion, "inclusion",
                        ("method_a", "method_b", "sources"), ("tol", "depth", "functionals")),
-    "taylor": (_run_taylor, "holo",
-               ("",), ()),  # validated separately: two modes share the kind
+    "taylor": (_run_taylor, "holo", (),
+               ("mode", "function", "space", "chain", "depth", "tol",
+                "count", "seed", "max_degree", "radii")),
 }
-
-_TAYLOR_KEYS = (("id", "kind"),
-                ("mode", "function", "space", "chain", "depth", "tol",
-                 "count", "seed", "max_degree", "radii"))
 
 _DEFAULT_TOL = {"check_regularity": 1e-6, "sum": 1e-6, "inclusion": 1e-6,
                 "transfer": 1e-6, "weak_inclusion": 1e-6, "taylor": 1e-4}
@@ -479,12 +476,8 @@ def validate_config(config) -> list:
         kind = exp.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"{ctx}: unknown kind {kind!r}; allowed {KINDS}")
-        if kind == "taylor":
-            required, optional = _TAYLOR_KEYS
-            _check_keys(exp, ctx, required, optional)
-        else:
-            _, _, required, optional = _RUNNERS[kind]
-            _check_keys(exp, ctx, ("id", "kind") + required, optional)
+        _, _, required, optional = _RUNNERS[kind]
+        _check_keys(exp, ctx, ("id", "kind") + required, optional)
         exp_id = exp.get("id")
         if not isinstance(exp_id, str) or not exp_id:
             raise ConfigError(f"{ctx}: id must be a non-empty string")

@@ -321,18 +321,21 @@ def regularity_evidence(spec: MethodSpec, tol: float = 1e-6,
     return report.overall == REGULAR_EVIDENCE, report
 
 
+_SCALAR_DEPTH = 14
+_SCALAR_TOL = 1e-3
+
+
 def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
                         probes: Sequence[VectorValue], depth: int = 24,
                         tol: float = 1e-6, window: int = 4,
-                        scalar_tests=None, scalar_depth: int = 14,
-                        scalar_tol: float = 1e-3,
                         trunc: TruncationPolicy = DEFAULT_TRUNCATION,
                         quad: QuadratureConfig = QuadratureConfig()) -> TransferReport:
     """Check the hypothesis battery, then B-summability of every probe orbit.
 
-    The scalar battery compares method limits at its own tolerance
-    ``scalar_tol``: battery sequences converge at 1/m rates, so the tight
-    conclusion tolerance would leave the inclusion evidence inconclusive.
+    The witnesses and the default scalar battery run to depth _SCALAR_DEPTH;
+    the battery compares method limits at its own tolerance _SCALAR_TOL:
+    battery sequences converge at 1/m rates, so the tight conclusion
+    tolerance would leave the inclusion evidence inconclusive.
     """
     hypotheses = []
     a_name = getattr(A, "name", "A")
@@ -347,7 +350,7 @@ def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
     detail = ""
     for i, w in enumerate(family.dense_witnesses):
         samples = []
-        for m in parameter_grid(NAT, scalar_depth):
+        for m in parameter_grid(NAT, _SCALAR_DEPTH):
             samples.extend([family.apply(m, w), family.apply(m + 1, w)])
         est = estimate_limit_at_infinity(samples, window=window, tol=tol)
         target = family.target(w)
@@ -386,9 +389,8 @@ def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
 
     # (4) scalar inclusion of A in B on a test battery: validated when no
     # case violates and at least one case positively transfers
-    battery = scalar_tests if scalar_tests is not None else default_scalar_battery()
-    incl = inclusion_experiment(A, B, battery, depth=scalar_depth, tol=scalar_tol,
-                                window=window, trunc=trunc, quad=quad)
+    incl = inclusion_experiment(A, B, default_scalar_battery(), depth=_SCALAR_DEPTH,
+                                tol=_SCALAR_TOL, window=window, trunc=trunc, quad=quad)
     ok = (not incl.has_violation) and any(c.verdict == TRANSFERS for c in incl.cases)
     hypotheses.append(HypothesisRecord(
         "scalar_inclusion", ok,

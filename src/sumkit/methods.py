@@ -22,8 +22,10 @@ bound seen.
 Every object is given by one vectorised callable (``row_block``,
 ``coeff_block``, ``kernel_batch``, ``block``, ``batch``); the scalar accessors
 ``entry``, ``coeff``, ``kernel``, ``term`` and ``value`` evaluate it on a
-single index.  A counting kernel sums over its support ``(lo, hi)``
-starting at ``lo``.
+single index.  ``_row`` is the one reader of the discrete specs: a matrix
+row, the coefficients a_n(r) and a counting kernel at r are all a
+coefficient block, a support ``(lo, hi)`` summed from ``lo``, and the tail
+weights of the certificates.  Only a Lebesgue kernel is integrated.
 """
 
 from __future__ import annotations
@@ -69,8 +71,6 @@ class NonSummableError(RuntimeError):
 class TruncationPolicy:
     tail_tol: float = 1e-14
     max_terms: int = 1_000_000
-    start_block: int = 64
-    max_block: int = 65536
 
     def __post_init__(self):
         if not self.tail_tol > 0:
@@ -80,6 +80,10 @@ class TruncationPolicy:
 
 
 DEFAULT_TRUNCATION = TruncationPolicy()
+
+# _certified_sum's block sizes: the first block, then 4x per block up to the cap
+_START_BLOCK = 64
+_MAX_BLOCK = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +234,6 @@ def method_parameter_domain(spec: MethodSpec) -> IndexDomain:
     if isinstance(spec, MatrixSpec):
         return NAT
     return spec.F
-
-
-def method_index_domain(spec: MethodSpec) -> IndexDomain:
-    if isinstance(spec, KernelSpec):
-        return spec.E
-    return NAT
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +414,7 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
     if support_end is not None and support_end < lo:
         return acc, 0.0, 0
     n = lo
-    block = policy.start_block
+    block = _START_BLOCK
     prev_abs = None
     geo_ok = 0
     grow_count = 0
@@ -463,7 +461,7 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
 
         if blk_abs > 1e200:
             fail("terms overflowing")
-        if prev_abs is not None and block == policy.max_block:
+        if prev_abs is not None and block == _MAX_BLOCK:
             if blk_abs == 0.0 and prev_abs == 0.0:
                 return acc, 0.0, n - lo
             if prev_abs > 0.0:
@@ -482,9 +480,9 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
                     fail("block sums growing; series looks divergent")
             else:
                 grow_count = 0
-        if block == policy.max_block:
+        if block == _MAX_BLOCK:
             prev_abs = blk_abs
-        block = min(block * 4, policy.max_block)
+        block = min(block * 4, _MAX_BLOCK)
 
     fail("no tail certificate within max_terms")
 
@@ -493,39 +491,41 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
 # Transforms
 
 
-def matrix_transform(spec: MatrixSpec, v: SequenceSource, m: int,
-                     trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> VectorValue:
-    """Row application sum_n a_{m, n} v_n; exact for finitely supported rows."""
-    if m < 0:
-        raise ValueError("row index must be >= 0")
-    coords, _, _ = _certified_sum(
-        lambda a, b: spec.row_block(m, a, b), v, trunc, spec.row_support(m),
-        _at(spec.row_tail_abs, m), _at(spec.row_tail_sum, m), label=f"{spec.name} row {m}")
-    return VectorValue(coords, v.space)
+def _row(spec: MethodSpec, param) -> tuple:
+    """(coeff_block, (lo, hi), tail_abs, tail_sum, label) of a discrete spec at param.
 
-
-def seq2func_transform(spec: SeqToFuncSpec, v: SequenceSource, r: float,
-                       trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> VectorValue:
-    """Evaluate sum_n a_n(r) v_n with a certified truncation tail."""
-    right = spec.F.right
-    if not (0.0 <= r < right):
-        raise ValueError(f"parameter {r} outside [0, {right})")
-    coords, _, _ = _certified_sum(
-        lambda a, b: spec.coeff_block(r, a, b), v, trunc, (0, None),
-        _at(spec.tail_abs, r), _at(spec.tail_sum, r), label=f"{spec.name} at r={r}")
-    return VectorValue(coords, v.space)
+    The one reader of a matrix row (param = m >= 0), of sequence-to-function
+    coefficients (param = r in [0, F.right)) and of a counting kernel at r:
+    coeff_block(a, b) gives the coefficients of indices a .. b-1, (lo, hi) is
+    the support (hi None: no end) and the tail functions of N are those of
+    the spec with its parameter fixed.
+    """
+    if isinstance(spec, MatrixSpec):
+        m = int(param)
+        if m < 0:
+            raise ValueError("row index must be >= 0")
+        return (lambda a, b: spec.row_block(m, a, b), spec.row_support(m),
+                _at(spec.row_tail_abs, m), _at(spec.row_tail_sum, m), f"{spec.name} row {m}")
+    if isinstance(spec, SeqToFuncSpec):
+        r = float(param)
+        if not (0.0 <= r < spec.F.right):
+            raise ValueError(f"parameter {r} outside [0, {spec.F.right})")
+        return (lambda a, b: spec.coeff_block(r, a, b), (0, None),
+                _at(spec.tail_abs, r), _at(spec.tail_sum, r), f"{spec.name} at r={r}")
+    if isinstance(spec, KernelSpec) and spec.measure == "counting":
+        lo, hi = spec.support(param) if spec.support is not None else (0, None)
+        return (lambda a, b: spec.kernel_batch(param, np.arange(a, b)),
+                (int(lo), None if hi is None else int(hi)),
+                _at(spec.tail_abs, param), _at(spec.tail_sum, param), f"{spec.name} at r={param}")
+    raise TypeError(f"not a method spec: {spec!r}")
 
 
 def _kernel_support(spec: KernelSpec, r, quad: QuadratureConfig) -> tuple:
-    """(lo, hi, cfg): where a(r, .) lives in E and how to integrate it there.
+    """(lo, hi, cfg): where a Lebesgue kernel a(r, .) lives and how to integrate it.
 
-    The support defaults to all of E.  Counting measure sums the integers
-    lo..hi (hi None: no end); Lebesgue measure needs a bounded [lo, hi] and
-    uses the spec's substitution unless ``quad`` names one.
+    The support defaults to all of E and must be bounded; the spec's
+    substitution applies unless ``quad`` names one.
     """
-    if spec.measure == "counting":
-        lo, hi = spec.support(r) if spec.support is not None else (0, None)
-        return int(lo), (None if hi is None else int(hi)), quad
     if spec.support is not None:
         lo, hi = spec.support(r)
     else:
@@ -536,35 +536,46 @@ def _kernel_support(spec: KernelSpec, r, quad: QuadratureConfig) -> tuple:
     return lo, hi, cfg
 
 
+def transform_at(spec: MethodSpec, source, param,
+                 trunc: TruncationPolicy = DEFAULT_TRUNCATION,
+                 quad: QuadratureConfig = QuadratureConfig()) -> VectorValue:
+    """The transform of ``source`` at ``param``.
+
+    A Lebesgue kernel integrates a(r, .) v(.) over its support, componentwise;
+    every other method is a certified sum over its row (see ``_row``), exact
+    for finitely supported rows.
+    """
+    if isinstance(spec, KernelSpec) and spec.measure != "counting":
+        if not isinstance(source, FunctionSource):
+            raise TypeError("Lebesgue kernels need a FunctionSource")
+        lo, hi, cfg = _kernel_support(spec, param, quad)
+
+        def integrand(ts: np.ndarray) -> np.ndarray:
+            return spec.kernel_batch(param, ts)[:, None] * source.batch(ts)
+
+        return adaptive_quadrature_batch(integrand, (lo, hi), cfg, source.space).value
+    coeff_block, support, tail_abs, tail_sum, label = _row(spec, param)
+    coords, _, _ = _certified_sum(coeff_block, source, trunc, support, tail_abs, tail_sum, label)
+    return VectorValue(coords, source.space)
+
+
+def matrix_transform(spec: MatrixSpec, v: SequenceSource, m: int,
+                     trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> VectorValue:
+    """Row application sum_n a_{m, n} v_n; exact for finitely supported rows."""
+    return transform_at(spec, v, m, trunc)
+
+
+def seq2func_transform(spec: SeqToFuncSpec, v: SequenceSource, r: float,
+                       trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> VectorValue:
+    """Evaluate sum_n a_n(r) v_n with a certified truncation tail."""
+    return transform_at(spec, v, r, trunc)
+
+
 def kernel_transform(spec: KernelSpec, v, r: float,
                      quad: QuadratureConfig = QuadratureConfig(),
                      trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> VectorValue:
     """Integrate a(r, .) v(.) over E (componentwise for Lebesgue measure)."""
-    if spec.measure != "counting" and not isinstance(v, FunctionSource):
-        raise TypeError("Lebesgue kernels need a FunctionSource")
-    lo, hi, cfg = _kernel_support(spec, r, quad)
-    if spec.measure == "counting":
-        coords, _, _ = _certified_sum(
-            lambda a, b: spec.kernel_batch(r, np.arange(a, b)), v, trunc, (lo, hi),
-            _at(spec.tail_abs, r), _at(spec.tail_sum, r), label=f"{spec.name} at r={r}")
-        return VectorValue(coords, v.space)
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        return spec.kernel_batch(r, ts)[:, None] * v.batch(ts)
-
-    return adaptive_quadrature_batch(integrand, (lo, hi), cfg, v.space).value
-
-
-def transform_at(spec: MethodSpec, source, param,
-                 trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                 quad: QuadratureConfig = QuadratureConfig()) -> VectorValue:
-    if isinstance(spec, MatrixSpec):
-        return matrix_transform(spec, source, int(param), trunc)
-    if isinstance(spec, SeqToFuncSpec):
-        return seq2func_transform(spec, source, float(param), trunc)
-    if isinstance(spec, KernelSpec):
-        return kernel_transform(spec, source, param, quad, trunc)
-    raise TypeError(f"not a method spec: {spec!r}")
+    return transform_at(spec, v, r, trunc, quad)
 
 
 def summability_limit(spec: MethodSpec, source, depth: int = 20, tol: float = 1e-6,

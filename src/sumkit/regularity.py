@@ -3,7 +3,10 @@
 Matrix form: (1) row absolute sums bounded, (2) columns vanishing, (3) row
 sums tending to 1.  Kernel form: (1) integrability of |a(r, .)| at each r,
 (2) boundedness of those integrals over r, (3) escape of mass from every
-compact window, (4) total mass tending to 1.
+compact window, (4) total mass tending to 1.  The matrix form is the
+counting-measure case of the kernel form (rows are counting kernels, read
+by ``methods._row``) and both are judged by the same three grid rules:
+boundedness (c1, k2), vanishing (columns, windows) and tending to 1 (c3, k4).
 
 Finite computation can falsify these quantified conditions or accumulate
 evidence, never prove them, so verdicts are three-valued: "pass" (evidence),
@@ -26,12 +29,13 @@ from .methods import (
     DEFAULT_TRUNCATION,
     KernelSpec,
     MatrixSpec,
+    MethodSpec,
     NonSummableError,
     SequenceSource,
     TruncationPolicy,
-    _at,
     _certified_sum,
     _kernel_support,
+    _row,
 )
 from .vspace import SCALAR
 
@@ -136,31 +140,112 @@ class _RegularityReport:
 
 
 # ---------------------------------------------------------------------------
-# Matrix form
+# Grid rules shared by the matrix and kernel forms
+
+
+def _scan(grid, value_of) -> tuple:
+    """Evaluate value_of at every grid point: (cells, values, undecided).
+
+    A point whose integral or certified sum fails is a (p, nan, UNDECIDED)
+    cell and sets ``undecided``; the others are (p, value, "") cells, and
+    ``values`` lists their values in grid order.
+    """
+    cells = []
+    for p in grid:
+        try:
+            cells.append((p, value_of(p), ""))
+        except (QuadratureError, NonSummableError):
+            cells.append((p, math.nan, UNDECIDED))
+    values = [value for _, value, verdict in cells if verdict != UNDECIDED]
+    return tuple(cells), values, len(values) < len(cells)
+
+
+def _bounded(name: str, cells: tuple, values: list, half: int, undecided: bool,
+             witness: str) -> ConditionCheck:
+    """Bounded: the last half's log-log slope is at most GROWTH_SLOPE; witness takes slope, last."""
+    slope = loglog_slope(values[half:])
+    if slope > GROWTH_SLOPE:
+        return ConditionCheck(name, FAIL, cells,
+                              witness=witness.format(slope=slope, last=_fmt(values[-1])))
+    return ConditionCheck(name, UNDECIDED if undecided else PASS, cells,
+                          note=f"sup {_fmt(max(values))}, trend slope {slope:.3g}")
+
+
+def _vanishing(name: str, scan: tuple, tol: float, witness: str) -> ConditionCheck:
+    """A grid path that must tend to 0, judged by _decay_verdict."""
+    cells, values, undecided = scan
+    if undecided:
+        return ConditionCheck(name, UNDECIDED, cells)
+    verdict, detail, note = _decay_verdict(values, tol)
+    return ConditionCheck(name, verdict, cells,
+                          witness=witness + detail if verdict == FAIL else "", note=note)
+
+
+def _tends_to_one(name: str, scan: tuple, half: int, tol: float, witness: str,
+                  note: str = "") -> ConditionCheck:
+    """Each cell on the last half of the grid is within tol of 1; witness takes the first miss."""
+    cells, _, undecided = scan
+    cells = tuple((p, v, verdict if verdict == UNDECIDED or i < half
+                   else PASS if abs(v - 1.0) <= tol else FAIL)
+                  for i, (p, v, verdict) in enumerate(cells))
+    miss = next(((p, v) for p, v, verdict in cells if verdict == FAIL), None)
+    if undecided:
+        return ConditionCheck(name, UNDECIDED, cells, note=note)
+    if miss is not None:
+        return ConditionCheck(name, FAIL, cells, witness=witness.format(*miss))
+    return ConditionCheck(name, PASS, cells)
 
 
 _ONES = SequenceSource(block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex))
 
-
-def _row_abs_sum(spec: MatrixSpec, m: int, trunc: TruncationPolicy) -> float:
-    tail = _at(spec.row_tail_abs, m)
-    coords, _, _ = _certified_sum(
-        lambda a, b: np.abs(spec.row_block(m, a, b)) + 0j, _ONES, trunc, spec.row_support(m),
-        tail_abs=tail, tail_sum=tail, label=f"{spec.name} |row| {m}")
-    return float(coords[0].real)
+# a signed sum over a finite support of at most this many terms is exact fsum
+_EXACT_TERMS = 2_000_000
 
 
-def _row_sum(spec: MatrixSpec, m: int, trunc: TruncationPolicy) -> complex:
-    lo, end = spec.row_support(m)
-    if end is not None and end - lo <= 2_000_000:
-        # finite row: exact compensated summation, no tolerance involved
-        entries = np.asarray(spec.row_block(m, lo, end + 1), dtype=complex)
-        return complex(math.fsum(entries.real), math.fsum(entries.imag))
-    coords, _, _ = _certified_sum(
-        lambda a, b: spec.row_block(m, a, b), _ONES, trunc, (lo, end),
-        tail_abs=_at(spec.row_tail_abs, m), tail_sum=_at(spec.row_tail_sum, m),
-        label=f"{spec.name} row sum {m}")
-    return complex(coords[0])
+def _kernel_integral(spec: MethodSpec, r, quad: QuadratureConfig, trunc: TruncationPolicy,
+                     upto=None, absolute: bool = False):
+    """Integral of a(r, .) -- of |a(r, .)| when ``absolute`` -- over its support.
+
+    A Lebesgue kernel is integrated by quadrature.  Any discrete spec (a
+    matrix row m, coefficients a_n(r), a counting kernel) is read by
+    ``methods._row`` and summed against ones: a signed sum over a finite
+    support exactly with math.fsum, anything else with a tail certificate.
+    ``upto`` cuts the support to the compact window [0, upto].  Absolute
+    integrals are returned as floats.
+    """
+
+    def weights(a):
+        return np.abs(a) + 0j if absolute else a
+
+    if isinstance(spec, KernelSpec) and spec.measure != "counting":
+        lo, hi, cfg = _kernel_support(spec, r, quad)
+        hi = hi if upto is None else min(hi, upto)
+        value = 0.0
+        if hi > lo:
+            res = adaptive_quadrature_batch(lambda ts: weights(spec.kernel_batch(r, ts))[:, None],
+                                            (lo, hi), cfg, SCALAR)
+            value = complex(res.value.coords[0])
+    else:
+        coeff_block, (lo, hi), tail_abs, tail_sum, label = _row(spec, r)
+        if upto is not None:
+            hi = int(upto if hi is None else min(hi, upto))
+            tail_abs = tail_sum = None
+        if not absolute and hi is not None and hi - lo <= _EXACT_TERMS:
+            entries = np.asarray(coeff_block(lo, hi + 1), dtype=complex)
+            value = complex(math.fsum(entries.real), math.fsum(entries.imag))
+        else:
+            coords, _, _ = _certified_sum(lambda a, b: weights(coeff_block(a, b)), _ONES, trunc,
+                                          (lo, hi), tail_abs, tail_abs if absolute else tail_sum,
+                                          label)
+            value = complex(coords[0])
+    return float(value.real) if absolute else value
+
+
+_NO_ROW_CERTIFICATE = "tail certificate unavailable for some rows"
+
+
+# ---------------------------------------------------------------------------
+# Matrix form: the counting-measure case
 
 
 @dataclass(frozen=True)
@@ -189,111 +274,33 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
     """
     m_grid = sorted(int(m) for m in m_grid)
     half = len(m_grid) // 2
-    tail_grid = m_grid[half:]
+    quad = QuadratureConfig()  # unused: rows are summed, not integrated
+
+    def row_sums(absolute):
+        return _scan(m_grid, lambda m: _kernel_integral(spec, m, quad, trunc, absolute=absolute))
 
     # condition 1: row absolute sums bounded
-    c1_cells = []
-    c1_values = []
-    c1_undecided = False
-    for m in m_grid:
-        try:
-            s = _row_abs_sum(spec, m, trunc)
-            c1_cells.append((m, s, ""))
-            c1_values.append(s)
-        except NonSummableError as exc:
-            c1_cells.append((m, math.nan, UNDECIDED))
-            c1_undecided = True
-    if c1_undecided:
-        c1 = ConditionCheck("c1_row_abs_sum", UNDECIDED, tuple(c1_cells),
-                            note="tail certificate unavailable for some rows")
+    cells, values, undecided = row_sums(True)
+    if undecided:
+        c1 = ConditionCheck("c1_row_abs_sum", UNDECIDED, cells, note=_NO_ROW_CERTIFICATE)
     else:
-        slope = loglog_slope(c1_values[half:])
-        if slope > GROWTH_SLOPE:
-            c1 = ConditionCheck(
-                "c1_row_abs_sum", FAIL, tuple(c1_cells),
-                witness=f"row absolute sums grow without bound "
-                        f"(log-log slope {slope:.3g}, last {_fmt(c1_values[-1])})")
-        else:
-            c1 = ConditionCheck("c1_row_abs_sum", PASS, tuple(c1_cells),
-                                note=f"sup {_fmt(max(c1_values))}, trend slope {slope:.3g}")
+        c1 = _bounded("c1_row_abs_sum", cells, values, half, False,
+                      "row absolute sums grow without bound "
+                      "(log-log slope {slope:.3g}, last {last})")
 
     # condition 2: each column tends to 0 along the row grid
-    c2_checks = []
-    for n in range(n_max + 1):
-        col_vals = [(m, abs(complex(spec.entry(m, n)))) for m in m_grid]
-        verdict, detail, note = _decay_verdict([v for _, v in col_vals], tol)
-        cells = tuple((m, v, "") for m, v in col_vals)
-        c2_checks.append(ConditionCheck(
-            f"c2_column_{n}", verdict, cells,
-            witness="" if verdict != FAIL else f"column {n} {detail}",
-            note=note))
+    c2 = tuple(_vanishing(f"c2_column_{n}", _scan(m_grid, lambda m: abs(spec.entry(m, n))),
+                          tol, f"column {n} ")
+               for n in range(n_max + 1))
 
     # condition 3: row sums tend to 1 on the tail grid
-    c3_cells = []
-    c3_bad = None
-    c3_undecided = False
-    for m in m_grid:
-        try:
-            s = _row_sum(spec, m, trunc)
-        except NonSummableError:
-            c3_cells.append((m, math.nan, UNDECIDED))
-            c3_undecided = True
-            continue
-        dist = abs(s - 1.0)
-        if m in tail_grid:
-            verdict = PASS if dist <= tol else FAIL
-            if verdict == FAIL and c3_bad is None:
-                c3_bad = (m, s)
-        else:
-            verdict = ""
-        c3_cells.append((m, s, verdict))
-    if c3_undecided:
-        c3 = ConditionCheck("c3_row_sum", UNDECIDED, tuple(c3_cells),
-                            note="tail certificate unavailable for some rows")
-    elif c3_bad is not None:
-        c3 = ConditionCheck("c3_row_sum", FAIL, tuple(c3_cells),
-                            witness=f"row sum at m={c3_bad[0]} is {c3_bad[1]:.6g}, not 1")
-    else:
-        c3 = ConditionCheck("c3_row_sum", PASS, tuple(c3_cells))
-
-    return MatrixRegularityReport(spec.name, c1, tuple(c2_checks), c3)
+    c3 = _tends_to_one("c3_row_sum", row_sums(False), half, tol,
+                       "row sum at m={} is {:.6g}, not 1", note=_NO_ROW_CERTIFICATE)
+    return MatrixRegularityReport(spec.name, c1, c2, c3)
 
 
 # ---------------------------------------------------------------------------
 # Kernel form
-
-
-def _kernel_integral(spec: KernelSpec, r, quad: QuadratureConfig, trunc: TruncationPolicy,
-                     upto=None, absolute: bool = False):
-    """Integral of a(r, .) -- of |a(r, .)| when ``absolute`` -- over its support.
-
-    ``upto`` cuts the support to the compact window [0, upto].  Absolute
-    integrals are returned as floats.
-    """
-    lo, hi, cfg = _kernel_support(spec, r, quad)
-    if upto is not None:
-        hi = min(hi, upto) if hi is not None else upto
-
-    def weights(ts):
-        a = spec.kernel_batch(r, ts)
-        return np.abs(a) + 0j if absolute else a
-
-    if spec.measure == "counting":
-        tail_abs = tail_sum = None
-        if upto is None:
-            tail_abs = _at(spec.tail_abs, r)
-            tail_sum = tail_abs if absolute else _at(spec.tail_sum, r)
-        coords, _, _ = _certified_sum(
-            lambda a, b: weights(np.arange(a, b)), _ONES, trunc,
-            (lo, None if hi is None else int(hi)), tail_abs, tail_sum,
-            label=f"{spec.name} {'|kernel|' if absolute else 'kernel sum'} r={r}")
-        value = complex(coords[0])
-    elif hi <= lo:
-        value = 0.0
-    else:
-        res = adaptive_quadrature_batch(lambda ts: weights(ts)[:, None], (lo, hi), cfg, SCALAR)
-        value = complex(res.value.coords[0])
-    return float(value.real) if absolute else value
 
 
 @dataclass(frozen=True)
@@ -326,85 +333,30 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     r_grid = parameter_grid(spec.F, r_depth)
     half = len(r_grid) // 2
 
-    # conditions 1 and 2 share the integrals of |a(r, .)| over all of E
-    k1_cells = []
-    abs_values = {}
-    k1_undecided = False
-    for r in r_grid:
-        try:
-            val = _kernel_integral(spec, r, quad, trunc, absolute=True)
-            abs_values[r] = val
-            k1_cells.append((r, val, PASS))
-        except (QuadratureError, NonSummableError) as exc:
-            k1_cells.append((r, math.nan, UNDECIDED))
-            k1_undecided = True
-    k1 = ConditionCheck(
-        "k1_abs_integral", UNDECIDED if k1_undecided else PASS, tuple(k1_cells),
-        note="" if not k1_undecided else "integral undefined at some grid parameters")
+    def masses(upto=None, absolute=True):
+        return _scan(r_grid, lambda r: _kernel_integral(spec, r, quad, trunc, upto, absolute))
 
-    vals = [abs_values[r] for r in r_grid if r in abs_values]
-    if len(vals) >= 2:
-        slope = loglog_slope(vals[half:])
-        if slope > GROWTH_SLOPE:
-            k2 = ConditionCheck("k2_abs_sup", FAIL,
-                                tuple((r, v, "") for r, v in abs_values.items()),
-                                witness=f"integrals of |a| grow (slope {slope:.3g})")
-        else:
-            k2 = ConditionCheck("k2_abs_sup", PASS if not k1_undecided else UNDECIDED,
-                                tuple((r, v, "") for r, v in abs_values.items()),
-                                note=f"sup {_fmt(max(vals))}, trend slope {slope:.3g}")
+    # conditions 1 and 2 share the integrals of |a(r, .)| over all of E
+    cells, values, undecided = masses()
+    k1 = ConditionCheck(
+        "k1_abs_integral", UNDECIDED if undecided else PASS,
+        tuple((r, value, verdict or PASS) for r, value, verdict in cells),
+        note="" if not undecided else "integral undefined at some grid parameters")
+    if len(values) >= 2:
+        k2 = _bounded("k2_abs_sup", tuple(c for c in cells if c[2] != UNDECIDED), values, half,
+                      undecided, "integrals of |a| grow (slope {slope:.3g})")
     else:
         k2 = ConditionCheck("k2_abs_sup", UNDECIDED, ())
 
     # condition 3: mass escapes every compact window
-    k3_checks = []
-    for j in range(exhaust_depth + 1):
-        upto = exhaustion(spec.E, j).hi
-        cells = []
-        values = []
-        undecided = False
-        for r in r_grid:
-            try:
-                val = _kernel_integral(spec, r, quad, trunc, upto, absolute=True)
-                cells.append((r, val, ""))
-                values.append(val)
-            except (QuadratureError, NonSummableError):
-                cells.append((r, math.nan, UNDECIDED))
-                undecided = True
-        name = f"k3_window_{j}"
-        if undecided:
-            k3_checks.append(ConditionCheck(name, UNDECIDED, tuple(cells)))
-            continue
-        verdict, detail, note = _decay_verdict(values, tol)
-        witness = "" if verdict != FAIL else f"window {j}: mass {detail}"
-        k3_checks.append(ConditionCheck(name, verdict, tuple(cells), witness=witness, note=note))
+    k3 = tuple(_vanishing(f"k3_window_{j}", masses(exhaustion(spec.E, j).hi), tol,
+                          f"window {j}: mass ")
+               for j in range(exhaust_depth + 1))
 
     # condition 4: total mass tends to 1
-    k4_cells = []
-    k4_bad = None
-    k4_undecided = False
-    for r in r_grid:
-        try:
-            s = _kernel_integral(spec, r, quad, trunc)
-        except (QuadratureError, NonSummableError):
-            k4_cells.append((r, math.nan, UNDECIDED))
-            k4_undecided = True
-            continue
-        dist = abs(s - 1.0)
-        in_tail = r_grid.index(r) >= half
-        verdict = "" if not in_tail else (PASS if dist <= tol else FAIL)
-        if verdict == FAIL and k4_bad is None:
-            k4_bad = (r, s)
-        k4_cells.append((r, s, verdict))
-    if k4_undecided:
-        k4 = ConditionCheck("k4_total_mass", UNDECIDED, tuple(k4_cells))
-    elif k4_bad is not None:
-        k4 = ConditionCheck("k4_total_mass", FAIL, tuple(k4_cells),
-                            witness=f"total mass at r={k4_bad[0]:.6g} is {k4_bad[1]:.6g}, not 1")
-    else:
-        k4 = ConditionCheck("k4_total_mass", PASS, tuple(k4_cells))
-
-    return KernelRegularityReport(spec.name, k1, k2, tuple(k3_checks), k4)
+    k4 = _tends_to_one("k4_total_mass", masses(absolute=False), half, tol,
+                       "total mass at r={:.6g} is {:.6g}, not 1")
+    return KernelRegularityReport(spec.name, k1, k2, k3, k4)
 
 
 # ---------------------------------------------------------------------------

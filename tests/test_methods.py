@@ -24,6 +24,7 @@ from sumkit.methods import (
     seq2func_transform,
     series_summation_method,
     summability_limit,
+    transform_at,
     vector_sequence,
 )
 from sumkit.vspace import SCALAR, SpaceDescriptor, VectorValue
@@ -97,6 +98,13 @@ def test_abel_alternating_ramp_matches_closed_form():
 def test_abel_out_of_range_parameter():
     with pytest.raises(ValueError):
         seq2func_transform(abel_method(), ALT, 1.0)
+
+
+def test_transform_at_rejects_parameters_outside_the_domain():
+    with pytest.raises(ValueError, match="row index"):
+        transform_at(cesaro_method(), ALT, -1)
+    with pytest.raises(ValueError, match="outside"):
+        transform_at(abel_method(), ALT, 1.0)
 
 
 def test_nonsummable_growing_sequence():

@@ -176,6 +176,30 @@ def test_matrix_and_kernel_checkers_agree_on_builtins():
         kernel_report = check_kernel_st(as_kernel(spec), r_depth=10, exhaust_depth=6)
         assert matrix_report.overall == kernel_report.overall
 
+        # on the same grid the row sums are the counting kernel's masses
+        same_grid = check_matrix_st(spec, m_grid=parameter_grid(NAT, 10))
+        kernel_report = check_kernel_st(as_kernel(spec), r_depth=10)
+        assert [v for _, v, _ in same_grid.c1.cells] == [v for _, v, _ in kernel_report.k1.cells]
+        assert [v for _, v, _ in same_grid.c3.cells] == [v for _, v, _ in kernel_report.k4.cells]
+
+
+def test_finite_counting_kernel_mass_is_the_exact_sum_of_its_entries():
+    # a(r, n) = 1/(3r + 1) on n = 0..3r: a blockwise float sum of the
+    # entries can miss 1 by an ulp (0.9999999999999998 at r = 2)
+    spec = KernelSpec(
+        name="flat_3r",
+        kernel_batch=lambda r, ts: np.full(len(ts), 1.0 / (3 * r + 1), dtype=complex),
+        E=NAT,
+        F=NAT,
+        measure="counting",
+        support=lambda r: (0, 3 * r),
+    )
+    report = check_kernel_st(spec, r_depth=10, exhaust_depth=2)
+    for r, value, _ in report.k4.cells:
+        entries = spec.kernel_batch(r, np.arange(3 * r + 1))
+        assert value == math.fsum(entries.real)
+    assert report.k4.verdict == PASS
+
 
 def test_kernel_scaling_law_on_abel_kernel():
     spec = as_kernel(abel_method())
