@@ -20,10 +20,10 @@ from sumkit import (
     adaptive_quadrature,
     operator_commutation_check,
     coordinate_functionals,
-    kernel_transform,
     logarithmic_method,
     scalar_function,
     step_integral,
+    transform_at,
     weak_integral_check,
 )
 from sumkit.integrate import SUBSTITUTION_LOG_BOUNDARY, norm_integral, quad_scalar
@@ -44,7 +44,7 @@ print(f"\nintegral of 1/(1-t) on [0, 0.99]: {val.real:.12f} "
 # logarithmic kernel transform of a vector-valued function
 ramp = scalar_function(lambda t: 1.0 - t, name="1-t")
 r = 1.0 - math.exp(-1.0)
-out = kernel_transform(logarithmic_method(), ramp, r)
+out = transform_at(logarithmic_method(), ramp, r)
 print(f"logarithmic mean of (1-t) at r = 1 - 1/e: {out.coords[0].real:.6f} "
       f"(analytic {r:.6f})")
 

@@ -47,26 +47,21 @@ from .integrate import (
     weak_integral_check,
 )
 from .methods import (
-    DEFAULT_TRUNCATION,
     FunctionSource,
     KernelSpec,
     MatrixSpec,
     NonSummableError,
     SeqToFuncSpec,
     SequenceSource,
-    TruncationPolicy,
     abel_method,
     as_kernel,
     cesaro_method,
     combine_sources,
     identity_method,
-    kernel_transform,
     logarithmic_method,
-    matrix_transform,
     scalar_function,
     scalar_sequence,
     scaled_method,
-    seq2func_transform,
     series_summation_method,
     summability_limit,
     transform_at,

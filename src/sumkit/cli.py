@@ -51,6 +51,7 @@ from .inclusion import (
     truncation_family,
     weak_inclusion_experiment,
 )
+from .integrate import SUBSTITUTION_LOG_BOUNDARY, SUBSTITUTION_NONE
 from .methods import (
     FunctionSource,
     KernelSpec,
@@ -69,8 +70,6 @@ from .methods import (
 from .regularity import check_kernel_st, check_matrix_st
 from .vspace import SpaceDescriptor, VectorValue, coordinate_functionals
 
-KINDS = ("check_regularity", "sum", "inclusion", "transfer", "weak_inclusion", "taylor")
-
 BUILTIN_METHODS = {
     "identity": identity_method,
     "series_summation": series_summation_method,
@@ -84,6 +83,10 @@ SPACES = ("h2", "wiener", "disk_grid")
 GENERATORS = ("geometric", "power", "monomial", "synthetic_convergent")
 
 CHAIN_STEPS = ("partial_sums", "abel_dilate", "log_mean")
+
+MEASURES = ("lebesgue", "counting")
+
+SUBSTITUTIONS = (SUBSTITUTION_NONE, SUBSTITUTION_LOG_BOUNDARY)
 
 CSV_HEADER = "experiment_id,module,grid_param,quantity,value_re,value_im,verdict"
 
@@ -179,16 +182,23 @@ def build_method(obj, ctx: str = "method"):
                 support = lambda r, _s=tuple(support_tag): (float(_s[0]), float(_s[1]))
             else:
                 raise ConfigError(f"{ctx}: unknown support {support_tag!r}")
+            measure = obj.get("measure", "lebesgue")
+            if measure not in MEASURES:
+                raise ConfigError(f"{ctx}: unknown measure {measure!r}; have {MEASURES}")
+            substitution = obj.get("substitution", SUBSTITUTION_NONE)
+            if substitution not in SUBSTITUTIONS:
+                raise ConfigError(f"{ctx}: unknown substitution {substitution!r}; "
+                                  f"have {SUBSTITUTIONS}")
             return KernelSpec(
                 name=obj.get("name", "custom_kernel"),
                 E=_domain_from(obj.get("E", "unit"), ctx),
                 F=_domain_from(obj.get("F", "unit"), ctx),
-                measure=obj.get("measure", "lebesgue"),
+                measure=measure,
                 kernel_batch=lambda r, ts: np.asarray(
                     expr(r=float(r), t=np.asarray(ts, dtype=float)), dtype=complex
                 ) * np.ones(len(ts)),
                 support=support,
-                substitution=obj.get("substitution", "none"),
+                substitution=substitution,
             )
     except ExpressionError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
@@ -442,23 +452,23 @@ def _run_taylor(exp, tol):
     return report.rows(), report.to_jsonable(), series
 
 
+# kind -> (runner, module, default tol, required keys, optional keys)
 _RUNNERS = {
-    "check_regularity": (_run_check_regularity, "regularity",
+    "check_regularity": (_run_check_regularity, "regularity", 1e-6,
                          ("method",), ("tol", "n_max", "m_max_exp", "r_depth", "exhaust_depth")),
-    "sum": (_run_sum, "methods", ("method", "sources"), ("tol", "depth")),
-    "inclusion": (_run_inclusion, "inclusion",
+    "sum": (_run_sum, "methods", 1e-6, ("method", "sources"), ("tol", "depth")),
+    "inclusion": (_run_inclusion, "inclusion", 1e-6,
                   ("method_a", "method_b", "sources"), ("tol", "depth")),
-    "transfer": (_run_transfer, "inclusion",
+    "transfer": (_run_transfer, "inclusion", 1e-6,
                  ("method_a", "method_b", "family", "probes"), ("tol", "depth")),
-    "weak_inclusion": (_run_weak_inclusion, "inclusion",
+    "weak_inclusion": (_run_weak_inclusion, "inclusion", 1e-6,
                        ("method_a", "method_b", "sources"), ("tol", "depth", "functionals")),
-    "taylor": (_run_taylor, "holo", (),
+    "taylor": (_run_taylor, "holo", 1e-4, (),
                ("mode", "function", "space", "chain", "depth", "tol",
                 "count", "seed", "max_degree", "radii")),
 }
 
-_DEFAULT_TOL = {"check_regularity": 1e-6, "sum": 1e-6, "inclusion": 1e-6,
-                "transfer": 1e-6, "weak_inclusion": 1e-6, "taylor": 1e-4}
+KINDS = tuple(_RUNNERS)
 
 
 def validate_config(config) -> list:
@@ -476,7 +486,7 @@ def validate_config(config) -> list:
         kind = exp.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"{ctx}: unknown kind {kind!r}; allowed {KINDS}")
-        _, _, required, optional = _RUNNERS[kind]
+        _, _, _, required, optional = _RUNNERS[kind]
         _check_keys(exp, ctx, ("id", "kind") + required, optional)
         exp_id = exp.get("id")
         if not isinstance(exp_id, str) or not exp_id:
@@ -489,9 +499,8 @@ def validate_config(config) -> list:
 
 def run_experiment(exp: dict, tol_override=None) -> ExperimentOutcome:
     kind = exp["kind"]
-    runner, module = _RUNNERS[kind][0], _RUNNERS[kind][1]
-    tol = float(tol_override if tol_override is not None
-                else exp.get("tol", _DEFAULT_TOL[kind]))
+    runner, module, default_tol, _, _ = _RUNNERS[kind]
+    tol = float(tol_override if tol_override is not None else exp.get("tol", default_tol))
     try:
         rows, jsonable, series = runner(exp, tol)
     except ConfigError:

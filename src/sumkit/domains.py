@@ -125,15 +125,19 @@ def _diameter(samples: Sequence[VectorValue], lo: int, hi: int) -> float:
     return best
 
 
+# samples in the trailing estimation window
+_WINDOW = 4
+
+
 def estimate_limit_at_infinity(
     samples: Sequence[VectorValue],
-    window: int = 4,
+    *,
     tol: float = 1e-6,
     failed_points: tuple = (),
 ) -> ConvergenceEstimate:
     """Classify a sample path ordered toward infinity.
 
-    Converged: the final ``window`` samples have pairwise diameter <= tol
+    Converged: the final ``_WINDOW`` samples have pairwise diameter <= tol
     (value = last sample).  Diverged: tail norms grow monotonically beyond
     ten times the initial scale.  Otherwise inconclusive, with ``stalled``
     set when the trailing window diameters stay large without shrinking.
@@ -141,7 +145,7 @@ def estimate_limit_at_infinity(
     n = len(samples)
     if n == 0:
         raise ValueError("empty sample list")
-    w = max(2, min(window, n))
+    w = max(2, min(_WINDOW, n))
 
     tail_diam = _diameter(samples, n - w, n)
     if tail_diam <= tol:

@@ -31,10 +31,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import methods
 from .domains import NAT, UNIT_INTERVAL, loglog_slope, non_increasing, parameter_grid
 # Unused here; perfbench/layers.py wraps ``holo._adaptive`` by name.
 from .integrate import _adaptive  # noqa: F401
-from .methods import DEFAULT_TRUNCATION, NonSummableError, TruncationPolicy
+from .methods import NonSummableError
 
 H2 = "h2"
 WIENER = "wiener"
@@ -244,8 +245,12 @@ def taylor_sub(f: TaylorFunction, g: TaylorFunction) -> TaylorFunction:
 # Norms with certified truncation
 
 
-def _truncation_for(decay, tag: str, tail_tol: float, max_terms: int) -> int:
-    """Smallest power-of-two-ish N with certified norm tail <= tail_tol."""
+def _truncation_for(decay, tag: str) -> int:
+    """Smallest N = 8 * 2^j with certified norm tail <= methods._TAIL_TOL.
+
+    N stays within methods._MAX_TERMS, the certified sums' term budget.
+    """
+    tail_tol, max_terms = methods._TAIL_TOL, methods._MAX_TERMS
     tail = (lambda n: math.sqrt(decay.tail_sq(n))) if tag == H2 else decay.tail_l1
     n = 8
     while n <= max_terms:
@@ -257,17 +262,17 @@ def _truncation_for(decay, tag: str, tail_tol: float, max_terms: int) -> int:
         f"within {max_terms} coefficients")
 
 
-def series_norm(f: TaylorFunction, trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
-    """Norm of f in its space, with certified truncation error <= tail_tol."""
+def series_norm(f: TaylorFunction) -> float:
+    """Norm of f in its space, with certified truncation error <= methods._TAIL_TOL."""
     tag = f.space.tag
-    n = _truncation_for(f.decay, tag, trunc.tail_tol, trunc.max_terms)
+    n = _truncation_for(f.decay, tag)
     coeffs = f.coeff_array(n)
     if tag == H2:
         return float(np.sqrt(np.sum(np.abs(coeffs) ** 2)))
     if tag == WIENER:
         return float(np.sum(np.abs(coeffs)))
     # disk_grid: max modulus over the N-th roots of unity of the truncated
-    # series; underestimates the sup norm by at most the l1 tail (<= tail_tol).
+    # series; underestimates the sup norm by at most the l1 tail (<= _TAIL_TOL).
     # z^k and z^(k mod N) agree on the grid, so p(w^j) = sum_k folded_k w^(jk)
     # is an unnormalised inverse DFT of the coefficients folded mod N.
     points = f.space.boundary_points
@@ -275,9 +280,9 @@ def series_norm(f: TaylorFunction, trunc: TruncationPolicy = DEFAULT_TRUNCATION)
     return float(np.max(np.abs(np.fft.ifft(folded, norm="forward"))))
 
 
-def disk_grid_error_bound(f: TaylorFunction, trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
+def disk_grid_error_bound(f: TaylorFunction) -> float:
     """Approximation bound carried by disk-grid norm reports."""
-    n = _truncation_for(f.decay, DISK_GRID, trunc.tail_tol, trunc.max_terms)
+    n = _truncation_for(f.decay, DISK_GRID)
     return float(f.decay.tail_l1(n))
 
 
@@ -346,18 +351,17 @@ def _dilate_double_sum(f: TaylorFunction, r: float, upto: int, m_terms: int) -> 
     return acc
 
 
-def dilate_dual_deviation(f: TaylorFunction, r: float,
-                          trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
+def dilate_dual_deviation(f: TaylorFunction, r: float) -> float:
     """Max coefficientwise gap between multiplier and double-sum dilates."""
     if not 0.0 <= r < 1.0:
         raise ValueError("dilate needs 0 <= r < 1")
-    upto = _truncation_for(f.decay, WIENER, trunc.tail_tol, trunc.max_terms)
+    upto = _truncation_for(f.decay, WIENER)
     coeffs = f.coeff_array(upto)
     peak = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
     if r == 0.0:
         m_terms = 0
     else:
-        m_terms = max(upto, int(math.ceil(math.log(max(trunc.tail_tol, 1e-300) /
+        m_terms = max(upto, int(math.ceil(math.log(max(methods._TAIL_TOL, 1e-300) /
                                                    max(peak, 1e-300)) / math.log(r))))
     if m_terms > DILATE_VERIFY_CAP:
         raise ValueError(f"double-sum verification needs {m_terms} terms; over the cap")
@@ -366,22 +370,21 @@ def dilate_dual_deviation(f: TaylorFunction, r: float,
     return float(np.max(np.abs(mult - double)))
 
 
-def abel_dilate(f: TaylorFunction, r: float,
-                trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                verify: Optional[bool] = None) -> TaylorFunction:
+def abel_dilate(f: TaylorFunction, r: float, *, verify: Optional[bool] = None) -> TaylorFunction:
     """Radial dilate: coefficient multiplier a_k -> a_k r^k.
 
     The multiplier form and the literal weighted sum of partial sums must
-    agree coefficientwise within tail_tol; ``verify=None`` runs that check
-    whenever the literal sum stays under DILATE_VERIFY_CAP terms.
+    agree coefficientwise within methods._TAIL_TOL; ``verify=None`` runs that
+    check whenever the literal sum stays under DILATE_VERIFY_CAP terms.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("dilate needs 0 <= r < 1")
+    tail_tol = methods._TAIL_TOL
     if verify is None:
-        verify = r == 0.0 or (math.log(trunc.tail_tol) / math.log(r) if r > 0 else 0) <= DILATE_VERIFY_CAP
+        verify = r == 0.0 or (math.log(tail_tol) / math.log(r) if r > 0 else 0) <= DILATE_VERIFY_CAP
     if verify:
-        deviation = dilate_dual_deviation(f, r, trunc)
-        tolerance = 4.0 * trunc.tail_tol + 1e-13 * max(1.0, float(np.max(np.abs(f.coeff_array(8)))))
+        deviation = dilate_dual_deviation(f, r)
+        tolerance = 4.0 * tail_tol + 1e-13 * max(1.0, float(np.max(np.abs(f.coeff_array(8)))))
         if deviation > tolerance:
             raise DilateConsistencyError(
                 f"dilate forms disagree by {deviation:.3e} at r={r} (tolerance {tolerance:.3e})")
@@ -476,19 +479,18 @@ def _classify_distances(distances: Sequence[float], tol: float) -> tuple:
     return UNDECIDED, ""
 
 
-def _apply_step(step: str, g: TaylorFunction, param, trunc) -> TaylorFunction:
+def _apply_step(step: str, g: TaylorFunction, param) -> TaylorFunction:
     if step == PARTIAL_SUMS:
         return partial_sum(g, int(param))
     if step == ABEL_DILATE:
-        return abel_dilate(g, float(param), trunc, verify=False)
+        return abel_dilate(g, float(param), verify=False)
     if step == LOG_MEAN:
         return log_taylor_mean(g, float(param))
     raise ValueError(f"unknown chain step {step!r}")
 
 
 def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: Sequence[str],
-                                  depth: int = 20, tol: float = 1e-4,
-                                  trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> TaylorConvergenceReport:
+                                  depth: int = 20, tol: float = 1e-4) -> TaylorConvergenceReport:
     """Distance ||chain_param(f) - f|| along the parameter grid, judged against 0.
 
     The verdict is three-valued like the kernel regularity checks: reaching
@@ -514,14 +516,14 @@ def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: 
     for param in grid:
         g = fx
         for step in chain:
-            g = _apply_step(step, g, param, trunc)
-        dist = series_norm(taylor_sub(g, fx), trunc)
+            g = _apply_step(step, g, param)
+        dist = series_norm(taylor_sub(g, fx))
         cells.append((param, dist))
         distances.append(dist)
     status, route = _classify_distances(distances, tol)
     notes = ()
     if space.tag == DISK_GRID:
         notes = (f"disk-grid norm underestimates the sup norm by at most "
-                 f"{disk_grid_error_bound(fx, trunc):.3e}",)
+                 f"{disk_grid_error_bound(fx):.3e}",)
     return TaylorConvergenceReport(f.name, space.tag, chain, tuple(cells),
                                    status, route, distances[-1], notes)

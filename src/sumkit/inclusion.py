@@ -34,14 +34,13 @@ from .domains import (
     estimate_limit_at_infinity,
     parameter_grid,
 )
-from .integrate import QuadratureConfig, QuadratureError
+from .integrate import QuadratureError
 from .methods import (
-    DEFAULT_TRUNCATION,
+    FunctionSource,
     MatrixSpec,
     MethodSpec,
     NonSummableError,
     SequenceSource,
-    TruncationPolicy,
     as_kernel,
     scalar_sequence,
     summability_limit,
@@ -164,28 +163,28 @@ def _as_cases(tests) -> list:
     return cases
 
 
-def inclusion_experiment(A: MethodSpec, B: MethodSpec, tests, depth: int = 14,
-                         tol: float = 1e-6, window: int = 4,
-                         trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                         quad: QuadratureConfig = QuadratureConfig()) -> InclusionReport:
-    """Run both methods over the test sources and classify case by case."""
+def _run_cases(A: MethodSpec, B: MethodSpec, cases, depth: int, tol: float) -> tuple:
+    """Both methods' limits on every (label, source) case, classified: (results, margin)."""
     margin = 2.0 * tol + VERDICT_MARGIN
-    cases = []
-    for label, source in _as_cases(tests):
+    results = []
+    for label, source in cases:
         est_a = est_b = None
         note = ""
         try:
-            est_a = summability_limit(A, source, depth=depth, tol=tol, window=window,
-                                      trunc=trunc, quad=quad)
-            est_b = summability_limit(B, source, depth=depth, tol=tol, window=window,
-                                      trunc=trunc, quad=quad)
+            est_a = summability_limit(A, source, depth=depth, tol=tol)
+            est_b = summability_limit(B, source, depth=depth, tol=tol)
         except (NonSummableError, QuadratureError, ValueError) as exc:
             note = f"{type(exc).__name__}: {exc}"
         verdict, dist = classify_case(est_a, est_b, margin)
-        cases.append(CaseResult(label, est_a, est_b, verdict, dist, note))
-    a_name = getattr(A, "name", "A")
-    b_name = getattr(B, "name", "B")
-    return InclusionReport(a_name, b_name, tuple(cases), margin)
+        results.append(CaseResult(label, est_a, est_b, verdict, dist, note))
+    return tuple(results), margin
+
+
+def inclusion_experiment(A: MethodSpec, B: MethodSpec, tests, depth: int = 14,
+                         tol: float = 1e-6) -> InclusionReport:
+    """Run both methods over the test sources and classify case by case."""
+    cases, margin = _run_cases(A, B, _as_cases(tests), depth, tol)
+    return InclusionReport(getattr(A, "name", "A"), getattr(B, "name", "B"), cases, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +308,13 @@ FAIL_STR = "fail"
 
 
 def regularity_evidence(spec: MethodSpec, tol: float = 1e-6,
-                        quad: QuadratureConfig = QuadratureConfig(),
-                        trunc: TruncationPolicy = DEFAULT_TRUNCATION,
                         r_depth: int = 16, exhaust_depth: int = 8):
     """Run the appropriate regularity checker; returns (bool, report)."""
     if isinstance(spec, MatrixSpec):
-        report = check_matrix_st(spec, tol=tol, trunc=trunc)
+        report = check_matrix_st(spec, tol=tol)
     else:
         report = check_kernel_st(as_kernel(spec), r_depth=r_depth,
-                                 exhaust_depth=exhaust_depth, quad=quad, tol=tol, trunc=trunc)
+                                 exhaust_depth=exhaust_depth, tol=tol)
     return report.overall == REGULAR_EVIDENCE, report
 
 
@@ -327,9 +324,7 @@ _SCALAR_TOL = 1e-3
 
 def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
                         probes: Sequence[VectorValue], depth: int = 24,
-                        tol: float = 1e-6, window: int = 4,
-                        trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                        quad: QuadratureConfig = QuadratureConfig()) -> TransferReport:
+                        tol: float = 1e-6) -> TransferReport:
     """Check the hypothesis battery, then B-summability of every probe orbit.
 
     The witnesses and the default scalar battery run to depth _SCALAR_DEPTH;
@@ -352,7 +347,7 @@ def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
         samples = []
         for m in parameter_grid(NAT, _SCALAR_DEPTH):
             samples.extend([family.apply(m, w), family.apply(m + 1, w)])
-        est = estimate_limit_at_infinity(samples, window=window, tol=tol)
+        est = estimate_limit_at_infinity(samples, tol=tol)
         target = family.target(w)
         if not est.converged or (est.value - target).norm() > tol + est.residual:
             ok = False
@@ -367,8 +362,7 @@ def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
     ok = True
     detail = ""
     for i, x in enumerate(probes):
-        est = summability_limit(A, family.source_for(x), depth=depth, tol=tol,
-                                window=window, trunc=trunc, quad=quad)
+        est = summability_limit(A, family.source_for(x), depth=depth, tol=tol)
         target = family.target(x)
         dist = (est.value - target).norm() if est.converged else math.inf
         a_estimates.append((est, target, dist))
@@ -381,7 +375,7 @@ def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
         return bail("probes_a_summable")
 
     # (3) regularity evidence for B
-    ok, report = regularity_evidence(B, tol=tol, quad=quad, trunc=trunc)
+    ok, report = regularity_evidence(B, tol=tol)
     hypotheses.append(HypothesisRecord(
         "b_regular", ok, f"{b_name}: {report.overall}"))
     if not ok:
@@ -390,7 +384,7 @@ def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
     # (4) scalar inclusion of A in B on a test battery: validated when no
     # case violates and at least one case positively transfers
     incl = inclusion_experiment(A, B, default_scalar_battery(), depth=_SCALAR_DEPTH,
-                                tol=_SCALAR_TOL, window=window, trunc=trunc, quad=quad)
+                                tol=_SCALAR_TOL)
     ok = (not incl.has_violation) and any(c.verdict == TRANSFERS for c in incl.cases)
     hypotheses.append(HypothesisRecord(
         "scalar_inclusion", ok,
@@ -401,8 +395,7 @@ def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
     # conclusion: every probe orbit is B-summable to the same target
     cases = []
     for i, (est_a, target, _) in enumerate(a_estimates):
-        est_b = summability_limit(B, family.source_for(probes[i]), depth=depth,
-                                  tol=tol, window=window, trunc=trunc, quad=quad)
+        est_b = summability_limit(B, family.source_for(probes[i]), depth=depth, tol=tol)
         dist = (est_b.value - target).norm() if est_b.converged else math.nan
         if est_b.converged and dist <= tol:
             verdict = TRANSFERS
@@ -420,8 +413,6 @@ def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
 
 
 def _functional_source(source, phi: LinearFunctional):
-    from .methods import FunctionSource
-
     if isinstance(source, SequenceSource):
         return SequenceSource(
             space=SpaceDescriptor(1, "l2"),
@@ -467,25 +458,9 @@ class WeakInclusionReport(_CaseTally):
 
 def weak_inclusion_experiment(A: MethodSpec, B: MethodSpec, tests,
                               functionals: Sequence[LinearFunctional],
-                              depth: int = 14, tol: float = 1e-6, window: int = 4,
-                              trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                              quad: QuadratureConfig = QuadratureConfig()) -> WeakInclusionReport:
+                              depth: int = 14, tol: float = 1e-6) -> WeakInclusionReport:
     """Functional-wise inclusion: A-summability of phi(v) must transfer to B."""
-    margin = 2.0 * tol + VERDICT_MARGIN
-    cases = []
-    for label, source in _as_cases(tests):
-        for i, phi in enumerate(functionals):
-            est_a = est_b = None
-            note = ""
-            try:
-                scalarized = _functional_source(source, phi)
-                est_a = summability_limit(A, scalarized, depth=depth, tol=tol,
-                                          window=window, trunc=trunc, quad=quad)
-                est_b = summability_limit(B, scalarized, depth=depth, tol=tol,
-                                          window=window, trunc=trunc, quad=quad)
-            except (NonSummableError, QuadratureError, ValueError) as exc:
-                note = f"{type(exc).__name__}: {exc}"
-            verdict, dist = classify_case(est_a, est_b, margin)
-            cases.append(CaseResult(f"{label}|phi_{i}", est_a, est_b, verdict, dist, note))
-    return WeakInclusionReport(getattr(A, "name", "A"), getattr(B, "name", "B"),
-                               tuple(cases), margin)
+    scalarized = [(f"{label}|phi_{i}", _functional_source(source, phi))
+                  for label, source in _as_cases(tests) for i, phi in enumerate(functionals)]
+    cases, margin = _run_cases(A, B, scalarized, depth, tol)
+    return WeakInclusionReport(getattr(A, "name", "A"), getattr(B, "name", "B"), cases, margin)

@@ -8,16 +8,18 @@ Because membership in a method's domain is not decidable numerically, every
 infinite summation here carries a numeric tail certificate instead:
 
 * plain certificate -- the remaining coefficient mass times the observed sup
-  of recent term norms is below ``tail_tol``;
-* stabilized closure -- recent terms agree to within ``tail_tol``-level
+  of recent term norms is below ``_TAIL_TOL``;
+* stabilized closure -- recent terms agree to within ``_TAIL_TOL``-level
   scatter and the spec knows its exact remaining coefficient weight, so the
   tail is closed analytically with the scatter as the certified error.
 
 Both certificates are evidence from the sampled prefix, not proofs about the
 unseen tail.  Reports do not yet say which rule fired; only a failure is
-explained: a summation that achieves no certificate within ``max_terms``
-raises NonSummableError naming the reason, with the partial sum and the best
-bound seen.
+explained: a summation that achieves no certificate within ``_MAX_TERMS``
+terms raises NonSummableError naming the reason, with the partial sum and
+the best bound seen.  ``_TAIL_TOL`` and ``_MAX_TERMS`` are the one
+truncation rule of the package, read at call time by every certified sum
+and by the Taylor norms in ``holo``.
 
 Every object is given by one vectorised callable (``row_block``,
 ``coeff_block``, ``kernel_batch``, ``block``, ``batch``); the scalar accessors
@@ -36,6 +38,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import domains
 from .domains import (
     NAT,
     UNIT_INTERVAL,
@@ -67,20 +70,9 @@ class NonSummableError(RuntimeError):
         self.terms = terms
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    tail_tol: float = 1e-14
-    max_terms: int = 1_000_000
-
-    def __post_init__(self):
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-DEFAULT_TRUNCATION = TruncationPolicy()
-
+# the truncation rule: a certified tail is at most _TAIL_TOL, within _MAX_TERMS terms
+_TAIL_TOL = 1e-14
+_MAX_TERMS = 1_000_000
 # _certified_sum's block sizes: the first block, then 4x per block up to the cap
 _START_BLOCK = 64
 _MAX_BLOCK = 65536
@@ -396,15 +388,15 @@ def _row_norms(arr: np.ndarray, tag: str) -> np.ndarray:
     return np.max(mags, axis=1)
 
 
-def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy,
-                   support: tuple = (0, None),
+def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, None),
                    tail_abs=None, tail_sum=None, label: str = "series"):
     """Sum sum_n c_n v_n over support = (lo, hi) with a numeric tail certificate.
 
-    The sum runs from n = lo up to hi inclusive (hi None: no end) and takes
-    at most policy.max_terms terms.  coeff_block(a, b) -> complex array of
-    c_a .. c_{b-1}; tail_abs/tail_sum(N) describe the coefficient tail beyond
-    the absolute index N (up to hi).  Returns (coords, bound, terms).
+    The sum runs from n = lo up to hi inclusive (hi None: no end), takes at
+    most _MAX_TERMS terms and certifies a tail of at most _TAIL_TOL.
+    coeff_block(a, b) -> complex array of c_a .. c_{b-1}; tail_abs/tail_sum(N)
+    describe the coefficient tail beyond the absolute index N (up to hi).
+    Returns (coords, bound, terms).
     Raises NonSummableError when no certificate is reached.
     """
     lo, support_end = support
@@ -423,8 +415,8 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
         partial = VectorValue(acc, space) if np.all(np.isfinite(acc.view(float))) else None
         raise NonSummableError(f"{label}: {msg}", partial=partial, bound=bound, terms=n - lo)
 
-    while n - lo < policy.max_terms:
-        hi = min(n + block, lo + policy.max_terms)
+    while n - lo < _MAX_TERMS:
+        hi = min(n + block, lo + _MAX_TERMS)
         if support_end is not None:
             hi = min(hi, support_end + 1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -447,13 +439,13 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
 
         if tail_abs is not None:
             w_abs = float(tail_abs(N))
-            if w_abs * sup_recent <= policy.tail_tol:
+            if w_abs * sup_recent <= _TAIL_TOL:
                 return acc, w_abs * sup_recent, n - lo
             if tail_sum is not None and vs.shape[0] >= 2:
                 # center on the last term: exact (dev = 0) for stable blocks
                 center = vs[-1]
                 dev = float(np.max(_row_norms(vs - center, space.norm_tag)))
-                if w_abs * dev <= policy.tail_tol:
+                if w_abs * dev <= _TAIL_TOL:
                     # stabilized closure: recent terms are flat to within dev,
                     # close the tail with the exact remaining weight
                     acc = acc + complex(tail_sum(N)) * center
@@ -470,7 +462,7 @@ def _certified_sum(coeff_block, source: SequenceSource, policy: TruncationPolicy
                     geo_ok += 1
                     if geo_ok >= 2:
                         tail_est = blk_abs * q / (1.0 - q)
-                        if tail_est <= policy.tail_tol:
+                        if tail_est <= _TAIL_TOL:
                             return acc, tail_est, n - lo
                 else:
                     geo_ok = 0
@@ -520,11 +512,11 @@ def _row(spec: MethodSpec, param) -> tuple:
     raise TypeError(f"not a method spec: {spec!r}")
 
 
-def _kernel_support(spec: KernelSpec, r, quad: QuadratureConfig) -> tuple:
+def _kernel_support(spec: KernelSpec, r) -> tuple:
     """(lo, hi, cfg): where a Lebesgue kernel a(r, .) lives and how to integrate it.
 
-    The support defaults to all of E and must be bounded; the spec's
-    substitution applies unless ``quad`` names one.
+    The support defaults to all of E and must be bounded; the quadrature
+    uses the spec's substitution.
     """
     if spec.support is not None:
         lo, hi = spec.support(r)
@@ -532,56 +524,33 @@ def _kernel_support(spec: KernelSpec, r, quad: QuadratureConfig) -> tuple:
         lo, hi = 0.0, (spec.E.right if isinstance(spec.E, HalfOpenInterval) else math.inf)
     if math.isinf(hi):
         raise ValueError("unbounded kernel support needs an explicit support declaration")
-    cfg = quad if quad.substitution != SUBSTITUTION_NONE else replace(quad, substitution=spec.substitution)
-    return lo, hi, cfg
+    return lo, hi, QuadratureConfig(substitution=spec.substitution)
 
 
-def transform_at(spec: MethodSpec, source, param,
-                 trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                 quad: QuadratureConfig = QuadratureConfig()) -> VectorValue:
-    """The transform of ``source`` at ``param``.
+def transform_at(spec: MethodSpec, source, param) -> VectorValue:
+    """The transform of ``source`` at ``param``: the one transform entry point.
 
     A Lebesgue kernel integrates a(r, .) v(.) over its support, componentwise;
-    every other method is a certified sum over its row (see ``_row``), exact
-    for finitely supported rows.
+    every other method (a matrix row m, coefficients a_n(r), a counting
+    kernel) is a certified sum over its row (see ``_row``), exact for finitely
+    supported rows.
     """
     if isinstance(spec, KernelSpec) and spec.measure != "counting":
         if not isinstance(source, FunctionSource):
             raise TypeError("Lebesgue kernels need a FunctionSource")
-        lo, hi, cfg = _kernel_support(spec, param, quad)
+        lo, hi, cfg = _kernel_support(spec, param)
 
         def integrand(ts: np.ndarray) -> np.ndarray:
             return spec.kernel_batch(param, ts)[:, None] * source.batch(ts)
 
         return adaptive_quadrature_batch(integrand, (lo, hi), cfg, source.space).value
     coeff_block, support, tail_abs, tail_sum, label = _row(spec, param)
-    coords, _, _ = _certified_sum(coeff_block, source, trunc, support, tail_abs, tail_sum, label)
+    coords, _, _ = _certified_sum(coeff_block, source, support, tail_abs, tail_sum, label)
     return VectorValue(coords, source.space)
 
 
-def matrix_transform(spec: MatrixSpec, v: SequenceSource, m: int,
-                     trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> VectorValue:
-    """Row application sum_n a_{m, n} v_n; exact for finitely supported rows."""
-    return transform_at(spec, v, m, trunc)
-
-
-def seq2func_transform(spec: SeqToFuncSpec, v: SequenceSource, r: float,
-                       trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> VectorValue:
-    """Evaluate sum_n a_n(r) v_n with a certified truncation tail."""
-    return transform_at(spec, v, r, trunc)
-
-
-def kernel_transform(spec: KernelSpec, v, r: float,
-                     quad: QuadratureConfig = QuadratureConfig(),
-                     trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> VectorValue:
-    """Integrate a(r, .) v(.) over E (componentwise for Lebesgue measure)."""
-    return transform_at(spec, v, r, trunc, quad)
-
-
-def summability_limit(spec: MethodSpec, source, depth: int = 20, tol: float = 1e-6,
-                      window: int = 4,
-                      trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                      quad: QuadratureConfig = QuadratureConfig()) -> ConvergenceEstimate:
+def summability_limit(spec: MethodSpec, source, depth: int = 20,
+                      tol: float = 1e-6) -> ConvergenceEstimate:
     """Evaluate the transform along the parameter grid and detect its limit.
 
     On a discrete parameter domain each grid point 2^k is sampled together
@@ -590,8 +559,10 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20, tol: float = 1e
 
     Transform failures at individual grid points are recorded in
     ``failed_points`` rather than aborting; a failure inside the trailing
-    estimation window downgrades the estimate to inconclusive.
+    estimation window (``domains._WINDOW`` samples) downgrades the estimate
+    to inconclusive.
     """
+    window = domains._WINDOW
     F = method_parameter_domain(spec)
     grid = parameter_grid(F, depth)
     if isinstance(F, DiscreteNat):
@@ -606,7 +577,7 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20, tol: float = 1e
     sample_params = []
     for p in params:
         try:
-            samples.append(transform_at(spec, source, p, trunc, quad))
+            samples.append(transform_at(spec, source, p))
             sample_params.append(p)
         except (NonSummableError, QuadratureError) as exc:
             failed.append((p, f"{type(exc).__name__}: {exc}"))
@@ -615,8 +586,7 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20, tol: float = 1e
     if len(samples) < 2:
         return ConvergenceEstimate(INCONCLUSIVE, None, math.inf, len(samples),
                                    window, tol, failed_points=failed_tuple)
-    est = estimate_limit_at_infinity(samples, window=window, tol=tol,
-                                     failed_points=failed_tuple)
+    est = estimate_limit_at_infinity(samples, tol=tol, failed_points=failed_tuple)
     if failed:
         tail_start = len(params) - 2 * window
         tail_failed = any(params.index(p) >= tail_start for p, _ in failed)

@@ -24,15 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .domains import exhaustion, loglog_slope, non_increasing, parameter_grid
-from .integrate import QuadratureConfig, QuadratureError, adaptive_quadrature_batch
+from .integrate import QuadratureError, adaptive_quadrature_batch
 from .methods import (
-    DEFAULT_TRUNCATION,
     KernelSpec,
     MatrixSpec,
     MethodSpec,
     NonSummableError,
     SequenceSource,
-    TruncationPolicy,
     _certified_sum,
     _kernel_support,
     _row,
@@ -202,8 +200,7 @@ _ONES = SequenceSource(block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex)
 _EXACT_TERMS = 2_000_000
 
 
-def _kernel_integral(spec: MethodSpec, r, quad: QuadratureConfig, trunc: TruncationPolicy,
-                     upto=None, absolute: bool = False):
+def _kernel_integral(spec: MethodSpec, r, upto=None, absolute: bool = False):
     """Integral of a(r, .) -- of |a(r, .)| when ``absolute`` -- over its support.
 
     A Lebesgue kernel is integrated by quadrature.  Any discrete spec (a
@@ -218,7 +215,7 @@ def _kernel_integral(spec: MethodSpec, r, quad: QuadratureConfig, trunc: Truncat
         return np.abs(a) + 0j if absolute else a
 
     if isinstance(spec, KernelSpec) and spec.measure != "counting":
-        lo, hi, cfg = _kernel_support(spec, r, quad)
+        lo, hi, cfg = _kernel_support(spec, r)
         hi = hi if upto is None else min(hi, upto)
         value = 0.0
         if hi > lo:
@@ -234,7 +231,7 @@ def _kernel_integral(spec: MethodSpec, r, quad: QuadratureConfig, trunc: Truncat
             entries = np.asarray(coeff_block(lo, hi + 1), dtype=complex)
             value = complex(math.fsum(entries.real), math.fsum(entries.imag))
         else:
-            coords, _, _ = _certified_sum(lambda a, b: weights(coeff_block(a, b)), _ONES, trunc,
+            coords, _, _ = _certified_sum(lambda a, b: weights(coeff_block(a, b)), _ONES,
                                           (lo, hi), tail_abs, tail_abs if absolute else tail_sum,
                                           label)
             value = complex(coords[0])
@@ -263,8 +260,7 @@ class MatrixRegularityReport(_RegularityReport):
 
 
 def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
-                    n_max: int = 32, tol: float = 1e-6,
-                    trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> MatrixRegularityReport:
+                    n_max: int = 32, tol: float = 1e-6) -> MatrixRegularityReport:
     """Three-condition regularity check for a matrix method on a row grid.
 
     Column checks cover n <= n_max and are judged on the last half of the
@@ -274,10 +270,9 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
     """
     m_grid = sorted(int(m) for m in m_grid)
     half = len(m_grid) // 2
-    quad = QuadratureConfig()  # unused: rows are summed, not integrated
 
     def row_sums(absolute):
-        return _scan(m_grid, lambda m: _kernel_integral(spec, m, quad, trunc, absolute=absolute))
+        return _scan(m_grid, lambda m: _kernel_integral(spec, m, absolute=absolute))
 
     # condition 1: row absolute sums bounded
     cells, values, undecided = row_sums(True)
@@ -288,8 +283,9 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
                       "row absolute sums grow without bound "
                       "(log-log slope {slope:.3g}, last {last})")
 
-    # condition 2: each column tends to 0 along the row grid
-    c2 = tuple(_vanishing(f"c2_column_{n}", _scan(m_grid, lambda m: abs(spec.entry(m, n))),
+    # condition 2: each column tends to 0 along the row grid; one block per row
+    heads = {m: spec.row_block(m, 0, n_max + 1) for m in m_grid}
+    c2 = tuple(_vanishing(f"c2_column_{n}", _scan(m_grid, lambda m: abs(complex(heads[m][n]))),
                           tol, f"column {n} ")
                for n in range(n_max + 1))
 
@@ -320,8 +316,7 @@ class KernelRegularityReport(_RegularityReport):
 
 
 def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12,
-                    quad: QuadratureConfig = QuadratureConfig(), tol: float = 1e-6,
-                    trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> KernelRegularityReport:
+                    tol: float = 1e-6) -> KernelRegularityReport:
     """Four-condition regularity check for a kernel method.
 
     Condition 3 accepts a window when its mass either reaches tol at the
@@ -334,7 +329,7 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     half = len(r_grid) // 2
 
     def masses(upto=None, absolute=True):
-        return _scan(r_grid, lambda r: _kernel_integral(spec, r, quad, trunc, upto, absolute))
+        return _scan(r_grid, lambda r: _kernel_integral(spec, r, upto, absolute))
 
     # conditions 1 and 2 share the integrals of |a(r, .)| over all of E
     cells, values, undecided = masses()

@@ -74,6 +74,30 @@ def test_main_exit_2_on_missing_config(tmp_path):
     assert main(["run", str(tmp_path / "nowhere.json"), "--out", str(tmp_path)]) == 2
 
 
+def _kernel_sum_config(source, **kernel):
+    method = {"kind": "kernel", "support": "upto_r", **kernel}
+    return {"experiments": [{"id": "custom-kernel", "kind": "sum", "method": method,
+                             "sources": [source], "depth": 4}]}
+
+
+def test_misspelt_kernel_measure_is_a_config_error(tmp_path, capsys):
+    # a measure outside ("lebesgue", "counting") must not fall back to Lebesgue
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_kernel_sum_config(
+        {"expr": "1"}, kernel="indicator(t <= r) / (r + 1)", E="nat", F="nat",
+        measure="countng")))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown measure 'countng'" in capsys.readouterr().err
+
+
+def test_misspelt_kernel_substitution_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_kernel_sum_config(
+        {"fexpr": "1"}, kernel="1 / r", substitution="log_boundry")))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown substitution 'log_boundry'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # execution and artifacts
 

@@ -59,7 +59,7 @@ def test_domain_usage_errors():
 
 def test_estimator_constant_sequence():
     c = scalar_value(3 - 1j)
-    est = estimate_limit_at_infinity([c] * 10, window=4, tol=1e-12)
+    est = estimate_limit_at_infinity([c] * 10, tol=1e-12)
     assert est.status == CONVERGED
     assert est.residual == 0.0
     assert est.value == c
@@ -72,14 +72,14 @@ def test_estimator_on_cesaro_means_of_alternating():
         return s / (n + 1)
 
     samples = [scalar_value(sigma(2**j)) for j in range(1, 15)]
-    est = estimate_limit_at_infinity(samples, window=4, tol=1e-3)
+    est = estimate_limit_at_infinity(samples, tol=1e-3)
     assert est.status == CONVERGED
     assert abs(complex(est.value.coords[0]) - 0.5) < 1e-3
 
 
 def test_estimator_raw_alternating_is_inconclusive():
     samples = [scalar_value((-1.0) ** n) for n in range(20)]
-    est = estimate_limit_at_infinity(samples, window=4, tol=1e-3)
+    est = estimate_limit_at_infinity(samples, tol=1e-3)
     assert est.status == INCONCLUSIVE
     assert est.residual == pytest.approx(2.0, abs=0)
     assert est.stalled
@@ -87,7 +87,7 @@ def test_estimator_raw_alternating_is_inconclusive():
 
 def test_estimator_divergence():
     samples = [scalar_value(float(2**n)) for n in range(12)]
-    est = estimate_limit_at_infinity(samples, window=4, tol=1e-6)
+    est = estimate_limit_at_infinity(samples, tol=1e-6)
     assert est.status == DIVERGED
 
 
@@ -102,12 +102,12 @@ def test_estimator_idempotence_append_within_tol():
     base = VectorValue([1.0, -2.0, 0.5], space)
     tol = 1e-6
     samples = [base + (0.25**n) * VectorValue([1, 1, 1], space) for n in range(16)]
-    est = estimate_limit_at_infinity(samples, window=4, tol=tol)
+    est = estimate_limit_at_infinity(samples, tol=tol)
     assert est.status == CONVERGED
     for _ in range(20):
         bump = rng.uniform(-1, 1, 3) * tol / 4
         samples.append(est.value + VectorValue(bump, space))
-        again = estimate_limit_at_infinity(samples, window=4, tol=tol)
+        again = estimate_limit_at_infinity(samples, tol=tol)
         assert again.status != DIVERGED
 
 
@@ -124,6 +124,6 @@ def test_estimator_soundness_geometric_approach(rho):
     while abs(rho) ** (depth - 3) >= tol / 4:
         depth += 1
     samples = [target + (rho**k) * u for k in range(depth + 1)]
-    est = estimate_limit_at_infinity(samples, window=4, tol=tol)
+    est = estimate_limit_at_infinity(samples, tol=tol)
     assert est.status == CONVERGED
     assert (est.value - target).norm() <= tol

@@ -6,22 +6,17 @@ import numpy as np
 import pytest
 
 from sumkit.domains import CONVERGED, DIVERGED, NAT, parameter_grid, UNIT_INTERVAL
-from sumkit.integrate import QuadratureConfig
 from sumkit.methods import (
     KernelSpec,
     NonSummableError,
-    TruncationPolicy,
     abel_method,
     as_kernel,
     cesaro_method,
     combine_sources,
     identity_method,
-    kernel_transform,
     logarithmic_method,
-    matrix_transform,
     scalar_function,
     scalar_sequence,
-    seq2func_transform,
     series_summation_method,
     summability_limit,
     transform_at,
@@ -43,17 +38,17 @@ def _scalar(v: VectorValue) -> complex:
 
 
 def test_cesaro_row_on_alternating():
-    assert _scalar(matrix_transform(cesaro_method(), ALT, 3)) == 0.0
+    assert _scalar(transform_at(cesaro_method(), ALT, 3)) == 0.0
 
 
 def test_identity_row_picks_term():
     v = scalar_sequence(lambda n: n * 1.0 + 1j, "n")
-    assert _scalar(matrix_transform(identity_method(), v, 5)) == 5 + 1j
+    assert _scalar(transform_at(identity_method(), v, 5)) == 5 + 1j
 
 
 def test_series_summation_geometric():
     v = scalar_sequence(lambda n: 2.0 ** (-n.astype(float)), "2^-n")
-    assert _scalar(matrix_transform(series_summation_method(), v, 3)) == pytest.approx(15 / 8, abs=0)
+    assert _scalar(transform_at(series_summation_method(), v, 3)) == pytest.approx(15 / 8, abs=0)
 
 
 def test_cesaro_row_sums_exactly_one_on_canonical_grid():
@@ -71,14 +66,14 @@ def test_cesaro_row_sums_exactly_one_on_canonical_grid():
 
 def test_abel_of_ones_is_one():
     ones = scalar_sequence(lambda n: np.ones_like(n, dtype=float), "ones")
-    val = _scalar(seq2func_transform(abel_method(), ones, 0.5))
+    val = _scalar(transform_at(abel_method(), ones, 0.5))
     assert val == pytest.approx(1.0, abs=1e-13)
 
 
 def test_abel_alternating_matches_closed_form_and_oracle():
     # closed form (1-r)/(1+r); oracle: brute-force partial sums
     r = 0.5
-    val = _scalar(seq2func_transform(abel_method(), ALT, r))
+    val = _scalar(transform_at(abel_method(), ALT, r))
     brute = sum((1 - r) * r**n * (-1.0) ** n for n in range(200))
     assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert val == pytest.approx(brute, abs=1e-12)
@@ -88,7 +83,7 @@ def test_abel_alternating_ramp_matches_closed_form():
     # sum (n+1) x^n = (1-x)^-2 at x = -r gives (1-r)/(1+r)^2
     v = scalar_sequence(lambda n: (-1.0) ** n * (n + 1.0), "alt_ramp")
     r = 0.5
-    val = _scalar(seq2func_transform(abel_method(), v, r))
+    val = _scalar(transform_at(abel_method(), v, r))
     brute = sum((1 - r) * r**n * (-1.0) ** n * (n + 1) for n in range(300))
     assert val == pytest.approx((1 - r) / (1 + r) ** 2, abs=1e-12)
     assert val == pytest.approx(brute, abs=1e-12)
@@ -97,7 +92,7 @@ def test_abel_alternating_ramp_matches_closed_form():
 
 def test_abel_out_of_range_parameter():
     with pytest.raises(ValueError):
-        seq2func_transform(abel_method(), ALT, 1.0)
+        transform_at(abel_method(), ALT, 1.0)
 
 
 def test_transform_at_rejects_parameters_outside_the_domain():
@@ -111,7 +106,7 @@ def test_nonsummable_growing_sequence():
     with np.errstate(over="ignore"):
         v = scalar_sequence(lambda n: 2.0 ** np.minimum(n, 2000).astype(float), "2^n")
         with pytest.raises(NonSummableError) as err:
-            seq2func_transform(abel_method(), v, 0.9)
+            transform_at(abel_method(), v, 0.9)
     assert err.value.terms > 0
 
 
@@ -122,7 +117,7 @@ def test_nonsummable_growing_sequence():
 def test_log_kernel_of_constant_is_one():
     one = scalar_function(lambda t: np.ones_like(t), name="one")
     for r in (0.25, 0.5, 1 - math.exp(-1), 0.9):
-        val = _scalar(kernel_transform(logarithmic_method(), one, r))
+        val = _scalar(transform_at(logarithmic_method(), one, r))
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -130,7 +125,7 @@ def test_log_kernel_linear_function_analytic():
     # v(t) = 1 - t: value -r/log(1-r); at r = 1 - 1/e this is 1 - 1/e
     v = scalar_function(lambda t: 1.0 - t, name="1-t")
     r = 1.0 - math.exp(-1.0)
-    val = _scalar(kernel_transform(logarithmic_method(), v, r))
+    val = _scalar(transform_at(logarithmic_method(), v, r))
     assert val == pytest.approx(r, abs=1e-11)
     assert val == pytest.approx(0.6321205588285577, abs=1e-10)
 
@@ -145,7 +140,7 @@ def test_log_kernel_constant_vector():
     from sumkit.methods import FunctionSource
 
     src = FunctionSource(space=space, batch=batch)
-    val = kernel_transform(logarithmic_method(), src, 0.7)
+    val = transform_at(logarithmic_method(), src, 0.7)
     assert np.allclose(val.coords, x, atol=1e-12)
 
 
@@ -162,8 +157,6 @@ def test_linearity_all_engines():
 
     for spec, param in [(cesaro_method(), 37), (series_summation_method(), 12),
                         (abel_method(), 0.7)]:
-        from sumkit.methods import transform_at
-
         lhs = transform_at(spec, w, param)
         rhs = a * transform_at(spec, u, param) + b * transform_at(spec, v, param)
         assert (lhs - rhs).norm() <= 1e-10 * (1 + lhs.norm())
@@ -172,8 +165,8 @@ def test_linearity_all_engines():
     fv = scalar_function(lambda t: 1.0 / (2.0 - t), name="rational")
     fw = combine_sources(a, fu, b, fv)
     spec = logarithmic_method()
-    lhs = kernel_transform(spec, fw, 0.8)
-    rhs = a * kernel_transform(spec, fu, 0.8) + b * kernel_transform(spec, fv, 0.8)
+    lhs = transform_at(spec, fw, 0.8)
+    rhs = a * transform_at(spec, fu, 0.8) + b * transform_at(spec, fv, 0.8)
     assert (lhs - rhs).norm() <= 1e-10 * (1 + lhs.norm())
 
 
@@ -182,8 +175,8 @@ def test_matrix_recast_as_counting_kernel_identical():
     for spec in (cesaro_method(), series_summation_method(), identity_method()):
         kern = as_kernel(spec)
         for m in (3, 8, 33):
-            direct = matrix_transform(spec, v, m)
-            via_kernel = kernel_transform(kern, v, m)
+            direct = transform_at(spec, v, m)
+            via_kernel = transform_at(kern, v, m)
             assert (direct - via_kernel).norm() <= 1e-12
 
 
@@ -191,8 +184,8 @@ def test_abel_as_kernel_consistency():
     spec = abel_method()
     kern = as_kernel(spec)
     for r in (0.3, 0.6, 0.9):
-        direct = seq2func_transform(spec, ALT, r)
-        via_kernel = kernel_transform(kern, ALT, r)
+        direct = transform_at(spec, ALT, r)
+        via_kernel = transform_at(kern, ALT, r)
         assert (direct - via_kernel).norm() <= 1e-13
 
 
@@ -211,7 +204,7 @@ def test_counting_kernel_sums_from_the_support_start():
     assert est.status == CONVERGED
     assert _scalar(est.value) == 1.0
     v = scalar_sequence(lambda n: n * 1.0, "n")
-    assert _scalar(kernel_transform(spec, v, 8)) == 8.5
+    assert _scalar(transform_at(spec, v, 8)) == 8.5
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +261,7 @@ def test_vector_sequence_roundtrip():
                         space, "poly")
     t2 = v.term(2)
     assert t2 == VectorValue([2, 4, 1], space)
-    est = matrix_transform(identity_method(), v, 7)
+    est = transform_at(identity_method(), v, 7)
     assert est == VectorValue([7, 49, 1], space)
 
 

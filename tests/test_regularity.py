@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
+from sumkit.cli import build_method
 from sumkit.domains import HALF_LINE, NAT, UNIT_INTERVAL, exhaustion, parameter_grid
-from sumkit.integrate import QuadratureConfig, QuadratureError
+from sumkit.integrate import QuadratureError
 from sumkit.methods import (
-    DEFAULT_TRUNCATION,
     KernelSpec,
     abel_method,
     as_kernel,
@@ -21,6 +21,7 @@ from sumkit.methods import (
     series_summation_method,
 )
 from sumkit.regularity import (
+    DEFAULT_M_GRID,
     FAIL,
     NOT_REGULAR,
     INCONCLUSIVE_OVERALL,
@@ -63,6 +64,21 @@ def test_series_summation_not_regular_with_row_sum_witness():
         assert value == pytest.approx(m + 1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    identity_method(), cesaro_method(), series_summation_method(),
+    build_method({"kind": "matrix",
+                  "entries": "exp(-n / (m + 1)) * log(m + 2) / pow(m + 1, 1.5) + 0.5j * pow(0.9, n)"}),
+], ids=lambda spec: spec.name)
+def test_column_cells_equal_the_scalar_entries(spec):
+    # condition 2 reads one row block per grid row; each cell is still |a_{m, n}|
+    report = check_matrix_st(spec)
+    assert len(report.c2) == 33
+    for n, check in enumerate(report.c2):
+        assert [m for m, _, _ in check.cells] == list(DEFAULT_M_GRID)
+        for m, value, _ in check.cells:
+            assert value == abs(spec.entry(m, n)), (m, n)
+
+
 def test_matrix_report_serializes():
     report = check_matrix_st(cesaro_method(), m_grid=[2, 4, 8, 16], n_max=2)
     rows = report.rows()
@@ -97,8 +113,7 @@ def test_noisy_log_kernel_integral_stops_at_the_evaluation_budget():
     r = 1.0 - 2.0**-28
     start = time.perf_counter()
     with pytest.raises(QuadratureError) as err:
-        _kernel_integral(logarithmic_method(), r, QuadratureConfig(), DEFAULT_TRUNCATION,
-                         absolute=True)
+        _kernel_integral(logarithmic_method(), r, absolute=True)
     assert time.perf_counter() - start < 2.0
     assert "budget" in str(err.value)
 
