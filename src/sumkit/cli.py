@@ -136,10 +136,9 @@ def _as_complex(value, ctx: str) -> complex:
 
 
 def build_method(obj, ctx: str = "method"):
-    _check_keys(obj, ctx, (), ("builtin", "scale", "as_kernel", "kind", "entries",
-                               "coeff", "kernel", "support", "measure",
-                               "substitution", "E", "F", "name"))
-    if "builtin" in obj:
+    # a builtin takes only its modifiers; a custom method only its definition
+    if isinstance(obj, dict) and "builtin" in obj:
+        _check_keys(obj, ctx, ("builtin",), ("scale", "as_kernel"))
         name = obj["builtin"]
         if name not in BUILTIN_METHODS:
             raise ConfigError(f"{ctx}: unknown builtin {name!r}; have {sorted(BUILTIN_METHODS)}")
@@ -150,6 +149,8 @@ def build_method(obj, ctx: str = "method"):
             spec = scaled_method(spec, _as_complex(obj["scale"], ctx))
         return spec
 
+    _check_keys(obj, ctx, (), ("kind", "entries", "coeff", "kernel", "support", "measure",
+                               "substitution", "E", "F", "name"))
     kind = obj.get("kind")
     try:
         if kind == "matrix":

@@ -8,18 +8,24 @@ Because membership in a method's domain is not decidable numerically, every
 infinite summation here carries a numeric tail certificate instead:
 
 * plain certificate -- the remaining coefficient mass times the observed sup
-  of recent term norms is below ``_TAIL_TOL``;
-* stabilized closure -- recent terms agree to within ``_TAIL_TOL``-level
+  of recent term norms is below the tail tolerance;
+* stabilized closure -- recent terms agree to within tail-tolerance-level
   scatter and the spec knows its exact remaining coefficient weight, so the
   tail is closed analytically with the scatter as the certified error.
 
 Both certificates are evidence from the sampled prefix, not proofs about the
 unseen tail.  Reports do not yet say which rule fired; only a failure is
-explained: a summation that achieves no certificate within ``_MAX_TERMS``
-terms raises NonSummableError naming the reason, with the partial sum and
-the best bound seen.  ``_TAIL_TOL`` and ``_MAX_TERMS`` are the one
-truncation rule of the package, read at call time by every certified sum
-and by the Taylor norms in ``holo``.
+explained: a summation without an end that achieves no certificate within
+``_MAX_TERMS`` terms raises NonSummableError naming the reason, with the
+partial sum and the best bound seen.  A finite row always runs to its
+support end, however long.
+
+The tail tolerance is ``_TAIL_TOL`` = 1e-14 for a lone ``transform_at``, for
+the regularity checks and for the Taylor norms in ``holo``.  The samples of
+``summability_limit`` only have to fix a limit to ``tol``, so each is
+certified to ``tol * _TAIL_SHARE`` instead (never tighter than
+``_TAIL_TOL``).  ``_TAIL_TOL``, ``_TAIL_SHARE`` and ``_MAX_TERMS`` are the
+one truncation rule of the package, read at call time.
 
 Every object is given by one vectorised callable (``row_block``,
 ``coeff_block``, ``kernel_batch``, ``block``, ``batch``); the scalar accessors
@@ -70,8 +76,11 @@ class NonSummableError(RuntimeError):
         self.terms = terms
 
 
-# the truncation rule: a certified tail is at most _TAIL_TOL, within _MAX_TERMS terms
+# the truncation rule: a certified tail is at most _TAIL_TOL, within _MAX_TERMS
+# terms unless the support ends; a summability_limit sample's tail is at most
+# its tol * _TAIL_SHARE
 _TAIL_TOL = 1e-14
+_TAIL_SHARE = 1e-2
 _MAX_TERMS = 1_000_000
 # _certified_sum's block sizes: the first block, then 4x per block up to the cap
 _START_BLOCK = 64
@@ -389,16 +398,22 @@ def _row_norms(arr: np.ndarray, tag: str) -> np.ndarray:
 
 
 def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, None),
-                   tail_abs=None, tail_sum=None, label: str = "series"):
+                   tail_abs=None, tail_sum=None, label: str = "series",
+                   tail_tol: Optional[float] = None):
     """Sum sum_n c_n v_n over support = (lo, hi) with a numeric tail certificate.
 
-    The sum runs from n = lo up to hi inclusive (hi None: no end), takes at
-    most _MAX_TERMS terms and certifies a tail of at most _TAIL_TOL.
+    The sum runs from n = lo up to hi inclusive; a finite support is summed
+    to its end unless a certificate stops it earlier, and with hi None (no
+    end) the sum takes at most _MAX_TERMS terms.  The plain and stabilized
+    certificates bound the tail by tail_tol (None: _TAIL_TOL), the
+    geometric-ratio estimate always by _TAIL_TOL.
     coeff_block(a, b) -> complex array of c_a .. c_{b-1}; tail_abs/tail_sum(N)
     describe the coefficient tail beyond the absolute index N (up to hi).
     Returns (coords, bound, terms).
     Raises NonSummableError when no certificate is reached.
     """
+    if tail_tol is None:
+        tail_tol = _TAIL_TOL
     lo, support_end = support
     space = source.space
     dim = space.dim
@@ -406,6 +421,7 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
     if support_end is not None and support_end < lo:
         return acc, 0.0, 0
     n = lo
+    end = lo + _MAX_TERMS if support_end is None else support_end + 1
     block = _START_BLOCK
     prev_abs = None
     geo_ok = 0
@@ -415,10 +431,8 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
         partial = VectorValue(acc, space) if np.all(np.isfinite(acc.view(float))) else None
         raise NonSummableError(f"{label}: {msg}", partial=partial, bound=bound, terms=n - lo)
 
-    while n - lo < _MAX_TERMS:
-        hi = min(n + block, lo + _MAX_TERMS)
-        if support_end is not None:
-            hi = min(hi, support_end + 1)
+    while n < end:
+        hi = min(n + block, end)
         with np.errstate(over="ignore", invalid="ignore"):
             cs = np.asarray(coeff_block(n, hi), dtype=complex)
             vs = source.block(n, hi)
@@ -439,13 +453,13 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
 
         if tail_abs is not None:
             w_abs = float(tail_abs(N))
-            if w_abs * sup_recent <= _TAIL_TOL:
+            if w_abs * sup_recent <= tail_tol:
                 return acc, w_abs * sup_recent, n - lo
             if tail_sum is not None and vs.shape[0] >= 2:
                 # center on the last term: exact (dev = 0) for stable blocks
                 center = vs[-1]
                 dev = float(np.max(_row_norms(vs - center, space.norm_tag)))
-                if w_abs * dev <= _TAIL_TOL:
+                if w_abs * dev <= tail_tol:
                     # stabilized closure: recent terms are flat to within dev,
                     # close the tail with the exact remaining weight
                     acc = acc + complex(tail_sum(N)) * center
@@ -527,13 +541,15 @@ def _kernel_support(spec: KernelSpec, r) -> tuple:
     return lo, hi, QuadratureConfig(substitution=spec.substitution)
 
 
-def transform_at(spec: MethodSpec, source, param) -> VectorValue:
+def transform_at(spec: MethodSpec, source, param, *,
+                 tail_tol: Optional[float] = None) -> VectorValue:
     """The transform of ``source`` at ``param``: the one transform entry point.
 
     A Lebesgue kernel integrates a(r, .) v(.) over its support, componentwise;
     every other method (a matrix row m, coefficients a_n(r), a counting
     kernel) is a certified sum over its row (see ``_row``), exact for finitely
-    supported rows.
+    supported rows, with its tail certified to ``tail_tol`` (None:
+    ``_TAIL_TOL``).
     """
     if isinstance(spec, KernelSpec) and spec.measure != "counting":
         if not isinstance(source, FunctionSource):
@@ -545,7 +561,8 @@ def transform_at(spec: MethodSpec, source, param) -> VectorValue:
 
         return adaptive_quadrature_batch(integrand, (lo, hi), cfg, source.space).value
     coeff_block, support, tail_abs, tail_sum, label = _row(spec, param)
-    coords, _, _ = _certified_sum(coeff_block, source, support, tail_abs, tail_sum, label)
+    coords, _, _ = _certified_sum(coeff_block, source, support, tail_abs, tail_sum, label,
+                                  tail_tol=tail_tol)
     return VectorValue(coords, source.space)
 
 
@@ -556,6 +573,9 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20,
     On a discrete parameter domain each grid point 2^k is sampled together
     with its successor 2^k + 1: a powers-of-two grid alone is parity-blind
     and would certify period-two oscillations as convergent.
+
+    Each sample's tail is certified to ``tol * _TAIL_SHARE`` (at least
+    ``_TAIL_TOL``): the limit is asked for only to ``tol``.
 
     Transform failures at individual grid points are recorded in
     ``failed_points`` rather than aborting; a failure inside the trailing
@@ -572,13 +592,12 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20,
     else:
         params = list(grid)
 
+    tail_tol = max(tol * _TAIL_SHARE, _TAIL_TOL)
     samples = []
     failed = []
-    sample_params = []
     for p in params:
         try:
-            samples.append(transform_at(spec, source, p))
-            sample_params.append(p)
+            samples.append(transform_at(spec, source, p, tail_tol=tail_tol))
         except (NonSummableError, QuadratureError) as exc:
             failed.append((p, f"{type(exc).__name__}: {exc}"))
 

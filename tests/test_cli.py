@@ -7,6 +7,7 @@ import pytest
 
 from sumkit.cli import (
     ConfigError,
+    build_method,
     builtin_config_path,
     main,
     run_config,
@@ -96,6 +97,23 @@ def test_misspelt_kernel_substitution_is_a_config_error(tmp_path, capsys):
         {"fexpr": "1"}, kernel="1 / r", substitution="log_boundry")))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "unknown substitution 'log_boundry'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("measure", "countng"), ("support", "bogus"),
+                                        ("entries", "n"), ("name", "mine")])
+def test_custom_key_beside_builtin_is_a_config_error(tmp_path, capsys, key, value):
+    # a builtin with a custom key must not run as the plain builtin
+    cfg = tmp_path / "bad.json"
+    method = {"builtin": "cesaro", key: value}
+    cfg.write_text(json.dumps({"experiments": [{"id": "m", "kind": "check_regularity",
+                                                "method": method, "m_max_exp": 4}]}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_builtin_modifier_on_custom_method_is_a_config_error():
+    with pytest.raises(ConfigError, match="'scale'"):
+        build_method({"kind": "matrix", "entries": "1", "scale": 2.0})
 
 
 # ---------------------------------------------------------------------------

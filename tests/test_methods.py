@@ -9,6 +9,7 @@ from sumkit.domains import CONVERGED, DIVERGED, NAT, parameter_grid, UNIT_INTERV
 from sumkit.methods import (
     KernelSpec,
     NonSummableError,
+    SequenceSource,
     abel_method,
     as_kernel,
     cesaro_method,
@@ -205,6 +206,55 @@ def test_counting_kernel_sums_from_the_support_start():
     assert _scalar(est.value) == 1.0
     v = scalar_sequence(lambda n: n * 1.0, "n")
     assert _scalar(transform_at(spec, v, 8)) == 8.5
+
+
+# ---------------------------------------------------------------------------
+# term budgets: tail tolerance and support end
+
+
+def _counted_grandi():
+    """1, 0, 1, 0, ... with a counter of the source terms read."""
+    read = [0]
+
+    def block(lo, hi):
+        read[0] += hi - lo
+        return (1.0 + (-1.0) ** np.arange(lo, hi)) / 2.0
+
+    return SequenceSource(block, name="grandi"), read
+
+
+def test_abel_row_is_certified_to_the_tail_tolerance_asked_for():
+    # closed form: (1 - r) * sum r^(2k) = 1 / (1 + r)
+    r = 1 - 2.0**-14
+    src, read = _counted_grandi()
+    loose = _scalar(transform_at(abel_method(), src, r, tail_tol=1e-5))
+    assert read[0] == 218_432
+    assert abs(loose - 1 / (1 + r)) <= 1e-5
+    read[0] = 0
+    tight = _scalar(transform_at(abel_method(), src, r))
+    assert read[0] == 546_112
+    assert abs(tight - 1 / (1 + r)) <= 1e-14
+
+
+def test_summability_limit_certifies_samples_to_its_tol():
+    src, read = _counted_grandi()
+    est = summability_limit(abel_method(), src, depth=14, tol=1e-3)
+    assert est.status == CONVERGED
+    assert abs(_scalar(est.value) - 0.5) <= 1e-3
+    assert read[0] <= 700_000  # 1,215,616 with every sample certified to 1e-14
+
+
+def test_finite_row_runs_to_its_support_end():
+    # row 2^20 + 1 is longer than the cap on rows without an end
+    val = _scalar(transform_at(cesaro_method(), ALT_PARTIAL, 2**20 + 1))
+    assert abs(val - 0.5) <= 1e-12
+
+
+def test_row_without_end_stops_at_the_term_cap():
+    # about 32 * 2^20 terms would certify this row to 1e-14
+    with pytest.raises(NonSummableError, match="max_terms") as err:
+        transform_at(abel_method(), ALT_PARTIAL, 1 - 2.0**-20)
+    assert err.value.terms == 1_000_000
 
 
 # ---------------------------------------------------------------------------
