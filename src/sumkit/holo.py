@@ -341,13 +341,27 @@ DILATE_VERIFY_CAP = 20000
 
 
 def _dilate_double_sum(f: TaylorFunction, r: float, upto: int, m_terms: int) -> np.ndarray:
-    """Literal (1-r) sum_m r^m S_m(f), truncated at m_terms, coefficients 0..upto."""
+    """Literal (1-r) sum_m r^m S_m(f), truncated at m_terms, coefficients 0..upto.
+
+    S_m(f) adds w_m a_k to each coefficient k <= min(m, upto).  A chunk of
+    rows m is stacked below the running sum and summed down the rows, so
+    every coefficient takes its additions in increasing m, as a loop over m
+    would, without forming the whole (m_terms + 1) x (upto + 1) table.
+    """
     coeffs = f.coeff_array(upto)
+    weights = np.array([(1.0 - r) * r**m for m in range(m_terms + 1)], dtype=complex)
     acc = np.zeros(upto + 1, dtype=complex)
-    for m in range(m_terms + 1):
-        w = (1.0 - r) * r**m
-        end = min(m, upto)
-        acc[: end + 1] += w * coeffs[: end + 1]
+    rows = max(1, 2**16 // (upto + 1))
+    for m0 in range(0, m_terms + 1, rows):
+        ms = np.arange(m0, min(m0 + rows, m_terms + 1))
+        cols = min(int(ms[-1]), upto) + 1
+        # numpy sums in order only off the fast axis, so keep two columns
+        buf = np.zeros((ms.size + 1, max(cols, 2)), dtype=complex)
+        buf[0, :cols] = acc[:cols]
+        np.multiply(weights[ms, None], coeffs[:cols], out=buf[1:, :cols])
+        # coefficient k joins at row m = k: blank the corner k > m
+        buf[1:, m0 + 1:cols][np.arange(m0 + 1, cols) > ms[:, None]] = 0.0
+        acc[:cols] = buf.sum(axis=0)[:cols]
     return acc
 
 

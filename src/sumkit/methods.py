@@ -25,7 +25,10 @@ the regularity checks and for the Taylor norms in ``holo``.  The samples of
 ``summability_limit`` only have to fix a limit to ``tol``, so each is
 certified to ``tol * _TAIL_SHARE`` instead (never tighter than
 ``_TAIL_TOL``).  ``_TAIL_TOL``, ``_TAIL_SHARE`` and ``_MAX_TERMS`` are the
-one truncation rule of the package, read at call time.
+one truncation rule of the package, read at call time.  The grid of one
+``summability_limit`` call shares a sequence source's leading blocks, so a
+``SequenceSource.block`` must be a deterministic function of ``(lo, hi)``;
+every source built here is elementwise.
 
 Every object is given by one vectorised callable (``row_block``,
 ``coeff_block``, ``kernel_batch``, ``block``, ``batch``); the scalar accessors
@@ -105,6 +108,42 @@ class SequenceSource:
     def block(self, lo: int, hi: int) -> np.ndarray:
         arr = np.asarray(self._block(lo, hi), dtype=complex)
         return arr[:, None] if arr.ndim == 1 else arr
+
+
+class _SharedBlocks(SequenceSource):
+    """Read-through memo of a source's blocks, shared by one grid of transforms.
+
+    Every certified sum of ``summability_limit`` asks the source for the same
+    leading ``(lo, hi)`` blocks, so each is read once and kept read-only by
+    its start; a shorter request with the same start (a finite row's last
+    block) is served as its prefix.  At most the block ramp plus one
+    ``_MAX_BLOCK`` terms are kept (``held``); a request past that is read
+    and not kept.  Assumes ``block`` is a deterministic function of
+    ``(lo, hi)``.  The memo holds no reference to itself, so it is freed as
+    soon as the call that made it returns.
+    """
+
+    def __init__(self, source: SequenceSource):
+        super().__init__(source.block, source.space, source.name)
+        self._kept = {}
+        self.held = 0
+        self._cap, size = _MAX_BLOCK, _START_BLOCK
+        while size < _MAX_BLOCK:
+            self._cap += size
+            size *= 4
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        kept = self._kept.get(lo)
+        if kept is not None and kept.shape[0] >= hi - lo:
+            return kept[:hi - lo]
+        arr = super().block(lo, hi)
+        held = self.held + arr.shape[0] - (0 if kept is None else kept.shape[0])
+        if held <= self._cap:
+            arr = arr.view()
+            arr.flags.writeable = False
+            self._kept[lo] = arr
+            self.held = held
+        return arr
 
 
 class FunctionSource:
@@ -389,6 +428,8 @@ def as_kernel(spec: MethodSpec) -> KernelSpec:
 
 
 def _row_norms(arr: np.ndarray, tag: str) -> np.ndarray:
+    if arr.shape[1] == 1:
+        return np.abs(arr[:, 0])   # in one dimension every norm is the modulus
     mags = np.abs(arr)
     if tag == "l1":
         return np.sum(mags, axis=1)
@@ -438,10 +479,11 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
             vs = source.block(n, hi)
             if vs.shape != (hi - n, dim):
                 raise ValueError(f"source block shape {vs.shape}, expected {(hi - n, dim)}")
-            terms = cs[:, None] * vs
-        if not np.all(np.isfinite(terms.view(float))):
+            blk_sum = (cs[:, None] * vs).sum(axis=0)
+        # a non-finite term makes its component of the block sum non-finite
+        if not np.all(np.isfinite(blk_sum.view(float))):
             fail("non-finite term encountered")
-        acc = acc + terms.sum(axis=0)
+        acc = acc + blk_sum
         vnorms = _row_norms(vs, space.norm_tag)
         sup_recent = float(np.max(vnorms)) if vnorms.size else 0.0
         blk_abs = float(np.sum(np.abs(cs) * vnorms))
@@ -480,7 +522,8 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
                             return acc, tail_est, n - lo
                 else:
                     geo_ok = 0
-            if blk_abs > prev_abs:
+            # a finite row's sum is exact, however its blocks grow
+            if blk_abs > prev_abs and support_end is None:
                 grow_count += 1
                 if grow_count >= 8:
                     fail("block sums growing; series looks divergent")
@@ -575,7 +618,9 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20,
     and would certify period-two oscillations as convergent.
 
     Each sample's tail is certified to ``tol * _TAIL_SHARE`` (at least
-    ``_TAIL_TOL``): the limit is asked for only to ``tol``.
+    ``_TAIL_TOL``): the limit is asked for only to ``tol``.  The samples of a
+    sequence source share its leading blocks (``_SharedBlocks``), so each
+    sample equals a lone ``transform_at`` at that tail tolerance.
 
     Transform failures at individual grid points are recorded in
     ``failed_points`` rather than aborting; a failure inside the trailing
@@ -593,6 +638,8 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20,
         params = list(grid)
 
     tail_tol = max(tol * _TAIL_SHARE, _TAIL_TOL)
+    if isinstance(source, SequenceSource):
+        source = _SharedBlocks(source)
     samples = []
     failed = []
     for p in params:

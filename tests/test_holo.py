@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sumkit.domains import UNIT_INTERVAL, parameter_grid
+from sumkit import holo
 from sumkit.holo import (
     ABEL_DILATE,
     CONVERGED_TO_ZERO,
@@ -95,6 +96,32 @@ def test_dilate_dual_forms_agree_on_random_polynomials():
         for r in (0.25, 0.5, 0.9):
             assert dilate_dual_deviation(f, r) <= 1e-12
             abel_dilate(f, r)  # consistency check runs internally
+
+
+def _dilate_double_sum_by_loop(f, r, upto, m_terms):
+    """The row-by-row loop over m that holo._dilate_double_sum must match bit for bit."""
+    coeffs = f.coeff_array(upto)
+    acc = np.zeros(upto + 1, dtype=complex)
+    for m in range(m_terms + 1):
+        w = (1.0 - r) * r**m
+        end = min(m, upto)
+        acc[: end + 1] += w * coeffs[: end + 1]
+    return acc
+
+
+def test_dilate_double_sum_matches_the_loop_over_m_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        deg = int(rng.integers(0, 65))
+        f = taylor_from_coefficients(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+        for r in (0.25, 0.5, 0.9):
+            m_terms = deg + int(rng.integers(0, 400))
+            assert np.array_equal(holo._dilate_double_sum(f, r, deg, m_terms),
+                                  _dilate_double_sum_by_loop(f, r, deg, m_terms))
+    # a long polynomial: about 30 rows per chunk, over a hundred chunks
+    f = taylor_from_coefficients(rng.standard_normal(2001) + 1j * rng.standard_normal(2001))
+    assert np.array_equal(holo._dilate_double_sum(f, 0.99, 2000, 3300),
+                          _dilate_double_sum_by_loop(f, 0.99, 2000, 3300))
 
 
 def test_dilate_contractive_in_h2():

@@ -1,10 +1,12 @@
 """Transform engines: worked examples, oracles, and cross-engine consistency."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from sumkit import methods
 from sumkit.domains import CONVERGED, DIVERGED, NAT, parameter_grid, UNIT_INTERVAL
 from sumkit.methods import (
     KernelSpec,
@@ -250,11 +252,86 @@ def test_finite_row_runs_to_its_support_end():
     assert abs(val - 0.5) <= 1e-12
 
 
+def test_finite_row_with_growing_blocks_is_not_called_divergent():
+    # sum_{n <= 2^20} n / (2^20 + 1) = 2^19, though every block sum grows
+    ramp = scalar_sequence(lambda n: n * 1.0, "n")
+    val = _scalar(transform_at(cesaro_method(), ramp, 2**20))
+    assert val == pytest.approx(2**19, rel=1e-12)
+
+
 def test_row_without_end_stops_at_the_term_cap():
     # about 32 * 2^20 terms would certify this row to 1e-14
     with pytest.raises(NonSummableError, match="max_terms") as err:
         transform_at(abel_method(), ALT_PARTIAL, 1 - 2.0**-20)
     assert err.value.terms == 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# shared source blocks across the summability_limit grid
+
+# a C^4 sequence L + rho^n u with limit L
+_L4 = np.array([0.5, -1.0, 2.0j, 0.25 + 0.75j])
+_U4 = np.array([1.0, 1j, -1.0, (1 + 1j) / math.sqrt(2)])
+DENSE4 = vector_sequence(lambda ns: _L4[None, :] + np.power(0.99, ns)[:, None] * _U4[None, :],
+                         SpaceDescriptor(4, "l2"), "dense4")
+
+
+def _record_transforms(monkeypatch):
+    """Patch methods.transform_at to log (param, coords, source) of each call."""
+    lone = methods.transform_at
+    taken = []
+
+    def recording(spec, source, param, **kwargs):
+        value = lone(spec, source, param, **kwargs)
+        taken.append((param, value.coords, source))
+        return value
+
+    monkeypatch.setattr(methods, "transform_at", recording)
+    return taken
+
+
+@pytest.mark.parametrize("src", [ALT_PARTIAL, DENSE4], ids=["scalar", "C4"])
+@pytest.mark.parametrize("spec", [abel_method(), cesaro_method(), as_kernel(abel_method()),
+                                  identity_method()], ids=lambda s: s.name)
+def test_summability_limit_samples_equal_lone_transforms(monkeypatch, spec, src):
+    tol = 1e-3
+    taken = _record_transforms(monkeypatch)
+    summability_limit(spec, src, depth=14, tol=tol)
+    monkeypatch.undo()
+    tail_tol = max(tol * methods._TAIL_SHARE, methods._TAIL_TOL)
+    assert len(taken) >= 14
+    for param, coords, _ in taken:
+        assert np.array_equal(coords, transform_at(spec, src, param, tail_tol=tail_tol).coords)
+
+
+@pytest.mark.parametrize("spec, depth, terms", [
+    (abel_method(), 14, 283_968),      # 604,032 when every sample reads from index 0
+    (cesaro_method(), 19, 1_544_309),  # 2,097,205
+], ids=["abel", "cesaro"])
+def test_summability_limit_reads_each_leading_block_once(spec, depth, terms):
+    src, read = _counted_grandi()
+    est = summability_limit(spec, src, depth=depth, tol=1e-3)
+    assert est.status == CONVERGED
+    assert read[0] == terms
+
+
+def test_shared_blocks_keep_at_most_the_ramp_and_one_max_block(monkeypatch):
+    taken = _record_transforms(monkeypatch)
+    src, read = _counted_grandi()
+    summability_limit(abel_method(), src, depth=14, tol=1e-3)
+    shared = {id(source): source for _, _, source in taken}
+    assert len(shared) == 1
+    (memo,) = shared.values()
+    # 64 + 256 + 1024 + 4096 + 16384 + 65536 terms; the last rows read past them
+    assert memo.held == 87_360
+    assert read[0] > 87_360
+    block = memo.block(0, 64)
+    assert not block.flags.writeable
+    assert np.array_equal(memo.block(0, 10), block[:10])
+    # no reference cycle: the kept blocks go with the last reference
+    gone = weakref.ref(memo)
+    del memo, shared, taken[:]
+    assert gone() is None
 
 
 # ---------------------------------------------------------------------------
