@@ -583,9 +583,9 @@ def _svg_loglog(series, title: str) -> str:
 
 
 def run_config(config, out_dir: str, threads=None, tol=None, plots: bool = False) -> int:
-    """Execute a config (dict or path).  Returns the process exit code."""
+    """Execute a config (dict, or a path as str or os.PathLike).  Returns the exit code."""
     started = time.time()
-    if isinstance(config, str):
+    if isinstance(config, (str, os.PathLike)):
         with open(config) as fh:
             config = json.load(fh)
     experiments = validate_config(config)

@@ -25,8 +25,17 @@ the regularity checks and for the Taylor norms in ``holo``.  The samples of
 ``summability_limit`` only have to fix a limit to ``tol``, so each is
 certified to ``tol * _TAIL_SHARE`` instead (never tighter than
 ``_TAIL_TOL``).  ``_TAIL_TOL``, ``_TAIL_SHARE`` and ``_MAX_TERMS`` are the
-one truncation rule of the package, read at call time.  The grid of one
-``summability_limit`` call shares a sequence source's leading blocks, so a
+one truncation rule of the package, read at call time.
+
+The certified sum reads its source one block at a time, as a ``_Block``
+record: the terms, their norms, and the O(dim) sums every row takes of them
+(the block's sum and norm sum, the sup norm, the last term and the
+stabilized scatter about it).  A matrix row that declares ``row_weight`` is
+a box row -- Cesaro, series summation and the identity are -- and sums a
+block as its one weight times the block's sum, which rounds differently
+from the sum of weighted terms; every other row multiplies its coefficients
+into the terms.  The grid of one ``summability_limit`` call shares a
+sequence source's block records (``_SharedBlocks``), so a
 ``SequenceSource.block`` must be a deterministic function of ``(lo, hi)``;
 every source built here is elementwise.
 
@@ -41,8 +50,10 @@ weights of the certificates.  Only a Lebesgue kernel is integrated.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -109,23 +120,96 @@ class SequenceSource:
         arr = np.asarray(self._block(lo, hi), dtype=complex)
         return arr[:, None] if arr.ndim == 1 else arr
 
+    def _record(self, lo: int, hi: int, terms: bool = True) -> "_Block":
+        """The ``_Block`` of terms lo .. hi-1, read afresh.
+
+        ``terms`` False lets a caller that needs only the O(dim) part take a
+        record without its terms (see ``_SharedBlocks``).
+        """
+        vs = self.block(lo, hi)
+        if vs.shape != (hi - lo, self.space.dim):
+            raise ValueError(f"source block shape {vs.shape}, expected {(hi - lo, self.space.dim)}")
+        return _Block(vs, self.space.norm_tag)
+
+
+class _Block:
+    """One source block v_lo .. v_{hi-1} and what every row of a certified sum takes of it.
+
+    Per term: ``terms`` and their ``norms``.  O(dim): ``size``, ``sup`` (the
+    largest norm), ``last`` (the last term), ``total`` (the sum of the terms),
+    ``abs_total`` (the sum of their norms) and ``dev`` (the largest norm of
+    v - last, the scatter of the stabilized closure).  Each is computed on
+    first use; ``summary()`` keeps the O(dim) part alone.
+    """
+
+    def __init__(self, terms: np.ndarray, tag: str):
+        self.terms = terms
+        self.size = terms.shape[0]
+        self._tag = tag
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return _row_norms(self.terms, self._tag)
+
+    @cached_property
+    def sup(self) -> float:
+        return float(np.max(self.norms))
+
+    @cached_property
+    def last(self) -> np.ndarray:
+        return self.terms[-1].copy()
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        return self.terms.sum(axis=0)
+
+    @cached_property
+    def abs_total(self) -> float:
+        return float(np.sum(self.norms))
+
+    @cached_property
+    def dev(self) -> float:
+        return float(np.max(_row_norms(self.terms - self.last, self._tag)))
+
+    def prefix(self, size: int) -> "_Block":
+        """The record of the first ``size`` terms (self when that is all of them)."""
+        if size == self.size:
+            return self
+        out = _Block(self.terms[:size], self._tag)
+        if "norms" in self.__dict__:
+            out.norms = self.norms[:size]
+        return out
+
+    def summary(self) -> "_Block":
+        """This record without its per-term part, every O(dim) field computed."""
+        for name in ("sup", "last", "total", "abs_total", "dev"):
+            getattr(self, name)
+        out = copy.copy(self)
+        out.terms = out.norms = None
+        return out
+
 
 class _SharedBlocks(SequenceSource):
-    """Read-through memo of a source's blocks, shared by one grid of transforms.
+    """Read-through memo of a source's block records, shared by one grid of transforms.
 
     Every certified sum of ``summability_limit`` asks the source for the same
-    leading ``(lo, hi)`` blocks, so each is read once and kept read-only by
-    its start; a shorter request with the same start (a finite row's last
-    block) is served as its prefix.  At most the block ramp plus one
-    ``_MAX_BLOCK`` terms are kept (``held``); a request past that is read
-    and not kept.  Assumes ``block`` is a deterministic function of
+    leading ``(lo, hi)`` blocks, so each is read once.  The records of the
+    block ramp plus one ``_MAX_BLOCK`` terms are kept whole and read-only by
+    their start (``held`` terms); a shorter request with the same start (a
+    finite row's last block) is served as their prefix.  Past that cap only
+    the O(dim) summary of a full ``_MAX_BLOCK`` record is kept, by
+    ``(lo, hi)``, with no cap: it serves a box row, which needs no terms.  A
+    row that needs the terms, and a finite row's shorter last block, are
+    read afresh.  Assumes ``block`` is a deterministic function of
     ``(lo, hi)``.  The memo holds no reference to itself, so it is freed as
     soon as the call that made it returns.
     """
 
     def __init__(self, source: SequenceSource):
         super().__init__(source.block, source.space, source.name)
+        self._source = source
         self._kept = {}
+        self._summaries = {}
         self.held = 0
         self._cap, size = _MAX_BLOCK, _START_BLOCK
         while size < _MAX_BLOCK:
@@ -133,17 +217,25 @@ class _SharedBlocks(SequenceSource):
             size *= 4
 
     def block(self, lo: int, hi: int) -> np.ndarray:
+        return self._record(lo, hi).terms
+
+    def _record(self, lo: int, hi: int, terms: bool = True) -> "_Block":
         kept = self._kept.get(lo)
-        if kept is not None and kept.shape[0] >= hi - lo:
-            return kept[:hi - lo]
-        arr = super().block(lo, hi)
-        held = self.held + arr.shape[0] - (0 if kept is None else kept.shape[0])
+        if kept is not None and kept.size >= hi - lo:
+            return kept.prefix(hi - lo)
+        summary = None if terms else self._summaries.get((lo, hi))
+        if summary is not None:
+            return summary
+        rec = self._source._record(lo, hi)
+        held = self.held + rec.size - (0 if kept is None else kept.size)
         if held <= self._cap:
-            arr = arr.view()
-            arr.flags.writeable = False
-            self._kept[lo] = arr
+            rec.terms = rec.terms.view()
+            rec.terms.flags.writeable = False
+            self._kept[lo] = rec
             self.held = held
-        return arr
+        elif not terms and rec.size == _MAX_BLOCK:
+            self._summaries[(lo, hi)] = rec.summary()
+        return rec
 
 
 class FunctionSource:
@@ -230,6 +322,9 @@ class MatrixSpec:
     row_support: Callable[[int], tuple] = _whole_row  # (lo, hi) inclusive; hi None = infinite
     row_tail_abs: Optional[Callable[[int, int], float]] = None   # sum_{n > N} |a_{m, n}|
     row_tail_sum: Optional[Callable[[int, int], complex]] = None  # sum_{n > N} a_{m, n}
+    # a box row: the one value w_m of every entry on the support, so a block
+    # of row m sums to w_m times the block's sum (see _Block)
+    row_weight: Optional[Callable[[int], complex]] = None
 
     def entry(self, m: int, n: int) -> complex:
         return complex(self.row_block(m, n, n + 1)[0])
@@ -287,6 +382,7 @@ def identity_method() -> MatrixSpec:
         row_support=lambda m: (m, m),
         row_tail_abs=lambda m, N: 0.0 if N >= m else 1.0,
         row_tail_sum=lambda m, N: 0.0 if N >= m else 1.0,
+        row_weight=lambda m: 1.0,
     )
 
 
@@ -297,6 +393,7 @@ def series_summation_method() -> MatrixSpec:
         row_support=lambda m: (0, m),
         row_tail_abs=lambda m, N: float(max(m - N, 0)),
         row_tail_sum=lambda m, N: float(max(m - N, 0)),
+        row_weight=lambda m: 1.0,
     )
 
 
@@ -307,6 +404,7 @@ def cesaro_method() -> MatrixSpec:
         row_support=lambda m: (0, m),
         row_tail_abs=lambda m, N: max(m - N, 0) / (m + 1.0),
         row_tail_sum=lambda m, N: max(m - N, 0) / (m + 1.0),
+        row_weight=lambda m: 1.0 / (m + 1.0),
     )
 
 
@@ -366,6 +464,7 @@ def scaled_method(spec: MethodSpec, factor: complex) -> MethodSpec:
             row_block=_times(factor, spec.row_block),
             row_tail_abs=_times(mag, spec.row_tail_abs),
             row_tail_sum=_times(factor, spec.row_tail_sum),
+            row_weight=_times(factor, spec.row_weight),
         )
     if isinstance(spec, SeqToFuncSpec):
         return replace(spec, name=f"scaled({spec.name})",
@@ -438,9 +537,11 @@ def _row_norms(arr: np.ndarray, tag: str) -> np.ndarray:
     return np.max(mags, axis=1)
 
 
+# over- and underflow in a block are caught by the finiteness and overflow checks
+@np.errstate(over="ignore", invalid="ignore")
 def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, None),
                    tail_abs=None, tail_sum=None, label: str = "series",
-                   tail_tol: Optional[float] = None):
+                   tail_tol: Optional[float] = None, weight: Optional[complex] = None):
     """Sum sum_n c_n v_n over support = (lo, hi) with a numeric tail certificate.
 
     The sum runs from n = lo up to hi inclusive; a finite support is summed
@@ -450,6 +551,8 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
     geometric-ratio estimate always by _TAIL_TOL.
     coeff_block(a, b) -> complex array of c_a .. c_{b-1}; tail_abs/tail_sum(N)
     describe the coefficient tail beyond the absolute index N (up to hi).
+    A box row (``weight`` w, every c_n = w on the support) sums each source
+    block as w times its sum, and coeff_block is not called.
     Returns (coords, bound, terms).
     Raises NonSummableError when no certificate is reached.
     """
@@ -457,8 +560,7 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
         tail_tol = _TAIL_TOL
     lo, support_end = support
     space = source.space
-    dim = space.dim
-    acc = np.zeros(dim, dtype=complex)
+    acc = np.zeros(space.dim, dtype=complex)
     if support_end is not None and support_end < lo:
         return acc, 0.0, 0
     n = lo
@@ -474,19 +576,16 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
 
     while n < end:
         hi = min(n + block, end)
-        with np.errstate(over="ignore", invalid="ignore"):
+        rec = source._record(n, hi, terms=weight is None)
+        if weight is None:
             cs = np.asarray(coeff_block(n, hi), dtype=complex)
-            vs = source.block(n, hi)
-            if vs.shape != (hi - n, dim):
-                raise ValueError(f"source block shape {vs.shape}, expected {(hi - n, dim)}")
-            blk_sum = (cs[:, None] * vs).sum(axis=0)
+            blk_sum = (cs[:, None] * rec.terms).sum(axis=0)
+        else:
+            blk_sum = weight * rec.total
         # a non-finite term makes its component of the block sum non-finite
         if not np.all(np.isfinite(blk_sum.view(float))):
             fail("non-finite term encountered")
         acc = acc + blk_sum
-        vnorms = _row_norms(vs, space.norm_tag)
-        sup_recent = float(np.max(vnorms)) if vnorms.size else 0.0
-        blk_abs = float(np.sum(np.abs(cs) * vnorms))
         N = hi - 1
         n = hi
 
@@ -495,18 +594,17 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
 
         if tail_abs is not None:
             w_abs = float(tail_abs(N))
-            if w_abs * sup_recent <= tail_tol:
-                return acc, w_abs * sup_recent, n - lo
-            if tail_sum is not None and vs.shape[0] >= 2:
-                # center on the last term: exact (dev = 0) for stable blocks
-                center = vs[-1]
-                dev = float(np.max(_row_norms(vs - center, space.norm_tag)))
-                if w_abs * dev <= tail_tol:
-                    # stabilized closure: recent terms are flat to within dev,
-                    # close the tail with the exact remaining weight
-                    acc = acc + complex(tail_sum(N)) * center
-                    return acc, w_abs * dev, n - lo
+            if w_abs * rec.sup <= tail_tol:
+                return acc, w_abs * rec.sup, n - lo
+            # center on the last term: exact (dev = 0) for stable blocks
+            if tail_sum is not None and rec.size >= 2 and w_abs * rec.dev <= tail_tol:
+                # stabilized closure: recent terms are flat to within dev,
+                # close the tail with the exact remaining weight
+                acc = acc + complex(tail_sum(N)) * rec.last
+                return acc, w_abs * rec.dev, n - lo
 
+        blk_abs = (float(np.sum(np.abs(cs) * rec.norms)) if weight is None
+                   else abs(weight) * rec.abs_total)
         if blk_abs > 1e200:
             fail("terms overflowing")
         if prev_abs is not None and block == _MAX_BLOCK:
@@ -541,31 +639,34 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
 
 
 def _row(spec: MethodSpec, param) -> tuple:
-    """(coeff_block, (lo, hi), tail_abs, tail_sum, label) of a discrete spec at param.
+    """(coeff_block, (lo, hi), tail_abs, tail_sum, label, weight) of a discrete spec at param.
 
     The one reader of a matrix row (param = m >= 0), of sequence-to-function
     coefficients (param = r in [0, F.right)) and of a counting kernel at r:
     coeff_block(a, b) gives the coefficients of indices a .. b-1, (lo, hi) is
-    the support (hi None: no end) and the tail functions of N are those of
-    the spec with its parameter fixed.
+    the support (hi None: no end), the tail functions of N are those of
+    the spec with its parameter fixed, and weight is a box row's one entry
+    (None for every other row).
     """
     if isinstance(spec, MatrixSpec):
         m = int(param)
         if m < 0:
             raise ValueError("row index must be >= 0")
         return (lambda a, b: spec.row_block(m, a, b), spec.row_support(m),
-                _at(spec.row_tail_abs, m), _at(spec.row_tail_sum, m), f"{spec.name} row {m}")
+                _at(spec.row_tail_abs, m), _at(spec.row_tail_sum, m), f"{spec.name} row {m}",
+                None if spec.row_weight is None else spec.row_weight(m))
     if isinstance(spec, SeqToFuncSpec):
         r = float(param)
         if not (0.0 <= r < spec.F.right):
             raise ValueError(f"parameter {r} outside [0, {spec.F.right})")
         return (lambda a, b: spec.coeff_block(r, a, b), (0, None),
-                _at(spec.tail_abs, r), _at(spec.tail_sum, r), f"{spec.name} at r={r}")
+                _at(spec.tail_abs, r), _at(spec.tail_sum, r), f"{spec.name} at r={r}", None)
     if isinstance(spec, KernelSpec) and spec.measure == "counting":
         lo, hi = spec.support(param) if spec.support is not None else (0, None)
         return (lambda a, b: spec.kernel_batch(param, np.arange(a, b)),
                 (int(lo), None if hi is None else int(hi)),
-                _at(spec.tail_abs, param), _at(spec.tail_sum, param), f"{spec.name} at r={param}")
+                _at(spec.tail_abs, param), _at(spec.tail_sum, param), f"{spec.name} at r={param}",
+                None)
     raise TypeError(f"not a method spec: {spec!r}")
 
 
@@ -603,9 +704,9 @@ def transform_at(spec: MethodSpec, source, param, *,
             return spec.kernel_batch(param, ts)[:, None] * source.batch(ts)
 
         return adaptive_quadrature_batch(integrand, (lo, hi), cfg, source.space).value
-    coeff_block, support, tail_abs, tail_sum, label = _row(spec, param)
+    coeff_block, support, tail_abs, tail_sum, label, weight = _row(spec, param)
     coords, _, _ = _certified_sum(coeff_block, source, support, tail_abs, tail_sum, label,
-                                  tail_tol=tail_tol)
+                                  tail_tol=tail_tol, weight=weight)
     return VectorValue(coords, source.space)
 
 

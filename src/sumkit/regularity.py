@@ -223,7 +223,7 @@ def _kernel_integral(spec: MethodSpec, r, upto=None, absolute: bool = False):
                                             (lo, hi), cfg, SCALAR)
             value = complex(res.value.coords[0])
     else:
-        coeff_block, (lo, hi), tail_abs, tail_sum, label = _row(spec, r)
+        coeff_block, (lo, hi), tail_abs, tail_sum, label, _ = _row(spec, r)
         if upto is not None:
             hi = int(upto if hi is None else min(hi, upto))
             tail_abs = tail_sum = None

@@ -285,6 +285,13 @@ def test_builtin_cesaro_regularity_has_three_condition_blocks(tmp_path):
     assert "RegularEvidence" in text
 
 
+def test_run_config_opens_a_path_object(tmp_path):
+    path = builtin_config_path("cesaro-regularity")
+    assert isinstance(path, os.PathLike)
+    assert run_config(path, str(tmp_path / "out")) == 0
+    assert "RegularEvidence" in _read(tmp_path / "out" / "cesaro-st.csv")
+
+
 def test_builtin_cesaro_vs_abel_transfers(tmp_path):
     out = tmp_path / "out"
     assert run_config(str(builtin_config_path("cesaro-vs-abel")), str(out)) == 0

@@ -306,7 +306,7 @@ def test_summability_limit_samples_equal_lone_transforms(monkeypatch, spec, src)
 
 @pytest.mark.parametrize("spec, depth, terms", [
     (abel_method(), 14, 283_968),      # 604,032 when every sample reads from index 0
-    (cesaro_method(), 19, 1_544_309),  # 2,097,205
+    (cesaro_method(), 19, 888_949),    # 1,544,309 when box rows read every block per row
 ], ids=["abel", "cesaro"])
 def test_summability_limit_reads_each_leading_block_once(spec, depth, terms):
     src, read = _counted_grandi()
@@ -332,6 +332,69 @@ def test_shared_blocks_keep_at_most_the_ramp_and_one_max_block(monkeypatch):
     gone = weakref.ref(memo)
     del memo, shared, taken[:]
     assert gone() is None
+
+
+# ---------------------------------------------------------------------------
+# box rows: one weight on the support, each block summed as weight * sum
+
+# on and around the block edges 64, 320 and 87,360 (the end of the kept
+# ramp), and past the kept ramp
+BOX_ROWS = (63, 64, 319, 320, 87_359, 87_360, 2**17 + 1)
+BOX_SPECS = [cesaro_method(), series_summation_method(), identity_method()]
+
+
+def _dyadic4(ns):
+    # A C^4 block is summed row by row (numpy's axis-0 reduction), so the
+    # error of rounded terms grows with the row.  Dyadic terms make every
+    # partial sum exact, which leaves the weight and the product as the only
+    # roundings.
+    return np.stack([(1.0 + (-1.0) ** ns) / 2.0 + 0.25j, (ns % 3) / 4.0 + 1j * (ns % 5),
+                     0.5 - (ns % 7) / 8.0 + 0j, 3.0 - 1j * (ns % 2)], axis=1)
+
+
+@pytest.mark.parametrize("src", [ALT_PARTIAL, scalar_sequence(lambda n: 1.0 + 1.0 / (n + 1.0)),
+                                 vector_sequence(_dyadic4, SpaceDescriptor(4, "l2"))],
+                         ids=["grandi", "slow", "dyadic_C4"])
+@pytest.mark.parametrize("spec", BOX_SPECS, ids=lambda s: s.name)
+def test_box_rows_match_an_fsum_reference(spec, src):
+    shared = methods._SharedBlocks(src)
+    for m in BOX_ROWS:
+        got = transform_at(spec, src, m).coords
+        # a grid's rows share one memo, kept prefixes and summaries included
+        assert np.array_equal(transform_at(spec, shared, m).coords, got)
+        terms = src.block(0, m + 1)
+        if spec.name == "identity":
+            terms = terms[m:]
+        divisor = m + 1.0 if spec.name == "cesaro" else 1.0
+        for j in range(terms.shape[1]):
+            for part in ("real", "imag"):
+                ref = math.fsum(getattr(terms[:, j], part)) / divisor
+                assert abs(getattr(got[j], part) - ref) <= 2 * math.ulp(ref), (m, j, part)
+
+
+def test_scaled_box_row_reads_as_much_and_doubles_the_value():
+    src, read = _counted_grandi()
+    plain = summability_limit(cesaro_method(), src, depth=19, tol=1e-3)
+    src, scaled_read = _counted_grandi()
+    scaled = summability_limit(methods.scaled_method(cesaro_method(), 2), src, depth=19, tol=1e-3)
+    assert scaled_read[0] == read[0]
+    assert np.array_equal(scaled.value.coords, 2 * plain.value.coords)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("spec", BOX_SPECS, ids=lambda s: s.name)
+def test_box_row_with_a_non_finite_term_is_not_summable(spec, bad):
+    src = scalar_sequence(lambda n: np.where(n == 100, bad, (1.0 + (-1.0) ** n) / 2.0))
+    with pytest.raises(NonSummableError, match="non-finite term"):
+        transform_at(spec, src, 100)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e308])  # huge terms; a block sum past the float range
+@pytest.mark.parametrize("spec", BOX_SPECS[:2], ids=lambda s: s.name)
+def test_box_row_with_overflowing_terms_is_not_summable(spec, scale):
+    src = scalar_sequence(lambda n: scale * (1.0 + n % 2))
+    with pytest.raises(NonSummableError, match="overflowing|non-finite"):
+        transform_at(spec, src, 100)
 
 
 # ---------------------------------------------------------------------------
