@@ -4,14 +4,22 @@ The adaptive engine bisects panels and estimates each panel's error from the
 difference between a 7-point Gauss-Legendre value on the panel and the sum of
 the same rule on its two halves (polynomial exactness degree 13).  Panels are
 accepted against a length-proportional share of the global tolerance, so the
-total error estimate is <= cfg.tol.  Refinement is level-synchronous: every
-panel still pending at one bisection depth is evaluated in a single integrand
-call, and accepted panels are summed left to right, so the result equals a
-depth-first refinement of the same panel tree bit for bit.  A budget of
-_MAX_EVALUATIONS integrand evaluations bounds the work (and so the memory of a
-level), as QUADPACK's subinterval ``limit`` does: a level that would exceed it
-raises QuadratureError naming the failed panel with the largest error at the
-last evaluated level, whose halves were pending.
+total error estimate is <= cfg.tol.
+
+It is one engine over a family of K integrals (``_adaptive_family``); a lone
+integral is the family with K = 1.  Refinement is level-synchronous: every
+panel still pending at one bisection depth, whichever integral it belongs
+to, is evaluated in a single integrand call, which is told the integral of
+each node.  Each integral is judged on its own: its own tolerance share,
+``max_depth``, accepted-panel sum and budget of _MAX_EVALUATIONS integrand
+evaluations, which bounds its work as QUADPACK's subinterval ``limit`` does.
+An integral whose next level would exceed its budget ends with a
+QuadratureError naming its failed panel with the largest error at its last
+evaluated level, whose halves were pending; the others go on.  Accepted
+panels are summed left to right, so each integral equals a depth-first
+refinement of its own panel tree bit for bit, whatever else shares its
+levels.  No integrand call gets more than _MAX_EVALUATIONS nodes: a larger
+level is split into consecutive calls, which leaves the bits unchanged.
 
 Integrands with the 1/(1-t) boundary blow-up are handled by the log-boundary
 substitution u = -log(1-t), which makes the transformed integrand bounded.
@@ -24,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .vspace import SCALAR, LinearFunctional, SpaceDescriptor, VectorValue, space_norm
 
@@ -32,7 +39,14 @@ SUBSTITUTION_NONE = "none"
 SUBSTITUTION_LOG_BOUNDARY = "log_boundary"
 
 _GL_ORDER = 7
-_GL_X, _GL_W = roots_legendre(_GL_ORDER)
+# nodes and weights of the 7-point Gauss-Legendre rule on [-1, 1], the exact
+# float64 values scipy.special.roots_legendre(7) returns (importing scipy
+# here would load scipy.linalg with every ``import sumkit``)
+_GL_X = np.array([-0.9491079123427584, -0.7415311855993945, -0.4058451513773972, 0.0,
+                  0.4058451513773972, 0.7415311855993945, 0.9491079123427584])
+_GL_W = np.array([0.12948496616886992, 0.2797053914892766, 0.38183005050511876,
+                  0.4179591836734691, 0.38183005050511876, 0.2797053914892766,
+                  0.12948496616886992])
 # about 200x the largest count any shipped config, test or benchmark round uses
 _MAX_EVALUATIONS = 100_000
 
@@ -68,101 +82,186 @@ class QuadratureResult:
     evaluations: int
 
 
-def _panels(fbatch, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """7-point Gauss-Legendre values of a batch integrand on the panels [lo_i, hi_i].
+def _panels(fbatch, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """7-point Gauss-Legendre values of a family integrand on the panels [lo_i, hi_i].
 
-    One integrand call on all 7 n nodes; ``matmul`` reduces each panel's 7
-    rows exactly as ``_GL_W @ vals`` does for that panel alone, so row i does
-    not depend on which other panels share the call.
+    ``owner[i]`` is the integral panel i belongs to, and the integrand gets
+    each node's owner with the nodes.  One integrand call takes at most
+    _MAX_EVALUATIONS nodes; more panels go to consecutive calls.  ``matmul``
+    reduces each panel's 7 rows exactly as ``_GL_W @ vals`` does for that
+    panel alone, so row i does not depend on which other panels share the
+    call.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    vals = fbatch((mid[:, None] + half[:, None] * _GL_X).ravel())  # shape (7 n, d)
-    return half[:, None] * np.matmul(_GL_W, vals.reshape(len(lo), _GL_ORDER, vals.shape[1]))
+    step = _MAX_EVALUATIONS // _GL_ORDER
+    out = []
+    for s in range(0, len(lo), step):
+        mid = 0.5 * (lo[s:s + step] + hi[s:s + step])
+        half = 0.5 * (hi[s:s + step] - lo[s:s + step])
+        vals = fbatch((mid[:, None] + half[:, None] * _GL_X).ravel(),
+                      np.repeat(owner[s:s + step], _GL_ORDER))  # shape (7 n, d)
+        out.append(half[:, None] * np.matmul(_GL_W, vals.reshape(len(mid), _GL_ORDER,
+                                                                 vals.shape[1])))
+    return np.concatenate(out)
 
 
-def _adaptive(fbatch, a: float, b: float, tol: float, max_depth: int,
-              max_evaluations: int = _MAX_EVALUATIONS):
-    """Adaptive bisection; returns (value array, err_estimate, evaluations).
+def _adaptive_family(fbatch, a, b, tol: float, max_depth: int,
+                     max_evaluations: int = _MAX_EVALUATIONS) -> list:
+    """Adaptive bisection of K integrals over [a_k, b_k] in lockstep.
 
-    Level-synchronous: each level bisects every pending panel and evaluates
-    all the halves in one integrand call (the first call also evaluates the
-    root panel itself).  Accepted panels are summed in order of increasing
-    left endpoint, which is the order a depth-first search of the same panel
-    tree accepts them in, so value, error and evaluation count do not depend
-    on the traversal.  A level that would take the count past
-    ``max_evaluations`` is not evaluated: the error names the failed panel
-    with the largest error at the last evaluated level, whose halves were
-    pending (the root, with no estimate, if the first call does not fit).
+    ``fbatch(ts, owner)`` returns the (len(ts), d) integrand values at the
+    nodes ts, where owner[i] is the index k of the integral node i belongs
+    to; owners come in nondecreasing order.  Returns, per integral, its
+    (value array, err_estimate, evaluations) or its QuadratureError.
+
+    Level-synchronous: each level bisects every pending panel of every
+    integral and evaluates all the halves in one integrand call (the first
+    call also evaluates each root panel itself).  An integral's accepted
+    panels are summed in order of increasing left endpoint, which is the
+    order a depth-first search of its panel tree accepts them in, so its
+    value, error and evaluation count depend neither on the traversal nor on
+    the other integrals.  A level that would take an integral's count past
+    ``max_evaluations`` is not evaluated for it: its error names its failed
+    panel with the largest error at its last evaluated level, whose halves
+    were pending (the root, with no estimate, if its first call does not
+    fit).  At ``max_depth`` an integral with a failed panel names its
+    left-most one, as a depth-first search would meet it.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total_len = b - a
-    if total_len == 0.0:
-        probe = fbatch(np.asarray([a]))
-        return np.zeros(probe.shape[1], dtype=complex), 0.0, 1
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    evaluations = 0
-    worst = (a, b), None  # worst failed panel of the last level (none yet: the root)
-    accepted = []  # (left endpoints, panel values, errors), one triple per level
+    out = [None] * a.size
+    evaluations = np.zeros(a.size, dtype=int)
+    empty = np.flatnonzero(total_len == 0.0)
+    if empty.size:  # no mass on a point; one node per empty interval gives the dimension
+        dim = fbatch(a[empty], empty).shape[1]
+        for k in empty:
+            out[k] = np.zeros(dim, dtype=complex), 0.0, 1
+    owner = np.flatnonzero(total_len != 0.0)
+    lo, hi, coarse = a[owner], b[owner], None
+    failed = None  # (lo, hi, err, owner) of the last level's failed panels (none yet: the roots)
+    accepted = []  # (owners, left endpoints, panel values, errors), one tuple per level
     for depth in range(max_depth + 1):
-        cost = _GL_ORDER * (2 * len(lo) + (depth == 0))
-        if evaluations + cost > max_evaluations:
-            (wlo, whi), west = worst
-            raise QuadratureError(
-                f"evaluation budget {max_evaluations} exhausted with {len(lo)} panels "
+        pending = np.bincount(owner, minlength=a.size)
+        cost = _GL_ORDER * (2 * pending + (depth == 0))
+        live = pending > 0
+        over = np.flatnonzero(live & (evaluations + cost > max_evaluations))
+        for k in over:
+            if failed is None:
+                (wlo, whi), west = (float(a[k]), float(b[k])), None
+            else:
+                failed_lo, failed_hi, failed_err, failed_owner = failed
+                mine = np.flatnonzero(failed_owner == k)
+                i = mine[np.argmax(failed_err[mine])]
+                (wlo, whi), west = (float(failed_lo[i]), float(failed_hi[i])), float(failed_err[i])
+            out[k] = QuadratureError(
+                f"evaluation budget {max_evaluations} exhausted with {pending[k]} panels "
                 f"pending; worst failed panel [{wlo}, {whi}]"
                 + ("" if west is None else f" (estimate {west:.3e})"),
                 worst_interval=(wlo, whi),
                 estimate=west,
             )
-        ends = np.array((lo, 0.5 * (lo + hi), hi)).T  # row i: lo, mid, hi of panel i
-        panels_lo, panels_hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
-        if depth == 0:  # the root's own value comes from the same call
-            panels_lo, panels_hi = np.concatenate((lo, panels_lo)), np.concatenate((hi, panels_hi))
-        vals = _panels(fbatch, panels_lo, panels_hi)
-        evaluations += cost
-        if depth == 0:
-            coarse, vals = vals[:1], vals[1:]
-        halves = vals.reshape(len(lo), 2, -1)
-        fine = halves[:, 0] + halves[:, 1]
-        err = np.abs(fine - coarse).max(axis=1, initial=0.0)
-        width = hi - lo
-        ok = (err <= tol * width / total_len) | (width <= 1e-15 * total_len)
-        bad = (~ok).nonzero()[0]
-        if not bad.size and depth == 0:  # the root panel is accepted
-            return fine[0], float(err[0]), evaluations
-        accepted.append((lo[ok], fine[ok], err[ok]))
-        if not bad.size:
+        if over.size:
+            live[over] = False
+            keep = live[owner]
+            lo, hi, owner = lo[keep], hi[keep], owner[keep]
+            coarse = None if coarse is None else coarse[keep]
+        if not owner.size:
             break
+        evaluations[live] += cost[live]
+        ends = np.array((lo, 0.5 * (lo + hi), hi)).T  # row i: lo, mid, hi of panel i
+        panels_lo, panels_hi = ends[:, :2], ends[:, 1:]
+        if depth == 0:  # the roots' own values come from the same call
+            panels_lo, panels_hi = np.column_stack((lo, panels_lo)), np.column_stack((hi, panels_hi))
+        per = panels_lo.shape[1]
+        vals = _panels(fbatch, panels_lo.ravel(), panels_hi.ravel(), np.repeat(owner, per))
+        vals = vals.reshape(len(lo), per, vals.shape[1])
+        if depth == 0:
+            coarse, vals = vals[:, 0], vals[:, 1:]
+        fine = vals[:, 0] + vals[:, 1]
+        err = np.abs(fine - coarse).max(axis=1, initial=0.0)
+        width, span = hi - lo, total_len[owner]
+        ok = (err <= tol * width / span) | (width <= 1e-15 * span)
+        accepted.append((owner[ok], lo[ok], fine[ok], err[ok]))
+        bad = (~ok).nonzero()[0]
         if depth >= max_depth:
-            i = bad[0]  # left-most, as a depth-first search would meet it
-            raise QuadratureError(
-                f"max depth {max_depth} exceeded on [{lo[i]}, {hi[i]}] (estimate {err[i]:.3e})",
-                worst_interval=(float(lo[i]), float(hi[i])),
-                estimate=float(err[i]),
-            )
-        i = bad[np.argmax(err[bad])]
-        worst = (float(lo[i]), float(hi[i])), float(err[i])
+            ks, first = np.unique(owner[bad], return_index=True)
+            for k, i in zip(ks, bad[first]):
+                out[k] = QuadratureError(
+                    f"max depth {max_depth} exceeded on [{lo[i]}, {hi[i]}] "
+                    f"(estimate {err[i]:.3e})",
+                    worst_interval=(float(lo[i]), float(hi[i])),
+                    estimate=float(err[i]),
+                )
+            break
+        failed = lo[bad], hi[bad], err[bad], owner[bad]
         lo, hi = ends[bad, :2].ravel(), ends[bad, 1:].ravel()
-        coarse = halves[bad].reshape(2 * bad.size, -1)
-    starts, values, errs = (np.concatenate(parts) for parts in zip(*accepted))
-    order = starts.argsort(kind="stable")
-    # cumsum folds left to right, one addition at a time
-    return values[order].cumsum(axis=0)[-1], float(errs[order].cumsum()[-1]), evaluations
+        owner = np.repeat(owner[bad], 2)
+        coarse = vals[bad].reshape(2 * bad.size, vals.shape[2])
+    if accepted:
+        owners, starts, values, errs = (np.concatenate(parts) for parts in zip(*accepted))
+        order = np.lexsort((starts, owners))  # stable: by integral, then left endpoint
+        owners, values, errs = owners[order], values[order], errs[order]
+        bounds = np.searchsorted(owners, np.arange(a.size + 1))
+        for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if out[k] is None:
+                # cumsum folds left to right, one addition at a time
+                out[k] = (values[s:e].cumsum(axis=0)[-1], float(errs[s:e].cumsum()[-1]),
+                          int(evaluations[k]))
+    return out
+
+
+def _adaptive(fbatch, a: float, b: float, tol: float, max_depth: int,
+              max_evaluations: int = _MAX_EVALUATIONS):
+    """One integral, K = 1 of ``_adaptive_family``: (value array, err_estimate, evaluations).
+
+    ``fbatch(ts)`` takes the nodes alone.  Raises the integral's
+    QuadratureError.
+    """
+    (out,) = _adaptive_family(lambda ts, owner: fbatch(ts), [a], [b], tol, max_depth,
+                              max_evaluations)
+    if isinstance(out, QuadratureError):
+        raise out
+    return out
 
 
 def _log_boundary_wrap(fbatch, a: float, b: float):
-    """Map [a, b] in [0, 1) to u-space via u = -log(1-t)."""
+    """Map [a, b] in [0, 1) to u-space via u = -log(1-t).
+
+    The wrapped integrand passes any further arguments (a family's owners)
+    through to fbatch.
+    """
     if not (0.0 <= a <= b < 1.0):
         raise ValueError("log-boundary substitution needs [a, b] inside [0, 1)")
     ua = -math.log1p(-a)
     ub = -math.log1p(-b)
 
-    def gbatch(us: np.ndarray) -> np.ndarray:
+    def gbatch(us: np.ndarray, *owner) -> np.ndarray:
         eu = np.exp(-us)
         ts = 1.0 - eu
-        return fbatch(ts) * eu[:, None]
+        return fbatch(ts, *owner) * eu[:, None]
 
     return gbatch, ua, ub
+
+
+def adaptive_quadrature_family(fbatch, intervals, cfg: QuadratureConfig) -> list:
+    """Integrate a family integrand over each of ``intervals`` in one engine call.
+
+    ``fbatch(ts, owner)`` is as for ``_adaptive_family``, with owner k for
+    the k-th interval.  Each interval is checked and mapped by
+    cfg.substitution as a lone ``adaptive_quadrature_batch`` call maps it,
+    and an invalid one raises ValueError for the whole family.  Returns,
+    per interval, (value array, err_estimate, evaluations) or the
+    QuadratureError the lone call would raise.
+    """
+    integrand, ends = fbatch, []
+    for interval in intervals:
+        a, b = float(interval[0]), float(interval[1])
+        if b < a:
+            raise ValueError(f"empty interval [{a}, {b}]")
+        if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
+            integrand, a, b = _log_boundary_wrap(fbatch, a, b)  # the same integrand for each
+        ends.append((a, b))
+    a, b = np.array(ends, dtype=float).reshape(-1, 2).T
+    return _adaptive_family(integrand, a, b, cfg.tol, cfg.max_depth)
 
 
 def adaptive_quadrature_batch(
@@ -172,12 +271,10 @@ def adaptive_quadrature_batch(
     space: SpaceDescriptor,
 ) -> QuadratureResult:
     """Integrate a batch integrand ts -> (len(ts), dim) array componentwise."""
-    a, b = float(interval[0]), float(interval[1])
-    if b < a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
-        fbatch, a, b = _log_boundary_wrap(fbatch, a, b)
-    arr, err, n = _adaptive(fbatch, a, b, cfg.tol, cfg.max_depth)
+    (out,) = adaptive_quadrature_family(lambda ts, owner: fbatch(ts), [interval], cfg)
+    if isinstance(out, QuadratureError):
+        raise out
+    arr, err, n = out
     return QuadratureResult(VectorValue(arr, space), err, n)
 
 

@@ -45,7 +45,15 @@ Every object is given by one vectorised callable (``row_block``,
 single index.  ``_row`` is the one reader of the discrete specs: a matrix
 row, the coefficients a_n(r) and a counting kernel at r are all a
 coefficient block, a support ``(lo, hi)`` summed from ``lo``, and the tail
-weights of the certificates.  Only a Lebesgue kernel is integrated.
+weights of the certificates.  Only a Lebesgue kernel is integrated, over a
+support that must lie in the source's domain.  The integrals of every grid
+parameter of one call refine in lockstep (``_kernel_quadratures``): each
+level reads the source once at the nodes of all pending integrals, and the
+kernel once per parameter on that parameter's run of nodes.  So a
+``FunctionSource.batch`` and a ``KernelSpec.kernel_batch`` must be
+elementwise in t (a value at t depends on t alone, not on the other nodes
+of the call), as every one built here is; each integral then equals a lone
+one bit for bit.
 """
 
 from __future__ import annotations
@@ -74,8 +82,10 @@ from .integrate import (
     QuadratureConfig,
     QuadratureError,
     SUBSTITUTION_NONE,
-    adaptive_quadrature_batch,
+    adaptive_quadrature_family,
 )
+# Unused here; perfbench/layers.py wraps ``methods.adaptive_quadrature_batch`` by name.
+from .integrate import adaptive_quadrature_batch  # noqa: F401
 from .vspace import SCALAR, SpaceDescriptor, VectorValue
 
 
@@ -239,7 +249,11 @@ class _SharedBlocks(SequenceSource):
 
 
 class FunctionSource:
-    """Lazy X-valued function on [0, R) given by its vectorised ``batch(ts)``."""
+    """Lazy X-valued function on [0, R) given by its vectorised ``batch(ts)``.
+
+    ``batch`` must be elementwise in t: a Lebesgue transform evaluates it on
+    the quadrature nodes of a whole parameter grid at once.
+    """
 
     def __init__(self, batch, space: SpaceDescriptor = SCALAR,
                  domain: HalfOpenInterval = UNIT_INTERVAL, name: str = ""):
@@ -349,7 +363,8 @@ class KernelSpec:
     """Kernel a(r, t) integrated against v over E (counting or Lebesgue)."""
 
     name: str
-    kernel_batch: Callable[[float, np.ndarray], np.ndarray]  # (r, ts) -> a(r, ts)
+    # (r, ts) -> a(r, ts), elementwise in t: a grid's quadratures share its calls
+    kernel_batch: Callable[[float, np.ndarray], np.ndarray]
     E: IndexDomain = UNIT_INTERVAL
     F: IndexDomain = UNIT_INTERVAL
     measure: str = "lebesgue"
@@ -671,39 +686,73 @@ def _row(spec: MethodSpec, param) -> tuple:
 
 
 def _kernel_support(spec: KernelSpec, r) -> tuple:
-    """(lo, hi, cfg): where a Lebesgue kernel a(r, .) lives and how to integrate it.
-
-    The support defaults to all of E and must be bounded; the quadrature
-    uses the spec's substitution.
-    """
+    """(lo, hi): where a Lebesgue kernel a(r, .) lives; all of E by default, and bounded."""
     if spec.support is not None:
         lo, hi = spec.support(r)
     else:
         lo, hi = 0.0, (spec.E.right if isinstance(spec.E, HalfOpenInterval) else math.inf)
     if math.isinf(hi):
         raise ValueError("unbounded kernel support needs an explicit support declaration")
-    return lo, hi, QuadratureConfig(substitution=spec.substitution)
+    return lo, hi
+
+
+def _kernel_quadratures(spec: KernelSpec, params, intervals, times) -> list:
+    """Integrals of times(a(p_k, ts), ts) over intervals[k], one per parameter p_k.
+
+    One quadrature engine call with the spec's substitution integrates them
+    all: each level reads the kernel once per pending parameter, on that
+    parameter's contiguous run of nodes, and hands ``times`` every node of
+    the level at once.  ``times`` returns the (len(ts), dim) integrand.
+    A kernel must be elementwise in t, so each integral equals a lone one
+    bit for bit.  Returns what ``adaptive_quadrature_family`` returns.
+    """
+
+    def integrand(ts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1), len(ts)]
+        kernel = [spec.kernel_batch(params[owner[s]], ts[s:e]) for s, e in zip(cuts, cuts[1:])]
+        return times(np.concatenate(kernel), ts)
+
+    return adaptive_quadrature_family(integrand, intervals,
+                                      QuadratureConfig(substitution=spec.substitution))
+
+
+def _lebesgue_transforms(spec: KernelSpec, source, params) -> list:
+    """The Lebesgue-kernel transform of ``source`` at every parameter, in lockstep.
+
+    Each level of the quadrature reads the source once, at the nodes of
+    every pending integral.  Returns, per parameter, a VectorValue or the
+    QuadratureError of its integral.  Raises ValueError when a kernel's
+    support reaches past the source's domain.
+    """
+    if not isinstance(source, FunctionSource):
+        raise TypeError("Lebesgue kernels need a FunctionSource")
+    intervals = [_kernel_support(spec, r) for r in params]
+    for r, (lo, hi) in zip(params, intervals):
+        if hi > source.domain.right:
+            raise ValueError(f"{spec.name} at r={r} integrates over [{lo}, {hi}], past the "
+                             f"source's domain [0, {source.domain.right})")
+    outs = _kernel_quadratures(spec, params, intervals,
+                               lambda kernel, ts: kernel[:, None] * source.batch(ts))
+    return [out if isinstance(out, QuadratureError) else VectorValue(out[0], source.space)
+            for out in outs]
 
 
 def transform_at(spec: MethodSpec, source, param, *,
                  tail_tol: Optional[float] = None) -> VectorValue:
     """The transform of ``source`` at ``param``: the one transform entry point.
 
-    A Lebesgue kernel integrates a(r, .) v(.) over its support, componentwise;
-    every other method (a matrix row m, coefficients a_n(r), a counting
-    kernel) is a certified sum over its row (see ``_row``), exact for finitely
-    supported rows, with its tail certified to ``tail_tol`` (None:
-    ``_TAIL_TOL``).
+    A Lebesgue kernel integrates a(r, .) v(.) over its support, componentwise,
+    and raises ValueError when that support reaches past the source's
+    domain; every other method (a matrix row m, coefficients a_n(r), a
+    counting kernel) is a certified sum over its row (see ``_row``), exact
+    for finitely supported rows, with its tail certified to ``tail_tol``
+    (None: ``_TAIL_TOL``).
     """
     if isinstance(spec, KernelSpec) and spec.measure != "counting":
-        if not isinstance(source, FunctionSource):
-            raise TypeError("Lebesgue kernels need a FunctionSource")
-        lo, hi, cfg = _kernel_support(spec, param)
-
-        def integrand(ts: np.ndarray) -> np.ndarray:
-            return spec.kernel_batch(param, ts)[:, None] * source.batch(ts)
-
-        return adaptive_quadrature_batch(integrand, (lo, hi), cfg, source.space).value
+        (value,) = _lebesgue_transforms(spec, source, [param])
+        if isinstance(value, QuadratureError):
+            raise value
+        return value
     coeff_block, support, tail_abs, tail_sum, label, weight = _row(spec, param)
     coords, _, _ = _certified_sum(coeff_block, source, support, tail_abs, tail_sum, label,
                                   tail_tol=tail_tol, weight=weight)
@@ -721,12 +770,15 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20,
     Each sample's tail is certified to ``tol * _TAIL_SHARE`` (at least
     ``_TAIL_TOL``): the limit is asked for only to ``tol``.  The samples of a
     sequence source share its leading blocks (``_SharedBlocks``), so each
-    sample equals a lone ``transform_at`` at that tail tolerance.
+    sample equals a lone ``transform_at`` at that tail tolerance.  A
+    Lebesgue kernel integrates the whole grid in one lockstep quadrature
+    (``_lebesgue_transforms``), each sample again equal to a lone
+    ``transform_at`` bit for bit.
 
     Transform failures at individual grid points are recorded in
-    ``failed_points`` rather than aborting; a failure inside the trailing
-    estimation window (``domains._WINDOW`` samples) downgrades the estimate
-    to inconclusive.
+    ``failed_points`` rather than aborting; a failure among the last
+    2 * ``domains._WINDOW`` parameters downgrades the estimate to
+    inconclusive.
     """
     window = domains._WINDOW
     F = method_parameter_domain(spec)
@@ -738,16 +790,21 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20,
     else:
         params = list(grid)
 
-    tail_tol = max(tol * _TAIL_SHARE, _TAIL_TOL)
-    if isinstance(source, SequenceSource):
-        source = _SharedBlocks(source)
-    samples = []
-    failed = []
-    for p in params:
-        try:
-            samples.append(transform_at(spec, source, p, tail_tol=tail_tol))
-        except (NonSummableError, QuadratureError) as exc:
-            failed.append((p, f"{type(exc).__name__}: {exc}"))
+    if isinstance(spec, KernelSpec) and spec.measure != "counting":
+        outcomes = _lebesgue_transforms(spec, source, params)
+    else:
+        tail_tol = max(tol * _TAIL_SHARE, _TAIL_TOL)
+        if isinstance(source, SequenceSource):
+            source = _SharedBlocks(source)
+        outcomes = []
+        for p in params:
+            try:
+                outcomes.append(transform_at(spec, source, p, tail_tol=tail_tol))
+            except NonSummableError as exc:
+                outcomes.append(exc)
+    samples = [out for out in outcomes if isinstance(out, VectorValue)]
+    failed = [(p, f"{type(out).__name__}: {out}")
+              for p, out in zip(params, outcomes) if not isinstance(out, VectorValue)]
 
     failed_tuple = tuple(failed)
     if len(samples) < 2:

@@ -24,7 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .domains import exhaustion, loglog_slope, non_increasing, parameter_grid
-from .integrate import QuadratureError, adaptive_quadrature_batch
+from .integrate import QuadratureError
+# Unused here; perfbench/layers.py wraps ``regularity.adaptive_quadrature_batch`` by name.
+from .integrate import adaptive_quadrature_batch  # noqa: F401
 from .methods import (
     KernelSpec,
     MatrixSpec,
@@ -32,10 +34,10 @@ from .methods import (
     NonSummableError,
     SequenceSource,
     _certified_sum,
+    _kernel_quadratures,
     _kernel_support,
     _row,
 )
-from .vspace import SCALAR
 
 PASS = "pass"
 FAIL = "fail"
@@ -141,21 +143,18 @@ class _RegularityReport:
 # Grid rules shared by the matrix and kernel forms
 
 
-def _scan(grid, value_of) -> tuple:
-    """Evaluate value_of at every grid point: (cells, values, undecided).
+def _scan(grid, outcomes) -> tuple:
+    """The cells of a grid path, one outcome per grid point: (cells, values, undecided).
 
-    A point whose integral or certified sum fails is a (p, nan, UNDECIDED)
-    cell and sets ``undecided``; the others are (p, value, "") cells, and
-    ``values`` lists their values in grid order.
+    A point whose outcome is the QuadratureError or NonSummableError of its
+    integral or certified sum is a (p, nan, UNDECIDED) cell and sets
+    ``undecided``; the others are (p, value, "") cells, and ``values`` lists
+    their values in grid order.
     """
-    cells = []
-    for p in grid:
-        try:
-            cells.append((p, value_of(p), ""))
-        except (QuadratureError, NonSummableError):
-            cells.append((p, math.nan, UNDECIDED))
+    cells = tuple((p, math.nan, UNDECIDED) if isinstance(v, (QuadratureError, NonSummableError))
+                  else (p, v, "") for p, v in zip(grid, outcomes))
     values = [value for _, value, verdict in cells if verdict != UNDECIDED]
-    return tuple(cells), values, len(values) < len(cells)
+    return cells, values, len(values) < len(cells)
 
 
 def _bounded(name: str, cells: tuple, values: list, half: int, undecided: bool,
@@ -200,42 +199,65 @@ _ONES = SequenceSource(block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex)
 _EXACT_TERMS = 2_000_000
 
 
-def _kernel_integral(spec: MethodSpec, r, upto=None, absolute: bool = False):
-    """Integral of a(r, .) -- of |a(r, .)| when ``absolute`` -- over its support.
+def _kernel_integrals(spec: MethodSpec, grid, upto=None, absolute: bool = False) -> list:
+    """Integral of a(p, .) -- of |a(p, .)| when ``absolute`` -- over its support, at every p.
 
-    A Lebesgue kernel is integrated by quadrature.  Any discrete spec (a
-    matrix row m, coefficients a_n(r), a counting kernel) is read by
-    ``methods._row`` and summed against ones: a signed sum over a finite
+    A Lebesgue kernel is integrated by quadrature, the whole grid in one
+    lockstep engine call (``methods._kernel_quadratures``); a window that
+    cuts a support away is 0.  Any discrete spec (a matrix row m,
+    coefficients a_n(r), a counting kernel) is read by ``methods._row`` and
+    summed against ones, one point at a time: a signed sum over a finite
     support exactly with math.fsum, anything else with a tail certificate.
     ``upto`` cuts the support to the compact window [0, upto].  Absolute
-    integrals are returned as floats.
+    integrals are floats.  A point whose integral fails holds its
+    QuadratureError or NonSummableError.
     """
 
     def weights(a):
         return np.abs(a) + 0j if absolute else a
 
+    def finish(value):
+        return float(value.real) if absolute else value
+
     if isinstance(spec, KernelSpec) and spec.measure != "counting":
-        lo, hi, cfg = _kernel_support(spec, r)
-        hi = hi if upto is None else min(hi, upto)
-        value = 0.0
-        if hi > lo:
-            res = adaptive_quadrature_batch(lambda ts: weights(spec.kernel_batch(r, ts))[:, None],
-                                            (lo, hi), cfg, SCALAR)
-            value = complex(res.value.coords[0])
-    else:
-        coeff_block, (lo, hi), tail_abs, tail_sum, label, _ = _row(spec, r)
+        cuts = [(lo, hi if upto is None else min(hi, upto))
+                for lo, hi in (_kernel_support(spec, r) for r in grid)]
+        live = [k for k, (lo, hi) in enumerate(cuts) if hi > lo]
+        out = [finish(0.0)] * len(cuts)
+        outs = _kernel_quadratures(spec, [grid[k] for k in live], [cuts[k] for k in live],
+                                   lambda kernel, ts: weights(kernel)[:, None])
+        for k, res in zip(live, outs):
+            out[k] = res if isinstance(res, QuadratureError) else finish(complex(res[0][0]))
+        return out
+
+    def row_integral(p):
+        coeff_block, (lo, hi), tail_abs, tail_sum, label, _ = _row(spec, p)
         if upto is not None:
             hi = int(upto if hi is None else min(hi, upto))
             tail_abs = tail_sum = None
         if not absolute and hi is not None and hi - lo <= _EXACT_TERMS:
             entries = np.asarray(coeff_block(lo, hi + 1), dtype=complex)
-            value = complex(math.fsum(entries.real), math.fsum(entries.imag))
-        else:
-            coords, _, _ = _certified_sum(lambda a, b: weights(coeff_block(a, b)), _ONES,
-                                          (lo, hi), tail_abs, tail_abs if absolute else tail_sum,
-                                          label)
-            value = complex(coords[0])
-    return float(value.real) if absolute else value
+            return complex(math.fsum(entries.real), math.fsum(entries.imag))
+        coords, _, _ = _certified_sum(lambda a, b: weights(coeff_block(a, b)), _ONES,
+                                      (lo, hi), tail_abs, tail_abs if absolute else tail_sum,
+                                      label)
+        return finish(complex(coords[0]))
+
+    out = []
+    for p in grid:
+        try:
+            out.append(row_integral(p))
+        except NonSummableError as exc:
+            out.append(exc)
+    return out
+
+
+def _kernel_integral(spec: MethodSpec, r, upto=None, absolute: bool = False):
+    """``_kernel_integrals`` at the one point r; raises the error of a failed integral."""
+    (value,) = _kernel_integrals(spec, [r], upto, absolute)
+    if isinstance(value, (QuadratureError, NonSummableError)):
+        raise value
+    return value
 
 
 _NO_ROW_CERTIFICATE = "tail certificate unavailable for some rows"
@@ -272,7 +294,7 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
     half = len(m_grid) // 2
 
     def row_sums(absolute):
-        return _scan(m_grid, lambda m: _kernel_integral(spec, m, absolute=absolute))
+        return _scan(m_grid, _kernel_integrals(spec, m_grid, absolute=absolute))
 
     # condition 1: row absolute sums bounded
     cells, values, undecided = row_sums(True)
@@ -285,7 +307,7 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
 
     # condition 2: each column tends to 0 along the row grid; one block per row
     heads = {m: spec.row_block(m, 0, n_max + 1) for m in m_grid}
-    c2 = tuple(_vanishing(f"c2_column_{n}", _scan(m_grid, lambda m: abs(complex(heads[m][n]))),
+    c2 = tuple(_vanishing(f"c2_column_{n}", _scan(m_grid, [abs(complex(heads[m][n])) for m in m_grid]),
                           tol, f"column {n} ")
                for n in range(n_max + 1))
 
@@ -329,7 +351,7 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     half = len(r_grid) // 2
 
     def masses(upto=None, absolute=True):
-        return _scan(r_grid, lambda r: _kernel_integral(spec, r, upto, absolute))
+        return _scan(r_grid, _kernel_integrals(spec, r_grid, upto, absolute))
 
     # conditions 1 and 2 share the integrals of |a(r, .)| over all of E
     cells, values, undecided = masses()

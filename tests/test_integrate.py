@@ -1,6 +1,10 @@
 """Quadrature, step integrals, weak-integral and commutation contracts."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import roots_legendre
 
+import sumkit
+from sumkit import integrate
 from sumkit.integrate import (
     MEASURE_COUNTING,
     QuadratureConfig,
@@ -17,6 +23,7 @@ from sumkit.integrate import (
     StepFunction,
     StepPiece,
     _adaptive,
+    _adaptive_family,
     _log_boundary_wrap,
     adaptive_quadrature,
     operator_commutation_check,
@@ -276,6 +283,94 @@ def test_level_synchronous_refinement_is_bit_identical_to_depth_first(fbatch, a,
     assert value.dtype == expected[0].dtype
     assert err == expected[1]
     assert evaluations == expected[2]
+
+
+def test_gauss_legendre_literals_are_scipys_rule():
+    assert np.array_equal(integrate._GL_X, _GL_X)
+    assert np.array_equal(integrate._GL_W, _GL_W)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, sumkit; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    path = os.pathsep.join([str(Path(sumkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# one engine over a family of integrals
+
+
+def _family(funcs):
+    """A family integrand dispatching each owner's nodes to funcs[owner]; logs every call."""
+    calls = []
+
+    def fbatch(ts, owner):
+        calls.append(owner)
+        out = np.empty((len(ts), 1), dtype=complex)
+        for k in np.unique(owner):
+            out[owner == k, 0] = funcs[k](ts[owner == k])
+        return out
+
+    return fbatch, calls
+
+
+def _lone(f):
+    return lambda ts: f(ts)[:, None]
+
+
+def test_family_integrals_equal_lone_runs_while_some_fail():
+    tol, max_depth, budget = 1e-13, 12, 3000
+    cases = [  # (integrand, a, b, how its lone run ends)
+        (lambda ts: np.exp(ts) * np.cos(3.0 * ts) + 0j, 0.0, 2.0, "value"),
+        (lambda ts: np.sin(200.0 * ts) + 0j, 0.0, 3.0, "budget"),
+        (lambda ts: np.abs(ts - 0.3) ** 0.5 + 0j, 0.0, 1.0, "max depth"),
+        (lambda ts: np.cos(ts) + 0j, 0.5, 0.5, "value"),  # a point: no mass
+        (lambda ts: 1.0 / (1.0 + ts * ts) + 0j, -1.0, 4.0, "value"),
+    ]
+    fbatch, calls = _family([f for f, _, _, _ in cases])
+    outs = _adaptive_family(fbatch, [a for _, a, _, _ in cases], [b for _, _, b, _ in cases],
+                            tol, max_depth, max_evaluations=budget)
+    # one call for the point, then one per level, each with its owners in order
+    assert len(calls) <= 1 + max_depth + 1
+    assert all((np.diff(owner) >= 0).all() for owner in calls)
+    for (f, a, b, ends), out in zip(cases, outs):
+        if ends == "value":
+            assert np.array_equal(out[0], _adaptive(_lone(f), a, b, tol, max_depth, budget)[0])
+            assert out[1:] == _adaptive(_lone(f), a, b, tol, max_depth, budget)[1:]
+            if a < b:
+                expected = _depth_first_adaptive(_lone(f), a, b, tol, max_depth)
+                assert np.array_equal(out[0], expected[0])
+                assert out[1:] == expected[1:]
+            continue
+        assert isinstance(out, QuadratureError) and ends in str(out)
+        with pytest.raises(QuadratureError) as lone:
+            _adaptive(_lone(f), a, b, tol, max_depth, budget)
+        assert str(out) == str(lone.value)
+        assert out.worst_interval == lone.value.worst_interval
+        assert out.estimate == lone.value.estimate
+        if ends == "max depth":
+            with pytest.raises(QuadratureError) as oracle:
+                _depth_first_adaptive(_lone(f), a, b, tol, max_depth)
+            assert out.worst_interval == oracle.value.worst_interval
+            assert out.estimate == oracle.value.estimate
+
+
+def test_no_integrand_call_exceeds_the_node_cap():
+    # ten fast oscillations: a level of the family holds more than the cap
+    funcs = [lambda ts, w=w: np.sin(w * ts) + 0j for w in range(2000, 2010)]
+    fbatch, calls = _family(funcs)
+    outs = _adaptive_family(fbatch, [0.0] * 10, [1.0] * 10, 1e-12, 50)
+    levels = []
+    for f, out in zip(funcs, outs):
+        lone_calls = []
+        value, err, evaluations = _adaptive(
+            lambda ts, f=f: lone_calls.append(len(ts)) or _lone(f)(ts), 0.0, 1.0, 1e-12, 50)
+        assert np.array_equal(out[0], value) and out[1:] == (err, evaluations)
+        levels.append(len(lone_calls))
+    assert max(len(owner) for owner in calls) <= integrate._MAX_EVALUATIONS
+    assert len(calls) > max(levels)  # some level was split into consecutive calls
 
 
 def test_norm_bound_property_on_random_polynomials():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from sumkit import methods
-from sumkit.domains import CONVERGED, DIVERGED, NAT, parameter_grid, UNIT_INTERVAL
+from sumkit.domains import CONVERGED, DIVERGED, HALF_LINE, NAT, parameter_grid, UNIT_INTERVAL
+from sumkit.integrate import QuadratureError
 from sumkit.methods import (
+    FunctionSource,
     KernelSpec,
     NonSummableError,
     SequenceSource,
@@ -20,6 +22,7 @@ from sumkit.methods import (
     logarithmic_method,
     scalar_function,
     scalar_sequence,
+    scaled_method,
     series_summation_method,
     summability_limit,
     transform_at,
@@ -139,8 +142,6 @@ def test_log_kernel_constant_vector():
 
     def batch(ts):
         return np.ones((len(ts), 1)) * x[None, :]
-
-    from sumkit.methods import FunctionSource
 
     src = FunctionSource(space=space, batch=batch)
     val = transform_at(logarithmic_method(), src, 0.7)
@@ -302,6 +303,58 @@ def test_summability_limit_samples_equal_lone_transforms(monkeypatch, spec, src)
     assert len(taken) >= 14
     for param, coords, _ in taken:
         assert np.array_equal(coords, transform_at(spec, src, param, tail_tol=tail_tol).coords)
+
+
+# a(r, t) = chi_[r, r+1](t) on E = F = [0, inf): unit mass marching out
+TRANSLATION = KernelSpec(
+    name="translation",
+    kernel_batch=lambda r, ts: ((ts >= r) & (ts <= r + 1.0)).astype(complex),
+    E=HALF_LINE,
+    F=HALF_LINE,
+    support=lambda r: (r, r + 1.0),
+)
+WAVY = scalar_function(lambda t: 0.5 + (1.0 - t) ** 2 * np.sin(40.0 * t), HALF_LINE, "wavy")
+WAVY4 = FunctionSource(
+    lambda ts: _L4[None, :] + (np.cos(7.0 * ts) / (1.0 + ts))[:, None] * _U4[None, :],
+    SpaceDescriptor(4, "l2"), HALF_LINE, "wavy4")
+
+
+@pytest.mark.parametrize("src", [WAVY, WAVY4], ids=["scalar", "C4"])
+@pytest.mark.parametrize("spec, depth", [
+    (logarithmic_method(), 30),
+    (scaled_method(logarithmic_method(), 2.0), 20),
+    (TRANSLATION, 12),
+], ids=["logarithmic", "2x-logarithmic", "translation"])
+def test_lebesgue_grid_samples_equal_lone_transforms(monkeypatch, spec, depth, src):
+    taken = []
+    estimate = methods.estimate_limit_at_infinity
+
+    def recording(samples, **kwargs):
+        taken.extend(samples)
+        return estimate(samples, **kwargs)
+
+    monkeypatch.setattr(methods, "estimate_limit_at_infinity", recording)
+    est = summability_limit(spec, src, depth=depth, tol=1e-3)
+    monkeypatch.undo()
+    failed = dict(est.failed_points)
+    samples = iter(taken)
+    for r in parameter_grid(spec.F, depth):
+        try:
+            lone = transform_at(spec, src, r)
+        except QuadratureError as exc:
+            assert failed.pop(r) == f"QuadratureError: {exc}"
+        else:
+            assert np.array_equal(next(samples).coords, lone.coords)
+    assert not failed and next(samples, None) is None
+
+
+def test_lebesgue_transform_rejects_a_support_past_the_source_domain():
+    # the translation window [5, 6] lies outside the source's domain [0, 1)
+    src = scalar_function(lambda t: 1.0 - t, name="1-t")
+    with pytest.raises(ValueError, match="domain"):
+        transform_at(TRANSLATION, src, 5.0)
+    with pytest.raises(ValueError, match="domain"):
+        summability_limit(TRANSLATION, src, depth=4)
 
 
 @pytest.mark.parametrize("spec, depth, terms", [

@@ -124,6 +124,25 @@ def test_noisy_log_kernel_integral_stops_at_the_evaluation_budget():
     assert cell_r == r and math.isnan(value) and verdict == UNDECIDED
 
 
+def test_lockstep_kernel_cells_equal_per_cell_integrals():
+    # every scan of check_kernel_st integrates its whole r-grid at once;
+    # each cell must equal the integral taken alone, failures included
+    spec = logarithmic_method()
+    report = check_kernel_st(spec, r_depth=30)
+    scans = [(report.k1, None, True), (report.k4, None, False)]
+    scans += [(check, exhaustion(spec.E, j).hi, True) for j, check in enumerate(report.k3)]
+    for check, upto, absolute in scans:
+        for r, value, verdict in check.cells:
+            try:
+                lone = _kernel_integral(spec, r, upto, absolute)
+            except QuadratureError:
+                assert math.isnan(value) and verdict == UNDECIDED
+            else:
+                assert value == lone and type(value) is type(lone)
+    undecided = [r for r, _, verdict in report.k1.cells if verdict == UNDECIDED]
+    assert undecided == [1.0 - 2.0**-k for k in (28, 29, 30)]
+
+
 def test_scaled_logarithmic_flips_only_condition_four():
     base = check_kernel_st(logarithmic_method(), r_depth=12, exhaust_depth=6)
     doubled = check_kernel_st(scaled_method(logarithmic_method(), 2.0),
