@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from ._expr import ExpressionError, compile_expression
-from .domains import HALF_LINE, NAT, UNIT_INTERVAL, HalfOpenInterval
+from .domains import HALF_LINE, NAT, UNIT_INTERVAL, HalfOpenInterval, parameter_grid
 from .holo import (
     SeriesSpace,
     dilate_dual_deviation,
@@ -336,7 +336,7 @@ def _est_row(label: str, est) -> list:
 def _run_check_regularity(exp, tol):
     spec = build_method(exp["method"], f"{exp['id']}.method")
     if isinstance(spec, MatrixSpec):
-        grid = [2**k for k in range(1, int(exp.get("m_max_exp", 14)) + 1)]
+        grid = parameter_grid(NAT, int(exp.get("m_max_exp", 14)))
         report = check_matrix_st(spec, m_grid=grid, n_max=int(exp.get("n_max", 32)), tol=tol)
         series = tuple((m, v) for m, v, _ in report.c1.cells)
     else:

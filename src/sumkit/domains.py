@@ -8,8 +8,8 @@ points marching toward the boundary / infinity.
 An exact limit at infinity is not computable from finitely many samples, so
 the estimator reports three-valued outcomes (converged / diverged /
 inconclusive) from a Cauchy-window heuristic, with a residual and an
-oscillation flag as diagnostics.  The trend helpers (log-log slope and
-non-increasing test) are shared by the regularity and Taylor verdicts.
+oscillation flag as diagnostics.  ``decay_verdict`` is the one grid judge
+of whether a path tends to 0, for the regularity and Taylor verdicts alike.
 """
 
 from __future__ import annotations
@@ -87,6 +87,17 @@ def parameter_grid(domain: IndexDomain, depth: int) -> list:
     if math.isinf(domain.right):
         return [2.0**k for k in range(1, depth + 1)]
     return [domain.right * (1.0 - 2.0**-k) for k in range(1, depth + 1)]
+
+
+def sample_grid(domain: IndexDomain, depth: int) -> list:
+    """``parameter_grid`` with each discrete point 2^k followed by its successor 2^k + 1.
+
+    A powers-of-two grid alone would take a period-two oscillation for convergence.
+    """
+    grid = parameter_grid(domain, depth)
+    if isinstance(domain, DiscreteNat):
+        return [p for m in grid for p in (m, m + 1)]
+    return grid
 
 
 @dataclass(frozen=True)
@@ -178,6 +189,31 @@ def loglog_slope(values: Sequence[float]) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def non_increasing(values: Sequence[float]) -> bool:
-    """Each value is at most its predecessor, up to rounding slack."""
-    return all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(values, values[1:]))
+# a log-log slope above TREND_SLOPE is growth, one below -TREND_SLOPE is decay
+TREND_SLOPE = 0.05
+
+ZERO = "zero"  # decay_verdict outcomes, with INCONCLUSIVE
+NOT_ZERO = "not_zero"
+
+
+def decay_verdict(values: Sequence[float], tol: float) -> tuple:
+    """Whether a grid path of nonnegative values tends to 0: (outcome, route, slope).
+
+    ``slope`` is the log-log slope of the last half of the path.  ZERO by
+    route "tol" when the last ``_WINDOW`` values are all <= tol, or by route
+    "decay-trend" when the last half is non-increasing (up to rounding
+    slack) with slope <= -TREND_SLOPE.  NOT_ZERO when the whole last half
+    is above tol, the last value above 10 * tol and the slope above -0.01:
+    mass present across the tail yet not decaying.  Otherwise INCONCLUSIVE;
+    both have route "".
+    """
+    half = values[len(values) // 2:]
+    slope = loglog_slope(half)
+    if all(v <= tol for v in values[-_WINDOW:]):
+        return ZERO, "tol", slope
+    non_increasing = all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(half, half[1:]))
+    if non_increasing and slope <= -TREND_SLOPE:
+        return ZERO, "decay-trend", slope
+    if min(half) > tol and values[-1] > 10.0 * tol and slope > -0.01:
+        return NOT_ZERO, "", slope
+    return INCONCLUSIVE, "", slope

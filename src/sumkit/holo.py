@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import methods
-from .domains import NAT, UNIT_INTERVAL, loglog_slope, non_increasing, parameter_grid
+from .domains import NAT, NOT_ZERO, UNIT_INTERVAL, ZERO, decay_verdict, parameter_grid
 # Unused here; perfbench/layers.py wraps ``holo._adaptive`` by name.
 from .integrate import _adaptive  # noqa: F401
 from .methods import NonSummableError
@@ -298,19 +298,8 @@ def partial_sum(f: TaylorFunction, n: int) -> TaylorFunction:
     def block(lo, hi):
         return np.where(np.arange(lo, hi) > n, 0.0, f.block(lo, hi))
 
-    if isinstance(f.decay, (FinitelySupported, CappedDecay)) and _decay_degree(f.decay) <= n:
-        decay = f.decay
-    else:
-        decay = CappedDecay(f.decay, n)
-    return TaylorFunction(block=block, decay=decay, space=f.space, name=f"S_{n}({f.name})")
-
-
-def _decay_degree(decay) -> int:
-    if isinstance(decay, FinitelySupported):
-        return decay.degree
-    if isinstance(decay, CappedDecay):
-        return decay.degree
-    return -1
+    return TaylorFunction(block=block, decay=CappedDecay(f.decay, n), space=f.space,
+                          name=f"S_{n}({f.name})")
 
 
 def _multiplied(f: TaylorFunction, mult_block: Callable[[int, int], np.ndarray],
@@ -334,9 +323,8 @@ def _dilate_mult_block(r: float):
     return mult
 
 
-#: Literal double-sum verification is skipped when the weighted partial-sum
-#: series needs more than this many terms (r extremely close to 1); the
-#: identity is checked at moderate r where the literal sum is affordable.
+#: Rows of the literal double-sum dilate beyond which checking it is
+#: unaffordable (r close to 1, or slow decay); see ``_dilate_terms``.
 DILATE_VERIFY_CAP = 20000
 
 
@@ -365,22 +353,35 @@ def _dilate_double_sum(f: TaylorFunction, r: float, upto: int, m_terms: int) -> 
     return acc
 
 
-def dilate_dual_deviation(f: TaylorFunction, r: float) -> float:
-    """Max coefficientwise gap between multiplier and double-sum dilates."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError("dilate needs 0 <= r < 1")
-    upto = _truncation_for(f.decay, WIENER)
+def _dilate_terms(f: TaylorFunction, r: float) -> Optional[tuple]:
+    """(coeffs, m_terms) of the literal double-sum dilate at r, or None when unaffordable.
+
+    ``coeffs`` are a_0 .. a_upto up to f's certified wiener truncation, and
+    rows m <= m_terms bring the weighted tail under methods._TAIL_TOL.  It is
+    unaffordable past DILATE_VERIFY_CAP rows or with no certified truncation.
+    """
+    try:
+        upto = _truncation_for(f.decay, WIENER)
+    except NonSummableError:
+        return None
     coeffs = f.coeff_array(upto)
     peak = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    if r == 0.0:
-        m_terms = 0
-    else:
-        m_terms = max(upto, int(math.ceil(math.log(max(methods._TAIL_TOL, 1e-300) /
-                                                   max(peak, 1e-300)) / math.log(r))))
-    if m_terms > DILATE_VERIFY_CAP:
-        raise ValueError(f"double-sum verification needs {m_terms} terms; over the cap")
-    double = _dilate_double_sum(f, r, upto, m_terms)
-    mult = _dilate_mult_block(r)(0, upto + 1) * coeffs
+    m_terms = 0 if r == 0.0 else max(upto, math.ceil(math.log(max(methods._TAIL_TOL, 1e-300) /
+                                                              max(peak, 1e-300)) / math.log(r)))
+    return None if m_terms > DILATE_VERIFY_CAP else (coeffs, m_terms)
+
+
+def dilate_dual_deviation(f: TaylorFunction, r: float) -> float:
+    """Max coefficientwise gap of the two dilate forms; ValueError when unaffordable."""
+    if not 0.0 <= r < 1.0:
+        raise ValueError("dilate needs 0 <= r < 1")
+    terms = _dilate_terms(f, r)
+    if terms is None:
+        raise ValueError(f"double-sum verification of {f.name} at r={r} needs more than "
+                         f"{DILATE_VERIFY_CAP} terms or an uncertifiable truncation")
+    coeffs, m_terms = terms
+    double = _dilate_double_sum(f, r, coeffs.size - 1, m_terms)
+    mult = _dilate_mult_block(r)(0, coeffs.size) * coeffs
     return float(np.max(np.abs(mult - double)))
 
 
@@ -389,13 +390,14 @@ def abel_dilate(f: TaylorFunction, r: float, *, verify: Optional[bool] = None) -
 
     The multiplier form and the literal weighted sum of partial sums must
     agree coefficientwise within methods._TAIL_TOL; ``verify=None`` runs that
-    check whenever the literal sum stays under DILATE_VERIFY_CAP terms.
+    check whenever the literal sum is affordable: f's wiener truncation is
+    certified and the sum stays within DILATE_VERIFY_CAP terms.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("dilate needs 0 <= r < 1")
     tail_tol = methods._TAIL_TOL
     if verify is None:
-        verify = r == 0.0 or (math.log(tail_tol) / math.log(r) if r > 0 else 0) <= DILATE_VERIFY_CAP
+        verify = _dilate_terms(f, r) is not None
     if verify:
         deviation = dilate_dual_deviation(f, r)
         tolerance = 4.0 * tail_tol + 1e-13 * max(1.0, float(np.max(np.abs(f.coeff_array(8)))))
@@ -446,8 +448,6 @@ CONVERGED_TO_ZERO = "converged_to_zero"
 NOT_CONVERGED = "not_converged"
 UNDECIDED = "inconclusive"
 
-_DECAY_SLOPE = 0.05
-
 
 @dataclass(frozen=True)
 class TaylorConvergenceReport:
@@ -478,21 +478,6 @@ class TaylorConvergenceReport:
         }
 
 
-def _classify_distances(distances: Sequence[float], tol: float) -> tuple:
-    """Three-valued convergence-to-zero verdict; returns (status, route)."""
-    window = min(4, len(distances))
-    tail = distances[-window:]
-    if all(d <= tol for d in tail):
-        return CONVERGED_TO_ZERO, "tol"
-    half = distances[len(distances) // 2:]
-    slope = loglog_slope(half)
-    if non_increasing(half) and slope <= -_DECAY_SLOPE:
-        return CONVERGED_TO_ZERO, "decay-trend"
-    if distances[-1] > 10.0 * tol and slope > -0.01:
-        return NOT_CONVERGED, ""
-    return UNDECIDED, ""
-
-
 def _apply_step(step: str, g: TaylorFunction, param) -> TaylorFunction:
     if step == PARTIAL_SUMS:
         return partial_sum(g, int(param))
@@ -507,10 +492,12 @@ def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: 
                                   depth: int = 20, tol: float = 1e-4) -> TaylorConvergenceReport:
     """Distance ||chain_param(f) - f|| along the parameter grid, judged against 0.
 
-    The verdict is three-valued like the kernel regularity checks: reaching
-    tol, or a clean monotone decay trend, counts as convergence-to-zero
-    evidence (logarithmic means approach f only logarithmically, so a fixed
-    threshold alone would reject them on any finite grid).
+    The verdict is ``domains.decay_verdict``, the rule the kernel regularity
+    checks use, in Taylor words, and its route ("tol" or "decay-trend") is
+    reported: reaching tol, or a clean monotone decay trend, counts as
+    convergence-to-zero evidence (logarithmic means approach f only
+    logarithmically, so a fixed threshold alone would reject them on any
+    finite grid).
     """
     chain = tuple(chain)
     if not chain:
@@ -525,19 +512,17 @@ def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: 
 
     fx = f.in_space(space)
     grid = parameter_grid(domain, depth)
-    cells = []
     distances = []
     for param in grid:
         g = fx
         for step in chain:
             g = _apply_step(step, g, param)
-        dist = series_norm(taylor_sub(g, fx))
-        cells.append((param, dist))
-        distances.append(dist)
-    status, route = _classify_distances(distances, tol)
+        distances.append(series_norm(taylor_sub(g, fx)))
+    outcome, route, _ = decay_verdict(distances, tol)
+    status = {ZERO: CONVERGED_TO_ZERO, NOT_ZERO: NOT_CONVERGED}.get(outcome, UNDECIDED)
     notes = ()
     if space.tag == DISK_GRID:
         notes = (f"disk-grid norm underestimates the sup norm by at most "
                  f"{disk_grid_error_bound(fx):.3e}",)
-    return TaylorConvergenceReport(f.name, space.tag, chain, tuple(cells),
+    return TaylorConvergenceReport(f.name, space.tag, chain, tuple(zip(grid, distances)),
                                    status, route, distances[-1], notes)

@@ -32,7 +32,7 @@ from .domains import (
     NAT,
     ConvergenceEstimate,
     estimate_limit_at_infinity,
-    parameter_grid,
+    sample_grid,
 )
 from .integrate import QuadratureError
 from .methods import (
@@ -344,9 +344,7 @@ def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
     ok = True
     detail = ""
     for i, w in enumerate(family.dense_witnesses):
-        samples = []
-        for m in parameter_grid(NAT, _SCALAR_DEPTH):
-            samples.extend([family.apply(m, w), family.apply(m + 1, w)])
+        samples = [family.apply(m, w) for m in sample_grid(NAT, _SCALAR_DEPTH)]
         est = estimate_limit_at_infinity(samples, tol=tol)
         target = family.target(w)
         if not est.converged or (est.value - target).norm() > tol + est.residual:

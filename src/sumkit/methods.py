@@ -70,13 +70,12 @@ from . import domains
 from .domains import (
     NAT,
     UNIT_INTERVAL,
-    DiscreteNat,
     HalfOpenInterval,
     IndexDomain,
     ConvergenceEstimate,
     INCONCLUSIVE,
     estimate_limit_at_infinity,
-    parameter_grid,
+    sample_grid,
 )
 from .integrate import (
     QuadratureConfig,
@@ -763,9 +762,9 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20,
                       tol: float = 1e-6) -> ConvergenceEstimate:
     """Evaluate the transform along the parameter grid and detect its limit.
 
-    On a discrete parameter domain each grid point 2^k is sampled together
-    with its successor 2^k + 1: a powers-of-two grid alone is parity-blind
-    and would certify period-two oscillations as convergent.
+    The parameters are ``domains.sample_grid``: on a discrete parameter
+    domain each grid point 2^k is sampled together with its successor
+    2^k + 1, so a period-two oscillation is not taken for convergence.
 
     Each sample's tail is certified to ``tol * _TAIL_SHARE`` (at least
     ``_TAIL_TOL``): the limit is asked for only to ``tol``.  The samples of a
@@ -781,14 +780,7 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20,
     inconclusive.
     """
     window = domains._WINDOW
-    F = method_parameter_domain(spec)
-    grid = parameter_grid(F, depth)
-    if isinstance(F, DiscreteNat):
-        params = []
-        for m in grid:
-            params.extend([m, m + 1])
-    else:
-        params = list(grid)
+    params = sample_grid(method_parameter_domain(spec), depth)
 
     if isinstance(spec, KernelSpec) and spec.measure != "counting":
         outcomes = _lebesgue_transforms(spec, source, params)

@@ -10,9 +10,9 @@ boundedness (c1, k2), vanishing (columns, windows) and tending to 1 (c3, k4).
 
 Finite computation can falsify these quantified conditions or accumulate
 evidence, never prove them, so verdicts are three-valued: "pass" (evidence),
-"fail" (with a concrete witness), "inconclusive".  Trend detection fits the
-slope of log-values against the log of the grid index; slopes beyond +/-0.05
-count as growth/decay.  Report notes record the finite-sample caveats.
+"fail" (with a concrete witness), "inconclusive".  A path tends to 0 by
+``domains.decay_verdict`` and is unbounded when its log-log slope exceeds
+``domains.TREND_SLOPE``.  Report notes record the finite-sample caveats.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import exhaustion, loglog_slope, non_increasing, parameter_grid
+from .domains import (NAT, NOT_ZERO, TREND_SLOPE, ZERO, decay_verdict, exhaustion, loglog_slope,
+                      parameter_grid)
 from .integrate import QuadratureError
 # Unused here; perfbench/layers.py wraps ``regularity.adaptive_quadrature_batch`` by name.
 from .integrate import adaptive_quadrature_batch  # noqa: F401
@@ -47,14 +48,12 @@ REGULAR_EVIDENCE = "RegularEvidence"
 NOT_REGULAR = "NotRegular"
 INCONCLUSIVE_OVERALL = "Inconclusive"
 
-GROWTH_SLOPE = 0.05
-
 _FOOTER_NOTES = (
     "verdicts are finite-sample evidence or falsification, not proofs",
     "boundedness is tested on the sampled grid only; behaviour on null sets is out of numeric reach",
 )
 
-DEFAULT_M_GRID = tuple(2**k for k in range(1, 15))
+DEFAULT_M_GRID = tuple(parameter_grid(NAT, 14))
 
 
 @dataclass(frozen=True)
@@ -66,26 +65,6 @@ class ConditionCheck:
     cells: tuple = ()  # (grid_param, value, cell_verdict) triples
     witness: str = ""
     note: str = ""
-
-
-def _decay_verdict(values: Sequence[float], tol: float) -> tuple:
-    """Evidence that a grid path of nonnegative values tends to 0.
-
-    Reaching tol at the largest grid point, or a clean monotone decay trend
-    over the tail, counts as evidence; values stuck above 10*tol falsify.
-    Returns (verdict, witness_detail, note).
-    """
-    tail = values[len(values) // 2:]
-    slope = loglog_slope(tail)
-    if values[-1] <= tol:
-        return PASS, "", "reached tol at the largest grid point"
-    if non_increasing(tail) and slope <= -GROWTH_SLOPE:
-        return PASS, "", f"decaying trend (slope {slope:.3g})"
-    # falsified only when mass is present across the whole tail yet not decaying;
-    # a path that just became nonzero at the end is undecided, not failed
-    if min(tail) > tol and values[-1] > 10.0 * tol and slope > -0.01:
-        return FAIL, f"stuck at {_fmt(values[-1])} (slope {slope:.3g})", ""
-    return UNDECIDED, "", f"trend unclear (slope {slope:.3g})"
 
 
 def _fmt(x) -> str:
@@ -159,9 +138,9 @@ def _scan(grid, outcomes) -> tuple:
 
 def _bounded(name: str, cells: tuple, values: list, half: int, undecided: bool,
              witness: str) -> ConditionCheck:
-    """Bounded: the last half's log-log slope is at most GROWTH_SLOPE; witness takes slope, last."""
+    """Bounded: the last half's log-log slope is at most TREND_SLOPE; witness takes slope, last."""
     slope = loglog_slope(values[half:])
-    if slope > GROWTH_SLOPE:
+    if slope > TREND_SLOPE:
         return ConditionCheck(name, FAIL, cells,
                               witness=witness.format(slope=slope, last=_fmt(values[-1])))
     return ConditionCheck(name, UNDECIDED if undecided else PASS, cells,
@@ -169,13 +148,18 @@ def _bounded(name: str, cells: tuple, values: list, half: int, undecided: bool,
 
 
 def _vanishing(name: str, scan: tuple, tol: float, witness: str) -> ConditionCheck:
-    """A grid path that must tend to 0, judged by _decay_verdict."""
+    """A grid path that must tend to 0: ``domains.decay_verdict`` in pass/fail words."""
     cells, values, undecided = scan
     if undecided:
         return ConditionCheck(name, UNDECIDED, cells)
-    verdict, detail, note = _decay_verdict(values, tol)
-    return ConditionCheck(name, verdict, cells,
-                          witness=witness + detail if verdict == FAIL else "", note=note)
+    outcome, route, slope = decay_verdict(values, tol)
+    if outcome == ZERO:
+        return ConditionCheck(name, PASS, cells, note="reached tol at the largest grid point"
+                              if route == "tol" else f"decaying trend (slope {slope:.3g})")
+    if outcome == NOT_ZERO:
+        return ConditionCheck(name, FAIL, cells, witness=f"{witness}stuck at "
+                              f"{_fmt(values[-1])} (slope {slope:.3g})")
+    return ConditionCheck(name, UNDECIDED, cells, note=f"trend unclear (slope {slope:.3g})")
 
 
 def _tends_to_one(name: str, scan: tuple, half: int, tol: float, witness: str,
@@ -199,12 +183,15 @@ _ONES = SequenceSource(block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex)
 _EXACT_TERMS = 2_000_000
 
 
-def _kernel_integrals(spec: MethodSpec, grid, upto=None, absolute: bool = False) -> list:
+def _kernel_integrals(spec: MethodSpec, grid, upto=None, absolute: bool = False,
+                      whole=None) -> list:
     """Integral of a(p, .) -- of |a(p, .)| when ``absolute`` -- over its support, at every p.
 
     A Lebesgue kernel is integrated by quadrature, the whole grid in one
     lockstep engine call (``methods._kernel_quadratures``); a window that
-    cuts a support away is 0.  Any discrete spec (a matrix row m,
+    cuts a support away is 0, and one that cuts nothing away takes its
+    outcome from ``whole``, when given: the absolute integrals over the
+    uncut supports on the same grid.  Any discrete spec (a matrix row m,
     coefficients a_n(r), a counting kernel) is read by ``methods._row`` and
     summed against ones, one point at a time: a signed sum over a finite
     support exactly with math.fsum, anything else with a tail certificate.
@@ -220,10 +207,11 @@ def _kernel_integrals(spec: MethodSpec, grid, upto=None, absolute: bool = False)
         return float(value.real) if absolute else value
 
     if isinstance(spec, KernelSpec) and spec.measure != "counting":
-        cuts = [(lo, hi if upto is None else min(hi, upto))
-                for lo, hi in (_kernel_support(spec, r) for r in grid)]
-        live = [k for k, (lo, hi) in enumerate(cuts) if hi > lo]
-        out = [finish(0.0)] * len(cuts)
+        supports = [_kernel_support(spec, r) for r in grid]
+        cuts = [(lo, hi if upto is None else min(hi, upto)) for lo, hi in supports]
+        known = [whole is not None and cut == support for cut, support in zip(cuts, supports)]
+        live = [k for k, (lo, hi) in enumerate(cuts) if hi > lo and not known[k]]
+        out = [whole[k] if known[k] else finish(0.0) for k in range(len(cuts))]
         outs = _kernel_quadratures(spec, [grid[k] for k in live], [cuts[k] for k in live],
                                    lambda kernel, ts: weights(kernel)[:, None])
         for k, res in zip(live, outs):
@@ -341,20 +329,19 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
                     tol: float = 1e-6) -> KernelRegularityReport:
     """Four-condition regularity check for a kernel method.
 
-    Condition 3 accepts a window when its mass either reaches tol at the
-    largest parameter or decays with a clear negative trend: escape of mass
-    from a compact set can be arbitrarily slow (logarithmic kernels decay
-    like 1/k in the grid index), so an absolute threshold alone would
-    falsely reject regular kernels.
+    Condition 3 accepts a window when ``domains.decay_verdict`` says its
+    mass tends to 0: the mass is within tol at the last ``domains._WINDOW``
+    parameters, or decays with a clear negative trend.  Escape of mass from
+    a compact set can be arbitrarily slow (logarithmic kernels decay like
+    1/k in the grid index), so an absolute threshold alone would falsely
+    reject regular kernels.
     """
     r_grid = parameter_grid(spec.F, r_depth)
     half = len(r_grid) // 2
 
-    def masses(upto=None, absolute=True):
-        return _scan(r_grid, _kernel_integrals(spec, r_grid, upto, absolute))
-
-    # conditions 1 and 2 share the integrals of |a(r, .)| over all of E
-    cells, values, undecided = masses()
+    # conditions 1, 2 and the windows of 3 share the integrals of |a(r, .)| over all of E
+    whole = _kernel_integrals(spec, r_grid, absolute=True)
+    cells, values, undecided = _scan(r_grid, whole)
     k1 = ConditionCheck(
         "k1_abs_integral", UNDECIDED if undecided else PASS,
         tuple((r, value, verdict or PASS) for r, value, verdict in cells),
@@ -366,12 +353,12 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
         k2 = ConditionCheck("k2_abs_sup", UNDECIDED, ())
 
     # condition 3: mass escapes every compact window
-    k3 = tuple(_vanishing(f"k3_window_{j}", masses(exhaustion(spec.E, j).hi), tol,
-                          f"window {j}: mass ")
+    k3 = tuple(_vanishing(f"k3_window_{j}", _scan(r_grid, _kernel_integrals(
+                   spec, r_grid, exhaustion(spec.E, j).hi, True, whole)), tol, f"window {j}: mass ")
                for j in range(exhaust_depth + 1))
 
     # condition 4: total mass tends to 1
-    k4 = _tends_to_one("k4_total_mass", masses(absolute=False), half, tol,
+    k4 = _tends_to_one("k4_total_mass", _scan(r_grid, _kernel_integrals(spec, r_grid)), half, tol,
                        "total mass at r={:.6g} is {:.6g}, not 1")
     return KernelRegularityReport(spec.name, k1, k2, k3, k4)
 

@@ -72,6 +72,7 @@ from sumkit.vspace import SpaceDescriptor, VectorValue, coordinate_functionals
 
 
 PINNED_DIGESTS = Path(__file__).parent / "data" / "shipped_csv_sha256.json"
+PINNED_REPORTS = Path(__file__).parent / "data" / "shipped_report_sha256.json"
 
 
 @contextmanager
@@ -278,13 +279,16 @@ def test_criterion_09_group_norm_is_l1_partial_sum():
 
 
 def test_criterion_10_determinism_of_shipped_configs(tmp_path):
-    with criterion(10, "byte-identical CSVs across two runs of every shipped config"):
+    with criterion(10, "byte-identical CSVs and reports across two runs of every shipped config"):
         # sha256 of every shipped CSV, pinned when the digests were recorded;
         # a change to any shipped number must update this file deliberately
         pinned = json.loads(PINNED_DIGESTS.read_text())
+        # report.json carries the routes and notes that no CSV holds
+        pinned_reports = json.loads(PINNED_REPORTS.read_text())
         names = sorted(shipped_configs())
         assert len(names) >= 6
         assert sorted({key.split("/")[0] for key in pinned}) == names
+        assert sorted(pinned_reports) == [f"{name}/report.json" for name in names]
         for name in names:
             config = str(builtin_config_path(name))
             out1 = tmp_path / f"{name}-run1"
@@ -301,3 +305,7 @@ def test_criterion_10_determinism_of_shipped_configs(tmp_path):
                 assert b1 == b2, f"{name}/{csv_name} differs between runs"
                 assert hashlib.sha256(b1).hexdigest() == pinned[f"{name}/{csv_name}"], \
                     f"{name}/{csv_name} differs from its pinned digest"
+            for out in (out1, out2):
+                digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+                assert digest == pinned_reports[f"{name}/report.json"], \
+                    f"{name}/report.json differs from its pinned digest"

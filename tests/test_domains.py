@@ -1,21 +1,27 @@
-"""Exhaustions, parameter grids, and the limit-at-infinity estimator."""
+"""Exhaustions, parameter grids, the grid judge, and the limit-at-infinity estimator."""
 
 import math
 
 import numpy as np
 import pytest
 
+from sumkit import holo, regularity
 from sumkit.domains import (
     CONVERGED,
     DIVERGED,
     INCONCLUSIVE,
     NAT,
+    NOT_ZERO,
     UNIT_INTERVAL,
     HALF_LINE,
+    ZERO,
     HalfOpenInterval,
+    decay_verdict,
     estimate_limit_at_infinity,
     exhaustion,
+    loglog_slope,
     parameter_grid,
+    sample_grid,
 )
 from sumkit.vspace import SCALAR, SpaceDescriptor, VectorValue, scalar_value
 
@@ -48,9 +54,64 @@ def test_parameter_grid_examples():
     assert parameter_grid(HALF_LINE, 3) == [2.0, 4.0, 8.0]
 
 
+@pytest.mark.parametrize("domain, depth, grid", [
+    (NAT, 1, [2, 3]),
+    (NAT, 3, [2, 3, 4, 5, 8, 9]),
+    (UNIT_INTERVAL, 3, [0.5, 0.75, 0.875]),
+    (HalfOpenInterval(2.0), 2, [1.0, 1.5]),
+    (HALF_LINE, 2, [2.0, 4.0]),
+])
+def test_sample_grid_pairs_each_discrete_point_with_its_successor(domain, depth, grid):
+    assert sample_grid(domain, depth) == grid
+
+
+# Two paths that the regularity and Taylor rules once judged apart at tol
+# 1e-3: a dip inside the last half (one said stuck), a drop at the very end
+# (one said it reached tol).
+FORKED_PATHS = [[1.0] * 6 + [1e-4] + [1.0] * 5, [1.0] * 10 + [2.0, 1e-4]]
+
+DECAY_CASES = [
+    # (path, outcome, route) at tol 1e-3
+    ([1.0, 0.5, 1e-4, 1e-4, 1e-5, 1e-6], ZERO, "tol"),
+    ([2e-3, 1e-3, 1e-3, 5e-4, 1e-3], ZERO, "tol"),
+    ([5e-4], ZERO, "tol"),
+    ([2e-3], INCONCLUSIVE, ""),
+    ([1.0 / k for k in range(1, 13)], ZERO, "decay-trend"),
+    ([1.0] * 11 + [1e-4], ZERO, "decay-trend"),
+    ([1.0] * 12, NOT_ZERO, ""),
+    ([float(k) for k in range(1, 13)], NOT_ZERO, ""),
+    ([1e-6] * 10 + [1.0, 1.0], INCONCLUSIVE, ""),
+    ([5e-3] * 12, INCONCLUSIVE, ""),
+    *((path, INCONCLUSIVE, "") for path in FORKED_PATHS),
+]
+
+
+@pytest.mark.parametrize("path, outcome, route", DECAY_CASES)
+def test_decay_verdict_cases(path, outcome, route):
+    got, got_route, slope = decay_verdict(path, 1e-3)
+    assert (got, got_route) == (outcome, route)
+    assert slope == loglog_slope(path[len(path) // 2:])
+
+
+@pytest.mark.parametrize("path", FORKED_PATHS)
+def test_forked_paths_are_inconclusive_in_both_vocabularies(path, monkeypatch):
+    grid = list(range(1, len(path) + 1))
+    check = regularity._vanishing("k3_window_0", regularity._scan(grid, path), 1e-3, "")
+    assert check.verdict == regularity.UNDECIDED and check.witness == ""
+
+    # the Taylor experiment judges the distances its norm returns, one per grid point
+    distances = iter(path)
+    monkeypatch.setattr(holo, "series_norm", lambda f: next(distances))
+    report = holo.taylor_summability_experiment(holo.monomial_taylor(1), holo.SeriesSpace(),
+                                                [holo.PARTIAL_SUMS], depth=len(path), tol=1e-3)
+    assert (report.status, report.route) == (holo.UNDECIDED, "")
+
+
 def test_domain_usage_errors():
     with pytest.raises(ValueError):
         parameter_grid(NAT, 0)
+    with pytest.raises(ValueError):
+        sample_grid(NAT, 0)
     with pytest.raises(ValueError):
         exhaustion(NAT, -1)
     with pytest.raises(ValueError):

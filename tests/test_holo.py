@@ -44,6 +44,13 @@ def test_partial_sum_of_low_degree_polynomial_unchanged():
     p = taylor_from_coefficients([1, 2, 3, 4], H2)
     s = partial_sum(p, 5)
     assert np.array_equal(s.coeff_array(6), p.coeff_array(6))
+    # capping a degree-3 decay at 5 changes no bound, so no truncation or norm
+    for k in range(10):
+        assert s.decay.coeff_bound(k) == p.decay.coeff_bound(k)
+        assert s.decay.tail_l1(k) == p.decay.tail_l1(k)
+        assert s.decay.tail_sq(k) == p.decay.tail_sq(k)
+    for space in (H2, WIENER, DISK):
+        assert series_norm(s.in_space(space)) == series_norm(p.in_space(space))
 
 
 def test_partial_sum_truncates_geometric():
@@ -96,6 +103,19 @@ def test_dilate_dual_forms_agree_on_random_polynomials():
         for r in (0.25, 0.5, 0.9):
             assert dilate_dual_deviation(f, r) <= 1e-12
             abel_dilate(f, r)  # consistency check runs internally
+
+
+def test_abel_dilate_skips_an_unaffordable_check():
+    # power(1, 4) needs its whole wiener truncation, 32768 rows, in the literal
+    # double sum; power(1, 2) has no certified wiener truncation at all
+    for f in (power_taylor(1.0, 4.0), power_taylor(1.0, 2.0)):
+        d = abel_dilate(f, 0.5)
+        plain = abel_dilate(f, 0.5, verify=False)
+        assert np.array_equal(d.coeff_array(64), plain.coeff_array(64))
+        with pytest.raises(ValueError, match="double-sum verification"):
+            dilate_dual_deviation(f, 0.5)
+        with pytest.raises(ValueError, match="double-sum verification"):
+            abel_dilate(f, 0.5, verify=True)
 
 
 def _dilate_double_sum_by_loop(f, r, upto, m_terms):

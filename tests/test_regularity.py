@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from sumkit import methods
 from sumkit.cli import build_method
 from sumkit.domains import HALF_LINE, NAT, UNIT_INTERVAL, exhaustion, parameter_grid
 from sumkit.integrate import QuadratureError
@@ -141,6 +142,32 @@ def test_lockstep_kernel_cells_equal_per_cell_integrals():
                 assert value == lone and type(value) is type(lone)
     undecided = [r for r, _, verdict in report.k1.cells if verdict == UNDECIDED]
     assert undecided == [1.0 - 2.0**-k for k in (28, 29, 30)]
+
+
+def test_windows_that_cut_nothing_take_the_whole_integral(monkeypatch):
+    # on logarithmic-st window j cuts nothing away at r = 1 - 2^-k for k <= j + 1:
+    # those 91 of the 260 window cells take their k1 integral, so the scans
+    # hand the engine 20 (k1) + 169 (k3) + 20 (k4) intervals, not 300
+    handed = []
+    family = methods.adaptive_quadrature_family
+
+    def counting(fbatch, intervals, cfg):
+        handed.extend(intervals)
+        return family(fbatch, intervals, cfg)
+
+    monkeypatch.setattr(methods, "adaptive_quadrature_family", counting)
+    spec = logarithmic_method()
+    report = check_kernel_st(spec, r_depth=20, exhaust_depth=12)
+    assert len(handed) == 209
+    reused = 0
+    for j, check in enumerate(report.k3):
+        upto = exhaustion(spec.E, j).hi
+        for (r, value, _), (_, whole, _) in zip(check.cells, report.k1.cells):
+            assert value == _kernel_integral(spec, r, upto, absolute=True)
+            if r <= upto:
+                assert value == whole
+                reused += 1
+    assert reused == 91
 
 
 def test_scaled_logarithmic_flips_only_condition_four():
