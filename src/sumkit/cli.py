@@ -68,7 +68,7 @@ from .methods import (
     summability_limit,
 )
 from .regularity import check_kernel_st, check_matrix_st
-from .vspace import SpaceDescriptor, VectorValue, coordinate_functionals
+from .vspace import LinearFunctional, SpaceDescriptor, VectorValue, coordinate_functionals
 
 BUILTIN_METHODS = {
     "identity": identity_method,
@@ -86,7 +86,17 @@ CHAIN_STEPS = ("partial_sums", "abel_dilate", "log_mean")
 
 MEASURES = ("lebesgue", "counting")
 
+# a custom kernel's support tags; a fixed [lo, hi] is the other form
+_SUPPORTS = {"full": None, "upto_r": lambda r: (0.0, r), "unit_window": lambda r: (r, r + 1.0)}
+
 SUBSTITUTIONS = (SUBSTITUTION_NONE, SUBSTITUTION_LOG_BOUNDARY)
+
+# custom method kind -> (expression key, its variables (parameter, index), optional keys)
+_CUSTOM_KINDS = {
+    "matrix": ("entries", ("m", "n"), ()),
+    "seq_to_func": ("coeff", ("r", "n"), ("F",)),
+    "kernel": ("kernel", ("r", "t"), ("support", "measure", "substitution", "E", "F")),
+}
 
 CSV_HEADER = "experiment_id,module,grid_param,quantity,value_re,value_im,verdict"
 
@@ -149,63 +159,45 @@ def build_method(obj, ctx: str = "method"):
             spec = scaled_method(spec, _as_complex(obj["scale"], ctx))
         return spec
 
-    _check_keys(obj, ctx, (), ("kind", "entries", "coeff", "kernel", "support", "measure",
-                               "substitution", "E", "F", "name"))
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
+    if not (isinstance(kind, str) and kind in _CUSTOM_KINDS):
+        raise ConfigError(f"{ctx}: need either 'builtin' or a custom 'kind' in "
+                          f"{tuple(_CUSTOM_KINDS)}")
+    expr_key, variables, optional = _CUSTOM_KINDS[kind]
+    _check_keys(obj, ctx, ("kind", expr_key), ("name",) + optional)
     try:
-        if kind == "matrix":
-            expr = compile_expression(obj["entries"], ("m", "n"))
-            return MatrixSpec(
-                name=obj.get("name", "custom_matrix"),
-                row_block=lambda m, lo, hi: np.asarray(
-                    expr(m=float(m), n=np.arange(lo, hi, dtype=float)), dtype=complex
-                ) * np.ones(hi - lo),
-            )
-        if kind == "seq_to_func":
-            expr = compile_expression(obj["coeff"], ("n", "r"))
-            return SeqToFuncSpec(
-                name=obj.get("name", "custom_seq_to_func"),
-                F=_domain_from(obj.get("F", "unit"), ctx),
-                coeff_block=lambda r, lo, hi: np.asarray(
-                    expr(n=np.arange(lo, hi, dtype=float), r=float(r)), dtype=complex
-                ) * np.ones(hi - lo),
-            )
-        if kind == "kernel":
-            expr = compile_expression(obj["kernel"], ("r", "t"))
-            support_tag = obj.get("support", "full")
-            if support_tag == "upto_r":
-                support = lambda r: (0.0, r)
-            elif support_tag == "unit_window":
-                support = lambda r: (r, r + 1.0)
-            elif support_tag == "full":
-                support = None
-            elif isinstance(support_tag, list) and len(support_tag) == 2:
-                support = lambda r, _s=tuple(support_tag): (float(_s[0]), float(_s[1]))
-            else:
-                raise ConfigError(f"{ctx}: unknown support {support_tag!r}")
-            measure = obj.get("measure", "lebesgue")
-            if measure not in MEASURES:
-                raise ConfigError(f"{ctx}: unknown measure {measure!r}; have {MEASURES}")
-            substitution = obj.get("substitution", SUBSTITUTION_NONE)
-            if substitution not in SUBSTITUTIONS:
-                raise ConfigError(f"{ctx}: unknown substitution {substitution!r}; "
-                                  f"have {SUBSTITUTIONS}")
-            return KernelSpec(
-                name=obj.get("name", "custom_kernel"),
-                E=_domain_from(obj.get("E", "unit"), ctx),
-                F=_domain_from(obj.get("F", "unit"), ctx),
-                measure=measure,
-                kernel_batch=lambda r, ts: np.asarray(
-                    expr(r=float(r), t=np.asarray(ts, dtype=float)), dtype=complex
-                ) * np.ones(len(ts)),
-                support=support,
-                substitution=substitution,
-            )
+        expr = compile_expression(obj[expr_key], variables)
     except ExpressionError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
-    except KeyError as exc:
-        raise ConfigError(f"{ctx}: missing key {exc} for kind {kind!r}") from exc
-    raise ConfigError(f"{ctx}: need either 'builtin' or a custom 'kind'")
+    param, index = variables
+
+    def kernel_batch(p, ts):
+        values = expr(**{param: float(p), index: np.asarray(ts, dtype=float)})
+        return np.asarray(values, dtype=complex) * np.ones(len(ts))
+
+    name = obj.get("name", f"custom_{kind}")
+    if kind == "matrix":
+        return MatrixSpec(name=name, kernel_batch=kernel_batch)
+    F = _domain_from(obj.get("F", "unit"), ctx)
+    if kind == "seq_to_func":
+        return SeqToFuncSpec(name=name, kernel_batch=kernel_batch, F=F)
+    support_tag = obj.get("support", "full")
+    if isinstance(support_tag, list) and len(support_tag) == 2:
+        support = lambda r, _s=tuple(support_tag): (float(_s[0]), float(_s[1]))
+    elif isinstance(support_tag, str) and support_tag in _SUPPORTS:
+        support = _SUPPORTS[support_tag]
+    else:
+        raise ConfigError(f"{ctx}: unknown support {support_tag!r}")
+    # the first allowed value is the default
+    for key, allowed in (("measure", MEASURES), ("substitution", SUBSTITUTIONS)):
+        if obj.get(key, allowed[0]) not in allowed:
+            raise ConfigError(f"{ctx}: unknown {key} {obj[key]!r}; have {allowed}")
+    return KernelSpec(name=name, kernel_batch=kernel_batch, support=support,
+                      E=_domain_from(obj.get("E", "unit"), ctx), F=F,
+                      measure=obj.get("measure", MEASURES[0]),
+                      substitution=obj.get("substitution", SUBSTITUTIONS[0]))
 
 
 def _synthetic_convergent(obj, ctx: str):
@@ -333,8 +325,51 @@ def _est_row(label: str, est) -> list:
     ]
 
 
-def _run_check_regularity(exp, tol):
-    spec = build_method(exp["method"], f"{exp['id']}.method")
+def _parts(exp) -> dict:
+    """An experiment's nested config built, by key; raises every ConfigError it holds."""
+    ctx = exp["id"]
+    parts = {key: build_method(exp[key], f"{ctx}.{key}")
+             for key in ("method", "method_a", "method_b") if key in exp}
+    if "sources" in exp:
+        parts["sources"] = build_sources(exp["sources"], f"{ctx}.sources")
+    if exp["kind"] == "taylor":
+        parts["space"] = build_space(exp.get("space", "h2"), f"{ctx}.space")
+        mode = exp.get("mode", "summability")
+        if mode not in ("summability", "dilate_identity"):
+            raise ConfigError(f"{ctx}: unknown taylor mode {mode!r}")
+        if mode == "summability":
+            for step in exp.get("chain", ["partial_sums"]):
+                if step not in CHAIN_STEPS:
+                    raise ConfigError(f"{ctx}: unknown chain step {step!r}")
+            parts["function"] = build_taylor(exp["function"], parts["space"], f"{ctx}.function")
+    if exp["kind"] == "transfer":
+        fam, probes_cfg = exp["family"], exp["probes"]
+        _check_keys(fam, f"{ctx}.family", ("name",), ("dim",))
+        if fam["name"] != "truncation":
+            raise ConfigError(f"{ctx}.family: only the 'truncation' family is shipped")
+        space = SpaceDescriptor(int(fam.get("dim", 4)), "l2")
+        parts["family"] = truncation_family(space)
+        _check_keys(probes_cfg, f"{ctx}.probes", ("count", "seed"), ())
+        rng = np.random.default_rng(int(probes_cfg["seed"]))
+        parts["probes"] = []
+        for _ in range(int(probes_cfg["count"])):
+            x = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+            parts["probes"].append(VectorValue(x / np.linalg.norm(x), space))
+    if exp["kind"] == "weak_inclusion":
+        spec_f = exp.get("functionals", "coordinates")
+        dims = {src.space.dim for _, src, _ in parts["sources"]}
+        if spec_f == "coordinates":
+            if len(dims) != 1:
+                raise ConfigError(f"{ctx}: sources have mixed dimensions")
+            parts["functionals"] = coordinate_functionals(SpaceDescriptor(dims.pop(), "l2"))
+        else:
+            parts["functionals"] = [LinearFunctional([_as_complex(w, f"{ctx}.functionals")
+                                                      for w in weights]) for weights in spec_f]
+    return parts
+
+
+def _run_check_regularity(exp, tol, parts):
+    spec = parts["method"]
     if isinstance(spec, MatrixSpec):
         grid = parameter_grid(NAT, int(exp.get("m_max_exp", 14)))
         report = check_matrix_st(spec, m_grid=grid, n_max=int(exp.get("n_max", 32)), tol=tol)
@@ -346,12 +381,11 @@ def _run_check_regularity(exp, tol):
     return report.rows(), report.to_jsonable(), series
 
 
-def _run_sum(exp, tol):
-    spec = build_method(exp["method"], f"{exp['id']}.method")
-    sources = build_sources(exp["sources"], f"{exp['id']}.sources")
+def _run_sum(exp, tol, parts):
+    spec = parts["method"]
     depth = int(exp.get("depth", 20))
     rows, cases = [], []
-    for label, source, expected in sources:
+    for label, source, expected in parts["sources"]:
         est = summability_limit(spec, source, depth=depth, tol=tol)
         rows.extend(_est_row(label, est))
         case = {"label": label, "status": est.status, "residual": est.residual,
@@ -368,60 +402,28 @@ def _run_sum(exp, tol):
     return rows, jsonable, ()
 
 
-def _run_inclusion(exp, tol):
-    a = build_method(exp["method_a"], f"{exp['id']}.method_a")
-    b = build_method(exp["method_b"], f"{exp['id']}.method_b")
-    sources = [(label, src) for label, src, _ in build_sources(exp["sources"],
-                                                               f"{exp['id']}.sources")]
-    report = inclusion_experiment(a, b, sources, depth=int(exp.get("depth", 14)), tol=tol)
+def _run_inclusion(exp, tol, parts):
+    report = inclusion_experiment(parts["method_a"], parts["method_b"], parts["sources"],
+                                  depth=int(exp.get("depth", 14)), tol=tol)
     return report.rows(), report.to_jsonable(), ()
 
 
-def _run_transfer(exp, tol):
-    a = build_method(exp["method_a"], f"{exp['id']}.method_a")
-    b = build_method(exp["method_b"], f"{exp['id']}.method_b")
-    fam = exp["family"]
-    _check_keys(fam, f"{exp['id']}.family", ("name",), ("dim",))
-    if fam["name"] != "truncation":
-        raise ConfigError(f"{exp['id']}.family: only the 'truncation' family is shipped")
-    space = SpaceDescriptor(int(fam.get("dim", 4)), "l2")
-    family = truncation_family(space)
-    probes_cfg = exp["probes"]
-    _check_keys(probes_cfg, f"{exp['id']}.probes", ("count", "seed"), ())
-    rng = np.random.default_rng(int(probes_cfg["seed"]))
-    probes = []
-    for _ in range(int(probes_cfg["count"])):
-        x = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        probes.append(VectorValue(x / np.linalg.norm(x), space))
-    report = transfer_experiment(a, b, family, probes,
-                                 depth=int(exp.get("depth", 24)), tol=tol)
+def _run_transfer(exp, tol, parts):
+    report = transfer_experiment(parts["method_a"], parts["method_b"], parts["family"],
+                                 parts["probes"], depth=int(exp.get("depth", 24)), tol=tol)
     return report.rows(), report.to_jsonable(), ()
 
 
-def _run_weak_inclusion(exp, tol):
-    a = build_method(exp["method_a"], f"{exp['id']}.method_a")
-    b = build_method(exp["method_b"], f"{exp['id']}.method_b")
-    sources = [(label, src) for label, src, _ in build_sources(exp["sources"],
-                                                               f"{exp['id']}.sources")]
-    spec_f = exp.get("functionals", "coordinates")
-    dims = {src.space.dim for _, src in sources}
-    if spec_f == "coordinates":
-        if len(dims) != 1:
-            raise ConfigError(f"{exp['id']}: sources have mixed dimensions")
-        functionals = coordinate_functionals(SpaceDescriptor(dims.pop(), "l2"))
-    else:
-        from .vspace import LinearFunctional
-
-        functionals = [LinearFunctional([_as_complex(w, f"{exp['id']}.functionals")
-                                         for w in weights]) for weights in spec_f]
-    report = weak_inclusion_experiment(a, b, sources, functionals,
-                                       depth=int(exp.get("depth", 14)), tol=tol)
+def _run_weak_inclusion(exp, tol, parts):
+    report = weak_inclusion_experiment(parts["method_a"], parts["method_b"], parts["sources"],
+                                       parts["functionals"], depth=int(exp.get("depth", 14)),
+                                       tol=tol)
     return report.rows(), report.to_jsonable(), ()
 
 
-def _run_taylor(exp, tol):
+def _run_taylor(exp, tol, parts):
     mode = exp.get("mode", "summability")
-    space = build_space(exp.get("space", "h2"), f"{exp['id']}.space")
+    space = parts["space"]
     if mode == "dilate_identity":
         count = int(exp.get("count", 100))
         seed = int(exp.get("seed", 0))
@@ -440,14 +442,8 @@ def _run_taylor(exp, tol):
         jsonable = {"mode": mode, "count": count, "max_degree": max_degree,
                     "radii": radii, "max_deviation": worst, "verdict": verdict}
         return rows, jsonable, ()
-    if mode != "summability":
-        raise ConfigError(f"{exp['id']}: unknown taylor mode {mode!r}")
-    f = build_taylor(exp["function"], space, f"{exp['id']}.function")
-    chain = exp.get("chain", ["partial_sums"])
-    for step in chain:
-        if step not in CHAIN_STEPS:
-            raise ConfigError(f"{exp['id']}: unknown chain step {step!r}")
-    report = taylor_summability_experiment(f, space, chain,
+    report = taylor_summability_experiment(parts["function"], space,
+                                           exp.get("chain", ["partial_sums"]),
                                            depth=int(exp.get("depth", 20)), tol=tol)
     series = tuple((p, d) for p, d in report.cells)
     return report.rows(), report.to_jsonable(), series
@@ -473,6 +469,13 @@ KINDS = tuple(_RUNNERS)
 
 
 def validate_config(config) -> list:
+    """The experiments of a config; raises ConfigError before anything runs.
+
+    Each experiment's keys are checked, and its nested config (methods,
+    sources, Taylor function, space and chain, family, probes, functionals)
+    is built once and discarded; a value that cannot be built is a
+    ConfigError too.
+    """
     if not isinstance(config, dict):
         raise ConfigError("top level: expected an object")
     _check_keys(config, "top level", ("experiments",), ("description",))
@@ -495,6 +498,12 @@ def validate_config(config) -> list:
         if exp_id in seen:
             raise ConfigError(f"{ctx}: duplicate id {exp_id!r}")
         seen.add(exp_id)
+        try:
+            _parts(exp)
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConfigError(f"{ctx}: {type(exc).__name__}: {exc}") from exc
     return experiments
 
 
@@ -503,7 +512,7 @@ def run_experiment(exp: dict, tol_override=None) -> ExperimentOutcome:
     runner, module, default_tol, _, _ = _RUNNERS[kind]
     tol = float(tol_override if tol_override is not None else exp.get("tol", default_tol))
     try:
-        rows, jsonable, series = runner(exp, tol)
+        rows, jsonable, series = runner(exp, tol, _parts(exp))
     except ConfigError:
         raise
     except Exception as exc:  # runtime failure: recorded, exits 3

@@ -6,7 +6,7 @@ or power law) that certifies truncation tails.  Three norms are implemented:
 
 * h2        -- l2 norm of the coefficients;
 * wiener    -- l1 norm of the coefficients;
-* disk_grid -- max modulus over the N-th roots of unity (N boundary points),
+* disk_grid -- max modulus over the N-th roots of unity (N = BOUNDARY_POINTS),
                evaluated exactly as one DFT of the coefficients folded mod N.
                This approximates the true sup norm from below; the dropped
                coefficient tail bounds the additional error, and reports
@@ -43,6 +43,9 @@ DISK_GRID = "disk_grid"
 
 _SPACE_TAGS = (H2, WIENER, DISK_GRID)
 
+# N, the number of boundary points (N-th roots of unity) of the disk-grid norm
+BOUNDARY_POINTS = 4096
+
 
 class DilateConsistencyError(RuntimeError):
     """Multiplier and double-sum forms of the dilate disagreed."""
@@ -51,13 +54,10 @@ class DilateConsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class SeriesSpace:
     tag: str = H2
-    boundary_points: int = 4096
 
     def __post_init__(self):
         if self.tag not in _SPACE_TAGS:
             raise ValueError(f"unknown space tag {self.tag!r}")
-        if self.boundary_points < 8:
-            raise ValueError("need at least 8 boundary points")
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +275,8 @@ def series_norm(f: TaylorFunction) -> float:
     # series; underestimates the sup norm by at most the l1 tail (<= _TAIL_TOL).
     # z^k and z^(k mod N) agree on the grid, so p(w^j) = sum_k folded_k w^(jk)
     # is an unnormalised inverse DFT of the coefficients folded mod N.
-    points = f.space.boundary_points
-    folded = np.pad(coeffs, (0, -coeffs.size % points)).reshape(-1, points).sum(axis=0)
+    folded = np.pad(coeffs, (0, -coeffs.size % BOUNDARY_POINTS)).reshape(
+        -1, BOUNDARY_POINTS).sum(axis=0)
     return float(np.max(np.abs(np.fft.ifft(folded, norm="forward"))))
 
 

@@ -37,11 +37,10 @@ from .domains import (
 from .integrate import QuadratureError
 from .methods import (
     FunctionSource,
+    KernelSpec,
     MatrixSpec,
-    MethodSpec,
     NonSummableError,
     SequenceSource,
-    as_kernel,
     scalar_sequence,
     summability_limit,
 )
@@ -163,7 +162,7 @@ def _as_cases(tests) -> list:
     return cases
 
 
-def _run_cases(A: MethodSpec, B: MethodSpec, cases, depth: int, tol: float) -> tuple:
+def _run_cases(A: KernelSpec, B: KernelSpec, cases, depth: int, tol: float) -> tuple:
     """Both methods' limits on every (label, source) case, classified: (results, margin)."""
     margin = 2.0 * tol + VERDICT_MARGIN
     results = []
@@ -180,7 +179,7 @@ def _run_cases(A: MethodSpec, B: MethodSpec, cases, depth: int, tol: float) -> t
     return tuple(results), margin
 
 
-def inclusion_experiment(A: MethodSpec, B: MethodSpec, tests, depth: int = 14,
+def inclusion_experiment(A: KernelSpec, B: KernelSpec, tests, depth: int = 14,
                          tol: float = 1e-6) -> InclusionReport:
     """Run both methods over the test sources and classify case by case."""
     cases, margin = _run_cases(A, B, _as_cases(tests), depth, tol)
@@ -307,14 +306,13 @@ PASS_STR = "pass"
 FAIL_STR = "fail"
 
 
-def regularity_evidence(spec: MethodSpec, tol: float = 1e-6,
+def regularity_evidence(spec: KernelSpec, tol: float = 1e-6,
                         r_depth: int = 16, exhaust_depth: int = 8):
-    """Run the appropriate regularity checker; returns (bool, report)."""
+    """The matrix form for a declared ``MatrixSpec``, else the kernel form: (bool, report)."""
     if isinstance(spec, MatrixSpec):
         report = check_matrix_st(spec, tol=tol)
     else:
-        report = check_kernel_st(as_kernel(spec), r_depth=r_depth,
-                                 exhaust_depth=exhaust_depth, tol=tol)
+        report = check_kernel_st(spec, r_depth=r_depth, exhaust_depth=exhaust_depth, tol=tol)
     return report.overall == REGULAR_EVIDENCE, report
 
 
@@ -322,7 +320,7 @@ _SCALAR_DEPTH = 14
 _SCALAR_TOL = 1e-3
 
 
-def transfer_experiment(A: MethodSpec, B: MethodSpec, family: OperatorFamily,
+def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
                         probes: Sequence[VectorValue], depth: int = 24,
                         tol: float = 1e-6) -> TransferReport:
     """Check the hypothesis battery, then B-summability of every probe orbit.
@@ -454,7 +452,7 @@ class WeakInclusionReport(_CaseTally):
         }
 
 
-def weak_inclusion_experiment(A: MethodSpec, B: MethodSpec, tests,
+def weak_inclusion_experiment(A: KernelSpec, B: KernelSpec, tests,
                               functionals: Sequence[LinearFunctional],
                               depth: int = 14, tol: float = 1e-6) -> WeakInclusionReport:
     """Functional-wise inclusion: A-summability of phi(v) must transfer to B."""

@@ -30,7 +30,7 @@ one truncation rule of the package, read at call time.
 The certified sum reads its source one block at a time, as a ``_Block``
 record: the terms, their norms, and the O(dim) sums every row takes of them
 (the block's sum and norm sum, the sup norm, the last term and the
-stabilized scatter about it).  A matrix row that declares ``row_weight`` is
+stabilized scatter about it).  A matrix row that declares ``weight`` is
 a box row -- Cesaro, series summation and the identity are -- and sums a
 block as its one weight times the block's sum, which rounds differently
 from the sum of weighted terms; every other row multiplies its coefficients
@@ -39,30 +39,31 @@ sequence source's block records (``_SharedBlocks``), so a
 ``SequenceSource.block`` must be a deterministic function of ``(lo, hi)``;
 every source built here is elementwise.
 
-Every object is given by one vectorised callable (``row_block``,
-``coeff_block``, ``kernel_batch``, ``block``, ``batch``); the scalar accessors
-``entry``, ``coeff``, ``kernel``, ``term`` and ``value`` evaluate it on a
-single index.  ``_row`` is the one reader of the discrete specs: a matrix
-row, the coefficients a_n(r) and a counting kernel at r are all a
-coefficient block, a support ``(lo, hi)`` summed from ``lo``, and the tail
-weights of the certificates.  Only a Lebesgue kernel is integrated, over a
-support that must lie in the source's domain.  The integrals of every grid
-parameter of one call refine in lockstep (``_kernel_quadratures``): each
-level reads the source once at the nodes of all pending integrals, and the
-kernel once per parameter on that parameter's run of nodes.  So a
-``FunctionSource.batch`` and a ``KernelSpec.kernel_batch`` must be
-elementwise in t (a value at t depends on t alone, not on the other nodes
-of the call), as every one built here is; each integral then equals a lone
-one bit for bit.
+Every method is one ``KernelSpec``, a kernel a(r, t) on E with parameters
+r in F: a matrix (``MatrixSpec``, E = F = naturals) and a
+sequence-to-function method (``SeqToFuncSpec``, E = naturals) are counting
+kernels with their domains and measure fixed.  Every object is given by one
+vectorised callable (``kernel_batch``, ``block``, ``batch``) that must be
+elementwise in its index array (a value at n or t depends on it alone, not
+on the other indices of the call); the scalar accessors ``entry``,
+``coeff``, ``kernel``, ``term`` and ``value`` evaluate it on a single index.
+The measure decides the transform.  ``_row`` is the one reader of a
+counting kernel: a coefficient block, a support ``(lo, hi)`` summed from
+``lo``, and the tail weights of the certificates.  Only a Lebesgue kernel
+is integrated, over a support that must lie in the source's domain.  The
+integrals of every grid parameter of one call refine in lockstep
+(``_kernel_quadratures``): each level reads the source once at the nodes of
+all pending integrals, and the kernel once per parameter on that
+parameter's run of nodes; each integral then equals a lone one bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -322,67 +323,53 @@ def combine_sources(alpha: complex, u, beta: complex, v):
 # Method specs
 
 
-def _whole_row(m: int) -> tuple:
-    return (0, None)
-
-
-@dataclass(frozen=True)
-class MatrixSpec:
-    """Rows a_{m, n}; transform m |-> sum_n a_{m, n} v_n on E = F = naturals."""
-
-    name: str
-    row_block: Callable[[int, int, int], np.ndarray]  # (m, lo, hi) -> a_{m, lo..hi-1}
-    row_support: Callable[[int], tuple] = _whole_row  # (lo, hi) inclusive; hi None = infinite
-    row_tail_abs: Optional[Callable[[int, int], float]] = None   # sum_{n > N} |a_{m, n}|
-    row_tail_sum: Optional[Callable[[int, int], complex]] = None  # sum_{n > N} a_{m, n}
-    # a box row: the one value w_m of every entry on the support, so a block
-    # of row m sums to w_m times the block's sum (see _Block)
-    row_weight: Optional[Callable[[int], complex]] = None
-
-    def entry(self, m: int, n: int) -> complex:
-        return complex(self.row_block(m, n, n + 1)[0])
-
-
-@dataclass(frozen=True)
-class SeqToFuncSpec:
-    """Coefficients a_n(r); transform r |-> sum_n a_n(r) v_n, r in F."""
-
-    name: str
-    coeff_block: Callable[[float, int, int], np.ndarray]  # (r, lo, hi) -> a_lo(r)..a_{hi-1}(r)
-    F: HalfOpenInterval = UNIT_INTERVAL
-    tail_abs: Optional[Callable[[float, int], float]] = None
-    tail_sum: Optional[Callable[[float, int], complex]] = None
-
-    def coeff(self, n: int, r: float) -> complex:
-        return complex(self.coeff_block(r, n, n + 1)[0])
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel a(r, t) integrated against v over E (counting or Lebesgue)."""
+    """Kernel a(r, t) integrated against v over E (counting or Lebesgue): the one method spec."""
 
     name: str
-    # (r, ts) -> a(r, ts), elementwise in t: a grid's quadratures share its calls
-    kernel_batch: Callable[[float, np.ndarray], np.ndarray]
+    kernel_batch: Callable[[float, np.ndarray], np.ndarray]  # (r, ts) -> a(r, ts)
     E: IndexDomain = UNIT_INTERVAL
     F: IndexDomain = UNIT_INTERVAL
     measure: str = "lebesgue"
-    support: Optional[Callable[[float], tuple]] = None  # (lo, hi) subset of E, else full E
+    # (lo, hi) inclusive, a subset of E, else all of E; a counting hi None has no end
+    support: Optional[Callable[[float], tuple]] = None
     substitution: str = SUBSTITUTION_NONE
-    tail_abs: Optional[Callable[[float, int], float]] = None   # counting measure only
-    tail_sum: Optional[Callable[[float, int], complex]] = None
+    tail_abs: Optional[Callable[[float, int], float]] = None   # sum_{n > N} |a(r, n)|, counting
+    tail_sum: Optional[Callable[[float, int], complex]] = None  # sum_{n > N} a(r, n), counting
+    # a box row: the one value w(r) of every entry on the support, so a block
+    # sums to w(r) times the block's sum (see _Block); settable on MatrixSpec only
+    weight: Optional[Callable[[float], complex]] = field(default=None, init=False)
 
     def kernel(self, r: float, t) -> complex:
         return complex(self.kernel_batch(r, np.asarray([t]))[0])
 
 
-MethodSpec = Union[MatrixSpec, SeqToFuncSpec, KernelSpec]
+@dataclass(frozen=True)
+class MatrixSpec(KernelSpec):
+    """Rows a_{m, n}: the counting kernel on E = F = naturals; m |-> sum_n a_{m, n} v_n."""
+
+    E: IndexDomain = field(default=NAT, init=False)
+    F: IndexDomain = field(default=NAT, init=False)
+    measure: str = field(default="counting", init=False)
+    substitution: str = field(default=SUBSTITUTION_NONE, init=False)
+    weight: Optional[Callable[[int], complex]] = None
+
+    def entry(self, m: int, n: int) -> complex:
+        return self.kernel(m, n)
 
 
-def method_parameter_domain(spec: MethodSpec) -> IndexDomain:
-    if isinstance(spec, MatrixSpec):
-        return NAT
-    return spec.F
+@dataclass(frozen=True)
+class SeqToFuncSpec(KernelSpec):
+    """Coefficients a_n(r): the counting kernel on E = naturals; r |-> sum_n a_n(r) v_n, r in F."""
+
+    E: IndexDomain = field(default=NAT, init=False)
+    measure: str = field(default="counting", init=False)
+    support: Optional[Callable[[float], tuple]] = field(default=None, init=False)
+    substitution: str = field(default=SUBSTITUTION_NONE, init=False)
+
+    def coeff(self, n: int, r: float) -> complex:
+        return self.kernel(r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -392,47 +379,46 @@ def method_parameter_domain(spec: MethodSpec) -> IndexDomain:
 def identity_method() -> MatrixSpec:
     return MatrixSpec(
         name="identity",
-        row_block=lambda m, lo, hi: (np.arange(lo, hi) == m).astype(complex),
-        row_support=lambda m: (m, m),
-        row_tail_abs=lambda m, N: 0.0 if N >= m else 1.0,
-        row_tail_sum=lambda m, N: 0.0 if N >= m else 1.0,
-        row_weight=lambda m: 1.0,
+        kernel_batch=lambda m, ns: (ns == m).astype(complex),
+        support=lambda m: (m, m),
+        tail_abs=lambda m, N: 0.0 if N >= m else 1.0,
+        tail_sum=lambda m, N: 0.0 if N >= m else 1.0,
+        weight=lambda m: 1.0,
     )
 
 
 def series_summation_method() -> MatrixSpec:
     return MatrixSpec(
         name="series_summation",
-        row_block=lambda m, lo, hi: (np.arange(lo, hi) <= m).astype(complex),
-        row_support=lambda m: (0, m),
-        row_tail_abs=lambda m, N: float(max(m - N, 0)),
-        row_tail_sum=lambda m, N: float(max(m - N, 0)),
-        row_weight=lambda m: 1.0,
+        kernel_batch=lambda m, ns: (ns <= m).astype(complex),
+        support=lambda m: (0, m),
+        tail_abs=lambda m, N: float(max(m - N, 0)),
+        tail_sum=lambda m, N: float(max(m - N, 0)),
+        weight=lambda m: 1.0,
     )
 
 
 def cesaro_method() -> MatrixSpec:
     return MatrixSpec(
         name="cesaro",
-        row_block=lambda m, lo, hi: (np.arange(lo, hi) <= m) / (m + 1.0) + 0j,
-        row_support=lambda m: (0, m),
-        row_tail_abs=lambda m, N: max(m - N, 0) / (m + 1.0),
-        row_tail_sum=lambda m, N: max(m - N, 0) / (m + 1.0),
-        row_weight=lambda m: 1.0 / (m + 1.0),
+        kernel_batch=lambda m, ns: (ns <= m) / (m + 1.0) + 0j,
+        support=lambda m: (0, m),
+        tail_abs=lambda m, N: max(m - N, 0) / (m + 1.0),
+        tail_sum=lambda m, N: max(m - N, 0) / (m + 1.0),
+        weight=lambda m: 1.0 / (m + 1.0),
     )
 
 
 def abel_method() -> SeqToFuncSpec:
-    def coeff_block(r, lo, hi):
-        ns = np.arange(lo, hi, dtype=float)
+    def kernel_batch(r, ns):
+        ns = np.asarray(ns, dtype=float)
         # r**n via exp(n log r) stays accurate for r close to 1 and large n
         return (1.0 - r) * np.exp(ns * math.log(r)) + 0j if r > 0 else \
             (1.0 - r) * (ns == 0).astype(complex)
 
     return SeqToFuncSpec(
         name="abel",
-        F=UNIT_INTERVAL,
-        coeff_block=coeff_block,
+        kernel_batch=kernel_batch,
         tail_abs=lambda r, N: r ** (N + 1),
         tail_sum=lambda r, N: r ** (N + 1),
     )
@@ -458,82 +444,32 @@ def logarithmic_method() -> KernelSpec:
     )
 
 
-def _at(fn, param):
-    """Fix the parameter of a (param, N) tail function; None stays None."""
-    return None if fn is None else (lambda N: fn(param, N))
-
-
 def _times(factor, fn):
     return None if fn is None else (lambda *args: factor * fn(*args))
 
 
-def scaled_method(spec: MethodSpec, factor: complex) -> MethodSpec:
-    """Multiply a method's coefficients/kernel by a constant."""
+def scaled_method(spec: KernelSpec, factor: complex) -> KernelSpec:
+    """Multiply a method's kernel by a constant; the result is named ``scaled(<name>)``."""
     factor = complex(factor)
-    mag = abs(factor)
-    if isinstance(spec, MatrixSpec):
-        return replace(
-            spec,
-            name=f"{factor:g}*{spec.name}" if factor.imag == 0 else f"scaled({spec.name})",
-            row_block=_times(factor, spec.row_block),
-            row_tail_abs=_times(mag, spec.row_tail_abs),
-            row_tail_sum=_times(factor, spec.row_tail_sum),
-            row_weight=_times(factor, spec.row_weight),
-        )
-    if isinstance(spec, SeqToFuncSpec):
-        return replace(spec, name=f"scaled({spec.name})",
-                       coeff_block=_times(factor, spec.coeff_block),
-                       tail_abs=_times(mag, spec.tail_abs), tail_sum=_times(factor, spec.tail_sum))
-    if isinstance(spec, KernelSpec):
-        return replace(spec, name=f"scaled({spec.name})",
-                       kernel_batch=_times(factor, spec.kernel_batch),
-                       tail_abs=_times(mag, spec.tail_abs), tail_sum=_times(factor, spec.tail_sum))
-    raise TypeError(f"not a method spec: {spec!r}")
+    changes = dict(name=f"scaled({spec.name})", kernel_batch=_times(factor, spec.kernel_batch),
+                   tail_abs=_times(abs(factor), spec.tail_abs),
+                   tail_sum=_times(factor, spec.tail_sum))
+    if spec.weight is not None:
+        changes["weight"] = _times(factor, spec.weight)
+    return replace(spec, **changes)
 
 
-def _at_indices(block, ts) -> np.ndarray:
-    """block(lo, hi) read at the integer indices ts, one value per index.
+def as_kernel(spec: KernelSpec) -> KernelSpec:
+    """A matrix or sequence-to-function method as the plain counting kernel it is.
 
-    A contiguous increasing run (every internal caller passes ``np.arange``)
-    is one block call; any other 1-d array falls back to one call per index.
+    The result has the same fields as a plain ``KernelSpec`` (a box row's
+    ``weight`` is not one of them) and is named ``<name>_as_kernel``; a
+    plain kernel is returned as it is.
     """
-    ts = np.asarray(ts)
-    if ts.size == 0:
-        return np.zeros(0, dtype=complex)
-    lo, hi = int(ts[0]), int(ts[-1]) + 1
-    if hi - lo == ts.size and (ts.size < 3 or (ts[1:] - ts[:-1] == 1).all()):
-        return block(lo, hi)
-    return np.array([block(int(t), int(t) + 1)[0] for t in ts], dtype=complex)
-
-
-def as_kernel(spec: MethodSpec) -> KernelSpec:
-    """Recast a matrix or sequence-to-function method as a counting kernel."""
-    if isinstance(spec, KernelSpec):
+    if type(spec) is KernelSpec:
         return spec
-    if isinstance(spec, MatrixSpec):
-        def by_row(fn):
-            return None if fn is None else (lambda r, N: fn(int(r), N))
-
-        return KernelSpec(
-            name=f"{spec.name}_as_kernel",
-            E=NAT,
-            F=NAT,
-            measure="counting",
-            kernel_batch=lambda r, ts: _at_indices(
-                lambda lo, hi: spec.row_block(int(r), lo, hi), ts),
-            support=lambda r: spec.row_support(int(r)),
-            tail_abs=by_row(spec.row_tail_abs),
-            tail_sum=by_row(spec.row_tail_sum),
-        )
-    return KernelSpec(
-        name=f"{spec.name}_as_kernel",
-        E=NAT,
-        F=spec.F,
-        measure="counting",
-        kernel_batch=lambda r, ts: _at_indices(lambda lo, hi: spec.coeff_block(r, lo, hi), ts),
-        tail_abs=spec.tail_abs,
-        tail_sum=spec.tail_sum,
-    )
+    return KernelSpec(**{f.name: getattr(spec, f.name) for f in fields(KernelSpec) if f.init}
+                      | {"name": f"{spec.name}_as_kernel"})
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +489,7 @@ def _row_norms(arr: np.ndarray, tag: str) -> np.ndarray:
 
 # over- and underflow in a block are caught by the finiteness and overflow checks
 @np.errstate(over="ignore", invalid="ignore")
-def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, None),
+def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
                    tail_abs=None, tail_sum=None, label: str = "series",
                    tail_tol: Optional[float] = None, weight: Optional[complex] = None):
     """Sum sum_n c_n v_n over support = (lo, hi) with a numeric tail certificate.
@@ -563,10 +499,10 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
     end) the sum takes at most _MAX_TERMS terms.  The plain and stabilized
     certificates bound the tail by tail_tol (None: _TAIL_TOL), the
     geometric-ratio estimate always by _TAIL_TOL.
-    coeff_block(a, b) -> complex array of c_a .. c_{b-1}; tail_abs/tail_sum(N)
+    coeffs(a, b) -> complex array of c_a .. c_{b-1}; tail_abs/tail_sum(N)
     describe the coefficient tail beyond the absolute index N (up to hi).
     A box row (``weight`` w, every c_n = w on the support) sums each source
-    block as w times its sum, and coeff_block is not called.
+    block as w times its sum, and coeffs is not called.
     Returns (coords, bound, terms).
     Raises NonSummableError when no certificate is reached.
     """
@@ -592,7 +528,7 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
         hi = min(n + block, end)
         rec = source._record(n, hi, terms=weight is None)
         if weight is None:
-            cs = np.asarray(coeff_block(n, hi), dtype=complex)
+            cs = np.asarray(coeffs(n, hi), dtype=complex)
             blk_sum = (cs[:, None] * rec.terms).sum(axis=0)
         else:
             blk_sum = weight * rec.total
@@ -652,36 +588,33 @@ def _certified_sum(coeff_block, source: SequenceSource, support: tuple = (0, Non
 # Transforms
 
 
-def _row(spec: MethodSpec, param) -> tuple:
-    """(coeff_block, (lo, hi), tail_abs, tail_sum, label, weight) of a discrete spec at param.
+def _row(spec: KernelSpec, param) -> tuple:
+    """(coeffs, (lo, hi), tail_abs, tail_sum, label, weight) of a counting kernel at param.
 
-    The one reader of a matrix row (param = m >= 0), of sequence-to-function
-    coefficients (param = r in [0, F.right)) and of a counting kernel at r:
-    coeff_block(a, b) gives the coefficients of indices a .. b-1, (lo, hi) is
-    the support (hi None: no end), the tail functions of N are those of
-    the spec with its parameter fixed, and weight is a box row's one entry
-    (None for every other row).
+    The one reader of every discrete spec: a matrix row (param = m in F =
+    naturals), the coefficients a_n(r) and any other counting kernel at r in
+    F.  coeffs(a, b) gives the kernel at the indices a .. b-1, (lo, hi)
+    is the support (all of the naturals by default; hi None: no end), the
+    tail functions of N are those of the spec with its parameter fixed, and
+    weight is a box row's one entry (None for every other row).  Raises
+    ValueError for a parameter outside F.
     """
-    if isinstance(spec, MatrixSpec):
-        m = int(param)
-        if m < 0:
-            raise ValueError("row index must be >= 0")
-        return (lambda a, b: spec.row_block(m, a, b), spec.row_support(m),
-                _at(spec.row_tail_abs, m), _at(spec.row_tail_sum, m), f"{spec.name} row {m}",
-                None if spec.row_weight is None else spec.row_weight(m))
-    if isinstance(spec, SeqToFuncSpec):
-        r = float(param)
-        if not (0.0 <= r < spec.F.right):
-            raise ValueError(f"parameter {r} outside [0, {spec.F.right})")
-        return (lambda a, b: spec.coeff_block(r, a, b), (0, None),
-                _at(spec.tail_abs, r), _at(spec.tail_sum, r), f"{spec.name} at r={r}", None)
-    if isinstance(spec, KernelSpec) and spec.measure == "counting":
-        lo, hi = spec.support(param) if spec.support is not None else (0, None)
-        return (lambda a, b: spec.kernel_batch(param, np.arange(a, b)),
-                (int(lo), None if hi is None else int(hi)),
-                _at(spec.tail_abs, param), _at(spec.tail_sum, param), f"{spec.name} at r={param}",
-                None)
-    raise TypeError(f"not a method spec: {spec!r}")
+    if spec.F == NAT:
+        p = int(param)
+        if p != param or p < 0:
+            raise ValueError(f"row index {param!r} outside the naturals")
+        label = f"{spec.name} row {p}"
+    else:
+        p = float(param)
+        if not 0.0 <= p < spec.F.right:
+            raise ValueError(f"parameter {p} outside [0, {spec.F.right})")
+        label = f"{spec.name} at r={p}"
+    lo, hi = (0, None) if spec.support is None else spec.support(p)
+    tail_abs, tail_sum = (None if fn is None else partial(fn, p)
+                          for fn in (spec.tail_abs, spec.tail_sum))
+    return (lambda a, b: spec.kernel_batch(p, np.arange(a, b)),
+            (int(lo), None if hi is None else int(hi)), tail_abs, tail_sum, label,
+            None if spec.weight is None else spec.weight(p))
 
 
 def _kernel_support(spec: KernelSpec, r) -> tuple:
@@ -736,7 +669,7 @@ def _lebesgue_transforms(spec: KernelSpec, source, params) -> list:
             for out in outs]
 
 
-def transform_at(spec: MethodSpec, source, param, *,
+def transform_at(spec: KernelSpec, source, param, *,
                  tail_tol: Optional[float] = None) -> VectorValue:
     """The transform of ``source`` at ``param``: the one transform entry point.
 
@@ -747,18 +680,18 @@ def transform_at(spec: MethodSpec, source, param, *,
     for finitely supported rows, with its tail certified to ``tail_tol``
     (None: ``_TAIL_TOL``).
     """
-    if isinstance(spec, KernelSpec) and spec.measure != "counting":
+    if spec.measure != "counting":
         (value,) = _lebesgue_transforms(spec, source, [param])
         if isinstance(value, QuadratureError):
             raise value
         return value
-    coeff_block, support, tail_abs, tail_sum, label, weight = _row(spec, param)
-    coords, _, _ = _certified_sum(coeff_block, source, support, tail_abs, tail_sum, label,
+    coeffs, support, tail_abs, tail_sum, label, weight = _row(spec, param)
+    coords, _, _ = _certified_sum(coeffs, source, support, tail_abs, tail_sum, label,
                                   tail_tol=tail_tol, weight=weight)
     return VectorValue(coords, source.space)
 
 
-def summability_limit(spec: MethodSpec, source, depth: int = 20,
+def summability_limit(spec: KernelSpec, source, depth: int = 20,
                       tol: float = 1e-6) -> ConvergenceEstimate:
     """Evaluate the transform along the parameter grid and detect its limit.
 
@@ -780,9 +713,9 @@ def summability_limit(spec: MethodSpec, source, depth: int = 20,
     inconclusive.
     """
     window = domains._WINDOW
-    params = sample_grid(method_parameter_domain(spec), depth)
+    params = sample_grid(spec.F, depth)
 
-    if isinstance(spec, KernelSpec) and spec.measure != "counting":
+    if spec.measure != "counting":
         outcomes = _lebesgue_transforms(spec, source, params)
     else:
         tail_tol = max(tol * _TAIL_SHARE, _TAIL_TOL)

@@ -3,10 +3,12 @@
 Matrix form: (1) row absolute sums bounded, (2) columns vanishing, (3) row
 sums tending to 1.  Kernel form: (1) integrability of |a(r, .)| at each r,
 (2) boundedness of those integrals over r, (3) escape of mass from every
-compact window, (4) total mass tending to 1.  The matrix form is the
-counting-measure case of the kernel form (rows are counting kernels, read
-by ``methods._row``) and both are judged by the same three grid rules:
-boundedness (c1, k2), vanishing (columns, windows) and tending to 1 (c3, k4).
+compact window, (4) total mass tending to 1.  The kernel form reads any
+spec, its measure deciding between quadrature and a sum over the row that
+``methods._row`` reads; the matrix form is its counting-measure case on the
+naturals, taken by a spec declared a ``MatrixSpec``.  Both are judged by
+the same three grid rules: boundedness (c1, k2), vanishing (columns,
+windows) and tending to 1 (c3, k4).
 
 Finite computation can falsify these quantified conditions or accumulate
 evidence, never prove them, so verdicts are three-valued: "pass" (evidence),
@@ -23,15 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import (NAT, NOT_ZERO, TREND_SLOPE, ZERO, decay_verdict, exhaustion, loglog_slope,
-                      parameter_grid)
+from .domains import (_WINDOW, NAT, NOT_ZERO, TREND_SLOPE, ZERO, decay_verdict, exhaustion,
+                      loglog_slope, parameter_grid)
 from .integrate import QuadratureError
 # Unused here; perfbench/layers.py wraps ``regularity.adaptive_quadrature_batch`` by name.
 from .integrate import adaptive_quadrature_batch  # noqa: F401
 from .methods import (
     KernelSpec,
     MatrixSpec,
-    MethodSpec,
     NonSummableError,
     SequenceSource,
     _certified_sum,
@@ -154,8 +155,8 @@ def _vanishing(name: str, scan: tuple, tol: float, witness: str) -> ConditionChe
         return ConditionCheck(name, UNDECIDED, cells)
     outcome, route, slope = decay_verdict(values, tol)
     if outcome == ZERO:
-        return ConditionCheck(name, PASS, cells, note="reached tol at the largest grid point"
-                              if route == "tol" else f"decaying trend (slope {slope:.3g})")
+        return ConditionCheck(name, PASS, cells, note=f"within tol at the last {_WINDOW} grid "
+                              "points" if route == "tol" else f"decaying trend (slope {slope:.3g})")
     if outcome == NOT_ZERO:
         return ConditionCheck(name, FAIL, cells, witness=f"{witness}stuck at "
                               f"{_fmt(values[-1])} (slope {slope:.3g})")
@@ -183,7 +184,7 @@ _ONES = SequenceSource(block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex)
 _EXACT_TERMS = 2_000_000
 
 
-def _kernel_integrals(spec: MethodSpec, grid, upto=None, absolute: bool = False,
+def _kernel_integrals(spec: KernelSpec, grid, upto=None, absolute: bool = False,
                       whole=None) -> list:
     """Integral of a(p, .) -- of |a(p, .)| when ``absolute`` -- over its support, at every p.
 
@@ -191,8 +192,8 @@ def _kernel_integrals(spec: MethodSpec, grid, upto=None, absolute: bool = False,
     lockstep engine call (``methods._kernel_quadratures``); a window that
     cuts a support away is 0, and one that cuts nothing away takes its
     outcome from ``whole``, when given: the absolute integrals over the
-    uncut supports on the same grid.  Any discrete spec (a matrix row m,
-    coefficients a_n(r), a counting kernel) is read by ``methods._row`` and
+    uncut supports on the same grid.  A counting kernel (a matrix row m,
+    coefficients a_n(r), any other) is read by ``methods._row`` and
     summed against ones, one point at a time: a signed sum over a finite
     support exactly with math.fsum, anything else with a tail certificate.
     ``upto`` cuts the support to the compact window [0, upto].  Absolute
@@ -206,7 +207,7 @@ def _kernel_integrals(spec: MethodSpec, grid, upto=None, absolute: bool = False,
     def finish(value):
         return float(value.real) if absolute else value
 
-    if isinstance(spec, KernelSpec) and spec.measure != "counting":
+    if spec.measure != "counting":
         supports = [_kernel_support(spec, r) for r in grid]
         cuts = [(lo, hi if upto is None else min(hi, upto)) for lo, hi in supports]
         known = [whole is not None and cut == support for cut, support in zip(cuts, supports)]
@@ -219,14 +220,14 @@ def _kernel_integrals(spec: MethodSpec, grid, upto=None, absolute: bool = False,
         return out
 
     def row_integral(p):
-        coeff_block, (lo, hi), tail_abs, tail_sum, label, _ = _row(spec, p)
+        coeffs, (lo, hi), tail_abs, tail_sum, label, _ = _row(spec, p)
         if upto is not None:
             hi = int(upto if hi is None else min(hi, upto))
             tail_abs = tail_sum = None
         if not absolute and hi is not None and hi - lo <= _EXACT_TERMS:
-            entries = np.asarray(coeff_block(lo, hi + 1), dtype=complex)
+            entries = np.asarray(coeffs(lo, hi + 1), dtype=complex)
             return complex(math.fsum(entries.real), math.fsum(entries.imag))
-        coords, _, _ = _certified_sum(lambda a, b: weights(coeff_block(a, b)), _ONES,
+        coords, _, _ = _certified_sum(lambda a, b: weights(coeffs(a, b)), _ONES,
                                       (lo, hi), tail_abs, tail_abs if absolute else tail_sum,
                                       label)
         return finish(complex(coords[0]))
@@ -240,7 +241,7 @@ def _kernel_integrals(spec: MethodSpec, grid, upto=None, absolute: bool = False,
     return out
 
 
-def _kernel_integral(spec: MethodSpec, r, upto=None, absolute: bool = False):
+def _kernel_integral(spec: KernelSpec, r, upto=None, absolute: bool = False):
     """``_kernel_integrals`` at the one point r; raises the error of a failed integral."""
     (value,) = _kernel_integrals(spec, [r], upto, absolute)
     if isinstance(value, (QuadratureError, NonSummableError)):
@@ -293,8 +294,16 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
                       "row absolute sums grow without bound "
                       "(log-log slope {slope:.3g}, last {last})")
 
-    # condition 2: each column tends to 0 along the row grid; one block per row
-    heads = {m: spec.row_block(m, 0, n_max + 1) for m in m_grid}
+    # condition 2: each column tends to 0 along the row grid; one block per row,
+    # 0 off the row's support
+    def head(m):
+        coeffs, (lo, hi), *_ = _row(spec, m)
+        out = np.zeros(n_max + 1, dtype=complex)
+        top = max(lo, n_max + 1 if hi is None else min(hi, n_max) + 1)
+        out[lo:top] = coeffs(lo, top)
+        return out
+
+    heads = {m: head(m) for m in m_grid}
     c2 = tuple(_vanishing(f"c2_column_{n}", _scan(m_grid, [abs(complex(heads[m][n])) for m in m_grid]),
                           tol, f"column {n} ")
                for n in range(n_max + 1))

@@ -114,6 +114,89 @@ def test_custom_key_beside_builtin_is_a_config_error(tmp_path, capsys, key, valu
 def test_builtin_modifier_on_custom_method_is_a_config_error():
     with pytest.raises(ConfigError, match="'scale'"):
         build_method({"kind": "matrix", "entries": "1", "scale": 2.0})
+    # each custom kind takes only its own keys (besides kind and name)
+    foreign = {"matrix": {"entries": "1", "coeff": "1", "kernel": "t", "measure": "lebesgue",
+                          "substitution": "log_boundary", "support": "full", "E": "nat",
+                          "F": "unit"},
+               "seq_to_func": {"coeff": "r ** n", "entries": "1", "kernel": "t",
+                               "measure": "counting", "support": "full", "E": "nat",
+                               "substitution": "none"},
+               "kernel": {"kernel": "t", "entries": "1", "coeff": "1"}}
+    for kind, keys in foreign.items():
+        own, *others = keys
+        for key in others:
+            method = {"kind": kind, own: keys[own], key: keys[key]}
+            with pytest.raises(ConfigError, match=repr(key)):
+                build_method(method)
+    assert build_method({"kind": "matrix", "entries": "1", "name": "ones"}).name == "ones"
+    assert build_method({"kind": "seq_to_func", "coeff": "r ** n", "F": "unit"}).F.right == 1.0
+    kernel = build_method({"kind": "kernel", "kernel": "1", "support": "upto_r", "measure":
+                           "lebesgue", "substitution": "none", "E": "unit", "F": "unit"})
+    assert kernel.support(0.5) == (0.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [
+    {"method": {"builtin": "cesaro", "bogus": 1}},
+    {"method": {"kind": "matrix", "entries": "1", "F": "unit"}},
+    {"sources": [{"expr": "1", "bogus": 1}]},
+    {"sources": [{"generator": "synthetic_convergent", "count": "many", "seed": 1}]},
+])
+def test_nested_config_errors_are_raised_before_anything_runs(tmp_path, monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr("sumkit.cli.summability_limit", lambda *a, **k: calls.append(a))
+    good = {"id": "first", "kind": "sum", "method": {"builtin": "cesaro"},
+            "sources": [{"expr": "1"}], "depth": 4}
+    config = {"experiments": [good, {**good, "id": "second", **bad}]}
+    with pytest.raises(ConfigError, match=r"experiments\[1\]|second"):
+        validate_config(config)
+    with pytest.raises(ConfigError):
+        run_config(config, str(tmp_path / "out"))
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exp", [
+    {"kind": "taylor", "function": {"generator": "geometric", "c": 1.0}},
+    {"kind": "taylor", "function": {"generator": "monomial", "k": 1}, "chain": ["median"]},
+    {"kind": "taylor", "mode": "sideways"},
+    {"kind": "taylor", "space": "h2"},
+    {"kind": "taylor", "space": "l7", "mode": "dilate_identity"},
+    {"kind": "transfer", "method_a": {"builtin": "cesaro"}, "method_b": {"builtin": "abel"},
+     "family": {"name": "rotation"}, "probes": {"count": 1, "seed": 0}},
+    {"kind": "transfer", "method_a": {"builtin": "cesaro"}, "method_b": {"builtin": "abel"},
+     "family": {"name": "truncation"}, "probes": {"count": 1}},
+    {"kind": "weak_inclusion", "method_a": {"builtin": "cesaro"}, "method_b": {"builtin": "abel"},
+     "sources": [{"expr": "1"}], "functionals": [["x"]]},
+], ids=lambda exp: exp["kind"])
+def test_validate_config_builds_every_nested_part(exp):
+    with pytest.raises(ConfigError):
+        validate_config({"experiments": [{"id": "e", **exp}]})
+
+
+def test_abel_check_regularity_runs_the_kernel_form(tmp_path):
+    config = {"experiments": [{"id": "abel-st", "kind": "check_regularity",
+                               "method": {"builtin": "abel"}, "r_depth": 10,
+                               "exhaust_depth": 4}]}
+    out = tmp_path / "out"
+    assert run_config(config, str(out)) == 0
+    entry = json.loads(_read(out / "report.json"))["experiments"][0]
+    assert entry["status"] == "completed" and entry["overall"] == "RegularEvidence"
+    assert [c["condition"] for c in entry["conditions"]][:2] == ["k1_abs_integral", "k2_abs_sup"]
+
+
+def test_as_kernel_check_regularity_runs_the_kernel_form(tmp_path):
+    config = {"experiments": [
+        {"id": "cesaro-matrix", "kind": "check_regularity", "method": {"builtin": "cesaro"},
+         "m_max_exp": 8, "n_max": 2},
+        {"id": "cesaro-kernel", "kind": "check_regularity",
+         "method": {"builtin": "cesaro", "as_kernel": True}, "r_depth": 8, "exhaust_depth": 3},
+    ]}
+    out = tmp_path / "out"
+    assert run_config(config, str(out)) == 0
+    matrix, kernel = json.loads(_read(out / "report.json"))["experiments"]
+    assert matrix["conditions"][0]["condition"] == "c1_row_abs_sum"
+    assert [c["condition"] for c in kernel["conditions"]][:2] == ["k1_abs_integral", "k2_abs_sup"]
+    assert len(kernel["conditions"][0]["cells"]) == 8  # r_depth is read
+    assert kernel["method"] == "cesaro_as_kernel"
 
 
 # ---------------------------------------------------------------------------

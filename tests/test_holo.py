@@ -266,17 +266,19 @@ def _polyval_grid_max(coeffs, points):
 
 
 @pytest.mark.parametrize("points,degree", [(8, 5), (8, 20), (64, 200), (4096, 100), (4096, 5000)])
-def test_disk_grid_dft_matches_polyval_on_the_grid(points, degree):
+def test_disk_grid_dft_matches_polyval_on_the_grid(points, degree, monkeypatch):
     # degree >= points exercises the folding of coefficients mod the grid size
+    monkeypatch.setattr(holo, "BOUNDARY_POINTS", points)
     rng = np.random.default_rng(points + degree)
     coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    f = taylor_from_coefficients(coeffs, SeriesSpace("disk_grid", points))
+    f = taylor_from_coefficients(coeffs, DISK)
     ref = _polyval_grid_max(coeffs, points)
     assert series_norm(f) == pytest.approx(ref, rel=1e-12)
 
 
-def test_disk_grid_dft_matches_polyval_for_geometric_series():
-    f = geometric_taylor(1.0, 0.9, SeriesSpace("disk_grid", 16))
+def test_disk_grid_dft_matches_polyval_for_geometric_series(monkeypatch):
+    monkeypatch.setattr(holo, "BOUNDARY_POINTS", 16)
+    f = geometric_taylor(1.0, 0.9, DISK)
     n = 512  # certified truncation of the l1 tail at 1e-14 for rho = 0.9
     assert series_norm(f) == pytest.approx(_polyval_grid_max(f.coeff_array(n), 16), rel=1e-12)
 

@@ -61,7 +61,7 @@ def test_cesaro_row_sums_exactly_one_on_canonical_grid():
     # exact float identity on the grids the toolkit exercises (m = 2^k, small m)
     spec = cesaro_method()
     for m in list(range(0, 33)) + [2**k for k in range(1, 15)]:
-        entries = spec.row_block(m, 0, m + 1)
+        entries = spec.kernel_batch(m, np.arange(m + 1))
         assert math.fsum(entries.real) == 1.0
         assert math.fsum(entries.imag) == 0.0
 
@@ -106,6 +106,11 @@ def test_transform_at_rejects_parameters_outside_the_domain():
         transform_at(cesaro_method(), ALT, -1)
     with pytest.raises(ValueError, match="outside"):
         transform_at(abel_method(), ALT, 1.0)
+    # the parameter is checked against F for every counting kernel
+    with pytest.raises(ValueError, match="outside"):
+        transform_at(as_kernel(abel_method()), ALT, 1.0)
+    with pytest.raises(ValueError, match="row index"):
+        transform_at(as_kernel(cesaro_method()), ALT, 2.5)
 
 
 def test_nonsummable_growing_sequence():
@@ -182,6 +187,28 @@ def test_matrix_recast_as_counting_kernel_identical():
             direct = transform_at(spec, v, m)
             via_kernel = transform_at(kern, v, m)
             assert (direct - via_kernel).norm() <= 1e-12
+
+
+def test_as_kernel_keeps_every_kernel_field_and_drops_the_box_weight():
+    for spec in (cesaro_method(), abel_method()):
+        kern = as_kernel(spec)
+        assert type(kern) is KernelSpec and kern.name == f"{spec.name}_as_kernel"
+        assert kern.measure == "counting" and kern.E == NAT and kern.F == spec.F
+        for name in ("kernel_batch", "support", "tail_abs", "tail_sum", "substitution"):
+            assert getattr(kern, name) is getattr(spec, name)
+        assert kern.weight is None
+    logarithmic = logarithmic_method()
+    assert as_kernel(logarithmic) is logarithmic
+
+
+def test_scaled_method_has_one_name_rule_and_scales_the_box_weight():
+    for spec in (cesaro_method(), abel_method(), logarithmic_method()):
+        for factor in (2.0, 1j):
+            assert scaled_method(spec, factor).name == f"scaled({spec.name})"
+    cesaro, ns = cesaro_method(), np.arange(6)
+    doubled = scaled_method(cesaro, 2.0)
+    assert doubled.weight(3) == 0.5 and doubled.tail_abs(3, 1) == 1.0
+    assert np.array_equal(doubled.kernel_batch(3, ns), 2 * cesaro.kernel_batch(3, ns))
 
 
 def test_abel_as_kernel_consistency():

@@ -10,6 +10,7 @@ import pytest
 from sumkit import methods
 from sumkit.cli import build_method
 from sumkit.domains import HALF_LINE, NAT, UNIT_INTERVAL, exhaustion, parameter_grid
+from sumkit.inclusion import regularity_evidence
 from sumkit.integrate import QuadratureError
 from sumkit.methods import (
     KernelSpec,
@@ -26,6 +27,8 @@ from sumkit.regularity import (
     FAIL,
     NOT_REGULAR,
     INCONCLUSIVE_OVERALL,
+    KernelRegularityReport,
+    MatrixRegularityReport,
     PASS,
     REGULAR_EVIDENCE,
     UNDECIDED,
@@ -229,6 +232,37 @@ def test_abel_coefficients_as_kernel_regular_k4_exact():
     assert report.overall == REGULAR_EVIDENCE
     for r, value, _ in report.k4.cells:
         assert abs(value - 1.0) <= 1e-12  # geometric identity after tail closure
+
+
+def test_abel_method_is_read_by_the_kernel_form_as_its_counting_kernel():
+    # a sequence-to-function spec is a counting kernel: no as_kernel needed
+    direct = check_kernel_st(abel_method())
+    via_kernel = check_kernel_st(as_kernel(abel_method()))
+    assert direct.method == "abel" and via_kernel.method == "abel_as_kernel"
+    assert direct.rows() == via_kernel.rows()
+    assert direct.overall == REGULAR_EVIDENCE
+
+
+def test_regularity_evidence_takes_the_matrix_form_for_a_declared_matrix_only():
+    for spec in (cesaro_method(), scaled_method(identity_method(), 2),
+                 build_method({"kind": "matrix", "entries": "1"})):
+        assert isinstance(regularity_evidence(spec)[1], MatrixRegularityReport)
+    # as_kernel is the way to the kernel form of a matrix
+    for spec in (as_kernel(identity_method()), abel_method(), logarithmic_method()):
+        assert isinstance(regularity_evidence(spec, r_depth=8, exhaust_depth=3)[1],
+                          KernelRegularityReport)
+
+
+def test_supported_counting_kernel_on_the_naturals_same_verdict_in_both_forms():
+    # 1/2 at n = m and m + 1, nothing else: regular, and every column vanishes
+    # only if the matrix form reads the kernel on its support alone
+    spec = build_method({"kind": "kernel", "kernel": "0.5", "measure": "counting",
+                         "E": "nat", "F": "nat", "support": "unit_window"})
+    assert spec.kernel(3, 0) == 0.5  # the formula alone does not vanish off the support
+    matrix_report = check_matrix_st(spec)
+    kernel_report = check_kernel_st(spec, r_depth=10, exhaust_depth=6)
+    assert all(c.verdict == PASS for c in matrix_report.c2)
+    assert matrix_report.overall == kernel_report.overall == REGULAR_EVIDENCE
 
 
 def test_matrix_and_kernel_checkers_agree_on_builtins():
