@@ -133,6 +133,20 @@ def _domain_from(tag, ctx: str):
     raise ConfigError(f"{ctx}: unknown domain {tag!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# an experiment's scalar keys: (test of the value, what it must be)
+_SCALAR_KEYS = {
+    **dict.fromkeys(("depth", "m_max_exp", "n_max", "r_depth", "exhaust_depth", "count", "seed",
+                     "max_degree"),
+                    (lambda v: _is_number(v) and isinstance(v, int), "an integer")),
+    "tol": (_is_number, "a number"),
+    "radii": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+}
+
+
 def _as_complex(value, ctx: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -194,10 +208,11 @@ def build_method(obj, ctx: str = "method"):
     for key, allowed in (("measure", MEASURES), ("substitution", SUBSTITUTIONS)):
         if obj.get(key, allowed[0]) not in allowed:
             raise ConfigError(f"{ctx}: unknown {key} {obj[key]!r}; have {allowed}")
-    return KernelSpec(name=name, kernel_batch=kernel_batch, support=support,
-                      E=_domain_from(obj.get("E", "unit"), ctx), F=F,
-                      measure=obj.get("measure", MEASURES[0]),
-                      substitution=obj.get("substitution", SUBSTITUTIONS[0]))
+    measure = obj.get("measure", MEASURES[0])
+    # a counting kernel sums over the naturals unless told otherwise
+    E = _domain_from(obj.get("E", "nat" if measure == "counting" else "unit"), ctx)
+    return KernelSpec(name=name, kernel_batch=kernel_batch, support=support, E=E, F=F,
+                      measure=measure, substitution=obj.get("substitution", SUBSTITUTIONS[0]))
 
 
 def _synthetic_convergent(obj, ctx: str):
@@ -471,7 +486,8 @@ KINDS = tuple(_RUNNERS)
 def validate_config(config) -> list:
     """The experiments of a config; raises ConfigError before anything runs.
 
-    Each experiment's keys are checked, and its nested config (methods,
+    Each experiment's keys and the types of its scalar values (``depth``,
+    ``tol``, ``radii`` ...) are checked, and its nested config (methods,
     sources, Taylor function, space and chain, family, probes, functionals)
     is built once and discarded; a value that cannot be built is a
     ConfigError too.
@@ -492,6 +508,9 @@ def validate_config(config) -> list:
             raise ConfigError(f"{ctx}: unknown kind {kind!r}; allowed {KINDS}")
         _, _, _, required, optional = _RUNNERS[kind]
         _check_keys(exp, ctx, ("id", "kind") + required, optional)
+        for key, (valid, expected) in _SCALAR_KEYS.items():
+            if key in exp and not valid(exp[key]):
+                raise ConfigError(f"{ctx}.{key}: expected {expected}, got {exp[key]!r}")
         exp_id = exp.get("id")
         if not isinstance(exp_id, str) or not exp_id:
             raise ConfigError(f"{ctx}: id must be a non-empty string")

@@ -35,9 +35,11 @@ a box row -- Cesaro, series summation and the identity are -- and sums a
 block as its one weight times the block's sum, which rounds differently
 from the sum of weighted terms; every other row multiplies its coefficients
 into the terms.  The grid of one ``summability_limit`` call shares a
-sequence source's block records (``_SharedBlocks``), so a
-``SequenceSource.block`` must be a deterministic function of ``(lo, hi)``;
-every source built here is elementwise.
+sequence source's block records (``_SharedBlocks``), and a longer request
+at a start it holds reads only the missing suffix.  So a
+``SequenceSource.block`` must be elementwise in its index range, like every
+other vectorised callable below: the terms of ``block(lo, hi)`` are those of
+``block(lo, k)`` followed by those of ``block(k, hi)``, bit for bit.
 
 Every method is one ``KernelSpec``, a kernel a(r, t) on E with parameters
 r in F: a matrix (``MatrixSpec``, E = F = naturals) and a
@@ -134,9 +136,12 @@ class SequenceSource:
         """The ``_Block`` of terms lo .. hi-1, read afresh.
 
         ``terms`` False lets a caller that needs only the O(dim) part take a
-        record without its terms (see ``_SharedBlocks``).
+        record without its terms (see ``_SharedBlocks``).  The terms are
+        C-contiguous, so a record's sums do not depend on how the source laid
+        out its block, and a record extended by a suffix sums as one read at
+        once.
         """
-        vs = self.block(lo, hi)
+        vs = np.ascontiguousarray(self.block(lo, hi))
         if vs.shape != (hi - lo, self.space.dim):
             raise ValueError(f"source block shape {vs.shape}, expected {(hi - lo, self.space.dim)}")
         return _Block(vs, self.space.norm_tag)
@@ -190,6 +195,19 @@ class _Block:
             out.norms = self.norms[:size]
         return out
 
+    def extended(self, more: "_Block") -> "_Block":
+        """The record of these terms followed by ``more``'s.
+
+        A source block is elementwise, so this is the record of the whole
+        range read at once.  The norms carry over, being elementwise; every
+        O(dim) field is taken afresh on first use, since the rounding of a
+        sum depends on the whole block.
+        """
+        out = _Block(np.concatenate((self.terms, more.terms)), self._tag)
+        if "norms" in self.__dict__:
+            out.norms = np.concatenate((self.norms, more.norms))
+        return out
+
     def summary(self) -> "_Block":
         """This record without its per-term part, every O(dim) field computed."""
         for name in ("sup", "last", "total", "abs_total", "dev"):
@@ -203,22 +221,26 @@ class _SharedBlocks(SequenceSource):
     """Read-through memo of a source's block records, shared by one grid of transforms.
 
     Every certified sum of ``summability_limit`` asks the source for the same
-    leading ``(lo, hi)`` blocks, so each is read once.  The records of the
-    block ramp plus one ``_MAX_BLOCK`` terms are kept whole and read-only by
-    their start (``held`` terms); a shorter request with the same start (a
-    finite row's last block) is served as their prefix.  Past that cap only
-    the O(dim) summary of a full ``_MAX_BLOCK`` record is kept, by
-    ``(lo, hi)``, with no cap: it serves a box row, which needs no terms.  A
-    row that needs the terms, and a finite row's shorter last block, are
-    read afresh.  Assumes ``block`` is a deterministic function of
-    ``(lo, hi)``.  The memo holds no reference to itself, so it is freed as
-    soon as the call that made it returns.
+    leading ``(lo, hi)`` blocks.  A request at a start the memo holds is
+    served as a prefix of the held record, or, when it is longer, as that
+    record extended by the missing suffix alone, which relies on ``block``
+    being elementwise.  The records of the block ramp plus one ``_MAX_BLOCK``
+    terms are kept whole and read-only by their start (``held`` terms).
+    Past that cap the memo keeps one open record with its terms, the one
+    read furthest along (at most one ``_MAX_BLOCK``): a finite row's last
+    block, which the next row extends, or the last block of a row without
+    an end, which the next row reuses.  It also keeps the O(dim) summary of
+    every full ``_MAX_BLOCK`` record past the cap, by ``(lo, hi)``, with no
+    cap: it serves a box row, which needs no terms.  Any other block past
+    the cap is read afresh.  The memo holds no reference to itself, so it
+    is freed as soon as the call that made it returns.
     """
 
     def __init__(self, source: SequenceSource):
         super().__init__(source.block, source.space, source.name)
         self._source = source
         self._kept = {}
+        self._open = {}
         self._summaries = {}
         self.held = 0
         self._cap, size = _MAX_BLOCK, _START_BLOCK
@@ -230,20 +252,27 @@ class _SharedBlocks(SequenceSource):
         return self._record(lo, hi).terms
 
     def _record(self, lo: int, hi: int, terms: bool = True) -> "_Block":
-        kept = self._kept.get(lo)
-        if kept is not None and kept.size >= hi - lo:
-            return kept.prefix(hi - lo)
+        prior = self._kept.get(lo, self._open.get(lo))
+        if prior is not None and prior.size >= hi - lo:
+            return prior.prefix(hi - lo)
         summary = None if terms else self._summaries.get((lo, hi))
         if summary is not None:
             return summary
-        rec = self._source._record(lo, hi)
-        held = self.held + rec.size - (0 if kept is None else kept.size)
-        if held <= self._cap:
-            rec.terms = rec.terms.view()
-            rec.terms.flags.writeable = False
+        if prior is None:
+            rec = self._source._record(lo, hi)
+        else:
+            rec = prior.extended(self._source._record(lo + prior.size, hi))
+        rec.terms = rec.terms.view()
+        rec.terms.flags.writeable = False
+        if lo in self._kept:
+            self.held -= self._kept.pop(lo).size
+        if self.held + rec.size <= self._cap:
             self._kept[lo] = rec
-            self.held = held
-        elif not terms and rec.size == _MAX_BLOCK:
+            self.held += rec.size
+            return rec
+        if lo >= max(self._open, default=lo):
+            self._open = {lo: rec}
+        if not terms and rec.size == _MAX_BLOCK:
             self._summaries[(lo, hi)] = rec.summary()
         return rec
 

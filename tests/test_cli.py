@@ -14,6 +14,8 @@ from sumkit.cli import (
     shipped_configs,
     validate_config,
 )
+from sumkit.domains import NAT, UNIT_INTERVAL
+from sumkit.regularity import check_kernel_st
 
 MINIMAL = {
     "experiments": [
@@ -79,6 +81,46 @@ def _kernel_sum_config(source, **kernel):
     method = {"kind": "kernel", "support": "upto_r", **kernel}
     return {"experiments": [{"id": "custom-kernel", "kind": "sum", "method": method,
                              "sources": [source], "depth": 4}]}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("sum", "depth", "deep"),
+    ("sum", "depth", 14.5),
+    ("sum", "tol", "1e-3"),
+    ("check_regularity", "r_depth", True),
+    ("check_regularity", "exhaust_depth", None),
+    ("taylor", "count", "100"),
+    ("taylor", "radii", [0.5, "0.9"]),
+    ("taylor", "radii", 0.5),
+])
+def test_scalar_key_of_the_wrong_type_exits_2_before_anything_runs(tmp_path, capsys, kind,
+                                                                   key, value):
+    exp = {"sum": {"method": {"builtin": "cesaro"}, "sources": [{"expr": "1"}], "depth": 4},
+           "check_regularity": {"method": {"builtin": "abel"}, "r_depth": 4},
+           "taylor": {"mode": "dilate_identity", "count": 1}}[kind]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiments": [{"id": "e", "kind": kind, **exp, key: value}]}))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"experiments[0].{key}: expected" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_counting_kernel_sums_over_the_naturals_by_default():
+    # on E = [0, 1) every k3 window exhaustion(E, j) would cut to n = 0 and
+    # check the mass 1/(r+1) of n = 0 alone
+    kernel = {"kind": "kernel", "kernel": "1 / (r + 1)", "measure": "counting", "F": "nat",
+              "support": "upto_r"}
+    plain = build_method(kernel)
+    assert plain.E == NAT and build_method({**kernel, "measure": "lebesgue"}).E == UNIT_INTERVAL
+    windows = check_kernel_st(plain, r_depth=8).k3
+    assert [check.cells for check in windows] == \
+        [check.cells for check in check_kernel_st(build_method({**kernel, "E": "nat"}),
+                                                  r_depth=8).k3]
+    # the window 0..j holds j + 1 of the 257 entries 1/257 of row 256
+    assert [check.cells[-1][1] for check in windows] == \
+        pytest.approx([(j + 1) / 257 for j in range(len(windows))], rel=1e-12)
+    assert len(windows) >= 5
 
 
 def test_misspelt_kernel_measure_is_a_config_error(tmp_path, capsys):

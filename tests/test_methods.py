@@ -1,5 +1,6 @@
 """Transform engines: worked examples, oracles, and cross-engine consistency."""
 
+import gc
 import math
 import weakref
 
@@ -242,15 +243,28 @@ def test_counting_kernel_sums_from_the_support_start():
 # term budgets: tail tolerance and support end
 
 
-def _counted_grandi():
-    """1, 0, 1, 0, ... with a counter of the source terms read."""
+def _counted(formula, name):
+    """The scalar source formula(n) with a counter of the source terms read."""
     read = [0]
 
     def block(lo, hi):
         read[0] += hi - lo
-        return (1.0 + (-1.0) ** np.arange(lo, hi)) / 2.0
+        return formula(np.arange(lo, hi))
 
-    return SequenceSource(block, name="grandi"), read
+    return SequenceSource(block, name=name), read
+
+
+def _grandi(ns):
+    return (1.0 + (-1.0) ** ns) / 2.0
+
+
+def _slow(ns):
+    return 1.0 + 1.0 / (ns + 1.0)
+
+
+def _counted_grandi():
+    """1, 0, 1, 0, ... with a counter of the source terms read."""
+    return _counted(_grandi, "grandi")
 
 
 def test_abel_row_is_certified_to_the_tail_tolerance_asked_for():
@@ -384,12 +398,16 @@ def test_lebesgue_transform_rejects_a_support_past_the_source_domain():
         summability_limit(TRANSLATION, src, depth=4)
 
 
-@pytest.mark.parametrize("spec, depth, terms", [
-    (abel_method(), 14, 283_968),      # 604,032 when every sample reads from index 0
-    (cesaro_method(), 19, 888_949),    # 1,544,309 when box rows read every block per row
-], ids=["abel", "cesaro"])
-def test_summability_limit_reads_each_leading_block_once(spec, depth, terms):
-    src, read = _counted_grandi()
+# each grid reads every source term once: the ramp, then each _MAX_BLOCK
+# past it; with a longer request at a held start read afresh (and a finite
+# row's last block read per row) the grids read 283,968, 888,949 and 386,415
+@pytest.mark.parametrize("spec, depth, formula, terms", [
+    (abel_method(), 14, _grandi, 218_432),     # 87,360 + 2 * 65,536
+    (cesaro_method(), 19, _grandi, 524_290),   # exactly the largest row, 2^19 + 1
+    (cesaro_method(), 19, _slow, 152_896),     # 87,360 + 65,536, where rows close
+], ids=["abel", "cesaro", "cesaro-slow"])
+def test_summability_limit_reads_each_leading_block_once(spec, depth, formula, terms):
+    src, read = _counted(formula, formula.__name__)
     est = summability_limit(spec, src, depth=depth, tol=1e-3)
     assert est.status == CONVERGED
     assert read[0] == terms
@@ -405,6 +423,7 @@ def test_shared_blocks_keep_at_most_the_ramp_and_one_max_block(monkeypatch):
     # 64 + 256 + 1024 + 4096 + 16384 + 65536 terms; the last rows read past them
     assert memo.held == 87_360
     assert read[0] > 87_360
+    assert sum(rec.size for rec in memo._open.values()) == methods._MAX_BLOCK
     block = memo.block(0, 64)
     assert not block.flags.writeable
     assert np.array_equal(memo.block(0, 10), block[:10])
@@ -412,6 +431,80 @@ def test_shared_blocks_keep_at_most_the_ramp_and_one_max_block(monkeypatch):
     gone = weakref.ref(memo)
     del memo, shared, taken[:]
     assert gone() is None
+
+
+# a row's blocks from index 0, (start, size): the kept ramp of 87,360 terms,
+# then _MAX_BLOCK blocks past it
+_ROW_BLOCKS = ((0, 64), (64, 256), (320, 1024), (1344, 4096), (5440, 16384), (21824, 65536),
+               (87_360, 65536), (152_896, 65536), (218_432, 65536))
+# a C^4 source whose terms round differently all along (no underflow to L)
+WAVY_SEQ4 = vector_sequence(
+    lambda ns: _L4[None, :] + (np.cos(0.5 * ns) / np.sqrt(ns + 1.0))[:, None] * _U4[None, :],
+    SpaceDescriptor(4, "l2"), "wavy_seq4")
+
+
+def _memo_requests(rng, count):
+    """(lo, hi, terms) requests as grid rows make them, in a seeded order.
+
+    Each request starts at a block start: the whole block, a prefix (a
+    finite row's last block, past the cap too), or one term more than the
+    longest request at that start so far.
+    """
+    longest = {}
+    for _ in range(count):
+        lo, full = _ROW_BLOCKS[rng.integers(len(_ROW_BLOCKS))]
+        kind = rng.integers(3)
+        if kind == 0:
+            size = full
+        elif kind == 1:
+            size = int(rng.integers(1, full + 1))
+        else:
+            size = min(longest.get(lo, 0) + 1, full)
+        longest[lo] = max(longest.get(lo, 0), size)
+        yield lo, lo + size, bool(rng.integers(2))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("src", [
+    scalar_sequence(_slow, "slow"),
+    WAVY_SEQ4,
+    # the same terms laid out column by column, which numpy sums in another order
+    SequenceSource(lambda lo, hi: np.asfortranarray(WAVY_SEQ4.block(lo, hi)), WAVY_SEQ4.space),
+], ids=["scalar", "C4", "C4-fortran"])
+def test_shared_blocks_serve_every_request_as_a_fresh_read(src, seed):
+    gc.disable()
+    try:
+        memo = methods._SharedBlocks(src)
+        for lo, hi, terms in _memo_requests(np.random.default_rng(seed), 100):
+            got = memo._record(lo, hi, terms)
+            fresh = src._record(lo, hi)
+            assert got.size == hi - lo
+            if terms or got.terms is not None:
+                assert np.array_equal(got.terms, fresh.terms), (lo, hi)
+                assert np.array_equal(got.norms, fresh.norms), (lo, hi)
+            for name in ("total", "abs_total", "sup", "last", "dev"):
+                assert np.array_equal(getattr(got, name), getattr(fresh, name)), (lo, hi, name)
+            # terms held: the kept ramp plus one open record
+            assert memo.held == sum(rec.size for rec in memo._kept.values()) <= 87_360
+            assert sum(rec.size for rec in memo._open.values()) <= methods._MAX_BLOCK
+        assert memo._open, "no request reached past the cap"
+        gone = weakref.ref(memo)
+        del memo, got
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_grid_past_the_cap_equals_lone_transforms_on_a_c4_source(monkeypatch):
+    # Cesaro rows 2^k + 1 extend row 2^k's last block past the cap by one term
+    taken = _record_transforms(monkeypatch)
+    summability_limit(cesaro_method(), WAVY_SEQ4, depth=18, tol=1e-3)
+    monkeypatch.undo()
+    assert max(param for param, _, _ in taken) == 2**18 + 1
+    tail_tol = 1e-3 * methods._TAIL_SHARE
+    for param, coords, _ in taken:
+        lone = transform_at(cesaro_method(), WAVY_SEQ4, param, tail_tol=tail_tol)
+        assert np.array_equal(coords, lone.coords), param
 
 
 # ---------------------------------------------------------------------------
