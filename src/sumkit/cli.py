@@ -6,8 +6,10 @@ Usage:
 
 CONFIG is a JSON file (or the name of a shipped example config) holding a
 list of experiments; each experiment's kind is one of check_regularity, sum,
-inclusion, transfer, weak_inclusion, taylor.  The schema is strict: unknown
-keys are rejected before anything runs.
+inclusion, transfer, weak_inclusion, taylor.  Every config object is read
+against one schema that declares each key's check and default: unknown or
+missing keys and values of the wrong type or range are rejected, and every
+nested object is built, before anything runs.
 
 Outputs per experiment: {out}/{id}.csv with the fixed column layout
 (experiment_id, module, grid_param, quantity, value_re, value_im, verdict),
@@ -37,6 +39,8 @@ from . import __version__
 from ._expr import ExpressionError, compile_expression
 from .domains import HALF_LINE, NAT, UNIT_INTERVAL, HalfOpenInterval, parameter_grid
 from .holo import (
+    CHAIN_STEPS,
+    SPACE_TAGS,
     SeriesSpace,
     dilate_dual_deviation,
     geometric_taylor,
@@ -51,7 +55,8 @@ from .inclusion import (
     truncation_family,
     weak_inclusion_experiment,
 )
-from .integrate import SUBSTITUTION_LOG_BOUNDARY, SUBSTITUTION_NONE
+from .integrate import (MEASURE_COUNTING, MEASURE_LEBESGUE, MEASURES, SUBSTITUTION_NONE,
+                        SUBSTITUTIONS)
 from .methods import (
     FunctionSource,
     KernelSpec,
@@ -68,7 +73,7 @@ from .methods import (
     summability_limit,
 )
 from .regularity import check_kernel_st, check_matrix_st
-from .vspace import LinearFunctional, SpaceDescriptor, VectorValue, coordinate_functionals
+from .vspace import SCALAR, LinearFunctional, SpaceDescriptor, VectorValue, coordinate_functionals
 
 BUILTIN_METHODS = {
     "identity": identity_method,
@@ -76,26 +81,6 @@ BUILTIN_METHODS = {
     "cesaro": cesaro_method,
     "abel": abel_method,
     "logarithmic": logarithmic_method,
-}
-
-SPACES = ("h2", "wiener", "disk_grid")
-
-GENERATORS = ("geometric", "power", "monomial", "synthetic_convergent")
-
-CHAIN_STEPS = ("partial_sums", "abel_dilate", "log_mean")
-
-MEASURES = ("lebesgue", "counting")
-
-# a custom kernel's support tags; a fixed [lo, hi] is the other form
-_SUPPORTS = {"full": None, "upto_r": lambda r: (0.0, r), "unit_window": lambda r: (r, r + 1.0)}
-
-SUBSTITUTIONS = (SUBSTITUTION_NONE, SUBSTITUTION_LOG_BOUNDARY)
-
-# custom method kind -> (expression key, its variables (parameter, index), optional keys)
-_CUSTOM_KINDS = {
-    "matrix": ("entries", ("m", "n"), ()),
-    "seq_to_func": ("coeff", ("r", "n"), ("F",)),
-    "kernel": ("kernel", ("r", "t"), ("support", "measure", "substitution", "E", "F")),
 }
 
 CSV_HEADER = "experiment_id,module,grid_param,quantity,value_re,value_im,verdict"
@@ -106,217 +91,303 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# the schema reader
+#
+# A schema maps each key of a config object to (check, default).  A check
+# takes (value, path) and returns the value built, or raises ConfigError.  A
+# default is REQUIRED, None (the key may be absent, and then reads as None),
+# a config value, or a function of the values read before it; a default is
+# read by the key's check like a given value.
+
+REQUIRED = object()
 
 
-def _check_keys(obj: dict, ctx: str, required: tuple, optional: tuple = ()):
+def _read(obj, schema: dict, ctx: str, build=dict):
+    """build(values) of obj read against schema; the top level has the empty path."""
+    where = ctx or "top level"
     if not isinstance(obj, dict):
-        raise ConfigError(f"{ctx}: expected an object, got {type(obj).__name__}")
-    allowed = set(required) | set(optional)
-    unknown = set(obj) - allowed
+        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
+    unknown = set(obj) - set(schema)
     if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}; allowed {sorted(allowed)}")
-    missing = set(required) - set(obj)
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed {sorted(schema)}")
+    missing = {key for key, (_, default) in schema.items() if default is REQUIRED} - set(obj)
     if missing:
-        raise ConfigError(f"{ctx}: missing required keys {sorted(missing)}")
+        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+    got = {}
+    for key, (check, default) in schema.items():
+        if key in obj or default is not None:
+            value = obj[key] if key in obj else default(got) if callable(default) else default
+            got[key] = check(value, f"{ctx}.{key}" if ctx else key)
+        else:
+            got[key] = None
+    try:
+        return build(got)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a rule of the object built, e.g. a geometric rho in (0, 1)
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _domain_from(tag, ctx: str):
-    if tag == "unit":
-        return UNIT_INTERVAL
-    if tag == "halfline":
-        return HALF_LINE
-    if tag == "nat":
-        return NAT
-    if isinstance(tag, (int, float)) and tag > 0:
-        return HalfOpenInterval(float(tag))
-    raise ConfigError(f"{ctx}: unknown domain {tag!r}")
+def _object(schema: dict, build=dict):
+    return lambda value, ctx: _read(value, schema, ctx, build)
+
+
+def _one_of(variants: dict):
+    """Reads an object against the schema of its variant.
+
+    ``variants`` maps (key, value) to (schema, build); an object is of the
+    first variant whose key it holds with that value (None: any value).
+    """
+    def check(obj, ctx):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{ctx}: expected an object, got {type(obj).__name__}")
+        for (key, value), (schema, build) in variants.items():
+            if key in obj and value in (None, obj[key]):
+                return _read(obj, schema, ctx, build)
+        tags = ", ".join(key if value is None else f"{key}={value!r}" for key, value in variants)
+        raise ConfigError(f"{ctx}: expected one of {tags}")
+    return check
+
+
+def _list_of(check):
+    def read(items, ctx):
+        if not isinstance(items, list) or not items:
+            raise ConfigError(f"{ctx}: expected a non-empty list, got {items!r}")
+        return [check(item, f"{ctx}[{i}]") for i, item in enumerate(items)]
+    return read
+
+
+def _keep(value, ctx):
+    return value
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # finite and not a bool; the bound also keeps out ints too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-# an experiment's scalar keys: (test of the value, what it must be)
-_SCALAR_KEYS = {
-    **dict.fromkeys(("depth", "m_max_exp", "n_max", "r_depth", "exhaust_depth", "count", "seed",
-                     "max_degree"),
-                    (lambda v: _is_number(v) and isinstance(v, int), "an integer")),
-    "tol": (_is_number, "a number"),
-    "radii": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
-}
+def _number(what: str, test=lambda v: True, integer: bool = False):
+    def check(value, ctx):
+        if _is_number(value) and (isinstance(value, int) or not integer) and test(value):
+            return value if integer else float(value)
+        raise ConfigError(f"{ctx}: expected {what}, got {value!r}")
+    return check
 
 
-def _as_complex(value, ctx: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
+_COUNT = _number("an integer >= 1", lambda v: v >= 1, integer=True)
+_NATURAL = _number("an integer >= 0", lambda v: v >= 0, integer=True)
+_TOL = _number("a finite number > 0", lambda v: v > 0)
+_REAL = _number("a finite number")
+_LENGTH = _number("a domain name or a number > 0", lambda v: v > 0)
+
+
+def _radii(value, ctx) -> list:
+    if isinstance(value, list) and value and all(_is_number(r) and 0 <= r < 1 for r in value):
+        return [float(r) for r in value]
+    raise ConfigError(f"{ctx}: expected a non-empty list of numbers in [0, 1), got {value!r}")
+
+
+def _string(value, ctx):
+    if isinstance(value, str) and value:
+        return value
+    raise ConfigError(f"{ctx}: expected a non-empty string, got {value!r}")
+
+
+def _flag(value, ctx):
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{ctx}: expected true or false, got {value!r}")
+
+
+def _complex(value, ctx) -> complex:
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if all(map(_is_number, parts)):
+        return complex(*parts)
     raise ConfigError(f"{ctx}: expected a number or [re, im] pair, got {value!r}")
 
 
+def _choice(options):
+    """One of options; a dict maps each option to the value it builds."""
+    def check(value, ctx):
+        if isinstance(value, str) and value in options:
+            return options[value] if isinstance(options, dict) else value
+        noun = ctx.rsplit(".", 1)[-1].split("[")[0]
+        raise ConfigError(f"{ctx}: unknown {noun} {value!r}; have {tuple(options)}")
+    return check
+
+
+_DOMAINS = {"unit": UNIT_INTERVAL, "halfline": HALF_LINE, "nat": NAT}
+
+# a custom kernel's support tags; a fixed [lo, hi] is the other form
+_SUPPORTS = {"full": None, "upto_r": lambda r: (0.0, r), "unit_window": lambda r: (r, r + 1.0)}
+
+
+def _domain(value, ctx):
+    if isinstance(value, str):
+        return _choice(_DOMAINS)(value, ctx)
+    return HalfOpenInterval(_LENGTH(value, ctx))
+
+
+def _support(value, ctx):
+    if isinstance(value, str):
+        return _choice(_SUPPORTS)(value, ctx)
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
+        lo, hi = map(float, value)
+        return lambda r: (lo, hi)
+    raise ConfigError(f"{ctx}: expected a support name or a [lo, hi] pair, got {value!r}")
+
+
+def _expression(*variables):
+    def check(value, ctx):
+        if not isinstance(value, str):
+            raise ConfigError(f"{ctx}: expected an expression string, got {value!r}")
+        try:
+            return compile_expression(value, variables)
+        except ExpressionError as exc:
+            raise ConfigError(f"{ctx}: {exc}") from exc
+    return check
+
+
+def _kernel_expression(param: str, index: str):
+    """A method's expression as its kernel_batch(p, ts)."""
+    compiled = _expression(param, index)
+
+    def check(value, ctx):
+        expr = compiled(value, ctx)
+
+        def kernel_batch(p, ts):
+            values = expr(**{param: float(p), index: np.asarray(ts, dtype=float)})
+            return np.asarray(values, dtype=complex) * np.ones(len(ts))
+        return kernel_batch
+    return check
+
+
 # ---------------------------------------------------------------------------
-# builders
+# config objects: methods, sources, Taylor functions, transfer family and probes
+
+
+def _builtin(g):
+    spec = g["builtin"]()
+    if g["as_kernel"]:
+        spec = as_kernel(spec)
+    return spec if g["scale"] is None else scaled_method(spec, g["scale"])
+
+
+_METHODS = {
+    # a builtin takes only its modifiers; a custom method only its definition
+    ("builtin", None): ({"builtin": (_choice(BUILTIN_METHODS), REQUIRED),
+                         "scale": (_complex, None), "as_kernel": (_flag, False)}, _builtin),
+    ("kind", "matrix"): (
+        {"kind": (_keep, REQUIRED), "entries": (_kernel_expression("m", "n"), REQUIRED),
+         "name": (_string, "custom_matrix")},
+        lambda g: MatrixSpec(name=g["name"], kernel_batch=g["entries"])),
+    ("kind", "seq_to_func"): (
+        {"kind": (_keep, REQUIRED), "coeff": (_kernel_expression("r", "n"), REQUIRED),
+         "name": (_string, "custom_seq_to_func"), "F": (_domain, "unit")},
+        lambda g: SeqToFuncSpec(name=g["name"], kernel_batch=g["coeff"], F=g["F"])),
+    ("kind", "kernel"): (
+        {"kind": (_keep, REQUIRED), "kernel": (_kernel_expression("r", "t"), REQUIRED),
+         "name": (_string, "custom_kernel"), "support": (_support, "full"),
+         "measure": (_choice(MEASURES), MEASURE_LEBESGUE),
+         "substitution": (_choice(SUBSTITUTIONS), SUBSTITUTION_NONE),
+         # a counting kernel sums over the naturals unless told otherwise
+         "E": (_domain, lambda g: "nat" if g["measure"] == MEASURE_COUNTING else "unit"),
+         "F": (_domain, "unit")},
+        lambda g: KernelSpec(name=g["name"], kernel_batch=g["kernel"], support=g["support"],
+                             E=g["E"], F=g["F"], measure=g["measure"],
+                             substitution=g["substitution"])),
+}
 
 
 def build_method(obj, ctx: str = "method"):
-    # a builtin takes only its modifiers; a custom method only its definition
-    if isinstance(obj, dict) and "builtin" in obj:
-        _check_keys(obj, ctx, ("builtin",), ("scale", "as_kernel"))
-        name = obj["builtin"]
-        if name not in BUILTIN_METHODS:
-            raise ConfigError(f"{ctx}: unknown builtin {name!r}; have {sorted(BUILTIN_METHODS)}")
-        spec = BUILTIN_METHODS[name]()
-        if obj.get("as_kernel"):
-            spec = as_kernel(spec)
-        if "scale" in obj:
-            spec = scaled_method(spec, _as_complex(obj["scale"], ctx))
-        return spec
-
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{ctx}: expected an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if not (isinstance(kind, str) and kind in _CUSTOM_KINDS):
-        raise ConfigError(f"{ctx}: need either 'builtin' or a custom 'kind' in "
-                          f"{tuple(_CUSTOM_KINDS)}")
-    expr_key, variables, optional = _CUSTOM_KINDS[kind]
-    _check_keys(obj, ctx, ("kind", expr_key), ("name",) + optional)
-    try:
-        expr = compile_expression(obj[expr_key], variables)
-    except ExpressionError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
-    param, index = variables
-
-    def kernel_batch(p, ts):
-        values = expr(**{param: float(p), index: np.asarray(ts, dtype=float)})
-        return np.asarray(values, dtype=complex) * np.ones(len(ts))
-
-    name = obj.get("name", f"custom_{kind}")
-    if kind == "matrix":
-        return MatrixSpec(name=name, kernel_batch=kernel_batch)
-    F = _domain_from(obj.get("F", "unit"), ctx)
-    if kind == "seq_to_func":
-        return SeqToFuncSpec(name=name, kernel_batch=kernel_batch, F=F)
-    support_tag = obj.get("support", "full")
-    if isinstance(support_tag, list) and len(support_tag) == 2:
-        support = lambda r, _s=tuple(support_tag): (float(_s[0]), float(_s[1]))
-    elif isinstance(support_tag, str) and support_tag in _SUPPORTS:
-        support = _SUPPORTS[support_tag]
-    else:
-        raise ConfigError(f"{ctx}: unknown support {support_tag!r}")
-    # the first allowed value is the default
-    for key, allowed in (("measure", MEASURES), ("substitution", SUBSTITUTIONS)):
-        if obj.get(key, allowed[0]) not in allowed:
-            raise ConfigError(f"{ctx}: unknown {key} {obj[key]!r}; have {allowed}")
-    measure = obj.get("measure", MEASURES[0])
-    # a counting kernel sums over the naturals unless told otherwise
-    E = _domain_from(obj.get("E", "nat" if measure == "counting" else "unit"), ctx)
-    return KernelSpec(name=name, kernel_batch=kernel_batch, support=support, E=E, F=F,
-                      measure=measure, substitution=obj.get("substitution", SUBSTITUTIONS[0]))
+    return _one_of(_METHODS)(obj, ctx)
 
 
-def _synthetic_convergent(obj, ctx: str):
+def _synthetic_convergent(g) -> list:
     """Sequences v_n = L + rho^n u with known limits L."""
-    _check_keys(obj, ctx, ("generator", "count", "seed"), ("rho_max", "dim", "name"))
-    count = int(obj["count"])
-    rho_max = float(obj.get("rho_max", 0.9))
-    dim = int(obj.get("dim", 1))
-    space = SpaceDescriptor(dim, "l2")
-    rng = np.random.default_rng(int(obj["seed"]))
+    space = SpaceDescriptor(g["dim"], "l2")
+    rng = np.random.default_rng(g["seed"])
     out = []
-    for i in range(count):
-        L = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    for i in range(g["count"]):
+        L = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        u = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         u = u / np.linalg.norm(u)
-        rho = rho_max * rng.uniform(0.1, 1.0) * np.exp(2j * math.pi * rng.uniform())
+        rho = g["rho_max"] * rng.uniform(0.1, 1.0) * np.exp(2j * math.pi * rng.uniform())
 
         def block(lo, hi, L=L, u=u, rho=rho):
             ns = np.arange(lo, hi)
             return L[None, :] + np.power(rho, ns)[:, None] * u[None, :]
 
-        label = f"synthetic_{i}"
+        label = f"{g['name']}_{i}"
         out.append((label, SequenceSource(space=space, block=block, name=label),
                     VectorValue(L, space)))
     return out
 
 
-def build_sources(items, ctx: str = "sources"):
-    """Returns a list of (label, source, expected_limit_or_None)."""
-    if not isinstance(items, list) or not items:
-        raise ConfigError(f"{ctx}: expected a non-empty list")
-    out = []
-    for i, obj in enumerate(items):
-        sub = f"{ctx}[{i}]"
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{sub}: expected an object")
-        if obj.get("generator") == "synthetic_convergent":
-            out.extend(_synthetic_convergent(obj, sub))
-            continue
-        if "expr" in obj:
-            _check_keys(obj, sub, ("expr",), ("name",))
-            try:
-                expr = compile_expression(obj["expr"], ("n",))
-            except ExpressionError as exc:
-                raise ConfigError(f"{sub}: {exc}") from exc
-            label = obj.get("name", f"seq_{i}")
-            src = SequenceSource(
-                space=SpaceDescriptor(1, "l2"),
-                block=lambda lo, hi, _e=expr: (
-                    np.asarray(_e(n=np.arange(lo, hi, dtype=float)), dtype=complex)
-                    * np.ones(hi - lo))[:, None],
-                name=label,
-            )
-            out.append((label, src, None))
-            continue
-        if "fexpr" in obj:
-            _check_keys(obj, sub, ("fexpr",), ("name", "domain"))
-            try:
-                expr = compile_expression(obj["fexpr"], ("t",))
-            except ExpressionError as exc:
-                raise ConfigError(f"{sub}: {exc}") from exc
-            label = obj.get("name", f"func_{i}")
-            src = FunctionSource(
-                space=SpaceDescriptor(1, "l2"),
-                batch=lambda ts, _e=expr: (
-                    np.asarray(_e(t=np.asarray(ts, dtype=float)), dtype=complex)
-                    * np.ones(len(ts)))[:, None],
-                domain=_domain_from(obj.get("domain", "unit"), sub),
-                name=label,
-            )
-            out.append((label, src, None))
-            continue
-        raise ConfigError(f"{sub}: need 'expr', 'fexpr', or a known generator")
-    return out
+def _expr_source(g) -> list:
+    block = lambda lo, hi: (np.asarray(g["expr"](n=np.arange(lo, hi, dtype=float)),
+                                       dtype=complex) * np.ones(hi - lo))[:, None]
+    return [(g["name"], SequenceSource(space=SCALAR, block=block, name=g["name"]), None)]
 
 
-def build_taylor(obj, space: SeriesSpace, ctx: str = "function"):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{ctx}: expected an object")
-    if "coeffs" in obj:
-        _check_keys(obj, ctx, ("coeffs",), ("name",))
-        coeffs = [_as_complex(c, ctx) for c in obj["coeffs"]]
-        return taylor_from_coefficients(coeffs, space, name=obj.get("name", "polynomial"))
-    gen = obj.get("generator")
-    if gen == "geometric":
-        _check_keys(obj, ctx, ("generator", "c", "rho"), ())
-        return geometric_taylor(float(obj["c"]), float(obj["rho"]), space)
-    if gen == "power":
-        _check_keys(obj, ctx, ("generator", "c", "alpha"), ())
-        return power_taylor(float(obj["c"]), float(obj["alpha"]), space)
-    if gen == "monomial":
-        _check_keys(obj, ctx, ("generator", "k"), ())
-        return monomial_taylor(int(obj["k"]), space)
-    raise ConfigError(f"{ctx}: need 'coeffs' or generator in {GENERATORS[:3]}")
+def _function_source(g) -> list:
+    batch = lambda ts: (np.asarray(g["fexpr"](t=np.asarray(ts, dtype=float)), dtype=complex)
+                        * np.ones(len(ts)))[:, None]
+    return [(g["name"], FunctionSource(space=SCALAR, batch=batch, domain=g["domain"],
+                                       name=g["name"]), None)]
 
 
-def build_space(tag, ctx: str = "space") -> SeriesSpace:
-    if tag not in SPACES:
-        raise ConfigError(f"{ctx}: unknown space {tag!r}; have {SPACES}")
-    return SeriesSpace(tag)
+def _source_variants(i: int) -> dict:
+    """The source schemas of a sources list's i-th entry, whose default label is numbered."""
+    return {
+        ("generator", "synthetic_convergent"): (
+            {"generator": (_keep, REQUIRED), "count": (_COUNT, REQUIRED),
+             "seed": (_NATURAL, REQUIRED), "rho_max": (_REAL, 0.9), "dim": (_COUNT, 1),
+             "name": (_string, "synthetic")},
+            _synthetic_convergent),
+        ("expr", None): ({"expr": (_expression("n"), REQUIRED), "name": (_string, f"seq_{i}")},
+                         _expr_source),
+        ("fexpr", None): ({"fexpr": (_expression("t"), REQUIRED),
+                           "name": (_string, f"func_{i}"), "domain": (_domain, "unit")},
+                          _function_source),
+    }
+
+
+def _sources(items, ctx) -> list:
+    """(label, source, expected limit or None) of every source, in config order."""
+    return [case for i, obj in enumerate(_list_of(_keep)(items, ctx))
+            for case in _one_of(_source_variants(i))(obj, f"{ctx}[{i}]")]
+
+
+_FUNCTIONS = {
+    ("coeffs", None): ({"coeffs": (_list_of(_complex), REQUIRED),
+                        "name": (_string, "polynomial")},
+                       lambda g: taylor_from_coefficients(g["coeffs"], name=g["name"])),
+    ("generator", "geometric"): ({"generator": (_keep, REQUIRED), "c": (_REAL, REQUIRED),
+                                  "rho": (_REAL, REQUIRED)},
+                                 lambda g: geometric_taylor(g["c"], g["rho"])),
+    ("generator", "power"): ({"generator": (_keep, REQUIRED), "c": (_REAL, REQUIRED),
+                              "alpha": (_REAL, REQUIRED)},
+                             lambda g: power_taylor(g["c"], g["alpha"])),
+    ("generator", "monomial"): ({"generator": (_keep, REQUIRED), "k": (_NATURAL, REQUIRED)},
+                                lambda g: monomial_taylor(g["k"])),
+}
+
+_FAMILY = _object({"name": (_choice(("truncation",)), REQUIRED), "dim": (_COUNT, 4)},
+                  lambda g: truncation_family(SpaceDescriptor(g["dim"], "l2")))
+
+_PROBES = _object({"count": (_COUNT, REQUIRED), "seed": (_NATURAL, REQUIRED)})
+
+
+def _functionals(value, ctx):
+    if value == "coordinates":
+        return value
+    return [LinearFunctional(weights) for weights in _list_of(_list_of(_complex))(value, ctx)]
 
 
 # ---------------------------------------------------------------------------
-# experiment execution
+# experiments: a runner, its module and its schema per kind
 
 
 @dataclass
@@ -330,6 +401,11 @@ class ExperimentOutcome:
     plot_series: tuple = ()
 
 
+def _finite_or_none(x):
+    # report.json is strict JSON: no NaN or Infinity
+    return x if math.isfinite(x) else None
+
+
 def _est_row(label: str, est) -> list:
     value = ""
     if est.value is not None and est.value.dim == 1:
@@ -340,204 +416,180 @@ def _est_row(label: str, est) -> list:
     ]
 
 
-def _parts(exp) -> dict:
-    """An experiment's nested config built, by key; raises every ConfigError it holds."""
-    ctx = exp["id"]
-    parts = {key: build_method(exp[key], f"{ctx}.{key}")
-             for key in ("method", "method_a", "method_b") if key in exp}
-    if "sources" in exp:
-        parts["sources"] = build_sources(exp["sources"], f"{ctx}.sources")
-    if exp["kind"] == "taylor":
-        parts["space"] = build_space(exp.get("space", "h2"), f"{ctx}.space")
-        mode = exp.get("mode", "summability")
-        if mode not in ("summability", "dilate_identity"):
-            raise ConfigError(f"{ctx}: unknown taylor mode {mode!r}")
-        if mode == "summability":
-            for step in exp.get("chain", ["partial_sums"]):
-                if step not in CHAIN_STEPS:
-                    raise ConfigError(f"{ctx}: unknown chain step {step!r}")
-            parts["function"] = build_taylor(exp["function"], parts["space"], f"{ctx}.function")
-    if exp["kind"] == "transfer":
-        fam, probes_cfg = exp["family"], exp["probes"]
-        _check_keys(fam, f"{ctx}.family", ("name",), ("dim",))
-        if fam["name"] != "truncation":
-            raise ConfigError(f"{ctx}.family: only the 'truncation' family is shipped")
-        space = SpaceDescriptor(int(fam.get("dim", 4)), "l2")
-        parts["family"] = truncation_family(space)
-        _check_keys(probes_cfg, f"{ctx}.probes", ("count", "seed"), ())
-        rng = np.random.default_rng(int(probes_cfg["seed"]))
-        parts["probes"] = []
-        for _ in range(int(probes_cfg["count"])):
-            x = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-            parts["probes"].append(VectorValue(x / np.linalg.norm(x), space))
-    if exp["kind"] == "weak_inclusion":
-        spec_f = exp.get("functionals", "coordinates")
-        dims = {src.space.dim for _, src, _ in parts["sources"]}
-        if spec_f == "coordinates":
-            if len(dims) != 1:
-                raise ConfigError(f"{ctx}: sources have mixed dimensions")
-            parts["functionals"] = coordinate_functionals(SpaceDescriptor(dims.pop(), "l2"))
-        else:
-            parts["functionals"] = [LinearFunctional([_as_complex(w, f"{ctx}.functionals")
-                                                      for w in weights]) for weights in spec_f]
-    return parts
-
-
-def _run_check_regularity(exp, tol, parts):
-    spec = parts["method"]
+def _run_check_regularity(exp, tol):
+    spec = exp["method"]
     if isinstance(spec, MatrixSpec):
-        grid = parameter_grid(NAT, int(exp.get("m_max_exp", 14)))
-        report = check_matrix_st(spec, m_grid=grid, n_max=int(exp.get("n_max", 32)), tol=tol)
+        report = check_matrix_st(spec, m_grid=parameter_grid(NAT, exp["m_max_exp"]),
+                                 n_max=exp["n_max"], tol=tol)
         series = tuple((m, v) for m, v, _ in report.c1.cells)
     else:
-        report = check_kernel_st(spec, r_depth=int(exp.get("r_depth", 20)),
-                                 exhaust_depth=int(exp.get("exhaust_depth", 12)), tol=tol)
+        report = check_kernel_st(spec, r_depth=exp["r_depth"],
+                                 exhaust_depth=exp["exhaust_depth"], tol=tol)
         series = tuple((r, v) for r, v, _ in report.k1.cells if v == v)
     return report.rows(), report.to_jsonable(), series
 
 
-def _run_sum(exp, tol, parts):
-    spec = parts["method"]
-    depth = int(exp.get("depth", 20))
+def _run_sum(exp, tol):
+    spec = exp["method"]
     rows, cases = [], []
-    for label, source, expected in parts["sources"]:
-        est = summability_limit(spec, source, depth=depth, tol=tol)
+    for label, source, expected in exp["sources"]:
+        est = summability_limit(spec, source, depth=exp["depth"], tol=tol)
         rows.extend(_est_row(label, est))
-        case = {"label": label, "status": est.status, "residual": est.residual,
+        case = {"label": label, "status": est.status, "residual": _finite_or_none(est.residual),
                 "samples_used": est.samples_used}
         if expected is not None:
             deviation = (est.value - expected).norm() if est.converged else math.inf
             verdict = "pass" if deviation <= tol else "fail"
             rows.append((f"deviation[{label}]", "", deviation, verdict))
-            case["deviation"] = None if math.isinf(deviation) else deviation
+            case["deviation"] = _finite_or_none(deviation)
             case["verdict"] = verdict
         cases.append(case)
-    jsonable = {"method": getattr(spec, "name", "?"), "depth": depth, "tol": tol,
+    jsonable = {"method": getattr(spec, "name", "?"), "depth": exp["depth"], "tol": tol,
                 "cases": cases}
     return rows, jsonable, ()
 
 
-def _run_inclusion(exp, tol, parts):
-    report = inclusion_experiment(parts["method_a"], parts["method_b"], parts["sources"],
-                                  depth=int(exp.get("depth", 14)), tol=tol)
+def _run_inclusion(exp, tol):
+    report = inclusion_experiment(exp["method_a"], exp["method_b"], exp["sources"],
+                                  depth=exp["depth"], tol=tol)
     return report.rows(), report.to_jsonable(), ()
 
 
-def _run_transfer(exp, tol, parts):
-    report = transfer_experiment(parts["method_a"], parts["method_b"], parts["family"],
-                                 parts["probes"], depth=int(exp.get("depth", 24)), tol=tol)
+def _run_transfer(exp, tol):
+    report = transfer_experiment(exp["method_a"], exp["method_b"], exp["family"],
+                                 exp["probes"], depth=exp["depth"], tol=tol)
     return report.rows(), report.to_jsonable(), ()
 
 
-def _run_weak_inclusion(exp, tol, parts):
-    report = weak_inclusion_experiment(parts["method_a"], parts["method_b"], parts["sources"],
-                                       parts["functionals"], depth=int(exp.get("depth", 14)),
-                                       tol=tol)
+def _run_weak_inclusion(exp, tol):
+    report = weak_inclusion_experiment(exp["method_a"], exp["method_b"], exp["sources"],
+                                       exp["functionals"], depth=exp["depth"], tol=tol)
     return report.rows(), report.to_jsonable(), ()
 
 
-def _run_taylor(exp, tol, parts):
-    mode = exp.get("mode", "summability")
-    space = parts["space"]
-    if mode == "dilate_identity":
-        count = int(exp.get("count", 100))
-        seed = int(exp.get("seed", 0))
-        max_degree = int(exp.get("max_degree", 64))
-        radii = [float(r) for r in exp.get("radii", [0.25, 0.5, 0.9])]
-        rng = np.random.default_rng(seed)
+def _run_taylor(exp, tol):
+    if exp["mode"] == "dilate_identity":
+        rng = np.random.default_rng(exp["seed"])
         worst = 0.0
-        for _ in range(count):
-            deg = int(rng.integers(0, max_degree + 1))
+        for _ in range(exp["count"]):
+            deg = int(rng.integers(0, exp["max_degree"] + 1))
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            f = taylor_from_coefficients(coeffs, space)
-            for r in radii:
+            f = taylor_from_coefficients(coeffs, exp["space"])
+            for r in exp["radii"]:
                 worst = max(worst, dilate_dual_deviation(f, r))
         verdict = "pass" if worst <= 1e-12 else "fail"
         rows = [("dilate_identity_max_deviation", "", worst, verdict)]
-        jsonable = {"mode": mode, "count": count, "max_degree": max_degree,
-                    "radii": radii, "max_deviation": worst, "verdict": verdict}
+        jsonable = {"mode": exp["mode"], "count": exp["count"], "max_degree": exp["max_degree"],
+                    "radii": exp["radii"], "max_deviation": worst, "verdict": verdict}
         return rows, jsonable, ()
-    report = taylor_summability_experiment(parts["function"], space,
-                                           exp.get("chain", ["partial_sums"]),
-                                           depth=int(exp.get("depth", 20)), tol=tol)
-    series = tuple((p, d) for p, d in report.cells)
-    return report.rows(), report.to_jsonable(), series
+    report = taylor_summability_experiment(exp["function"], exp["space"], exp["chain"],
+                                           depth=exp["depth"], tol=tol)
+    return report.rows(), report.to_jsonable(), tuple(report.cells)
 
 
-# kind -> (runner, module, default tol, required keys, optional keys)
+def _transfer(exp):
+    """The probes: count unit vectors of the family's space, drawn from seed."""
+    space = exp["family"].space
+    rng = np.random.default_rng(exp["probes"]["seed"])
+    probes = []
+    for _ in range(exp["probes"]["count"]):
+        x = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        probes.append(VectorValue(x / np.linalg.norm(x), space))
+    return {**exp, "probes": probes}
+
+
+def _weak_inclusion(exp):
+    """The functionals, each of the sources' one dimension."""
+    dims = {source.space.dim for _, source, _ in exp["sources"]}
+    if len(dims) != 1:
+        raise ValueError("sources have mixed dimensions")
+    (dim,) = dims
+    functionals = exp["functionals"]
+    if functionals == "coordinates":
+        functionals = coordinate_functionals(SpaceDescriptor(dim, "l2"))
+    elif any(phi.dim != dim for phi in functionals):
+        raise ValueError(f"every functional needs {dim} weights, the sources' dimension")
+    return {**exp, "functionals": functionals}
+
+
+def _taylor(exp):
+    if exp["mode"] == "summability" and exp["function"] is None:
+        raise ValueError("mode 'summability' needs the key 'function'")
+    return exp
+
+
+_METHOD = (build_method, REQUIRED)
+_SOURCES = (_sources, REQUIRED)
+_PAIR = {"method_a": _METHOD, "method_b": _METHOD}
+
+# kind -> (runner, module, schema, build of the experiment read)
 _RUNNERS = {
-    "check_regularity": (_run_check_regularity, "regularity", 1e-6,
-                         ("method",), ("tol", "n_max", "m_max_exp", "r_depth", "exhaust_depth")),
-    "sum": (_run_sum, "methods", 1e-6, ("method", "sources"), ("tol", "depth")),
-    "inclusion": (_run_inclusion, "inclusion", 1e-6,
-                  ("method_a", "method_b", "sources"), ("tol", "depth")),
-    "transfer": (_run_transfer, "inclusion", 1e-6,
-                 ("method_a", "method_b", "family", "probes"), ("tol", "depth")),
-    "weak_inclusion": (_run_weak_inclusion, "inclusion", 1e-6,
-                       ("method_a", "method_b", "sources"), ("tol", "depth", "functionals")),
-    "taylor": (_run_taylor, "holo", 1e-4, (),
-               ("mode", "function", "space", "chain", "depth", "tol",
-                "count", "seed", "max_degree", "radii")),
+    "check_regularity": (_run_check_regularity, "regularity", {
+        "method": _METHOD, "tol": (_TOL, 1e-6), "n_max": (_NATURAL, 32),
+        "m_max_exp": (_COUNT, 14), "r_depth": (_COUNT, 20), "exhaust_depth": (_NATURAL, 12),
+    }, dict),
+    "sum": (_run_sum, "methods", {
+        "method": _METHOD, "sources": _SOURCES, "tol": (_TOL, 1e-6), "depth": (_COUNT, 20),
+    }, dict),
+    "inclusion": (_run_inclusion, "inclusion", {
+        **_PAIR, "sources": _SOURCES, "tol": (_TOL, 1e-6), "depth": (_COUNT, 14),
+    }, dict),
+    "transfer": (_run_transfer, "inclusion", {
+        **_PAIR, "family": (_FAMILY, REQUIRED), "probes": (_PROBES, REQUIRED),
+        "tol": (_TOL, 1e-6), "depth": (_COUNT, 24),
+    }, _transfer),
+    "weak_inclusion": (_run_weak_inclusion, "inclusion", {
+        **_PAIR, "sources": _SOURCES, "functionals": (_functionals, "coordinates"),
+        "tol": (_TOL, 1e-6), "depth": (_COUNT, 14),
+    }, _weak_inclusion),
+    "taylor": (_run_taylor, "holo", {
+        "mode": (_choice(("summability", "dilate_identity")), "summability"),
+        "function": (_one_of(_FUNCTIONS), None),
+        "space": (_choice({tag: SeriesSpace(tag) for tag in SPACE_TAGS}), "h2"),
+        "chain": (_list_of(_choice(CHAIN_STEPS)), ["partial_sums"]),
+        "depth": (_COUNT, 20), "tol": (_TOL, 1e-4),
+        "count": (_COUNT, 100), "seed": (_NATURAL, 0), "max_degree": (_NATURAL, 64),
+        "radii": (_radii, [0.25, 0.5, 0.9]),
+    }, _taylor),
 }
 
 KINDS = tuple(_RUNNERS)
 
+_EXPERIMENT = _one_of({("kind", kind): ({"id": (_string, REQUIRED), "kind": (_keep, REQUIRED),
+                                         **schema}, build)
+                       for kind, (_, _, schema, build) in _RUNNERS.items()})
 
-def validate_config(config) -> list:
-    """The experiments of a config; raises ConfigError before anything runs.
 
-    Each experiment's keys and the types of its scalar values (``depth``,
-    ``tol``, ``radii`` ...) are checked, and its nested config (methods,
-    sources, Taylor function, space and chain, family, probes, functionals)
-    is built once and discarded; a value that cannot be built is a
-    ConfigError too.
-    """
-    if not isinstance(config, dict):
-        raise ConfigError("top level: expected an object")
-    _check_keys(config, "top level", ("experiments",), ("description",))
-    experiments = config["experiments"]
-    if not isinstance(experiments, list) or not experiments:
-        raise ConfigError("experiments: expected a non-empty list")
-    seen = set()
-    for i, exp in enumerate(experiments):
-        ctx = f"experiments[{i}]"
-        if not isinstance(exp, dict):
-            raise ConfigError(f"{ctx}: expected an object")
-        kind = exp.get("kind")
-        if kind not in KINDS:
-            raise ConfigError(f"{ctx}: unknown kind {kind!r}; allowed {KINDS}")
-        _, _, _, required, optional = _RUNNERS[kind]
-        _check_keys(exp, ctx, ("id", "kind") + required, optional)
-        for key, (valid, expected) in _SCALAR_KEYS.items():
-            if key in exp and not valid(exp[key]):
-                raise ConfigError(f"{ctx}.{key}: expected {expected}, got {exp[key]!r}")
-        exp_id = exp.get("id")
-        if not isinstance(exp_id, str) or not exp_id:
-            raise ConfigError(f"{ctx}: id must be a non-empty string")
-        if exp_id in seen:
-            raise ConfigError(f"{ctx}: duplicate id {exp_id!r}")
-        seen.add(exp_id)
-        try:
-            _parts(exp)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"{ctx}: {type(exc).__name__}: {exc}") from exc
+def _experiments(items, ctx) -> list:
+    experiments = _list_of(_EXPERIMENT)(items, ctx)
+    ids = [exp["id"] for exp in experiments]
+    for i, exp_id in enumerate(ids):
+        if exp_id in ids[:i]:
+            raise ConfigError(f"{ctx}[{i}]: duplicate id {exp_id!r}")
     return experiments
 
 
+def validate_config(config) -> list:
+    """The experiments of a config, read and built; raises ConfigError before anything runs.
+
+    Every object (experiment, method, source, Taylor function, family,
+    probes) is read against its schema: its keys, the type and range of
+    each value, defaults filled in, and its nested objects built.
+    """
+    return _read(config, {"experiments": (_experiments, REQUIRED),
+                          "description": (_string, None)}, "", lambda g: g["experiments"])
+
+
 def run_experiment(exp: dict, tol_override=None) -> ExperimentOutcome:
-    kind = exp["kind"]
-    runner, module, default_tol, _, _ = _RUNNERS[kind]
-    tol = float(tol_override if tol_override is not None else exp.get("tol", default_tol))
+    """Runs one experiment as validate_config built it."""
+    runner, module, _, _ = _RUNNERS[exp["kind"]]
+    tol = exp["tol"] if tol_override is None else tol_override
     try:
-        rows, jsonable, series = runner(exp, tol, _parts(exp))
-    except ConfigError:
-        raise
+        rows, jsonable, series = runner(exp, tol)
     except Exception as exc:  # runtime failure: recorded, exits 3
         return ExperimentOutcome(exp["id"], module, [], {}, "error",
                                  f"{type(exc).__name__}: {exc}")
-    jsonable = {"id": exp["id"], "kind": kind, "tol": tol, **jsonable}
+    jsonable = {"id": exp["id"], "kind": exp["kind"], "tol": tol, **jsonable}
     return ExperimentOutcome(exp["id"], module, rows, jsonable, "completed",
                              plot_series=series)
 
@@ -617,6 +669,7 @@ def run_config(config, out_dir: str, threads=None, tol=None, plots: bool = False
         with open(config) as fh:
             config = json.load(fh)
     experiments = validate_config(config)
+    tol = None if tol is None else _TOL(tol, "--tol")
     os.makedirs(out_dir, exist_ok=True)
 
     workers = int(threads) if threads else (os.cpu_count() or 1)
@@ -680,26 +733,17 @@ def builtin_config_path(name: str):
 
 def list_builtins(stream=None):
     stream = stream or sys.stdout
-    print("methods:", file=stream)
-    for name in sorted(BUILTIN_METHODS):
-        print(f"  {name}", file=stream)
-    print("spaces:", file=stream)
-    for name in SPACES:
-        print(f"  {name}", file=stream)
-    print("taylor generators:", file=stream)
-    for name in GENERATORS[:3]:
-        print(f"  {name}", file=stream)
-    print("sequence generators:", file=stream)
-    print("  synthetic_convergent", file=stream)
-    print("chain steps:", file=stream)
-    for name in CHAIN_STEPS:
-        print(f"  {name}", file=stream)
-    print("experiment kinds:", file=stream)
-    for name in KINDS:
-        print(f"  {name}", file=stream)
-    print("example configs:", file=stream)
-    for name, description in shipped_configs().items():
-        print(f"  {name}: {description}", file=stream)
+    generators = lambda variants: [name for key, name in variants if key == "generator"]
+    catalog = {"methods": sorted(BUILTIN_METHODS), "spaces": SPACE_TAGS,
+               "taylor generators": generators(_FUNCTIONS),
+               "sequence generators": generators(_source_variants(0)),
+               "chain steps": CHAIN_STEPS, "experiment kinds": KINDS,
+               "example configs": [f"{name}: {description}"
+                                   for name, description in shipped_configs().items()]}
+    for title, names in catalog.items():
+        print(f"{title}:", file=stream)
+        for name in names:
+            print(f"  {name}", file=stream)
 
 
 # ---------------------------------------------------------------------------

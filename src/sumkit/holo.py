@@ -41,7 +41,7 @@ H2 = "h2"
 WIENER = "wiener"
 DISK_GRID = "disk_grid"
 
-_SPACE_TAGS = (H2, WIENER, DISK_GRID)
+SPACE_TAGS = (H2, WIENER, DISK_GRID)
 
 # N, the number of boundary points (N-th roots of unity) of the disk-grid norm
 BOUNDARY_POINTS = 4096
@@ -56,7 +56,7 @@ class SeriesSpace:
     tag: str = H2
 
     def __post_init__(self):
-        if self.tag not in _SPACE_TAGS:
+        if self.tag not in SPACE_TAGS:
             raise ValueError(f"unknown space tag {self.tag!r}")
 
 
@@ -442,7 +442,7 @@ PARTIAL_SUMS = "partial_sums"
 ABEL_DILATE = "abel_dilate"
 LOG_MEAN = "log_mean"
 
-_CHAIN_STEPS = (PARTIAL_SUMS, ABEL_DILATE, LOG_MEAN)
+CHAIN_STEPS = (PARTIAL_SUMS, ABEL_DILATE, LOG_MEAN)
 
 CONVERGED_TO_ZERO = "converged_to_zero"
 NOT_CONVERGED = "not_converged"
@@ -503,7 +503,7 @@ def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: 
     if not chain:
         raise ValueError("empty chain")
     for step in chain:
-        if step not in _CHAIN_STEPS:
+        if step not in CHAIN_STEPS:
             raise ValueError(f"unknown chain step {step!r}")
     domains = {NAT if step == PARTIAL_SUMS else UNIT_INTERVAL for step in chain}
     if len(domains) > 1:

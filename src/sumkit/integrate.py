@@ -37,6 +37,7 @@ from .vspace import SCALAR, LinearFunctional, SpaceDescriptor, VectorValue, spac
 
 SUBSTITUTION_NONE = "none"
 SUBSTITUTION_LOG_BOUNDARY = "log_boundary"
+SUBSTITUTIONS = (SUBSTITUTION_NONE, SUBSTITUTION_LOG_BOUNDARY)
 
 _GL_ORDER = 7
 # nodes and weights of the 7-point Gauss-Legendre rule on [-1, 1], the exact
@@ -71,7 +72,7 @@ class QuadratureConfig:
             raise ValueError("tol must be positive")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-        if self.substitution not in (SUBSTITUTION_NONE, SUBSTITUTION_LOG_BOUNDARY):
+        if self.substitution not in SUBSTITUTIONS:
             raise ValueError(f"unknown substitution {self.substitution!r}")
 
 
@@ -312,6 +313,7 @@ def quad_scalar(g: Callable[[float], complex], interval, cfg: QuadratureConfig =
 
 MEASURE_LEBESGUE = "lebesgue"
 MEASURE_COUNTING = "counting"
+MEASURES = (MEASURE_LEBESGUE, MEASURE_COUNTING)
 
 
 @dataclass(frozen=True)

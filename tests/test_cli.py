@@ -1,10 +1,14 @@
 """Config validation, experiment execution, artifacts, determinism."""
 
+import copy
 import json
 import os
+import pathlib
+import re
 
 import pytest
 
+from sumkit import cli
 from sumkit.cli import (
     ConfigError,
     build_method,
@@ -83,7 +87,28 @@ def _kernel_sum_config(source, **kernel):
                              "sources": [source], "depth": 4}]}
 
 
-@pytest.mark.parametrize("kind, key, value", [
+# a valid experiment per base, into which one bad value is set by its path
+_BASES = {
+    "sum": {"kind": "sum", "method": {"builtin": "cesaro"}, "sources": [{"expr": "1"}],
+            "depth": 4},
+    "check_regularity": {"kind": "check_regularity", "method": {"builtin": "abel"}, "r_depth": 4},
+    "taylor": {"kind": "taylor", "mode": "dilate_identity", "count": 1},
+    "synthetic": {"kind": "sum", "method": {"builtin": "abel"}, "depth": 4, "sources": [
+        {"generator": "synthetic_convergent", "count": 2, "seed": 1}]},
+    "fexpr": {"kind": "sum", "method": {"builtin": "logarithmic"}, "depth": 4,
+              "sources": [{"fexpr": "1"}]},
+    "kernel": {"kind": "check_regularity", "r_depth": 4,
+               "method": {"kind": "kernel", "kernel": "1", "support": "upto_r"}},
+    "transfer": {"kind": "transfer", "method_a": {"builtin": "cesaro"},
+                 "method_b": {"builtin": "abel"}, "family": {"name": "truncation"},
+                 "probes": {"count": 1, "seed": 0}},
+    "geometric": {"kind": "taylor", "function": {"generator": "geometric", "c": 1.0, "rho": 0.5}},
+    "power": {"kind": "taylor", "function": {"generator": "power", "c": 1.0, "alpha": 2.0}},
+    "monomial": {"kind": "taylor", "function": {"generator": "monomial", "k": 1}},
+}
+
+
+@pytest.mark.parametrize("base, key, value", [
     ("sum", "depth", "deep"),
     ("sum", "depth", 14.5),
     ("sum", "tol", "1e-3"),
@@ -92,18 +117,84 @@ def _kernel_sum_config(source, **kernel):
     ("taylor", "count", "100"),
     ("taylor", "radii", [0.5, "0.9"]),
     ("taylor", "radii", 0.5),
+    # nested values: a bool or a fraction is no integer, a bool no number
+    ("synthetic", "sources[0].count", 2.5),
+    ("synthetic", "sources[0].seed", True),
+    ("synthetic", "sources[0].dim", 2.7),
+    ("synthetic", "sources[0].rho_max", True),
+    ("transfer", "family.dim", 2.7),
+    ("transfer", "probes.count", 1.9),
+    ("transfer", "probes.seed", True),
+    ("monomial", "function.k", 2.9),
+    ("geometric", "function.c", "1"),
+    ("geometric", "function.rho", True),
+    ("power", "function.alpha", None),
+    ("sum", "method.scale", True),
+    ("fexpr", "sources[0].domain", True),
+    ("kernel", "method.E", True),
+    ("kernel", "method.support", [0, True]),
+    # out of range
+    ("sum", "depth", 0),
+    ("check_regularity", "r_depth", 0),
+    ("check_regularity", "m_max_exp", 0),
+    ("check_regularity", "n_max", -1),
+    ("check_regularity", "exhaust_depth", -1),
+    ("taylor", "count", 0),
+    ("taylor", "seed", -1),
+    ("taylor", "max_degree", -1),
+    ("taylor", "radii", [1.5]),
+    ("taylor", "radii", [-0.5]),
+    ("sum", "tol", 0),
+    ("sum", "tol", float("nan")),
+    ("sum", "tol", float("inf")),
+    ("synthetic", "sources[0].count", 0),
+    ("transfer", "probes.count", 0),
 ])
-def test_scalar_key_of_the_wrong_type_exits_2_before_anything_runs(tmp_path, capsys, kind,
+def test_scalar_key_of_the_wrong_type_exits_2_before_anything_runs(tmp_path, capsys, base,
                                                                    key, value):
-    exp = {"sum": {"method": {"builtin": "cesaro"}, "sources": [{"expr": "1"}], "depth": 4},
-           "check_regularity": {"method": {"builtin": "abel"}, "r_depth": 4},
-           "taylor": {"mode": "dilate_identity", "count": 1}}[kind]
+    exp = copy.deepcopy({"id": "e", **_BASES[base]})
+    *parents, last = re.findall(r"\w+", key)  # "sources[0].count" -> sources, 0, count
+    target = exp
+    for part in parents:
+        target = target[int(part)] if part.isdigit() else target[part]
+    target[last] = value
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"experiments": [{"id": "e", "kind": kind, **exp, key: value}]}))
+    cfg.write_text(json.dumps({"experiments": [exp]}))  # NaN and Infinity as json reads them
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert f"experiments[0].{key}: expected" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
+def test_tol_flag_out_of_range_exits_2_before_anything_runs(tmp_path, capsys, tol):
+    cfg = tmp_path / "good.json"
+    cfg.write_text(json.dumps(MINIMAL))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), f"--tol={tol}"]) == 2
+    assert "--tol: expected a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_tables_list_each_kinds_schema_keys_and_defaults():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Experiment runner")[1].split("\n## ")[0]
+    tables = dict(re.findall(r"^\*\*`(\w+)`\*\*.*?\n\n((?:\|[^\n]*\n)+)", section, re.M | re.S))
+    assert list(tables) == list(cli.KINDS)
+    for kind, table in tables.items():
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in table.splitlines()[2:]]
+        documented = {key.strip("`"): default for key, _, _, default in rows}
+        schema = cli._RUNNERS[kind][2]
+        assert list(documented) == list(schema), kind
+        for key, (_, default) in schema.items():
+            text = documented[key]
+            if default is cli.REQUIRED:
+                assert text == "required", (kind, key)
+            elif default is None:
+                assert text == "none", (kind, key)
+            else:
+                assert json.loads(text.strip("`")) == default, (kind, key)
 
 
 def test_counting_kernel_sums_over_the_naturals_by_default():
@@ -208,6 +299,10 @@ def test_nested_config_errors_are_raised_before_anything_runs(tmp_path, monkeypa
      "family": {"name": "truncation"}, "probes": {"count": 1}},
     {"kind": "weak_inclusion", "method_a": {"builtin": "cesaro"}, "method_b": {"builtin": "abel"},
      "sources": [{"expr": "1"}], "functionals": [["x"]]},
+    # two weights against scalar sources: every case would be an error
+    pytest.param({"kind": "weak_inclusion", "method_a": {"builtin": "cesaro"},
+                  "method_b": {"builtin": "abel"}, "sources": [{"expr": "1"}],
+                  "functionals": [[1, 2]]}, id="weak_inclusion-dimension"),
 ], ids=lambda exp: exp["kind"])
 def test_validate_config_builds_every_nested_part(exp):
     with pytest.raises(ConfigError):
@@ -311,6 +406,22 @@ def test_source_failures_are_data_not_process_errors(tmp_path):
     assert run_config(config, str(out)) == 0
     report = json.loads(_read(out / "report.json"))
     assert report["experiments"][0]["cases"][0]["status"] == "inconclusive"
+
+
+def test_report_json_is_strict_json_when_a_residual_is_infinite(tmp_path):
+    # exp(n) overflows the certified sum at every Abel grid point: residual inf
+    config = {"experiments": [{"id": "overflow", "kind": "sum", "method": {"builtin": "abel"},
+                               "sources": [{"expr": "exp(n)"}], "depth": 4}]}
+    out = tmp_path / "out"
+    assert run_config(config, str(out)) == 0
+
+    def reject(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    report = json.loads(_read(out / "report.json"), parse_constant=reject)
+    (case,) = report["experiments"][0]["cases"]
+    assert case["residual"] is None and case["status"] != "converged"
+    assert "residual[seq_0],inf,0.0," in _read(out / "overflow.csv")
 
 
 def test_runtime_failure_exits_3(tmp_path):
