@@ -42,6 +42,7 @@ from .holo import (
     CHAIN_STEPS,
     SPACE_TAGS,
     SeriesSpace,
+    chain_domain,
     dilate_dual_deviation,
     geometric_taylor,
     monomial_taylor,
@@ -95,9 +96,8 @@ class ConfigError(ValueError):
 #
 # A schema maps each key of a config object to (check, default).  A check
 # takes (value, path) and returns the value built, or raises ConfigError.  A
-# default is REQUIRED, None (the key may be absent, and then reads as None),
-# a config value, or a function of the values read before it; a default is
-# read by the key's check like a given value.
+# default is REQUIRED, None (the key may be absent, and then reads as None)
+# or a config value, which the key's check reads like a given value.
 
 REQUIRED = object()
 
@@ -116,8 +116,7 @@ def _read(obj, schema: dict, ctx: str, build=dict):
     got = {}
     for key, (check, default) in schema.items():
         if key in obj or default is not None:
-            value = obj[key] if key in obj else default(got) if callable(default) else default
-            got[key] = check(value, f"{ctx}.{key}" if ctx else key)
+            got[key] = check(obj.get(key, default), f"{ctx}.{key}" if ctx else key)
         else:
             got[key] = None
     try:
@@ -182,12 +181,6 @@ _REAL = _number("a finite number")
 _LENGTH = _number("a domain name or a number > 0", lambda v: v > 0)
 
 
-def _radii(value, ctx) -> list:
-    if isinstance(value, list) and value and all(_is_number(r) and 0 <= r < 1 for r in value):
-        return [float(r) for r in value]
-    raise ConfigError(f"{ctx}: expected a non-empty list of numbers in [0, 1), got {value!r}")
-
-
 def _string(value, ctx):
     if isinstance(value, str) and value:
         return value
@@ -232,8 +225,8 @@ def _domain(value, ctx):
 def _support(value, ctx):
     if isinstance(value, str):
         return _choice(_SUPPORTS)(value, ctx)
-    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
-        lo, hi = map(float, value)
+    if isinstance(value, list) and len(value) == 2:
+        lo, hi = (_REAL(v, f"{ctx}[{i}]") for i, v in enumerate(value))
         return lambda r: (lo, hi)
     raise ConfigError(f"{ctx}: expected a support name or a [lo, hi] pair, got {value!r}")
 
@@ -291,11 +284,11 @@ _METHODS = {
          "name": (_string, "custom_kernel"), "support": (_support, "full"),
          "measure": (_choice(MEASURES), MEASURE_LEBESGUE),
          "substitution": (_choice(SUBSTITUTIONS), SUBSTITUTION_NONE),
-         # a counting kernel sums over the naturals unless told otherwise
-         "E": (_domain, lambda g: "nat" if g["measure"] == MEASURE_COUNTING else "unit"),
-         "F": (_domain, "unit")},
+         "E": (_domain, None), "F": (_domain, "unit")},
+        # a counting kernel sums over the naturals unless told otherwise
         lambda g: KernelSpec(name=g["name"], kernel_batch=g["kernel"], support=g["support"],
-                             E=g["E"], F=g["F"], measure=g["measure"],
+                             E=g["E"] or (NAT if g["measure"] == MEASURE_COUNTING
+                                          else UNIT_INTERVAL), F=g["F"], measure=g["measure"],
                              substitution=g["substitution"])),
 }
 
@@ -319,7 +312,7 @@ def _synthetic_convergent(g) -> list:
             ns = np.arange(lo, hi)
             return L[None, :] + np.power(rho, ns)[:, None] * u[None, :]
 
-        label = f"{g['name']}_{i}"
+        label = f"synthetic_{i}"
         out.append((label, SequenceSource(space=space, block=block, name=label),
                     VectorValue(L, space)))
     return out
@@ -344,7 +337,7 @@ def _source_variants(i: int) -> dict:
         ("generator", "synthetic_convergent"): (
             {"generator": (_keep, REQUIRED), "count": (_COUNT, REQUIRED),
              "seed": (_NATURAL, REQUIRED), "rho_max": (_REAL, 0.9), "dim": (_COUNT, 1),
-             "name": (_string, "synthetic")},
+             "name": (_string, None)},  # accepted and unused: labels are synthetic_<i>
             _synthetic_convergent),
         ("expr", None): ({"expr": (_expression("n"), REQUIRED), "name": (_string, f"seq_{i}")},
                          _expr_source),
@@ -512,6 +505,15 @@ def _weak_inclusion(exp):
     return {**exp, "functionals": functionals}
 
 
+def _chain(value, ctx) -> list:
+    steps = _list_of(_keep)(value, ctx)
+    try:
+        chain_domain(steps)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+    return steps
+
+
 def _taylor(exp):
     if exp["mode"] == "summability" and exp["function"] is None:
         raise ValueError("mode 'summability' needs the key 'function'")
@@ -546,10 +548,11 @@ _RUNNERS = {
         "mode": (_choice(("summability", "dilate_identity")), "summability"),
         "function": (_one_of(_FUNCTIONS), None),
         "space": (_choice({tag: SeriesSpace(tag) for tag in SPACE_TAGS}), "h2"),
-        "chain": (_list_of(_choice(CHAIN_STEPS)), ["partial_sums"]),
+        "chain": (_chain, ["partial_sums"]),
         "depth": (_COUNT, 20), "tol": (_TOL, 1e-4),
         "count": (_COUNT, 100), "seed": (_NATURAL, 0), "max_degree": (_NATURAL, 64),
-        "radii": (_radii, [0.25, 0.5, 0.9]),
+        "radii": (_list_of(_number("a number in [0, 1)", lambda v: 0 <= v < 1)),
+                  [0.25, 0.5, 0.9]),
     }, _taylor),
 }
 

@@ -488,6 +488,19 @@ def _apply_step(step: str, g: TaylorFunction, param) -> TaylorFunction:
     raise ValueError(f"unknown chain step {step!r}")
 
 
+def chain_domain(chain: Sequence[str]):
+    """The one parameter domain of a non-empty chain of known steps, else ValueError."""
+    if not chain:
+        raise ValueError("empty chain")
+    for step in chain:
+        if step not in CHAIN_STEPS:
+            raise ValueError(f"unknown chain step {step!r}")
+    domains = {NAT if step == PARTIAL_SUMS else UNIT_INTERVAL for step in chain}
+    if len(domains) > 1:
+        raise ValueError("chain mixes discrete and continuous parameters")
+    return domains.pop()
+
+
 def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: Sequence[str],
                                   depth: int = 20, tol: float = 1e-4) -> TaylorConvergenceReport:
     """Distance ||chain_param(f) - f|| along the parameter grid, judged against 0.
@@ -500,15 +513,7 @@ def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: 
     finite grid).
     """
     chain = tuple(chain)
-    if not chain:
-        raise ValueError("empty chain")
-    for step in chain:
-        if step not in CHAIN_STEPS:
-            raise ValueError(f"unknown chain step {step!r}")
-    domains = {NAT if step == PARTIAL_SUMS else UNIT_INTERVAL for step in chain}
-    if len(domains) > 1:
-        raise ValueError("chain mixes discrete and continuous parameters")
-    domain = domains.pop()
+    domain = chain_domain(chain)
 
     fx = f.in_space(space)
     grid = parameter_grid(domain, depth)

@@ -162,7 +162,9 @@ def test_scalar_key_of_the_wrong_type_exits_2_before_anything_runs(tmp_path, cap
     cfg.write_text(json.dumps({"experiments": [exp]}))  # NaN and Infinity as json reads them
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert f"experiments[0].{key}: expected" in capsys.readouterr().err
+    # a bad list element is named by its index, e.g. experiments[0].radii[1]
+    assert re.search(rf"experiments\[0\]\.{re.escape(key)}(\[\d+\])?: expected",
+                     capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -290,6 +292,8 @@ def test_nested_config_errors_are_raised_before_anything_runs(tmp_path, monkeypa
 @pytest.mark.parametrize("exp", [
     {"kind": "taylor", "function": {"generator": "geometric", "c": 1.0}},
     {"kind": "taylor", "function": {"generator": "monomial", "k": 1}, "chain": ["median"]},
+    {"kind": "taylor", "function": {"generator": "monomial", "k": 1},
+     "chain": ["partial_sums", "log_mean"]},
     {"kind": "taylor", "mode": "sideways"},
     {"kind": "taylor", "space": "h2"},
     {"kind": "taylor", "space": "l7", "mode": "dilate_identity"},
