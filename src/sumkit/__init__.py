@@ -83,7 +83,6 @@ from .inclusion import (
     InclusionReport,
     OperatorFamily,
     TransferReport,
-    WeakInclusionReport,
     default_scalar_battery,
     inclusion_experiment,
     transfer_experiment,

@@ -73,7 +73,7 @@ from .methods import (
     series_summation_method,
     summability_limit,
 )
-from .regularity import check_kernel_st, check_matrix_st
+from .regularity import FAIL, PASS, check_kernel_st, check_matrix_st
 from .vspace import SCALAR, LinearFunctional, SpaceDescriptor, VectorValue, coordinate_functionals
 
 BUILTIN_METHODS = {
@@ -400,11 +400,8 @@ def _finite_or_none(x):
 
 
 def _est_row(label: str, est) -> list:
-    value = ""
-    if est.value is not None and est.value.dim == 1:
-        value = complex(est.value.coords[0])
     return [
-        (f"limit[{label}]", "", value, est.status),
+        (f"limit[{label}]", "", est.complex_value, est.status),
         (f"residual[{label}]", "", est.residual, ""),
     ]
 
@@ -432,7 +429,7 @@ def _run_sum(exp, tol):
                 "samples_used": est.samples_used}
         if expected is not None:
             deviation = (est.value - expected).norm() if est.converged else math.inf
-            verdict = "pass" if deviation <= tol else "fail"
+            verdict = PASS if deviation <= tol else FAIL
             rows.append((f"deviation[{label}]", "", deviation, verdict))
             case["deviation"] = _finite_or_none(deviation)
             case["verdict"] = verdict
@@ -470,7 +467,7 @@ def _run_taylor(exp, tol):
             f = taylor_from_coefficients(coeffs, exp["space"])
             for r in exp["radii"]:
                 worst = max(worst, dilate_dual_deviation(f, r))
-        verdict = "pass" if worst <= 1e-12 else "fail"
+        verdict = PASS if worst <= 1e-12 else FAIL
         rows = [("dilate_identity_max_deviation", "", worst, verdict)]
         jsonable = {"mode": exp["mode"], "count": exp["count"], "max_degree": exp["max_degree"],
                     "radii": exp["radii"], "max_deviation": worst, "verdict": verdict}

@@ -24,7 +24,7 @@ from .vspace import VectorValue
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
-INCONCLUSIVE = "inconclusive"
+INCONCLUSIVE = "inconclusive"  # the one undecided verdict of every module
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,13 @@ class ConvergenceEstimate:
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
+
+    @property
+    def complex_value(self) -> Optional[complex]:
+        """The limit as a complex number; None unless it is present and one-dimensional."""
+        if self.value is None or self.value.dim != 1:
+            return None
+        return complex(self.value.coords[0])
 
 
 def _diameter(samples: Sequence[VectorValue], lo: int, hi: int) -> float:

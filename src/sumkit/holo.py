@@ -32,7 +32,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import methods
-from .domains import NAT, NOT_ZERO, UNIT_INTERVAL, ZERO, decay_verdict, parameter_grid
+from .domains import (INCONCLUSIVE, NAT, NOT_ZERO, UNIT_INTERVAL, ZERO, decay_verdict,
+                      parameter_grid)
 # Unused here; perfbench/layers.py wraps ``holo._adaptive`` by name.
 from .integrate import _adaptive  # noqa: F401
 from .methods import NonSummableError
@@ -442,11 +443,17 @@ PARTIAL_SUMS = "partial_sums"
 ABEL_DILATE = "abel_dilate"
 LOG_MEAN = "log_mean"
 
-CHAIN_STEPS = (PARTIAL_SUMS, ABEL_DILATE, LOG_MEAN)
+# chain step -> (parameter domain, the step applied to g at a grid parameter)
+_CHAIN = {
+    PARTIAL_SUMS: (NAT, lambda g, param: partial_sum(g, int(param))),
+    ABEL_DILATE: (UNIT_INTERVAL, lambda g, param: abel_dilate(g, float(param), verify=False)),
+    LOG_MEAN: (UNIT_INTERVAL, lambda g, param: log_taylor_mean(g, float(param))),
+}
+CHAIN_STEPS = tuple(_CHAIN)
 
 CONVERGED_TO_ZERO = "converged_to_zero"
 NOT_CONVERGED = "not_converged"
-UNDECIDED = "inconclusive"
+UNDECIDED = INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -478,24 +485,14 @@ class TaylorConvergenceReport:
         }
 
 
-def _apply_step(step: str, g: TaylorFunction, param) -> TaylorFunction:
-    if step == PARTIAL_SUMS:
-        return partial_sum(g, int(param))
-    if step == ABEL_DILATE:
-        return abel_dilate(g, float(param), verify=False)
-    if step == LOG_MEAN:
-        return log_taylor_mean(g, float(param))
-    raise ValueError(f"unknown chain step {step!r}")
-
-
 def chain_domain(chain: Sequence[str]):
     """The one parameter domain of a non-empty chain of known steps, else ValueError."""
     if not chain:
         raise ValueError("empty chain")
     for step in chain:
-        if step not in CHAIN_STEPS:
+        if step not in CHAIN_STEPS:  # a tuple, so an unhashable step is unknown too
             raise ValueError(f"unknown chain step {step!r}")
-    domains = {NAT if step == PARTIAL_SUMS else UNIT_INTERVAL for step in chain}
+    domains = {_CHAIN[step][0] for step in chain}
     if len(domains) > 1:
         raise ValueError("chain mixes discrete and continuous parameters")
     return domains.pop()
@@ -521,7 +518,7 @@ def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: 
     for param in grid:
         g = fx
         for step in chain:
-            g = _apply_step(step, g, param)
+            g = _CHAIN[step][1](g, param)
         distances.append(series_norm(taylor_sub(g, fx)))
     outcome, route, _ = decay_verdict(distances, tol)
     status = {ZERO: CONVERGED_TO_ZERO, NOT_ZERO: NOT_CONVERGED}.get(outcome, UNDECIDED)

@@ -29,6 +29,7 @@ import numpy as np
 from .domains import (
     CONVERGED,
     DIVERGED,
+    INCONCLUSIVE,
     NAT,
     ConvergenceEstimate,
     estimate_limit_at_infinity,
@@ -44,13 +45,13 @@ from .methods import (
     scalar_sequence,
     summability_limit,
 )
-from .regularity import REGULAR_EVIDENCE, check_kernel_st, check_matrix_st
+from .regularity import FAIL, PASS, REGULAR_EVIDENCE, check_kernel_st, check_matrix_st
 from .vspace import LinearFunctional, SpaceDescriptor, VectorValue
 
 TRANSFERS = "transfers"
 VIOLATES = "violates"
 VACUOUS = "vacuous"
-UNDECIDED = "inconclusive"
+UNDECIDED = INCONCLUSIVE
 
 VERDICT_MARGIN = 1e-9
 
@@ -70,8 +71,15 @@ class CaseResult:
     note: str = ""
 
 
-class _CaseTally:
-    """Verdict tallies shared by the inclusion and weak-inclusion reports."""
+@dataclass(frozen=True)
+class InclusionReport:
+    """Case verdicts of an inclusion experiment, or a weak one: a case per source and functional."""
+
+    method_a: str
+    method_b: str
+    cases: tuple
+    margin: float
+    notes: tuple = field(default=_NOTES)
 
     @property
     def verdict_counts(self) -> dict:
@@ -84,20 +92,12 @@ class _CaseTally:
     def has_violation(self) -> bool:
         return any(c.verdict == VIOLATES for c in self.cases)
 
-
-@dataclass(frozen=True)
-class InclusionReport(_CaseTally):
-    method_a: str
-    method_b: str
-    cases: tuple
-    margin: float
-    notes: tuple = field(default=_NOTES)
-
     def rows(self) -> list:
         out = []
         for c in self.cases:
-            out.append((f"lim_a[{c.label}]", "", _est_value(c.est_a), _est_status(c.est_a)))
-            out.append((f"lim_b[{c.label}]", "", _est_value(c.est_b), _est_status(c.est_b)))
+            for side, est in (("a", c.est_a), ("b", c.est_b)):
+                out.append((f"lim_{side}[{c.label}]", "", est.complex_value if est else None,
+                            _est_status(est)))
             out.append((f"distance[{c.label}]", "", c.distance, c.verdict))
         return out
 
@@ -124,12 +124,6 @@ class InclusionReport(_CaseTally):
 
 def _est_status(est: Optional[ConvergenceEstimate]) -> str:
     return est.status if est is not None else "error"
-
-
-def _est_value(est: Optional[ConvergenceEstimate]):
-    if est is not None and est.value is not None and est.value.dim == 1:
-        return complex(est.value.coords[0])
-    return ""
 
 
 def classify_case(est_a: Optional[ConvergenceEstimate],
@@ -272,7 +266,7 @@ class TransferReport:
         return self.applicable and all(c.verdict == TRANSFERS for c in self.cases)
 
     def rows(self) -> list:
-        out = [(f"hypothesis[{h.name}]", "", "", PASS_STR if h.passed else FAIL_STR)
+        out = [(f"hypothesis[{h.name}]", "", "", PASS if h.passed else FAIL)
                for h in self.hypotheses]
         for c in self.cases:
             out.append((f"distance_b[{c.label}]", "", c.distance, c.verdict))
@@ -300,10 +294,6 @@ class TransferReport:
             "all_transfer": self.all_transfer,
             "notes": list(self.notes),
         }
-
-
-PASS_STR = "pass"
-FAIL_STR = "fail"
 
 
 def regularity_evidence(spec: KernelSpec, tol: float = 1e-6,
@@ -425,38 +415,11 @@ def _functional_source(source, phi: LinearFunctional):
     raise TypeError(f"cannot scalarize source of type {type(source).__name__}")
 
 
-@dataclass(frozen=True)
-class WeakInclusionReport(_CaseTally):
-    method_a: str
-    method_b: str
-    cases: tuple  # CaseResult per (test, functional)
-    margin: float
-    notes: tuple = field(default=_NOTES)
-
-    def rows(self) -> list:
-        return [(f"distance[{c.label}]", "", c.distance, c.verdict) for c in self.cases]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "method_a": self.method_a,
-            "method_b": self.method_b,
-            "margin": self.margin,
-            "cases": [
-                {"label": c.label, "verdict": c.verdict,
-                 "status_a": _est_status(c.est_a), "status_b": _est_status(c.est_b),
-                 "distance": None if math.isnan(c.distance) else c.distance}
-                for c in self.cases
-            ],
-            "summary": self.verdict_counts,
-            "notes": list(self.notes),
-        }
-
-
 def weak_inclusion_experiment(A: KernelSpec, B: KernelSpec, tests,
                               functionals: Sequence[LinearFunctional],
-                              depth: int = 14, tol: float = 1e-6) -> WeakInclusionReport:
-    """Functional-wise inclusion: A-summability of phi(v) must transfer to B."""
+                              depth: int = 14, tol: float = 1e-6) -> InclusionReport:
+    """Functional-wise inclusion: A-summability of phi(v) must transfer to B, case <v>|phi_<i>."""
     scalarized = [(f"{label}|phi_{i}", _functional_source(source, phi))
                   for label, source in _as_cases(tests) for i, phi in enumerate(functionals)]
     cases, margin = _run_cases(A, B, scalarized, depth, tol)
-    return WeakInclusionReport(getattr(A, "name", "A"), getattr(B, "name", "B"), cases, margin)
+    return InclusionReport(getattr(A, "name", "A"), getattr(B, "name", "B"), cases, margin)

@@ -617,6 +617,19 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
 # Transforms
 
 
+def _in_f(spec: KernelSpec, param):
+    """param as a point of spec.F: an int row index on the naturals, else a float; or ValueError."""
+    if spec.F == NAT:
+        p = int(param)
+        if p != param or p < 0:
+            raise ValueError(f"row index {param!r} outside the naturals")
+        return p
+    p = float(param)
+    if not 0.0 <= p < spec.F.right:
+        raise ValueError(f"parameter {p} outside [0, {spec.F.right})")
+    return p
+
+
 def _row(spec: KernelSpec, param) -> tuple:
     """(coeffs, (lo, hi), tail_abs, tail_sum, label, weight) of a counting kernel at param.
 
@@ -628,16 +641,8 @@ def _row(spec: KernelSpec, param) -> tuple:
     weight is a box row's one entry (None for every other row).  Raises
     ValueError for a parameter outside F.
     """
-    if spec.F == NAT:
-        p = int(param)
-        if p != param or p < 0:
-            raise ValueError(f"row index {param!r} outside the naturals")
-        label = f"{spec.name} row {p}"
-    else:
-        p = float(param)
-        if not 0.0 <= p < spec.F.right:
-            raise ValueError(f"parameter {p} outside [0, {spec.F.right})")
-        label = f"{spec.name} at r={p}"
+    p = _in_f(spec, param)
+    label = f"{spec.name} row {p}" if spec.F == NAT else f"{spec.name} at r={p}"
     lo, hi = (0, None) if spec.support is None else spec.support(p)
     tail_abs, tail_sum = (None if fn is None else partial(fn, p)
                           for fn in (spec.tail_abs, spec.tail_sum))
@@ -647,7 +652,11 @@ def _row(spec: KernelSpec, param) -> tuple:
 
 
 def _kernel_support(spec: KernelSpec, r) -> tuple:
-    """(lo, hi): where a Lebesgue kernel a(r, .) lives; all of E by default, and bounded."""
+    """(lo, hi): where a Lebesgue kernel a(r, .) lives; all of E by default, and bounded.
+
+    Raises ValueError for a parameter outside F.
+    """
+    r = _in_f(spec, r)
     if spec.support is not None:
         lo, hi = spec.support(r)
     else:

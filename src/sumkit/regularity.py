@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import (_WINDOW, NAT, NOT_ZERO, TREND_SLOPE, ZERO, decay_verdict, exhaustion,
-                      loglog_slope, parameter_grid)
+from .domains import (_WINDOW, INCONCLUSIVE, NAT, NOT_ZERO, TREND_SLOPE, ZERO, decay_verdict,
+                      exhaustion, loglog_slope, parameter_grid)
 from .integrate import QuadratureError
 # Unused here; perfbench/layers.py wraps ``regularity.adaptive_quadrature_batch`` by name.
 from .integrate import adaptive_quadrature_batch  # noqa: F401
@@ -41,9 +41,9 @@ from .methods import (
     _row,
 )
 
-PASS = "pass"
+PASS = "pass"  # the one pass and fail verdicts of every module
 FAIL = "fail"
-UNDECIDED = "inconclusive"
+UNDECIDED = INCONCLUSIVE
 
 REGULAR_EVIDENCE = "RegularEvidence"
 NOT_REGULAR = "NotRegular"

@@ -498,7 +498,16 @@ def test_weak_inclusion_kind_runs(tmp_path):
     }
     out = tmp_path / "out"
     assert run_config(config, str(out)) == 0
-    assert "transfers" in _read(out / "weak.csv")
+    # inclusion's rows, one set per source and functional
+    lines = _read(out / "weak.csv").splitlines()[1:]
+    rows = {line.split(",")[3]: line.split(",")[4:] for line in lines}
+    assert list(rows) == ["lim_a[alt|phi_0]", "lim_b[alt|phi_0]", "distance[alt|phi_0]"]
+    for side in ("lim_a", "lim_b"):
+        re_s, im_s, status = rows[f"{side}[alt|phi_0]"]
+        assert status == "converged" and abs(complex(float(re_s), float(im_s)) - 0.5) <= 1e-3
+    assert rows["distance[alt|phi_0]"][2] == "transfers"
+    (case,) = json.loads(_read(out / "report.json"))["experiments"][0]["cases"]
+    assert (case["label"], case["verdict"], case["note"]) == ("alt|phi_0", "transfers", "")
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,9 @@ def test_weak_inclusion_scalar_reduction_matches_inclusion():
     strong = inclusion_experiment(cesaro_method(), abel_method(),
                                   [("alt", ALT_PARTIAL)], depth=14, tol=1e-3)
     assert weak.cases[0].verdict == strong.cases[0].verdict == TRANSFERS
+    # one report for both kinds: the same rows but for the functional's label suffix
+    assert [(q.replace("|phi_0]", "]"), *rest) for q, *rest in weak.rows()] == strong.rows()
+    assert all("|phi_0]" in q for q, *_ in weak.rows())
 
 
 def test_weak_inclusion_mixed_coordinates():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sumkit import methods
+from sumkit.cli import build_method
 from sumkit.domains import CONVERGED, DIVERGED, HALF_LINE, NAT, parameter_grid, UNIT_INTERVAL
 from sumkit.integrate import QuadratureError
 from sumkit.methods import (
@@ -112,6 +113,14 @@ def test_transform_at_rejects_parameters_outside_the_domain():
         transform_at(as_kernel(abel_method()), ALT, 1.0)
     with pytest.raises(ValueError, match="row index"):
         transform_at(as_kernel(cesaro_method()), ALT, 2.5)
+    # and for every Lebesgue kernel: F = [0, 1) for both of these
+    ones = scalar_function(lambda t: np.ones_like(t), domain=HALF_LINE, name="ones")
+    indicator = build_method({"kind": "kernel", "kernel": "indicator(t <= r) / (r + 1)",
+                              "support": "upto_r"})
+    with pytest.raises(ValueError, match="outside"):
+        transform_at(indicator, ones, 3.0)
+    with pytest.raises(ValueError, match="outside"):
+        transform_at(logarithmic_method(), ones, -0.5)
 
 
 def test_nonsummable_growing_sequence():
