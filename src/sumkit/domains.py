@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .vspace import VectorValue
+from .vspace import VectorValue, space_norm
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -133,16 +133,6 @@ class ConvergenceEstimate:
         return complex(self.value.coords[0])
 
 
-def _diameter(samples: Sequence[VectorValue], lo: int, hi: int) -> float:
-    best = 0.0
-    for i in range(lo, hi):
-        for j in range(i + 1, hi):
-            d = (samples[i] - samples[j]).norm()
-            if d > best:
-                best = d
-    return best
-
-
 # samples in the trailing estimation window
 _WINDOW = 4
 
@@ -163,16 +153,28 @@ def estimate_limit_at_infinity(
     n = len(samples)
     if n == 0:
         raise ValueError("empty sample list")
+    space = samples[0].space
+    if any(s.space != space for s in samples):
+        raise ValueError("space mismatch among the samples")
     w = max(2, min(_WINDOW, n))
+    mid_end = max(w, (n + w) // 2)
 
-    tail_diam = _diameter(samples, n - w, n)
+    # one norm call: each sample, then the pairwise differences within the
+    # trailing window and within the one that ends at mid_end (a lone
+    # sample wraps onto itself)
+    coords = np.stack([s.coords for s in samples])
+    first, second = np.triu_indices(w, 1)
+    diffs = [np.take(coords, lo + first, axis=0, mode="wrap")
+             - np.take(coords, lo + second, axis=0, mode="wrap") for lo in (n - w, mid_end - w)]
+    norms = space_norm(np.concatenate([coords, *diffs]), space.norm_tag).tolist()
+    pairs = len(first)
+    tail_diam, mid_diam = max(norms[n:n + pairs]), max(norms[n + pairs:])
     if tail_diam <= tol:
         return ConvergenceEstimate(CONVERGED, samples[-1], tail_diam, n, w, tol,
                                    failed_points=failed_points)
 
-    norms = [s.norm() for s in samples]
     initial_scale = max(max(norms[:w]), 1e-300)
-    tail_norms = norms[n - w:]
+    tail_norms = norms[n - w:n]
     growing = all(tail_norms[i] < tail_norms[i + 1] for i in range(w - 1))
     if growing and tail_norms[-1] > 10.0 * initial_scale:
         return ConvergenceEstimate(DIVERGED, None, tail_diam, n, w, tol,
@@ -180,8 +182,6 @@ def estimate_limit_at_infinity(
 
     # Oscillation evidence: compare the trailing window diameter with the
     # one from the middle of the path; no shrink and far above tol = stalled.
-    mid_end = max(w, (n + w) // 2)
-    mid_diam = _diameter(samples, mid_end - w, mid_end)
     stalled = tail_diam > 10.0 * tol and tail_diam > 0.5 * mid_diam
     return ConvergenceEstimate(INCONCLUSIVE, None, tail_diam, n, w, tol,
                                stalled=stalled, failed_points=failed_points)

@@ -30,13 +30,19 @@ one truncation rule of the package, read at call time.
 The certified sum reads its source one block at a time, as a ``_Block``
 record: the terms, their norms, and the O(dim) sums every row takes of them
 (the block's sum and norm sum, the sup norm, the last term and the
-stabilized scatter about it).  A matrix row that declares ``weight`` is
-a box row -- Cesaro, series summation and the identity are -- and sums a
-block as its one weight times the block's sum, which rounds differently
-from the sum of weighted terms; every other row multiplies its coefficients
-into the terms.  The grid of one ``summability_limit`` call shares a
-sequence source's block records (``_SharedBlocks``), and a longer request
-at a start it holds reads only the missing suffix.  So a
+stabilized scatter about it).  A record holds its terms component-major,
+one C-contiguous (dim, n) array, so every sum over a block runs along
+contiguous memory and each component rounds pairwise, as a scalar block
+does.  Block sizes are counted in values: a block holds at most
+``_block_cap(dim)`` = max(1, ``_MAX_BLOCK`` // dim) terms, so a block, its
+weighted product and the memo below stay bounded whatever dim X is, and
+one dimension keeps ``_MAX_BLOCK`` terms.  A matrix row that declares
+``weight`` is a box row -- Cesaro, series summation and the identity are --
+and sums a block as its one weight times the block's sum, which rounds
+differently from the sum of weighted terms; every other row multiplies its
+coefficients into the terms.  The grid of one ``summability_limit`` call
+shares a sequence source's block records (``_SharedBlocks``), and a longer
+request at a start it holds reads only the missing suffix.  So a
 ``SequenceSource.block`` must be elementwise in its index range, like every
 other vectorised callable below: the terms of ``block(lo, hi)`` are those of
 ``block(lo, k)`` followed by those of ``block(k, hi)``, bit for bit.
@@ -88,7 +94,7 @@ from .integrate import (
 )
 # Unused here; perfbench/layers.py wraps ``methods.adaptive_quadrature_batch`` by name.
 from .integrate import adaptive_quadrature_batch  # noqa: F401
-from .vspace import SCALAR, SpaceDescriptor, VectorValue
+from .vspace import SCALAR, SpaceDescriptor, VectorValue, space_norm
 
 
 class NonSummableError(RuntimeError):
@@ -108,9 +114,15 @@ class NonSummableError(RuntimeError):
 _TAIL_TOL = 1e-14
 _TAIL_SHARE = 1e-2
 _MAX_TERMS = 1_000_000
-# _certified_sum's block sizes: the first block, then 4x per block up to the cap
+# _certified_sum's block sizes: the first block, then 4x per block up to the
+# cap, counted in values (see _block_cap)
 _START_BLOCK = 64
 _MAX_BLOCK = 65536
+
+
+def _block_cap(dim: int) -> int:
+    """The most terms in one block of a C^dim source: ``_MAX_BLOCK`` values."""
+    return max(1, _MAX_BLOCK // dim)
 
 
 # ---------------------------------------------------------------------------
@@ -136,35 +148,38 @@ class SequenceSource:
         """The ``_Block`` of terms lo .. hi-1, read afresh.
 
         ``terms`` False lets a caller that needs only the O(dim) part take a
-        record without its terms (see ``_SharedBlocks``).  The terms are
-        C-contiguous, so a record's sums do not depend on how the source laid
-        out its block, and a record extended by a suffix sums as one read at
-        once.
+        record without its terms (see ``_SharedBlocks``).  The record holds
+        the terms component-major, as one C-contiguous (dim, n) array (a free
+        reshape in one dimension), so its sums do not depend on how the
+        source laid out its block, each component sums pairwise over
+        contiguous memory, and a record extended by a suffix sums as one
+        read at once.
         """
-        vs = np.ascontiguousarray(self.block(lo, hi))
+        vs = self.block(lo, hi)
         if vs.shape != (hi - lo, self.space.dim):
             raise ValueError(f"source block shape {vs.shape}, expected {(hi - lo, self.space.dim)}")
-        return _Block(vs, self.space.norm_tag)
+        return _Block(np.ascontiguousarray(vs.T), self.space.norm_tag)
 
 
 class _Block:
     """One source block v_lo .. v_{hi-1} and what every row of a certified sum takes of it.
 
-    Per term: ``terms`` and their ``norms``.  O(dim): ``size``, ``sup`` (the
-    largest norm), ``last`` (the last term), ``total`` (the sum of the terms),
-    ``abs_total`` (the sum of their norms) and ``dev`` (the largest norm of
-    v - last, the scatter of the stabilized closure).  Each is computed on
-    first use; ``summary()`` keeps the O(dim) part alone.
+    Per term: ``terms``, component-major (dim, size), and their ``norms``.
+    O(dim): ``size``, ``sup`` (the largest norm), ``last`` (the last term),
+    ``total`` (the sum of the terms, pairwise per component), ``abs_total``
+    (the sum of their norms) and ``dev`` (the largest norm of v - last, the
+    scatter of the stabilized closure).  Each is computed on first use;
+    ``summary()`` keeps the O(dim) part alone.
     """
 
     def __init__(self, terms: np.ndarray, tag: str):
         self.terms = terms
-        self.size = terms.shape[0]
+        self.size = terms.shape[1]
         self._tag = tag
 
     @cached_property
     def norms(self) -> np.ndarray:
-        return _row_norms(self.terms, self._tag)
+        return _term_norms(self.terms, self._tag)
 
     @cached_property
     def sup(self) -> float:
@@ -172,11 +187,11 @@ class _Block:
 
     @cached_property
     def last(self) -> np.ndarray:
-        return self.terms[-1].copy()
+        return self.terms[:, -1].copy()
 
     @cached_property
     def total(self) -> np.ndarray:
-        return self.terms.sum(axis=0)
+        return self.terms.sum(axis=1)
 
     @cached_property
     def abs_total(self) -> float:
@@ -184,13 +199,13 @@ class _Block:
 
     @cached_property
     def dev(self) -> float:
-        return float(np.max(_row_norms(self.terms - self.last, self._tag)))
+        return float(np.max(_term_norms(self.terms - self.last[:, None], self._tag)))
 
     def prefix(self, size: int) -> "_Block":
         """The record of the first ``size`` terms (self when that is all of them)."""
         if size == self.size:
             return self
-        out = _Block(self.terms[:size], self._tag)
+        out = _Block(self.terms[:, :size], self._tag)
         if "norms" in self.__dict__:
             out.norms = self.norms[:size]
         return out
@@ -203,7 +218,7 @@ class _Block:
         O(dim) field is taken afresh on first use, since the rounding of a
         sum depends on the whole block.
         """
-        out = _Block(np.concatenate((self.terms, more.terms)), self._tag)
+        out = _Block(np.concatenate((self.terms, more.terms), axis=1), self._tag)
         if "norms" in self.__dict__:
             out.norms = np.concatenate((self.norms, more.norms))
         return out
@@ -224,16 +239,18 @@ class _SharedBlocks(SequenceSource):
     leading ``(lo, hi)`` blocks.  A request at a start the memo holds is
     served as a prefix of the held record, or, when it is longer, as that
     record extended by the missing suffix alone, which relies on ``block``
-    being elementwise.  The records of the block ramp plus one ``_MAX_BLOCK``
-    terms are kept whole and read-only by their start (``held`` terms).
-    Past that cap the memo keeps one open record with its terms, the one
-    read furthest along (at most one ``_MAX_BLOCK``): a finite row's last
-    block, which the next row extends, or the last block of a row without
-    an end, which the next row reuses.  It also keeps the O(dim) summary of
-    every full ``_MAX_BLOCK`` record past the cap, by ``(lo, hi)``, with no
-    cap: it serves a box row, which needs no terms.  Any other block past
-    the cap is read afresh.  The memo holds no reference to itself, so it
-    is freed as soon as the call that made it returns.
+    being elementwise.  The records of the block ramp plus one full block
+    (``_block_cap`` terms, ``_MAX_BLOCK`` values) are kept whole and
+    read-only by their start (``held`` terms, about 87,360 values whatever
+    the dimension).  Past that cap the memo keeps one open record with its
+    terms, the one read furthest along (at most one full block): a finite
+    row's last block, which the next row extends, or the last block of a
+    row without an end, which the next row reuses.  It also keeps the
+    O(dim) summary of every full block past the cap, by ``(lo, hi)``, with
+    no cap: it serves a box row, which needs no terms.  Any other block
+    past the cap is read afresh.  ``block`` returns the (n, dim) transpose
+    of a held record, read-only.  The memo holds no reference to itself,
+    so it is freed as soon as the call that made it returns.
     """
 
     def __init__(self, source: SequenceSource):
@@ -243,13 +260,14 @@ class _SharedBlocks(SequenceSource):
         self._open = {}
         self._summaries = {}
         self.held = 0
-        self._cap, size = _MAX_BLOCK, _START_BLOCK
-        while size < _MAX_BLOCK:
+        self._full = _block_cap(source.space.dim)
+        self._cap, size = self._full, min(_START_BLOCK, self._full)
+        while size < self._full:
             self._cap += size
             size *= 4
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        return self._record(lo, hi).terms
+        return self._record(lo, hi).terms.T
 
     def _record(self, lo: int, hi: int, terms: bool = True) -> "_Block":
         prior = self._kept.get(lo, self._open.get(lo))
@@ -272,7 +290,7 @@ class _SharedBlocks(SequenceSource):
             return rec
         if lo >= max(self._open, default=lo):
             self._open = {lo: rec}
-        if not terms and rec.size == _MAX_BLOCK:
+        if not terms and rec.size == self._full:
             self._summaries[(lo, hi)] = rec.summary()
         return rec
 
@@ -505,15 +523,23 @@ def as_kernel(spec: KernelSpec) -> KernelSpec:
 # Certified summation engine
 
 
-def _row_norms(arr: np.ndarray, tag: str) -> np.ndarray:
-    if arr.shape[1] == 1:
-        return np.abs(arr[:, 0])   # in one dimension every norm is the modulus
-    mags = np.abs(arr)
+def _term_norms(terms: np.ndarray, tag: str) -> np.ndarray:
+    """The norm of each column of a component-major (dim, n) block."""
+    if terms.shape[0] == 1:
+        return np.abs(terms[0])   # in one dimension every norm is the modulus
+    mags = np.abs(terms)
     if tag == "l1":
-        return np.sum(mags, axis=1)
-    if tag == "l2":
-        return np.sqrt(np.sum(mags * mags, axis=1))
-    return np.max(mags, axis=1)
+        return np.sum(mags, axis=0)
+    if tag == "sup":
+        return np.max(mags, axis=0)
+    norms = np.sqrt(np.sum(mags * mags, axis=0))
+    big = np.flatnonzero(np.isinf(norms))
+    if big.size:
+        # squares past the float range: rescale those terms by their peak,
+        # as space_norm does; a term with an infinite component stays infinite
+        big = big[np.isfinite(mags[:, big]).all(axis=0)]
+        norms[big] = space_norm(np.ascontiguousarray(mags[:, big].T), tag)
+    return norms
 
 
 # over- and underflow in a block are caught by the finiteness and overflow checks
@@ -544,13 +570,14 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
         return acc, 0.0, 0
     n = lo
     end = lo + _MAX_TERMS if support_end is None else support_end + 1
-    block = _START_BLOCK
+    cap = _block_cap(space.dim)
+    block = min(_START_BLOCK, cap)
     prev_abs = None
     geo_ok = 0
     grow_count = 0
 
     def fail(msg, bound=None):
-        partial = VectorValue(acc, space) if np.all(np.isfinite(acc.view(float))) else None
+        partial = VectorValue(acc, space) if np.isfinite(acc).all() else None
         raise NonSummableError(f"{label}: {msg}", partial=partial, bound=bound, terms=n - lo)
 
     while n < end:
@@ -558,11 +585,11 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
         rec = source._record(n, hi, terms=weight is None)
         if weight is None:
             cs = np.asarray(coeffs(n, hi), dtype=complex)
-            blk_sum = (cs[:, None] * rec.terms).sum(axis=0)
+            blk_sum = (rec.terms * cs).sum(axis=1)
         else:
             blk_sum = weight * rec.total
         # a non-finite term makes its component of the block sum non-finite
-        if not np.all(np.isfinite(blk_sum.view(float))):
+        if not np.isfinite(blk_sum).all():
             fail("non-finite term encountered")
         acc = acc + blk_sum
         N = hi - 1
@@ -586,7 +613,7 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
                    else abs(weight) * rec.abs_total)
         if blk_abs > 1e200:
             fail("terms overflowing")
-        if prev_abs is not None and block == _MAX_BLOCK:
+        if prev_abs is not None and block == cap:
             if blk_abs == 0.0 and prev_abs == 0.0:
                 return acc, 0.0, n - lo
             if prev_abs > 0.0:
@@ -606,9 +633,9 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
                     fail("block sums growing; series looks divergent")
             else:
                 grow_count = 0
-        if block == _MAX_BLOCK:
+        if block == cap:
             prev_abs = blk_abs
-        block = min(block * 4, _MAX_BLOCK)
+        block = min(block * 4, cap)
 
     fail("no tail certificate within max_terms")
 

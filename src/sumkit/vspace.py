@@ -46,20 +46,26 @@ SCALAR = SpaceDescriptor(1, "l2")
 DEFAULT_SPACE = SpaceDescriptor(4, "l2")
 
 
-def space_norm(coords: np.ndarray, tag: str) -> float:
-    """Norm of a coordinate array under one of the three tags."""
+def space_norm(coords: np.ndarray, tag: str):
+    """Norm of a coordinate array under one of the three tags.
+
+    A 1-D array gives a float.  A stacked (..., d) array gives the norm of
+    each vector along its last axis; when the array is C-contiguous, each
+    equals the norm of that vector alone, bit for bit.
+    """
     mags = np.abs(coords)
     if tag == "l1":
-        return float(np.sum(mags))
-    if tag == "l2":
-        peak = float(np.max(mags)) if mags.size else 0.0
-        if peak == 0.0:
-            return 0.0
-        scaled = mags / peak  # rescaling avoids underflow of squared subnormals
-        return peak * float(np.sqrt(np.sum(scaled * scaled)))
-    if tag == "sup":
-        return float(np.max(mags)) if mags.size else 0.0
-    raise ValueError(f"unknown norm tag {tag!r}")
+        out = mags.sum(-1)
+    elif tag in ("l2", "sup"):
+        out = mags.max(-1, initial=0.0)
+        if tag == "l2":
+            # rescaling by the peak avoids over- and underflow of the squares
+            scaled = mags / (out + (out == 0.0))[..., None]
+            scaled *= scaled
+            out = out * np.sqrt(scaled.sum(-1))
+    else:
+        raise ValueError(f"unknown norm tag {tag!r}")
+    return out.item() if out.ndim == 0 else out
 
 
 def _coerce_coords(coords, dim: int) -> np.ndarray:
@@ -68,7 +74,7 @@ def _coerce_coords(coords, dim: int) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.shape[0] != dim:
         raise ValueError(f"expected {dim} coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite coordinate rejected")
     arr = arr.copy()
     arr.flags.writeable = False
@@ -158,7 +164,7 @@ class LinearFunctional:
 
     def __post_init__(self):
         arr = np.asarray(self.weights, dtype=complex).reshape(-1).copy()
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("non-finite functional weight rejected")
         arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)

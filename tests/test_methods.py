@@ -2,7 +2,12 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,15 +257,15 @@ def test_counting_kernel_sums_from_the_support_start():
 # term budgets: tail tolerance and support end
 
 
-def _counted(formula, name):
-    """The scalar source formula(n) with a counter of the source terms read."""
+def _counted(formula, name, dim=1):
+    """The source formula(n) in every coordinate of C^dim, with a counter of the terms read."""
     read = [0]
 
     def block(lo, hi):
         read[0] += hi - lo
-        return formula(np.arange(lo, hi))
+        return np.repeat(np.asarray(formula(np.arange(lo, hi)))[:, None], dim, axis=1)
 
-    return SequenceSource(block, name=name), read
+    return SequenceSource(block, SpaceDescriptor(dim, "l2"), name), read
 
 
 def _grandi(ns):
@@ -442,6 +447,46 @@ def test_shared_blocks_keep_at_most_the_ramp_and_one_max_block(monkeypatch):
     assert gone() is None
 
 
+def test_c4_shared_blocks_count_their_caps_in_values(monkeypatch):
+    assert [methods._block_cap(d) for d in (1, 4, 1024, 10**6)] == [65_536, 16_384, 64, 1]
+    taken = _record_transforms(monkeypatch)
+    src, read = _counted(_grandi, "grandi4", dim=4)
+    summability_limit(abel_method(), src, depth=14, tol=1e-3)
+    (memo,) = {id(source): source for _, _, source in taken}.values()
+    # 64 + 256 + 1024 + 4096 + 16384 terms, 87,296 values; the last rows read past them
+    assert memo.held == 21_824
+    assert read[0] > 21_824
+    assert sum(rec.size for rec in memo._open.values()) == 16_384
+    # a record is component-major, its block the (n, dim) transpose
+    assert memo._kept[0].terms.shape == (4, 64) and memo._kept[0].terms.flags.c_contiguous
+    block = memo.block(0, 64)
+    assert block.shape == (64, 4) and not block.flags.writeable
+    assert np.array_equal(block, src.block(0, 64))
+
+
+def test_memory_of_a_sum_does_not_grow_with_the_dimension():
+    # C^1024 rows: a block and the memo hold at most _MAX_BLOCK values each,
+    # where blocks of _MAX_BLOCK terms would take 1 GB apiece
+    code = textwrap.dedent("""
+        import resource, numpy as np
+        from sumkit.methods import cesaro_method, summability_limit, vector_sequence
+        from sumkit.vspace import SpaceDescriptor
+        grandi = lambda n: np.repeat(((1.0 + (-1.0) ** n) / 2.0)[:, None], 1024, axis=1)
+        s = vector_sequence(grandi, SpaceDescriptor(1024, "l2"))
+        est = summability_limit(cesaro_method(), s, depth=16, tol=1e-3)
+        print(est.converged, float(np.abs(est.value.coords - 0.5).max()),
+              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    path = os.pathsep.join([str(Path(methods.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    converged, error, peak = out.stdout.split()
+    assert converged == "True" and float(error) <= 1e-3
+    # ru_maxrss is in bytes on macOS, in KiB elsewhere
+    assert int(peak) / (2**20 if sys.platform == "darwin" else 2**10) < 150
+
+
 # a row's blocks from index 0, (start, size): the kept ramp of 87,360 terms,
 # then _MAX_BLOCK blocks past it
 _ROW_BLOCKS = ((0, 64), (64, 256), (320, 1024), (1344, 4096), (5440, 16384), (21824, 65536),
@@ -526,10 +571,9 @@ BOX_SPECS = [cesaro_method(), series_summation_method(), identity_method()]
 
 
 def _dyadic4(ns):
-    # A C^4 block is summed row by row (numpy's axis-0 reduction), so the
-    # error of rounded terms grows with the row.  Dyadic terms make every
-    # partial sum exact, which leaves the weight and the product as the only
-    # roundings.
+    # Dyadic terms make every partial sum exact, which leaves the weight and
+    # the product as the only roundings (rounded terms: see
+    # test_c4_rows_round_like_fsum).
     return np.stack([(1.0 + (-1.0) ** ns) / 2.0 + 0.25j, (ns % 3) / 4.0 + 1j * (ns % 5),
                      0.5 - (ns % 7) / 8.0 + 0j, 3.0 - 1j * (ns % 2)], axis=1)
 
@@ -552,6 +596,40 @@ def test_box_rows_match_an_fsum_reference(spec, src):
             for part in ("real", "imag"):
                 ref = math.fsum(getattr(terms[:, j], part)) / divisor
                 assert abs(getattr(got[j], part) - ref) <= 2 * math.ulp(ref), (m, j, part)
+
+
+def _rounded4(ns):
+    ns = ns.astype(float)
+    return np.stack([1.0 + 1.0 / (ns + 1.0), (1.0 + (-1.0) ** ns) / 2.0 + 1j * (2.0 + np.sin(ns)),
+                     3.0 - 1.0 / (ns + 2.0) + 0.5j, np.sqrt(ns + 1.0) + 1j / (ns + 1.0)], axis=1)
+
+
+@pytest.mark.parametrize("spec", BOX_SPECS[:2], ids=lambda s: s.name)
+def test_c4_rows_round_like_fsum(spec):
+    # each component of a C^4 block sums pairwise, so rounded terms keep the
+    # error of a long row within a few ulp (a row-by-row sum was off by 55)
+    src = vector_sequence(_rounded4, SpaceDescriptor(4, "l2"))
+    for m in (87_358, 2**20):
+        got = transform_at(spec, src, m).coords
+        terms = _rounded4(np.arange(m + 1))
+        divisor = m + 1.0 if spec.name == "cesaro" else 1.0
+        for j in range(4):
+            for part in ("real", "imag"):
+                ref = math.fsum(getattr(terms[:, j], part)) / divisor
+                assert abs(getattr(got[j], part) - ref) <= 8 * math.ulp(ref), (m, j, part)
+
+
+@pytest.mark.parametrize("tag", ["l2", "sup"])
+@pytest.mark.parametrize("spec, param", [(abel_method(), 0.5), (cesaro_method(), 100)],
+                         ids=["abel", "cesaro"])
+def test_c4_terms_past_the_square_root_of_the_float_range_sum(spec, param, tag):
+    # |v_0| = 1e160: its square overflows, its l2 norm does not
+    def huge(ns):
+        return np.stack([1e160 * 0.5 ** ns, 0.0 * ns, 0.0 * ns, 0.0 * ns], axis=1)
+
+    got = transform_at(spec, vector_sequence(huge, SpaceDescriptor(4, tag)), param).coords
+    scalar = transform_at(spec, scalar_sequence(lambda ns: 1e160 * 0.5 ** ns), param).coords
+    assert np.array_equal(got, np.concatenate([scalar, np.zeros(3)]))
 
 
 def test_scaled_box_row_reads_as_much_and_doubles_the_value():
