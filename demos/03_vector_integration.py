@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from sumkit import (
+    FunctionSource,
     QuadratureConfig,
     SpaceDescriptor,
     StepFunction,
@@ -23,6 +24,7 @@ from sumkit import (
     logarithmic_method,
     scalar_function,
     step_integral,
+    summability_limit,
     transform_at,
     weak_integral_check,
 )
@@ -47,6 +49,16 @@ r = 1.0 - math.exp(-1.0)
 out = transform_at(logarithmic_method(), ramp, r)
 print(f"logarithmic mean of (1-t) at r = 1 - 1/e: {out.coords[0].real:.6f} "
       f"(analytic {r:.6f})")
+
+# its limit as r -> 1, for v(t) = L + (1-t) cos(6 pi t) u in C^3: each grid
+# sample is integrated only to the share of tol the limit needs, so the grid
+# reaches r = 1 - 2^-40
+L, u = np.array([1.0, -0.5, 2.0j]), np.array([1.0, 1.0j, -1.0])
+wave = FunctionSource(lambda ts: L + ((1.0 - ts) * np.cos(6.0 * np.pi * ts))[:, None] * u,
+                      space, name="wave")
+est = summability_limit(logarithmic_method(), wave, depth=40, tol=1e-3)
+print(f"logarithmic limit of {wave.name} at depth 40: {est.status}, "
+      f"max |limit - L| = {np.max(np.abs(est.value.coords - L)):.1e}")
 
 
 def f(t):

@@ -102,6 +102,10 @@ class ConfigError(ValueError):
 REQUIRED = object()
 
 
+class _KeyRule(ValueError):
+    """A rule of the object built that the value of one of its keys breaks: (key, message)."""
+
+
 def _read(obj, schema: dict, ctx: str, build=dict):
     """build(values) of obj read against schema; the top level has the empty path."""
     where = ctx or "top level"
@@ -123,6 +127,9 @@ def _read(obj, schema: dict, ctx: str, build=dict):
         return build(got)
     except ConfigError:
         raise
+    except _KeyRule as exc:
+        key, message = exc.args
+        raise ConfigError(f"{ctx}.{key}: {message}" if ctx else f"{key}: {message}") from exc
     except ValueError as exc:  # a rule of the object built, e.g. a geometric rho in (0, 1)
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -477,8 +484,30 @@ def _run_taylor(exp, tol):
     return report.rows(), report.to_jsonable(), tuple(report.cells)
 
 
+def _measures_fit(exp, kinds=None, what="the sources are"):
+    """exp, once each of its methods reads what it is given.
+
+    A counting kernel sums sequences and a Lebesgue kernel integrates
+    functions; ``kinds`` is the set of what the methods are given (None:
+    that of the experiment's sources).
+    """
+    if kinds is None:
+        kinds = {"sequences" if isinstance(source, SequenceSource) else "functions"
+                 for _, source, _ in exp["sources"]}
+    for key in ("method", "method_a", "method_b"):
+        spec = exp.get(key)
+        if spec is None:
+            continue
+        needs = "sequences" if spec.measure == MEASURE_COUNTING else "functions"
+        if kinds != {needs}:
+            raise _KeyRule(key, f"{spec.name} is a {spec.measure} kernel and reads {needs} "
+                                f"only; {what} {' and '.join(sorted(kinds))}")
+    return exp
+
+
 def _transfer(exp):
     """The probes: count unit vectors of the family's space, drawn from seed."""
+    _measures_fit(exp, {"sequences"}, "the probe orbits are")
     space = exp["family"].space
     rng = np.random.default_rng(exp["probes"]["seed"])
     probes = []
@@ -490,6 +519,7 @@ def _transfer(exp):
 
 def _weak_inclusion(exp):
     """The functionals, each of the sources' one dimension."""
+    _measures_fit(exp)
     dims = {source.space.dim for _, source, _ in exp["sources"]}
     if len(dims) != 1:
         raise ValueError("sources have mixed dimensions")
@@ -529,10 +559,10 @@ _RUNNERS = {
     }, dict),
     "sum": (_run_sum, "methods", {
         "method": _METHOD, "sources": _SOURCES, "tol": (_TOL, 1e-6), "depth": (_COUNT, 20),
-    }, dict),
+    }, _measures_fit),
     "inclusion": (_run_inclusion, "inclusion", {
         **_PAIR, "sources": _SOURCES, "tol": (_TOL, 1e-6), "depth": (_COUNT, 14),
-    }, dict),
+    }, _measures_fit),
     "transfer": (_run_transfer, "inclusion", {
         **_PAIR, "family": (_FAMILY, REQUIRED), "probes": (_PROBES, REQUIRED),
         "tol": (_TOL, 1e-6), "depth": (_COUNT, 24),

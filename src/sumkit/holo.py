@@ -276,8 +276,10 @@ def series_norm(f: TaylorFunction) -> float:
     # series; underestimates the sup norm by at most the l1 tail (<= _TAIL_TOL).
     # z^k and z^(k mod N) agree on the grid, so p(w^j) = sum_k folded_k w^(jk)
     # is an unnormalised inverse DFT of the coefficients folded mod N.
-    folded = np.pad(coeffs, (0, -coeffs.size % BOUNDARY_POINTS)).reshape(
-        -1, BOUNDARY_POINTS).sum(axis=0)
+    rows = -(-coeffs.size // BOUNDARY_POINTS)
+    padded = np.zeros(rows * BOUNDARY_POINTS, dtype=coeffs.dtype)
+    padded[:coeffs.size] = coeffs
+    folded = padded.reshape(rows, BOUNDARY_POINTS).sum(axis=0)
     return float(np.max(np.abs(np.fft.ifft(folded, norm="forward"))))
 
 

@@ -24,8 +24,11 @@ The tail tolerance is ``_TAIL_TOL`` = 1e-14 for a lone ``transform_at``, for
 the regularity checks and for the Taylor norms in ``holo``.  The samples of
 ``summability_limit`` only have to fix a limit to ``tol``, so each is
 certified to ``tol * _TAIL_SHARE`` instead (never tighter than
-``_TAIL_TOL``).  ``_TAIL_TOL``, ``_TAIL_SHARE`` and ``_MAX_TERMS`` are the
-one truncation rule of the package, read at call time.
+``_TAIL_TOL``).  A Lebesgue sample is integrated to the same budget,
+floored at the quadrature default 1e-10 (``QuadratureConfig().tol``), which
+a lone ``transform_at`` and the regularity integrals keep.  ``_TAIL_TOL``,
+``_TAIL_SHARE`` and ``_MAX_TERMS`` are the one truncation rule of the
+package, read at call time.
 
 The certified sum reads its source one block at a time, as a ``_Block``
 record: the terms, their norms, and the O(dim) sums every row takes of them
@@ -693,15 +696,18 @@ def _kernel_support(spec: KernelSpec, r) -> tuple:
     return lo, hi
 
 
-def _kernel_quadratures(spec: KernelSpec, params, intervals, times) -> list:
+def _kernel_quadratures(spec: KernelSpec, params, intervals, times,
+                        tail_tol: Optional[float] = None) -> list:
     """Integrals of times(a(p_k, ts), ts) over intervals[k], one per parameter p_k.
 
     One quadrature engine call with the spec's substitution integrates them
     all: each level reads the kernel once per pending parameter, on that
     parameter's contiguous run of nodes, and hands ``times`` every node of
     the level at once.  ``times`` returns the (len(ts), dim) integrand.
-    A kernel must be elementwise in t, so each integral equals a lone one
-    bit for bit.  Returns what ``adaptive_quadrature_family`` returns.
+    Each integral is taken to ``max(tail_tol, QuadratureConfig().tol)``
+    (None: the quadrature default).  A kernel must be elementwise in t, so
+    each integral equals a lone one bit for bit.  Returns what
+    ``adaptive_quadrature_family`` returns.
     """
 
     def integrand(ts: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -709,17 +715,21 @@ def _kernel_quadratures(spec: KernelSpec, params, intervals, times) -> list:
         kernel = [spec.kernel_batch(params[owner[s]], ts[s:e]) for s, e in zip(cuts, cuts[1:])]
         return times(np.concatenate(kernel), ts)
 
-    return adaptive_quadrature_family(integrand, intervals,
-                                      QuadratureConfig(substitution=spec.substitution))
+    cfg = QuadratureConfig(substitution=spec.substitution)
+    if tail_tol is not None:
+        cfg = replace(cfg, tol=max(tail_tol, cfg.tol))
+    return adaptive_quadrature_family(integrand, intervals, cfg)
 
 
-def _lebesgue_transforms(spec: KernelSpec, source, params) -> list:
+def _lebesgue_transforms(spec: KernelSpec, source, params,
+                         tail_tol: Optional[float] = None) -> list:
     """The Lebesgue-kernel transform of ``source`` at every parameter, in lockstep.
 
     Each level of the quadrature reads the source once, at the nodes of
-    every pending integral.  Returns, per parameter, a VectorValue or the
-    QuadratureError of its integral.  Raises ValueError when a kernel's
-    support reaches past the source's domain.
+    every pending integral, and each integral is taken to ``tail_tol``
+    (see ``_kernel_quadratures``).  Returns, per parameter, a VectorValue
+    or the QuadratureError of its integral.  Raises ValueError when a
+    kernel's support reaches past the source's domain.
     """
     if not isinstance(source, FunctionSource):
         raise TypeError("Lebesgue kernels need a FunctionSource")
@@ -729,7 +739,7 @@ def _lebesgue_transforms(spec: KernelSpec, source, params) -> list:
             raise ValueError(f"{spec.name} at r={r} integrates over [{lo}, {hi}], past the "
                              f"source's domain [0, {source.domain.right})")
     outs = _kernel_quadratures(spec, params, intervals,
-                               lambda kernel, ts: kernel[:, None] * source.batch(ts))
+                               lambda kernel, ts: kernel[:, None] * source.batch(ts), tail_tol)
     return [out if isinstance(out, QuadratureError) else VectorValue(out[0], source.space)
             for out in outs]
 
@@ -738,18 +748,24 @@ def transform_at(spec: KernelSpec, source, param, *,
                  tail_tol: Optional[float] = None) -> VectorValue:
     """The transform of ``source`` at ``param``: the one transform entry point.
 
-    A Lebesgue kernel integrates a(r, .) v(.) over its support, componentwise,
-    and raises ValueError when that support reaches past the source's
-    domain; every other method (a matrix row m, coefficients a_n(r), a
-    counting kernel) is a certified sum over its row (see ``_row``), exact
-    for finitely supported rows, with its tail certified to ``tail_tol``
-    (None: ``_TAIL_TOL``).
+    ``tail_tol`` is the error budget of this one sample, whatever the
+    measure.  A Lebesgue kernel integrates a(r, .) v(.) over its support,
+    componentwise, to ``tail_tol`` floored at the quadrature default
+    (None: that default, 1e-10), and raises ValueError when that support
+    reaches past the source's domain; every other method (a matrix row m,
+    coefficients a_n(r), a counting kernel) is a certified sum over its row
+    (see ``_row``), exact for finitely supported rows, with its tail
+    certified to ``tail_tol`` (None: ``_TAIL_TOL``).  A Lebesgue kernel
+    needs a ``FunctionSource`` and a counting one a ``SequenceSource``;
+    either raises TypeError for the other kind.
     """
     if spec.measure != "counting":
-        (value,) = _lebesgue_transforms(spec, source, [param])
+        (value,) = _lebesgue_transforms(spec, source, [param], tail_tol)
         if isinstance(value, QuadratureError):
             raise value
         return value
+    if not isinstance(source, SequenceSource):
+        raise TypeError("counting kernels need a SequenceSource")
     coeffs, support, tail_abs, tail_sum, label, weight = _row(spec, param)
     coords, _, _ = _certified_sum(coeffs, source, support, tail_abs, tail_sum, label,
                                   tail_tol=tail_tol, weight=weight)
@@ -764,13 +780,12 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     domain each grid point 2^k is sampled together with its successor
     2^k + 1, so a period-two oscillation is not taken for convergence.
 
-    Each sample's tail is certified to ``tol * _TAIL_SHARE`` (at least
-    ``_TAIL_TOL``): the limit is asked for only to ``tol``.  The samples of a
-    sequence source share its leading blocks (``_SharedBlocks``), so each
-    sample equals a lone ``transform_at`` at that tail tolerance.  A
-    Lebesgue kernel integrates the whole grid in one lockstep quadrature
-    (``_lebesgue_transforms``), each sample again equal to a lone
-    ``transform_at`` bit for bit.
+    Each sample's error budget, its ``tail_tol``, is ``tol * _TAIL_SHARE``
+    (at least ``_TAIL_TOL``), whatever the measure: the limit is asked for
+    only to ``tol``.  The samples of a sequence source share its leading
+    blocks (``_SharedBlocks``), and a Lebesgue kernel integrates the whole
+    grid in one lockstep quadrature (``_lebesgue_transforms``), so each
+    sample equals a lone ``transform_at`` at that ``tail_tol``, bit for bit.
 
     Transform failures at individual grid points are recorded in
     ``failed_points`` rather than aborting; a failure among the last
@@ -780,10 +795,10 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     window = domains._WINDOW
     params = sample_grid(spec.F, depth)
 
+    tail_tol = max(tol * _TAIL_SHARE, _TAIL_TOL)
     if spec.measure != "counting":
-        outcomes = _lebesgue_transforms(spec, source, params)
+        outcomes = _lebesgue_transforms(spec, source, params, tail_tol)
     else:
-        tail_tol = max(tol * _TAIL_SHARE, _TAIL_TOL)
         if isinstance(source, SequenceSource):
             source = _SharedBlocks(source)
         outcomes = []

@@ -313,6 +313,33 @@ def test_validate_config_builds_every_nested_part(exp):
         validate_config({"experiments": [{"id": "e", **exp}]})
 
 
+@pytest.mark.parametrize("exp, path", [
+    ({"kind": "sum", "method": {"builtin": "abel"}, "sources": [{"fexpr": "1 - t"}]}, "method"),
+    ({"kind": "sum", "method": {"builtin": "logarithmic"}, "sources": [{"expr": "1"}]},
+     "method"),
+    ({"kind": "inclusion", "method_a": {"builtin": "logarithmic"},
+      "method_b": {"builtin": "cesaro"}, "sources": [{"expr": "1"}]}, "method_a"),
+    ({"kind": "inclusion", "method_a": {"builtin": "logarithmic"},
+      "method_b": {"builtin": "logarithmic"}, "sources": [{"fexpr": "1"}, {"expr": "1"}]},
+     "method_a"),
+    ({"kind": "weak_inclusion", "method_a": {"builtin": "cesaro"},
+      "method_b": {"builtin": "abel", "as_kernel": True},
+      "sources": [{"generator": "synthetic_convergent", "count": 1, "seed": 0},
+                  {"fexpr": "t"}]}, "method_a"),
+    ({"kind": "transfer", "method_a": {"builtin": "cesaro"},
+      "method_b": {"builtin": "logarithmic"}, "family": {"name": "truncation"},
+      "probes": {"count": 1, "seed": 0}}, "method_b"),
+], ids=["counting-on-function", "lebesgue-on-sequence", "inclusion", "mixed-sources",
+        "weak_inclusion", "transfer"])
+def test_a_method_of_the_wrong_measure_for_its_sources_exits_2(tmp_path, capsys, exp, path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiments": [{"id": "e", **exp}]}))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"experiments[0].{path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_abel_check_regularity_runs_the_kernel_form(tmp_path):
     config = {"experiments": [{"id": "abel-st", "kind": "check_regularity",
                                "method": {"builtin": "abel"}, "r_depth": 10,

@@ -283,6 +283,21 @@ def test_disk_grid_dft_matches_polyval_for_geometric_series(monkeypatch):
     assert series_norm(f) == pytest.approx(_polyval_grid_max(f.coeff_array(n), 16), rel=1e-12)
 
 
+@pytest.mark.parametrize("f,size", [
+    (geometric_taylor(1.0, 0.5, DISK), 65),
+    (taylor_from_coefficients(np.linspace(1.0, -1.0, 3001) + 0.5j, DISK), 4097),
+    (taylor_from_coefficients(np.cos(np.arange(5001.0)), DISK), 8193),
+], ids=["one-row", "two-rows", "three-rows"])
+def test_disk_grid_fold_equals_the_padded_fold_bit_for_bit(f, size):
+    # the certified truncations of 64, 4096 and 8192 fold into 1, 2 and 3 rows of N
+    n = holo._truncation_for(f.decay, "disk_grid")
+    coeffs = f.coeff_array(n)
+    assert coeffs.size == size
+    N = holo.BOUNDARY_POINTS
+    folded = np.pad(coeffs, (0, -coeffs.size % N)).reshape(-1, N).sum(axis=0)
+    assert series_norm(f) == float(np.max(np.abs(np.fft.ifft(folded, norm="forward"))))
+
+
 # ---------------------------------------------------------------------------
 # experiments
 

@@ -389,18 +389,59 @@ def test_lebesgue_grid_samples_equal_lone_transforms(monkeypatch, spec, depth, s
         return estimate(samples, **kwargs)
 
     monkeypatch.setattr(methods, "estimate_limit_at_infinity", recording)
-    est = summability_limit(spec, src, depth=depth, tol=1e-3)
+    tol = 1e-3
+    est = summability_limit(spec, src, depth=depth, tol=tol)
     monkeypatch.undo()
+    tail_tol = max(tol * methods._TAIL_SHARE, methods._TAIL_TOL)
     failed = dict(est.failed_points)
     samples = iter(taken)
     for r in parameter_grid(spec.F, depth):
         try:
-            lone = transform_at(spec, src, r)
+            lone = transform_at(spec, src, r, tail_tol=tail_tol)
         except QuadratureError as exc:
             assert failed.pop(r) == f"QuadratureError: {exc}"
         else:
             assert np.array_equal(next(samples).coords, lone.coords)
     assert not failed and next(samples, None) is None
+
+
+def test_lebesgue_sample_is_integrated_to_the_budget_asked_for():
+    # at r = 1 - 2^-30 the 1 - t cancellation keeps the mass 1e-10 from exact,
+    # so the quadrature default cannot be met; a budget of 1e-5 is
+    ones = scalar_function(np.ones_like, name="one")
+    r = 1.0 - 2.0**-30
+    value = _scalar(transform_at(logarithmic_method(), ones, r, tail_tol=1e-5))
+    assert abs(value - 1.0) <= 1e-5
+    with pytest.raises(QuadratureError, match="budget"):
+        transform_at(logarithmic_method(), ones, r)
+
+
+@pytest.mark.parametrize("depth", [28, 32, 40])
+@pytest.mark.parametrize("src, limit", [
+    (scalar_function(np.ones_like, name="one"), np.array([1.0])),
+    (scalar_function(lambda t: 0.5 + (1.0 - t) * (1.0 - 2.0 * t), name="quadratic"),
+     np.array([0.5])),
+    (FunctionSource(lambda ts: _L4[None, :] + ((1.0 - ts) * np.cos(6.0 * np.pi * ts))[:, None]
+                    * _U4[None, :], SpaceDescriptor(4, "l2"), name="wave4"), _L4),
+], ids=["one", "quadratic", "C4"])
+def test_logarithmic_limit_converges_deep(src, limit, depth):
+    tol = 1e-3
+    est = summability_limit(logarithmic_method(), src, depth=depth, tol=tol)
+    assert est.converged and not est.failed_points
+    assert np.max(np.abs(est.value.coords - limit)) <= tol
+
+
+@pytest.mark.parametrize("spec, src", [
+    (abel_method(), scalar_function(lambda t: 1.0 - t, name="1-t")),
+    (as_kernel(cesaro_method()), scalar_function(lambda t: 1.0 - t, name="1-t")),
+    (logarithmic_method(), ALT_PARTIAL),
+], ids=["counting-on-function", "counting-kernel-on-function", "lebesgue-on-sequence"])
+def test_a_method_rejects_sources_of_the_other_measure(spec, src):
+    param = 0.5 if spec.F != NAT else 4
+    with pytest.raises(TypeError, match="need a"):
+        transform_at(spec, src, param)
+    with pytest.raises(TypeError, match="need a"):
+        summability_limit(spec, src, depth=4)
 
 
 def test_lebesgue_transform_rejects_a_support_past_the_source_domain():
