@@ -56,14 +56,15 @@ from .inclusion import (
     truncation_family,
     weak_inclusion_experiment,
 )
-from .integrate import (MEASURE_COUNTING, MEASURE_LEBESGUE, MEASURES, SUBSTITUTION_NONE,
-                        SUBSTITUTIONS)
+from .integrate import (MEASURE_COUNTING, MEASURE_LEBESGUE, MEASURES,
+                        SUBSTITUTION_LOG_BOUNDARY, SUBSTITUTION_NONE, SUBSTITUTIONS)
 from .methods import (
     FunctionSource,
     KernelSpec,
     MatrixSpec,
     SeqToFuncSpec,
     SequenceSource,
+    _kernel_support,
     abel_method,
     as_kernel,
     cesaro_method,
@@ -274,6 +275,23 @@ def _builtin(g):
     return spec if g["scale"] is None else scaled_method(spec, g["scale"])
 
 
+def _custom_kernel(g):
+    # a counting kernel sums over the naturals unless told otherwise
+    spec = KernelSpec(name=g["name"], kernel_batch=g["kernel"], support=g["support"],
+                      E=g["E"] or (NAT if g["measure"] == MEASURE_COUNTING else UNIT_INTERVAL),
+                      F=g["F"], measure=g["measure"], substitution=g["substitution"])
+    if spec.measure == MEASURE_LEBESGUE and spec.substitution == SUBSTITUTION_LOG_BOUNDARY:
+        # u = -log(1 - t) maps only [0, 1); every support form is constant or
+        # increasing and affine in r, so both ends of F bound it
+        for r in (0.0, math.nextafter(getattr(spec.F, "right", math.inf), 0.0)):
+            lo, hi = _kernel_support(spec, r)
+            if not 0.0 <= lo <= hi < 1.0:
+                raise _KeyRule("support", f"a log_boundary kernel needs its support inside "
+                                          f"[0, 1) at every r in F; it is [{lo:.17g}, {hi:.17g}] "
+                                          f"at r = {r:.17g}")
+    return spec
+
+
 _METHODS = {
     # a builtin takes only its modifiers; a custom method only its definition
     ("builtin", None): ({"builtin": (_choice(BUILTIN_METHODS), REQUIRED),
@@ -292,11 +310,7 @@ _METHODS = {
          "measure": (_choice(MEASURES), MEASURE_LEBESGUE),
          "substitution": (_choice(SUBSTITUTIONS), SUBSTITUTION_NONE),
          "E": (_domain, None), "F": (_domain, "unit")},
-        # a counting kernel sums over the naturals unless told otherwise
-        lambda g: KernelSpec(name=g["name"], kernel_batch=g["kernel"], support=g["support"],
-                             E=g["E"] or (NAT if g["measure"] == MEASURE_COUNTING
-                                          else UNIT_INTERVAL), F=g["F"], measure=g["measure"],
-                             substitution=g["substitution"])),
+        _custom_kernel),
 }
 
 

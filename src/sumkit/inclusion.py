@@ -320,68 +320,55 @@ def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
     battery sequences converge at 1/m rates, so the tight conclusion
     tolerance would leave the inclusion evidence inconclusive.
     """
-    hypotheses = []
     a_name = getattr(A, "name", "A")
     b_name = getattr(B, "name", "B")
+    a_estimates = []  # (A-estimate, target) per probe, for the conclusion
 
-    def bail(failed: str) -> TransferReport:
-        return TransferReport(a_name, b_name, family.name, tuple(hypotheses), (),
-                              applicable=False, failed_hypothesis=failed)
+    # each check returns (passed, detail); its function name is the hypothesis name
+    def dense_witness_convergence():
+        # S_t(w) -> S(w) along the index grid
+        for i, w in enumerate(family.dense_witnesses):
+            samples = [family.apply(m, w) for m in sample_grid(NAT, _SCALAR_DEPTH)]
+            est = estimate_limit_at_infinity(samples, tol=tol)
+            if not est.converged or (est.value - family.target(w)).norm() > tol + est.residual:
+                return False, f"witness {i} did not reach its target"
+        return True, ""
 
-    # (1) witness convergence S_t(w) -> S(w) along the index grid
-    ok = True
-    detail = ""
-    for i, w in enumerate(family.dense_witnesses):
-        samples = [family.apply(m, w) for m in sample_grid(NAT, _SCALAR_DEPTH)]
-        est = estimate_limit_at_infinity(samples, tol=tol)
-        target = family.target(w)
-        if not est.converged or (est.value - target).norm() > tol + est.residual:
-            ok = False
-            detail = f"witness {i} did not reach its target"
-            break
-    hypotheses.append(HypothesisRecord("dense_witness_convergence", ok, detail))
-    if not ok:
-        return bail("dense_witness_convergence")
+    def probes_a_summable():
+        # each probe orbit is A-summable to the target
+        for i, x in enumerate(probes):
+            est = summability_limit(A, family.source_for(x), depth=depth, tol=tol)
+            target = family.target(x)
+            a_estimates.append((est, target))
+            dist = (est.value - target).norm() if est.converged else math.inf
+            if not est.converged or dist > tol:
+                return False, f"probe {i}: A-limit missing or off target (dist {dist:.3g})"
+        return True, ""
 
-    # (2) each probe orbit is A-summable to the target
-    a_estimates = []
-    ok = True
-    detail = ""
-    for i, x in enumerate(probes):
-        est = summability_limit(A, family.source_for(x), depth=depth, tol=tol)
-        target = family.target(x)
-        dist = (est.value - target).norm() if est.converged else math.inf
-        a_estimates.append((est, target, dist))
-        if not est.converged or dist > tol:
-            ok = False
-            detail = f"probe {i}: A-limit missing or off target (dist {dist:.3g})"
-            break
-    hypotheses.append(HypothesisRecord("probes_a_summable", ok, detail))
-    if not ok:
-        return bail("probes_a_summable")
+    def b_regular():
+        ok, report = regularity_evidence(B, tol=tol)
+        return ok, f"{b_name}: {report.overall}"
 
-    # (3) regularity evidence for B
-    ok, report = regularity_evidence(B, tol=tol)
-    hypotheses.append(HypothesisRecord(
-        "b_regular", ok, f"{b_name}: {report.overall}"))
-    if not ok:
-        return bail("b_regular")
+    def scalar_inclusion():
+        # A in B on a scalar test battery: validated when no case violates
+        # and at least one case positively transfers
+        incl = inclusion_experiment(A, B, default_scalar_battery(), depth=_SCALAR_DEPTH,
+                                    tol=_SCALAR_TOL)
+        ok = (not incl.has_violation) and any(c.verdict == TRANSFERS for c in incl.cases)
+        return ok, f"battery verdicts: {incl.verdict_counts}"
 
-    # (4) scalar inclusion of A in B on a test battery: validated when no
-    # case violates and at least one case positively transfers
-    incl = inclusion_experiment(A, B, default_scalar_battery(), depth=_SCALAR_DEPTH,
-                                tol=_SCALAR_TOL)
-    ok = (not incl.has_violation) and any(c.verdict == TRANSFERS for c in incl.cases)
-    hypotheses.append(HypothesisRecord(
-        "scalar_inclusion", ok,
-        f"battery verdicts: {incl.verdict_counts}"))
-    if not ok:
-        return bail("scalar_inclusion")
+    hypotheses = []
+    for check in (dense_witness_convergence, probes_a_summable, b_regular, scalar_inclusion):
+        ok, detail = check()
+        hypotheses.append(HypothesisRecord(check.__name__, ok, detail))
+        if not ok:
+            return TransferReport(a_name, b_name, family.name, tuple(hypotheses), (),
+                                  applicable=False, failed_hypothesis=check.__name__)
 
     # conclusion: every probe orbit is B-summable to the same target
     cases = []
-    for i, (est_a, target, _) in enumerate(a_estimates):
-        est_b = summability_limit(B, family.source_for(probes[i]), depth=depth, tol=tol)
+    for i, (x, (est_a, target)) in enumerate(zip(probes, a_estimates)):
+        est_b = summability_limit(B, family.source_for(x), depth=depth, tol=tol)
         dist = (est_b.value - target).norm() if est_b.converged else math.nan
         if est_b.converged and dist <= tol:
             verdict = TRANSFERS

@@ -11,9 +11,13 @@ infinite summation here carries a numeric tail certificate instead:
   of recent term norms is below the tail tolerance;
 * stabilized closure -- recent terms agree to within tail-tolerance-level
   scatter and the spec knows its exact remaining coefficient weight, so the
-  tail is closed analytically with the scatter as the certified error.
+  tail is closed analytically with the scatter as the certified error;
+* geometric-tail estimate -- the ratio test, for a row that neither of the
+  above stops: two consecutive full blocks shrink by q <= 0.999, and the
+  geometric tail S q / (1 - q) of the last block's absolute sum S is below
+  ``_TAIL_TOL``.
 
-Both certificates are evidence from the sampled prefix, not proofs about the
+All three are evidence from the sampled prefix, not proofs about the
 unseen tail.  Reports do not yet say which rule fired; only a failure is
 explained: a summation without an end that achieves no certificate within
 ``_MAX_TERMS`` terms raises NonSummableError naming the reason, with the
@@ -552,11 +556,14 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
                    tail_tol: Optional[float] = None, weight: Optional[complex] = None):
     """Sum sum_n c_n v_n over support = (lo, hi) with a numeric tail certificate.
 
-    The sum runs from n = lo up to hi inclusive; a finite support is summed
-    to its end unless a certificate stops it earlier, and with hi None (no
-    end) the sum takes at most _MAX_TERMS terms.  The plain and stabilized
-    certificates bound the tail by tail_tol (None: _TAIL_TOL), the
-    geometric-ratio estimate always by _TAIL_TOL.
+    The sum runs from n = lo up to hi inclusive, one block at a time, and
+    stops at the first of: the support end (bound 0); the plain certificate
+    or the stabilized closure within tail_tol (None: _TAIL_TOL); the
+    geometric-tail estimate on full blocks, two consecutive ratios q <= 0.999
+    of their absolute sums S with S q / (1 - q) <= _TAIL_TOL (a zero block
+    has q = 0, a nonzero block after a zero one has no ratio).  It fails on
+    a non-finite term, on terms overflowing, or at _MAX_TERMS terms without
+    an end; no sum is called divergent from the trend of its blocks.
     coeffs(a, b) -> complex array of c_a .. c_{b-1}; tail_abs/tail_sum(N)
     describe the coefficient tail beyond the absolute index N (up to hi).
     A box row (``weight`` w, every c_n = w on the support) sums each source
@@ -575,9 +582,8 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
     end = lo + _MAX_TERMS if support_end is None else support_end + 1
     cap = _block_cap(space.dim)
     block = min(_START_BLOCK, cap)
-    prev_abs = None
+    prev_abs = 0.0
     geo_ok = 0
-    grow_count = 0
 
     def fail(msg, bound=None):
         partial = VectorValue(acc, space) if np.isfinite(acc).all() else None
@@ -616,27 +622,15 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
                    else abs(weight) * rec.abs_total)
         if blk_abs > 1e200:
             fail("terms overflowing")
-        if prev_abs is not None and block == cap:
-            if blk_abs == 0.0 and prev_abs == 0.0:
-                return acc, 0.0, n - lo
-            if prev_abs > 0.0:
-                q = blk_abs / prev_abs
-                if q <= 0.999:
-                    geo_ok += 1
-                    if geo_ok >= 2:
-                        tail_est = blk_abs * q / (1.0 - q)
-                        if tail_est <= _TAIL_TOL:
-                            return acc, tail_est, n - lo
-                else:
-                    geo_ok = 0
-            # a finite row's sum is exact, however its blocks grow
-            if blk_abs > prev_abs and support_end is None:
-                grow_count += 1
-                if grow_count >= 8:
-                    fail("block sums growing; series looks divergent")
-            else:
-                grow_count = 0
         if block == cap:
+            # ratio test over full blocks: a zero block has ratio 0, and a
+            # nonzero block has none after a zero block or as the first one
+            q = 0.0 if blk_abs == 0.0 else (blk_abs / prev_abs if prev_abs else math.inf)
+            geo_ok = geo_ok + 1 if q <= 0.999 else 0
+            if geo_ok >= 2:
+                tail_est = blk_abs * q / (1.0 - q)
+                if tail_est <= _TAIL_TOL:
+                    return acc, tail_est, n - lo
             prev_abs = blk_abs
         block = min(block * 4, cap)
 

@@ -340,6 +340,35 @@ def test_a_method_of_the_wrong_measure_for_its_sources_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+def _log_boundary_check(**method):
+    return {"experiments": [{"id": "lb", "kind": "check_regularity", "r_depth": 4,
+                             "exhaust_depth": 2,
+                             "method": {"kind": "kernel", "kernel": "1 / (1 - t) / 30",
+                                        "substitution": "log_boundary", **method}}]}
+
+
+@pytest.mark.parametrize("method", [{}, {"support": "unit_window"}, {"support": [0.5, 1.0]},
+                                    {"support": "upto_r", "F": 2.0},
+                                    {"support": "upto_r", "F": "halfline"}],
+                         ids=["full", "unit_window", "fixed", "upto_r-F-2", "upto_r-halfline"])
+def test_a_log_boundary_support_reaching_1_exits_2(tmp_path, capsys, method):
+    # u = -log(1 - t) maps only [0, 1): such a kernel would fail when it runs
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_log_boundary_check(**method)))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "experiments[0].method.support: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", [{"support": "upto_r"}, {"support": [0.25, 0.75]},
+                                    {"E": 0.5}], ids=["upto_r", "fixed", "full-E-half"])
+def test_a_log_boundary_support_inside_the_unit_interval_runs(tmp_path, method):
+    out = tmp_path / "out"
+    assert run_config(_log_boundary_check(**method), str(out)) == 0
+    assert json.loads(_read(out / "report.json"))["experiments"][0]["status"] == "completed"
+
+
 def test_abel_check_regularity_runs_the_kernel_form(tmp_path):
     config = {"experiments": [{"id": "abel-st", "kind": "check_regularity",
                                "method": {"builtin": "abel"}, "r_depth": 10,

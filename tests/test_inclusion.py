@@ -1,5 +1,7 @@
 """Inclusion, transfer, and weak-inclusion experiments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,14 @@ from sumkit.inclusion import (
     weak_inclusion_experiment,
 )
 from sumkit.methods import (
+    FunctionSource,
     SequenceSource,
     abel_method,
     cesaro_method,
     identity_method,
+    logarithmic_method,
     scalar_sequence,
+    scaled_method,
     series_summation_method,
     vector_sequence,
 )
@@ -170,15 +175,29 @@ def test_transfer_oscillating_family_reduces_coordinatewise():
     assert report.all_transfer
 
 
-def test_transfer_not_applicable_when_b_not_regular():
+@pytest.mark.parametrize("A, B, target, failed", [
+    (cesaro_method(), abel_method(), lambda x: 2 * x, "dense_witness_convergence"),
+    (series_summation_method(), abel_method(), None, "probes_a_summable"),
+    (cesaro_method(), series_summation_method(), None, "b_regular"),
+    # the battery's alternating sequence is Cesaro-summable, not convergent
+    (cesaro_method(), identity_method(), None, "scalar_inclusion"),
+], ids=["witness", "probes", "b_regular", "scalar_inclusion"])
+def test_transfer_not_applicable_when_a_hypothesis_fails(A, B, target, failed):
     space = SpaceDescriptor(2, "l2")
     family = truncation_family(space)
+    if target is not None:
+        family = replace(family, target=target)
     probes = [VectorValue([1.0, 0.0], space)]
-    report = transfer_experiment(cesaro_method(), series_summation_method(), family,
-                                 probes, depth=14, tol=1e-6)
+    report = transfer_experiment(A, B, family, probes, depth=14, tol=1e-2)
     assert not report.applicable
-    assert report.failed_hypothesis == "b_regular"
+    assert report.failed_hypothesis == failed
     assert not report.cases
+    # the battery stops at its first failure, in order
+    battery = ["dense_witness_convergence", "probes_a_summable", "b_regular", "scalar_inclusion"]
+    assert [h.name for h in report.hypotheses] == battery[:battery.index(failed) + 1]
+    assert [h.passed for h in report.hypotheses[:-1]] == [True] * (len(report.hypotheses) - 1)
+    assert not report.hypotheses[-1].passed
+    assert report.rows()[-1] == ("overall", "", "", f"NotApplicable:{failed}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +231,22 @@ def test_weak_inclusion_mixed_coordinates():
                                        coordinate_functionals(space), depth=14, tol=1e-3)
     assert all(case.verdict == TRANSFERS for case in report.cases)
     assert not report.has_violation
+
+
+def test_weak_inclusion_of_lebesgue_methods_on_a_function_source():
+    # coordinate 0 tends to 0 and coordinate 1 to 1j; doubling B doubles only the latter
+    space = SpaceDescriptor(2, "l2")
+    v = FunctionSource(lambda ts: np.outer((1.0 - ts) * np.cos(6.0 * np.pi * ts), [1.0, 1.0])
+                       + [0.0, 1j], space, name="wave2")
+    report = weak_inclusion_experiment(logarithmic_method(),
+                                       scaled_method(logarithmic_method(), 2.0), [("wave", v)],
+                                       coordinate_functionals(space), depth=28, tol=1e-3)
+    assert [c.label for c in report.cases] == ["wave|phi_0", "wave|phi_1"]
+    assert [c.verdict for c in report.cases] == [TRANSFERS, VIOLATES]
+    zero, one = report.cases
+    assert abs(complex(zero.est_a.complex_value)) <= 1e-3
+    assert abs(complex(one.est_a.complex_value) - 1j) <= 1e-3
+    assert abs(complex(one.est_b.complex_value) - 2j) <= 2e-3
 
 
 def test_weak_inclusion_zero_functional_transfers():

@@ -315,10 +315,14 @@ def test_finite_row_with_growing_blocks_is_not_called_divergent():
     assert val == pytest.approx(2**19, rel=1e-12)
 
 
-def test_row_without_end_stops_at_the_term_cap():
-    # about 32 * 2^20 terms would certify this row to 1e-14
+@pytest.mark.parametrize("source", [
+    ALT_PARTIAL,  # about 32 * 2^20 terms would certify this row to 1e-14
+    # convergent, but its terms grow up to n = 2^21: never called divergent
+    scalar_sequence(lambda n: (n + 1.0) ** 2, "squares"),
+], ids=["alt_partial", "squares"])
+def test_row_without_end_stops_at_the_term_cap(source):
     with pytest.raises(NonSummableError, match="max_terms") as err:
-        transform_at(abel_method(), ALT_PARTIAL, 1 - 2.0**-20)
+        transform_at(abel_method(), source, 1 - 2.0**-20)
     assert err.value.terms == 1_000_000
 
 
