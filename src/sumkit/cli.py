@@ -280,7 +280,10 @@ def _custom_kernel(g):
     spec = KernelSpec(name=g["name"], kernel_batch=g["kernel"], support=g["support"],
                       E=g["E"] or (NAT if g["measure"] == MEASURE_COUNTING else UNIT_INTERVAL),
                       F=g["F"], measure=g["measure"], substitution=g["substitution"])
-    if spec.measure == MEASURE_LEBESGUE and spec.substitution == SUBSTITUTION_LOG_BOUNDARY:
+    if spec.measure == MEASURE_COUNTING and spec.substitution != SUBSTITUTION_NONE:
+        raise _KeyRule("substitution", f"a counting kernel sums its terms and takes no "
+                                       f"substitution, not {spec.substitution!r}")
+    if spec.substitution == SUBSTITUTION_LOG_BOUNDARY:
         # u = -log(1 - t) maps only [0, 1); every support form is constant or
         # increasing and affine in r, so both ends of F bound it
         for r in (0.0, math.nextafter(getattr(spec.F, "right", math.inf), 0.0)):
@@ -357,8 +360,7 @@ def _source_variants(i: int) -> dict:
     return {
         ("generator", "synthetic_convergent"): (
             {"generator": (_keep, REQUIRED), "count": (_COUNT, REQUIRED),
-             "seed": (_NATURAL, REQUIRED), "rho_max": (_REAL, 0.9), "dim": (_COUNT, 1),
-             "name": (_string, None)},  # accepted and unused: labels are synthetic_<i>
+             "seed": (_NATURAL, REQUIRED), "rho_max": (_REAL, 0.9), "dim": (_COUNT, 1)},
             _synthetic_convergent),
         ("expr", None): ({"expr": (_expression("n"), REQUIRED), "name": (_string, f"seq_{i}")},
                          _expr_source),
@@ -455,7 +457,7 @@ def _run_sum(exp, tol):
             case["deviation"] = _finite_or_none(deviation)
             case["verdict"] = verdict
         cases.append(case)
-    jsonable = {"method": getattr(spec, "name", "?"), "depth": exp["depth"], "tol": tol,
+    jsonable = {"method": spec.name, "depth": exp["depth"], "tol": tol,
                 "cases": cases}
     return rows, jsonable, ()
 

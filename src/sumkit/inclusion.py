@@ -151,7 +151,7 @@ def _as_cases(tests) -> list:
         if isinstance(item, tuple):
             cases.append((str(item[0]), item[1]))
         else:
-            label = getattr(item, "name", "") or f"test_{i}"
+            label = item.name or f"test_{i}"
             cases.append((label, item))
     return cases
 
@@ -177,7 +177,7 @@ def inclusion_experiment(A: KernelSpec, B: KernelSpec, tests, depth: int = 14,
                          tol: float = 1e-6) -> InclusionReport:
     """Run both methods over the test sources and classify case by case."""
     cases, margin = _run_cases(A, B, _as_cases(tests), depth, tol)
-    return InclusionReport(getattr(A, "name", "A"), getattr(B, "name", "B"), cases, margin)
+    return InclusionReport(A.name, B.name, cases, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +296,12 @@ class TransferReport:
         }
 
 
-def regularity_evidence(spec: KernelSpec, tol: float = 1e-6,
-                        r_depth: int = 16, exhaust_depth: int = 8):
+def regularity_evidence(spec: KernelSpec, tol: float = 1e-6):
     """The matrix form for a declared ``MatrixSpec``, else the kernel form: (bool, report)."""
     if isinstance(spec, MatrixSpec):
         report = check_matrix_st(spec, tol=tol)
     else:
-        report = check_kernel_st(spec, r_depth=r_depth, exhaust_depth=exhaust_depth, tol=tol)
+        report = check_kernel_st(spec, r_depth=16, exhaust_depth=8, tol=tol)
     return report.overall == REGULAR_EVIDENCE, report
 
 
@@ -320,8 +319,6 @@ def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
     battery sequences converge at 1/m rates, so the tight conclusion
     tolerance would leave the inclusion evidence inconclusive.
     """
-    a_name = getattr(A, "name", "A")
-    b_name = getattr(B, "name", "B")
     a_estimates = []  # (A-estimate, target) per probe, for the conclusion
 
     # each check returns (passed, detail); its function name is the hypothesis name
@@ -347,7 +344,7 @@ def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
 
     def b_regular():
         ok, report = regularity_evidence(B, tol=tol)
-        return ok, f"{b_name}: {report.overall}"
+        return ok, f"{B.name}: {report.overall}"
 
     def scalar_inclusion():
         # A in B on a scalar test battery: validated when no case violates
@@ -362,7 +359,7 @@ def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
         ok, detail = check()
         hypotheses.append(HypothesisRecord(check.__name__, ok, detail))
         if not ok:
-            return TransferReport(a_name, b_name, family.name, tuple(hypotheses), (),
+            return TransferReport(A.name, B.name, family.name, tuple(hypotheses), (),
                                   applicable=False, failed_hypothesis=check.__name__)
 
     # conclusion: every probe orbit is B-summable to the same target
@@ -377,7 +374,7 @@ def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
         else:
             verdict = UNDECIDED
         cases.append(CaseResult(f"probe_{i}", est_a, est_b, verdict, dist))
-    return TransferReport(a_name, b_name, family.name, tuple(hypotheses),
+    return TransferReport(A.name, B.name, family.name, tuple(hypotheses),
                           tuple(cases), applicable=True)
 
 
@@ -409,4 +406,4 @@ def weak_inclusion_experiment(A: KernelSpec, B: KernelSpec, tests,
     scalarized = [(f"{label}|phi_{i}", _functional_source(source, phi))
                   for label, source in _as_cases(tests) for i, phi in enumerate(functionals)]
     cases, margin = _run_cases(A, B, scalarized, depth, tol)
-    return InclusionReport(getattr(A, "name", "A"), getattr(B, "name", "B"), cases, margin)
+    return InclusionReport(A.name, B.name, cases, margin)

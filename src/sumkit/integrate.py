@@ -11,9 +11,11 @@ integral is the family with K = 1.  Refinement is level-synchronous: every
 panel still pending at one bisection depth, whichever integral it belongs
 to, is evaluated in a single integrand call, which is told the integral of
 each node.  Each integral is judged on its own: its own tolerance share,
-``max_depth``, accepted-panel sum and budget of _MAX_EVALUATIONS integrand
-evaluations, which bounds its work as QUADPACK's subinterval ``limit`` does.
-An integral whose next level would exceed its budget ends with a
+accepted-panel sum and budget of _MAX_EVALUATIONS integrand evaluations, the
+engine's one cap, as QUADPACK's subinterval ``limit`` is.  A panel at most
+1e-15 of its interval wide is accepted whatever its error, which ends
+refinement by level 50 unless rounding stalls the bisection; the budget ends
+it then.  An integral whose next level would exceed its budget ends with a
 QuadratureError naming its failed panel with the largest error at its last
 evaluated level, whose halves were pending; the others go on.  Accepted
 panels are summed left to right, so each integral equals a depth-first
@@ -53,9 +55,9 @@ _MAX_EVALUATIONS = 100_000
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement failed; carries the worst panel seen."""
+    """Adaptive refinement ran out of budget; carries the worst failed panel and its error."""
 
-    def __init__(self, message, worst_interval=None, estimate=None):
+    def __init__(self, message, worst_interval, estimate):
         super().__init__(message)
         self.worst_interval = worst_interval
         self.estimate = estimate
@@ -64,14 +66,11 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureConfig:
     tol: float = 1e-10
-    max_depth: int = 50
     substitution: str = SUBSTITUTION_NONE
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
         if self.substitution not in SUBSTITUTIONS:
             raise ValueError(f"unknown substitution {self.substitution!r}")
 
@@ -105,8 +104,7 @@ def _panels(fbatch, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.nda
     return np.concatenate(out)
 
 
-def _adaptive_family(fbatch, a, b, tol: float, max_depth: int,
-                     max_evaluations: int = _MAX_EVALUATIONS) -> list:
+def _adaptive_family(fbatch, a, b, tol: float) -> list:
     """Adaptive bisection of K integrals over [a_k, b_k] in lockstep.
 
     ``fbatch(ts, owner)`` returns the (len(ts), d) integrand values at the
@@ -120,12 +118,14 @@ def _adaptive_family(fbatch, a, b, tol: float, max_depth: int,
     panels are summed in order of increasing left endpoint, which is the
     order a depth-first search of its panel tree accepts them in, so its
     value, error and evaluation count depend neither on the traversal nor on
-    the other integrals.  A level that would take an integral's count past
-    ``max_evaluations`` is not evaluated for it: its error names its failed
-    panel with the largest error at its last evaluated level, whose halves
-    were pending (the root, with no estimate, if its first call does not
-    fit).  At ``max_depth`` an integral with a failed panel names its
-    left-most one, as a depth-first search would meet it.
+    the other integrals.  A panel at most 1e-15 of its integral's interval
+    wide is accepted, so refinement ends by level 50 unless rounding stalls
+    the bisection.  A level that would take an integral's count past
+    _MAX_EVALUATIONS, its one cap, is not evaluated for it: its error names
+    its failed panel with the largest error at its last evaluated level,
+    whose halves were pending.  Every level costs a live integral at least
+    14 evaluations, so the budget ends every integral, and a root's first
+    level, 21 evaluations, always fits.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total_len = b - a
@@ -138,44 +138,39 @@ def _adaptive_family(fbatch, a, b, tol: float, max_depth: int,
             out[k] = np.zeros(dim, dtype=complex), 0.0, 1
     owner = np.flatnonzero(total_len != 0.0)
     lo, hi, coarse = a[owner], b[owner], None
-    failed = None  # (lo, hi, err, owner) of the last level's failed panels (none yet: the roots)
     accepted = []  # (owners, left endpoints, panel values, errors), one tuple per level
-    for depth in range(max_depth + 1):
+    while True:
+        first = coarse is None
         pending = np.bincount(owner, minlength=a.size)
-        cost = _GL_ORDER * (2 * pending + (depth == 0))
+        cost = _GL_ORDER * (2 * pending + first)
         live = pending > 0
-        over = np.flatnonzero(live & (evaluations + cost > max_evaluations))
-        for k in over:
-            if failed is None:
-                (wlo, whi), west = (float(a[k]), float(b[k])), None
-            else:
-                failed_lo, failed_hi, failed_err, failed_owner = failed
+        over = np.flatnonzero(live & (evaluations + cost > _MAX_EVALUATIONS))
+        if over.size:  # never at the first level, so the last level left failed panels
+            failed_lo, failed_hi, failed_err, failed_owner = failed
+            for k in over:
                 mine = np.flatnonzero(failed_owner == k)
                 i = mine[np.argmax(failed_err[mine])]
-                (wlo, whi), west = (float(failed_lo[i]), float(failed_hi[i])), float(failed_err[i])
-            out[k] = QuadratureError(
-                f"evaluation budget {max_evaluations} exhausted with {pending[k]} panels "
-                f"pending; worst failed panel [{wlo}, {whi}]"
-                + ("" if west is None else f" (estimate {west:.3e})"),
-                worst_interval=(wlo, whi),
-                estimate=west,
-            )
-        if over.size:
+                wlo, whi, west = float(failed_lo[i]), float(failed_hi[i]), float(failed_err[i])
+                out[k] = QuadratureError(
+                    f"evaluation budget {_MAX_EVALUATIONS} exhausted with {pending[k]} panels "
+                    f"pending; worst failed panel [{wlo}, {whi}] (estimate {west:.3e})",
+                    worst_interval=(wlo, whi),
+                    estimate=west,
+                )
             live[over] = False
             keep = live[owner]
-            lo, hi, owner = lo[keep], hi[keep], owner[keep]
-            coarse = None if coarse is None else coarse[keep]
+            lo, hi, owner, coarse = lo[keep], hi[keep], owner[keep], coarse[keep]
         if not owner.size:
             break
         evaluations[live] += cost[live]
         ends = np.array((lo, 0.5 * (lo + hi), hi)).T  # row i: lo, mid, hi of panel i
         panels_lo, panels_hi = ends[:, :2], ends[:, 1:]
-        if depth == 0:  # the roots' own values come from the same call
+        if first:  # the roots' own values come from the same call
             panels_lo, panels_hi = np.column_stack((lo, panels_lo)), np.column_stack((hi, panels_hi))
         per = panels_lo.shape[1]
         vals = _panels(fbatch, panels_lo.ravel(), panels_hi.ravel(), np.repeat(owner, per))
         vals = vals.reshape(len(lo), per, vals.shape[1])
-        if depth == 0:
+        if first:
             coarse, vals = vals[:, 0], vals[:, 1:]
         fine = vals[:, 0] + vals[:, 1]
         err = np.abs(fine - coarse).max(axis=1, initial=0.0)
@@ -183,16 +178,6 @@ def _adaptive_family(fbatch, a, b, tol: float, max_depth: int,
         ok = (err <= tol * width / span) | (width <= 1e-15 * span)
         accepted.append((owner[ok], lo[ok], fine[ok], err[ok]))
         bad = (~ok).nonzero()[0]
-        if depth >= max_depth:
-            ks, first = np.unique(owner[bad], return_index=True)
-            for k, i in zip(ks, bad[first]):
-                out[k] = QuadratureError(
-                    f"max depth {max_depth} exceeded on [{lo[i]}, {hi[i]}] "
-                    f"(estimate {err[i]:.3e})",
-                    worst_interval=(float(lo[i]), float(hi[i])),
-                    estimate=float(err[i]),
-                )
-            break
         failed = lo[bad], hi[bad], err[bad], owner[bad]
         lo, hi = ends[bad, :2].ravel(), ends[bad, 1:].ravel()
         owner = np.repeat(owner[bad], 2)
@@ -210,15 +195,13 @@ def _adaptive_family(fbatch, a, b, tol: float, max_depth: int,
     return out
 
 
-def _adaptive(fbatch, a: float, b: float, tol: float, max_depth: int,
-              max_evaluations: int = _MAX_EVALUATIONS):
+def _adaptive(fbatch, a: float, b: float, tol: float):
     """One integral, K = 1 of ``_adaptive_family``: (value array, err_estimate, evaluations).
 
     ``fbatch(ts)`` takes the nodes alone.  Raises the integral's
     QuadratureError.
     """
-    (out,) = _adaptive_family(lambda ts, owner: fbatch(ts), [a], [b], tol, max_depth,
-                              max_evaluations)
+    (out,) = _adaptive_family(lambda ts, owner: fbatch(ts), [a], [b], tol)
     if isinstance(out, QuadratureError):
         raise out
     return out
@@ -262,7 +245,7 @@ def adaptive_quadrature_family(fbatch, intervals, cfg: QuadratureConfig) -> list
             integrand, a, b = _log_boundary_wrap(fbatch, a, b)  # the same integrand for each
         ends.append((a, b))
     a, b = np.array(ends, dtype=float).reshape(-1, 2).T
-    return _adaptive_family(integrand, a, b, cfg.tol, cfg.max_depth)
+    return _adaptive_family(integrand, a, b, cfg.tol)
 
 
 def adaptive_quadrature_batch(

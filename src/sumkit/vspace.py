@@ -33,10 +33,6 @@ class SpaceDescriptor:
         if self.norm_tag not in NORM_TAGS:
             raise ValueError(f"unknown norm tag {self.norm_tag!r}, expected one of {NORM_TAGS}")
 
-    @property
-    def dual_tag(self) -> str:
-        return _DUAL_TAG[self.norm_tag]
-
 
 #: One-dimensional space used for scalar-valued sequences and functions.
 #: In dimension one the three norms coincide with the modulus.

@@ -168,6 +168,16 @@ def test_scalar_key_of_the_wrong_type_exits_2_before_anything_runs(tmp_path, cap
     assert not out.exists()
 
 
+def test_synthetic_source_with_a_name_exits_2(tmp_path, capsys):
+    # its cases are labelled synthetic_<i>, so a name would go unread
+    exp = copy.deepcopy({"id": "e", **_BASES["synthetic"]})
+    exp["sources"][0]["name"] = "mine"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiments": [exp]}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "experiments[0].sources[0]: unknown keys ['name']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
 def test_tol_flag_out_of_range_exits_2_before_anything_runs(tmp_path, capsys, tol):
     cfg = tmp_path / "good.json"
@@ -232,6 +242,20 @@ def test_misspelt_kernel_substitution_is_a_config_error(tmp_path, capsys):
         {"fexpr": "1"}, kernel="1 / r", substitution="log_boundry")))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "unknown substitution 'log_boundry'" in capsys.readouterr().err
+
+
+def test_substitution_on_a_counting_kernel_is_a_config_error(tmp_path, capsys):
+    # a counting kernel sums its terms, so a substitution would go unread
+    kernel = dict(kernel="r**t*(1-r)", measure="counting", support="full", F="unit")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_kernel_sum_config({"expr": "1"}, **kernel,
+                                                 substitution="log_boundary")))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert "experiments[0].method.substitution" in capsys.readouterr().err
+    cfg.write_text(json.dumps(_kernel_sum_config({"expr": "1"}, **kernel)))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    (case,) = json.loads(_read(tmp_path / "out" / "report.json"))["experiments"][0]["cases"]
+    assert case["status"] == "converged"
 
 
 @pytest.mark.parametrize("key, value", [("measure", "countng"), ("support", "bogus"),

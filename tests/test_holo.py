@@ -199,11 +199,11 @@ def test_log_multiplier_matches_mpmath_integral(r):
 @pytest.mark.parametrize("r", [0.5, 0.99, 1.0 - 2.0**-20])
 def test_log_multiplier_matches_adaptive_quadrature(r):
     # the substituted integral u = -log(1-t): (1/L) integral_0^L (1-e^-u)^k du
-    quad = QuadratureConfig()
+    tol = QuadratureConfig().tol
     big_u = -math.log1p(-r)
     for k in (1, 2, 7, 64, 255):
         arr, _, _ = _adaptive(lambda us: ((-np.expm1(-us)) ** k).astype(complex)[:, None],
-                              0.0, big_u, quad.tol, quad.max_depth)
+                              0.0, big_u, tol)
         assert abs(log_mean_multiplier(k, r) - arr[0].real / big_u) <= 1e-12, (k, r)
 
 

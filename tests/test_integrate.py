@@ -155,62 +155,44 @@ def test_against_scipy_oracle():
         assert got.real == pytest.approx(expected, abs=1e-9)
 
 
-def _two_cusps(t):
-    # a mild cusp at 0.123456 and a stronger one at 0.7: at depth 2 both
-    # quarter panels around them fail, the right one with the larger error
-    return VectorValue([abs(t - 0.123456) ** 0.5 + 1e3 * abs(t - 0.7) ** 0.5],
-                       SpaceDescriptor(1, "l2"))
+def _cusp_at(c, weight=1.0):
+    return lambda ts: weight * np.abs(ts - c) ** 0.5 + 0j
 
 
-def test_max_depth_raises_quadrature_error():
-    cfg = QuadratureConfig(tol=1e-12, max_depth=2)
+def test_width_floor_ends_refinement_at_level_50():
+    calls = []
 
-    def nasty(t):
-        return VectorValue([abs(t - 0.123456) ** -0.5 if t != 0.123456 else 1e8],
-                           SpaceDescriptor(1, "l2"))
+    def cusp(ts):
+        calls.append(len(ts))
+        return _cusp_at(0.3)(ts)[:, None]
 
-    with pytest.raises(QuadratureError) as err:
-        adaptive_quadrature(nasty, (0.0, 1.0), cfg)
-    assert err.value.worst_interval is not None
-
-    # the left-most failing panel at max_depth is named, as depth-first
-    # refinement meets it first, not the one with the largest error
-    with pytest.raises(QuadratureError) as err:
-        adaptive_quadrature(_two_cusps, (0.0, 1.0), cfg)
-    fbatch = lambda ts: np.stack([_two_cusps(float(t)).coords for t in ts])
-    with pytest.raises(QuadratureError) as oracle:
-        _depth_first_adaptive(fbatch, 0.0, 1.0, cfg.tol, cfg.max_depth)
-    assert err.value.worst_interval == oracle.value.worst_interval == (0.0, 0.25)
-    assert err.value.estimate == oracle.value.estimate
-
-
-def test_config_rejects_a_negative_depth():
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=-1)
-    QuadratureConfig(max_depth=0)
+    value, err, evaluations = _adaptive(cusp, 0.0, 1.0, 1e-14)
+    # one call per level 0..50: a level-50 panel, 2^-50 wide, is under the 1e-15 floor
+    assert len(calls) == 51
+    assert value[0] == 0.49998585721693506
+    assert evaluations == 21049
 
 
 def test_evaluation_budget_raises_with_the_worst_failed_panel():
     nodes = []
+    # a weak cusp at 1000.123456 and a strong one at 1000.7; near 1e3 the floats
+    # are too coarse for the width floor, so only the budget ends refinement
+    weak, strong = _cusp_at(1000.123456), _cusp_at(1000.7, 1e3)
 
-    def cusp(ts):
+    def cusps(ts):
         nodes.extend(ts)
-        return np.abs(ts - 0.3)[:, None] ** 0.5
+        return (weak(ts) + strong(ts))[:, None]
 
     with pytest.raises(QuadratureError) as err:
-        _adaptive(cusp, 0.0, 1.0, 1e-14, 50, max_evaluations=500)
-    assert "budget" in str(err.value)
-    # the named panel failed at the last evaluated level and holds the cusp
+        _adaptive(cusps, 1e3, 1e3 + 1.0, 1e-14)
+    assert f"evaluation budget {integrate._MAX_EVALUATIONS} exhausted" in str(err.value)
+    # the named panel failed at the last evaluated level with the largest
+    # error there, which is the strong cusp's
     lo, hi = err.value.worst_interval
-    assert lo <= 0.3 <= hi and hi - lo < 1.0
+    assert lo <= 1000.7 <= hi and hi - lo < 1e-3
     assert err.value.estimate > 0
     # the level that would pass the budget is never evaluated
-    assert len(nodes) <= 500
-    # below 21 evaluations not even the root panel can be bisected
-    with pytest.raises(QuadratureError) as err:
-        _adaptive(cusp, 0.0, 1.0, 1e-14, 50, max_evaluations=20)
-    assert err.value.worst_interval == (0.0, 1.0)
-    assert err.value.estimate is None
+    assert len(nodes) <= integrate._MAX_EVALUATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +208,15 @@ def _depth_first_panel(fbatch, a, b):
     return half * (_GL_W @ vals)
 
 
-def _depth_first_adaptive(fbatch, a, b, tol, max_depth):
+def _depth_first_adaptive(fbatch, a, b, tol):
     """Reference: depth-first refinement, one panel per integrand call."""
     total_len = b - a
-    stack = [(a, b, 0, _depth_first_panel(fbatch, a, b))]
+    stack = [(a, b, _depth_first_panel(fbatch, a, b))]
     evaluations = 7
     acc = None
     err_total = 0.0
     while stack:
-        lo, hi, depth, coarse = stack.pop()
+        lo, hi, coarse = stack.pop()
         mid = 0.5 * (lo + hi)
         left = _depth_first_panel(fbatch, lo, mid)
         right = _depth_first_panel(fbatch, mid, hi)
@@ -245,11 +227,9 @@ def _depth_first_adaptive(fbatch, a, b, tol, max_depth):
         if err <= budget or (hi - lo) <= 1e-15 * total_len:
             acc = fine if acc is None else acc + fine
             err_total += err
-        elif depth >= max_depth:
-            raise QuadratureError("max depth", worst_interval=(lo, hi), estimate=err)
         else:
-            stack.append((mid, hi, depth + 1, right))
-            stack.append((lo, mid, depth + 1, left))
+            stack.append((mid, hi, right))
+            stack.append((lo, mid, left))
     return acc, err_total, evaluations
 
 
@@ -275,10 +255,10 @@ def _sqrt_recording(ts):
 ], ids=["smooth-scalar", "C4-valued", "log-kernel-r=1-2^-20", "sqrt-deep"])
 def test_level_synchronous_refinement_is_bit_identical_to_depth_first(fbatch, a, b, tol):
     _SQRT_NODES.clear()
-    value, err, evaluations = _adaptive(fbatch, a, b, tol, 50)
+    value, err, evaluations = _adaptive(fbatch, a, b, tol)
     # sqrt's cusp at 0 drives the left-most panel to depth >= 10
     assert fbatch is not _sqrt_recording or min(_SQRT_NODES) < 2.0**-10
-    expected = _depth_first_adaptive(fbatch, a, b, tol, 50)
+    expected = _depth_first_adaptive(fbatch, a, b, tol)
     assert np.array_equal(value, expected[0])
     assert value.dtype == expected[0].dtype
     assert err == expected[1]
@@ -321,52 +301,50 @@ def _lone(f):
 
 
 def test_family_integrals_equal_lone_runs_while_some_fail():
-    tol, max_depth, budget = 1e-13, 12, 3000
+    tol = 1e-13
     cases = [  # (integrand, a, b, how its lone run ends)
         (lambda ts: np.exp(ts) * np.cos(3.0 * ts) + 0j, 0.0, 2.0, "value"),
-        (lambda ts: np.sin(200.0 * ts) + 0j, 0.0, 3.0, "budget"),
-        (lambda ts: np.abs(ts - 0.3) ** 0.5 + 0j, 0.0, 1.0, "max depth"),
+        (_cusp_at(1000.3), 1e3, 1e3 + 1.0, "budget"),
+        (_cusp_at(0.3), 0.0, 1.0, "value"),
         (lambda ts: np.cos(ts) + 0j, 0.5, 0.5, "value"),  # a point: no mass
         (lambda ts: 1.0 / (1.0 + ts * ts) + 0j, -1.0, 4.0, "value"),
     ]
     fbatch, calls = _family([f for f, _, _, _ in cases])
-    outs = _adaptive_family(fbatch, [a for _, a, _, _ in cases], [b for _, _, b, _ in cases],
-                            tol, max_depth, max_evaluations=budget)
-    # one call for the point, then one per level, each with its owners in order
-    assert len(calls) <= 1 + max_depth + 1
+    outs = _adaptive_family(fbatch, [a for _, a, _, _ in cases], [b for _, _, b, _ in cases], tol)
     assert all((np.diff(owner) >= 0).all() for owner in calls)
+    levels = []
     for (f, a, b, ends), out in zip(cases, outs):
+        lone_calls = []
+        lone = lambda ts, f=f: lone_calls.append(len(ts)) or _lone(f)(ts)
         if ends == "value":
-            assert np.array_equal(out[0], _adaptive(_lone(f), a, b, tol, max_depth, budget)[0])
-            assert out[1:] == _adaptive(_lone(f), a, b, tol, max_depth, budget)[1:]
+            expected = _adaptive(lone, a, b, tol)
+            assert np.array_equal(out[0], expected[0]) and out[1:] == expected[1:]
             if a < b:
-                expected = _depth_first_adaptive(_lone(f), a, b, tol, max_depth)
+                expected = _depth_first_adaptive(_lone(f), a, b, tol)
                 assert np.array_equal(out[0], expected[0])
                 assert out[1:] == expected[1:]
-            continue
-        assert isinstance(out, QuadratureError) and ends in str(out)
-        with pytest.raises(QuadratureError) as lone:
-            _adaptive(_lone(f), a, b, tol, max_depth, budget)
-        assert str(out) == str(lone.value)
-        assert out.worst_interval == lone.value.worst_interval
-        assert out.estimate == lone.value.estimate
-        if ends == "max depth":
-            with pytest.raises(QuadratureError) as oracle:
-                _depth_first_adaptive(_lone(f), a, b, tol, max_depth)
-            assert out.worst_interval == oracle.value.worst_interval
-            assert out.estimate == oracle.value.estimate
+        else:
+            assert isinstance(out, QuadratureError) and ends in str(out)
+            with pytest.raises(QuadratureError) as expected:
+                _adaptive(lone, a, b, tol)
+            assert str(out) == str(expected.value)
+            assert out.worst_interval == expected.value.worst_interval
+            assert out.estimate == expected.value.estimate
+        levels.append(len(lone_calls))
+    # one call for the point, then one per level of the longest run
+    assert len(calls) == 1 + max(levels)
 
 
 def test_no_integrand_call_exceeds_the_node_cap():
     # ten fast oscillations: a level of the family holds more than the cap
     funcs = [lambda ts, w=w: np.sin(w * ts) + 0j for w in range(2000, 2010)]
     fbatch, calls = _family(funcs)
-    outs = _adaptive_family(fbatch, [0.0] * 10, [1.0] * 10, 1e-12, 50)
+    outs = _adaptive_family(fbatch, [0.0] * 10, [1.0] * 10, 1e-12)
     levels = []
     for f, out in zip(funcs, outs):
         lone_calls = []
         value, err, evaluations = _adaptive(
-            lambda ts, f=f: lone_calls.append(len(ts)) or _lone(f)(ts), 0.0, 1.0, 1e-12, 50)
+            lambda ts, f=f: lone_calls.append(len(ts)) or _lone(f)(ts), 0.0, 1.0, 1e-12)
         assert np.array_equal(out[0], value) and out[1:] == (err, evaluations)
         levels.append(len(lone_calls))
     assert max(len(owner) for owner in calls) <= integrate._MAX_EVALUATIONS

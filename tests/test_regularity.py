@@ -249,8 +249,7 @@ def test_regularity_evidence_takes_the_matrix_form_for_a_declared_matrix_only():
         assert isinstance(regularity_evidence(spec)[1], MatrixRegularityReport)
     # as_kernel is the way to the kernel form of a matrix
     for spec in (as_kernel(identity_method()), abel_method(), logarithmic_method()):
-        assert isinstance(regularity_evidence(spec, r_depth=8, exhaust_depth=3)[1],
-                          KernelRegularityReport)
+        assert isinstance(regularity_evidence(spec)[1], KernelRegularityReport)
 
 
 def test_supported_counting_kernel_on_the_naturals_same_verdict_in_both_forms():
