@@ -40,7 +40,7 @@ for k in (1, 4, 16):
 print("\ndistance to f along the parameter grid r = 1 - 2^-j:")
 for j in (4, 10, 16):
     r = 1.0 - 2.0**-j
-    d_abel = series_norm(taylor_sub(abel_dilate(f, r, verify=False), f))
+    d_abel = series_norm(taylor_sub(abel_dilate(f, r), f))
     d_log = series_norm(taylor_sub(log_taylor_mean(f, r), f))
     print(f"  j = {j:>2}: dilate {d_abel:.3e}, log mean {d_log:.3e}")
 

@@ -91,7 +91,6 @@ from .inclusion import (
 )
 from .holo import (
     SeriesSpace,
-    DilateConsistencyError,
     TaylorConvergenceReport,
     TaylorFunction,
     abel_dilate,

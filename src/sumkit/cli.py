@@ -97,7 +97,8 @@ class ConfigError(ValueError):
 #
 # A schema maps each key of a config object to (check, default).  A check
 # takes (value, path) and returns the value built, or raises ConfigError.  A
-# default is REQUIRED, None (the key may be absent, and then reads as None)
+# default is REQUIRED, None (the key may be absent, and then reads as None;
+# a key of one mode alone takes its default from the build, see _fill_mode)
 # or a config value, which the key's check reads like a given value.
 
 REQUIRED = object()
@@ -483,13 +484,12 @@ def _run_weak_inclusion(exp, tol):
 def _run_taylor(exp, tol):
     if exp["mode"] == "dilate_identity":
         rng = np.random.default_rng(exp["seed"])
-        worst = 0.0
+        fs = []
         for _ in range(exp["count"]):
             deg = int(rng.integers(0, exp["max_degree"] + 1))
             coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-            f = taylor_from_coefficients(coeffs, exp["space"])
-            for r in exp["radii"]:
-                worst = max(worst, dilate_dual_deviation(f, r))
+            fs.append(taylor_from_coefficients(coeffs, exp["space"]))
+        worst = max(dilate_dual_deviation(fs, r) for r in exp["radii"])
         verdict = PASS if worst <= 1e-12 else FAIL
         rows = [("dilate_identity_max_deviation", "", worst, verdict)]
         jsonable = {"mode": exp["mode"], "count": exp["count"], "max_degree": exp["max_degree"],
@@ -557,7 +557,31 @@ def _chain(value, ctx) -> list:
     return steps
 
 
+def _fill_mode(exp, mode: str, modes: dict):
+    """exp with the absent keys of its mode set to their defaults.
+
+    ``modes`` maps each mode to its own keys and their defaults; these keys
+    read None when absent, and one given in another mode is an error rather
+    than a key left unread.
+    """
+    for other, keys in modes.items():
+        for key in keys:
+            if other != mode and exp[key] is not None:
+                raise _KeyRule(key, f"is a key of {other}, not of {mode}")
+    return exp | {key: default for key, default in modes[mode].items() if exp[key] is None}
+
+
+def _check_regularity(exp):
+    form = "a matrix method" if isinstance(exp["method"], MatrixSpec) else "a kernel"
+    return _fill_mode(exp, form, {"a matrix method": {"n_max": 32, "m_max_exp": 14},
+                                  "a kernel": {"r_depth": 20, "exhaust_depth": 12}})
+
+
 def _taylor(exp):
+    exp = _fill_mode(exp, f"mode {exp['mode']!r}", {
+        "mode 'summability'": {"function": None, "chain": ["partial_sums"], "depth": 20},
+        "mode 'dilate_identity'": {"count": 100, "seed": 0, "max_degree": 64,
+                                   "radii": [0.25, 0.5, 0.9]}})
     if exp["mode"] == "summability" and exp["function"] is None:
         raise ValueError("mode 'summability' needs the key 'function'")
     return exp
@@ -570,9 +594,9 @@ _PAIR = {"method_a": _METHOD, "method_b": _METHOD}
 # kind -> (runner, module, schema, build of the experiment read)
 _RUNNERS = {
     "check_regularity": (_run_check_regularity, "regularity", {
-        "method": _METHOD, "tol": (_TOL, 1e-6), "n_max": (_NATURAL, 32),
-        "m_max_exp": (_COUNT, 14), "r_depth": (_COUNT, 20), "exhaust_depth": (_NATURAL, 12),
-    }, dict),
+        "method": _METHOD, "tol": (_TOL, 1e-6), "n_max": (_NATURAL, None),
+        "m_max_exp": (_COUNT, None), "r_depth": (_COUNT, None), "exhaust_depth": (_NATURAL, None),
+    }, _check_regularity),
     "sum": (_run_sum, "methods", {
         "method": _METHOD, "sources": _SOURCES, "tol": (_TOL, 1e-6), "depth": (_COUNT, 20),
     }, _measures_fit),
@@ -591,11 +615,9 @@ _RUNNERS = {
         "mode": (_choice(("summability", "dilate_identity")), "summability"),
         "function": (_one_of(_FUNCTIONS), None),
         "space": (_choice({tag: SeriesSpace(tag) for tag in SPACE_TAGS}), "h2"),
-        "chain": (_chain, ["partial_sums"]),
-        "depth": (_COUNT, 20), "tol": (_TOL, 1e-4),
-        "count": (_COUNT, 100), "seed": (_NATURAL, 0), "max_degree": (_NATURAL, 64),
-        "radii": (_list_of(_number("a number in [0, 1)", lambda v: 0 <= v < 1)),
-                  [0.25, 0.5, 0.9]),
+        "chain": (_chain, None), "depth": (_COUNT, None), "tol": (_TOL, 1e-4),
+        "count": (_COUNT, None), "seed": (_NATURAL, None), "max_degree": (_NATURAL, None),
+        "radii": (_list_of(_number("a number in [0, 1)", lambda v: 0 <= v < 1)), None),
     }, _taylor),
 }
 
@@ -716,11 +738,11 @@ def run_config(config, out_dir: str, threads=None, tol=None, plots: bool = False
             config = json.load(fh)
     experiments = validate_config(config)
     tol = None if tol is None else _TOL(tol, "--tol")
+    threads = (os.cpu_count() or 1) if threads is None else _COUNT(threads, "--threads")
     os.makedirs(out_dir, exist_ok=True)
 
-    workers = int(threads) if threads else (os.cpu_count() or 1)
     outcomes = [None] * len(experiments)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {pool.submit(run_experiment, exp, tol): i
                    for i, exp in enumerate(experiments)}
         for future in concurrent.futures.as_completed(futures):

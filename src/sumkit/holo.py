@@ -12,12 +12,15 @@ or power law) that certifies truncation tails.  Three norms are implemented:
                coefficient tail bounds the additional error, and reports
                carry that bound.
 
-The radial dilate multiplies coefficient k by r^k; it is computed both as the
-literal weighted sum of partial sums and through that multiplier, and the two
-must agree coefficientwise (an internal consistency check).  The logarithmic
-mean applies the multiplier lambda_k(r) = (-1/log(1-r)) integral_0^r t^k/(1-t) dt
-in its closed form (L - sum_{j<=k} r^j/j) / L with L = -log(1-r) (Hardy,
-Divergent Series), one cumulative sum per block; lambda_0 = 1 exactly.
+The radial dilate multiplies coefficient k by r^k.  It is Abel's method on
+the partial sums, (1-r) sum_m r^m S_m f = sum_k r^k a_k z^k, and
+``dilate_dual_deviation`` checks that identity with the package's one
+certified vector-valued sum, ``methods.transform_at``: the coefficients of
+many functions are stacked into one vector of C^D, and their partial sums
+are summed at once.  The logarithmic mean applies the multiplier
+lambda_k(r) = (-1/log(1-r)) integral_0^r t^k/(1-t) dt in its closed form
+(L - sum_{j<=k} r^j/j) / L with L = -log(1-r) (Hardy, Divergent Series),
+one cumulative sum per block; lambda_0 = 1 exactly.
 
 Monomials have norm one in h2 and wiener, so the k-th root of ||z^k|| stays
 bounded by one and the dilate is a bounded operator on all built-in spaces.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .domains import (INCONCLUSIVE, NAT, NOT_ZERO, UNIT_INTERVAL, ZERO, decay_ve
 # Unused here; perfbench/layers.py wraps ``holo._adaptive`` by name.
 from .integrate import _adaptive  # noqa: F401
 from .methods import NonSummableError
+from .vspace import SpaceDescriptor
 
 H2 = "h2"
 WIENER = "wiener"
@@ -46,10 +50,6 @@ SPACE_TAGS = (H2, WIENER, DISK_GRID)
 
 # N, the number of boundary points (N-th roots of unity) of the disk-grid norm
 BOUNDARY_POINTS = 4096
-
-
-class DilateConsistencyError(RuntimeError):
-    """Multiplier and double-sum forms of the dilate disagreed."""
 
 
 @dataclass(frozen=True)
@@ -326,88 +326,51 @@ def _dilate_mult_block(r: float):
     return mult
 
 
-#: Rows of the literal double-sum dilate beyond which checking it is
-#: unaffordable (r close to 1, or slow decay); see ``_dilate_terms``.
-DILATE_VERIFY_CAP = 20000
-
-
-def _dilate_double_sum(f: TaylorFunction, r: float, upto: int, m_terms: int) -> np.ndarray:
-    """Literal (1-r) sum_m r^m S_m(f), truncated at m_terms, coefficients 0..upto.
-
-    S_m(f) adds w_m a_k to each coefficient k <= min(m, upto).  A chunk of
-    rows m is stacked below the running sum and summed down the rows, so
-    every coefficient takes its additions in increasing m, as a loop over m
-    would, without forming the whole (m_terms + 1) x (upto + 1) table.
-    """
-    coeffs = f.coeff_array(upto)
-    weights = np.array([(1.0 - r) * r**m for m in range(m_terms + 1)], dtype=complex)
-    acc = np.zeros(upto + 1, dtype=complex)
-    rows = max(1, 2**16 // (upto + 1))
-    for m0 in range(0, m_terms + 1, rows):
-        ms = np.arange(m0, min(m0 + rows, m_terms + 1))
-        cols = min(int(ms[-1]), upto) + 1
-        # numpy sums in order only off the fast axis, so keep two columns
-        buf = np.zeros((ms.size + 1, max(cols, 2)), dtype=complex)
-        buf[0, :cols] = acc[:cols]
-        np.multiply(weights[ms, None], coeffs[:cols], out=buf[1:, :cols])
-        # coefficient k joins at row m = k: blank the corner k > m
-        buf[1:, m0 + 1:cols][np.arange(m0 + 1, cols) > ms[:, None]] = 0.0
-        acc[:cols] = buf.sum(axis=0)[:cols]
-    return acc
-
-
-def _dilate_terms(f: TaylorFunction, r: float) -> Optional[tuple]:
-    """(coeffs, m_terms) of the literal double-sum dilate at r, or None when unaffordable.
-
-    ``coeffs`` are a_0 .. a_upto up to f's certified wiener truncation, and
-    rows m <= m_terms bring the weighted tail under methods._TAIL_TOL.  It is
-    unaffordable past DILATE_VERIFY_CAP rows or with no certified truncation.
-    """
-    try:
-        upto = _truncation_for(f.decay, WIENER)
-    except NonSummableError:
-        return None
-    coeffs = f.coeff_array(upto)
-    peak = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    m_terms = 0 if r == 0.0 else max(upto, math.ceil(math.log(max(methods._TAIL_TOL, 1e-300) /
-                                                              max(peak, 1e-300)) / math.log(r)))
-    return None if m_terms > DILATE_VERIFY_CAP else (coeffs, m_terms)
-
-
-def dilate_dual_deviation(f: TaylorFunction, r: float) -> float:
-    """Max coefficientwise gap of the two dilate forms; ValueError when unaffordable."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError("dilate needs 0 <= r < 1")
-    terms = _dilate_terms(f, r)
-    if terms is None:
-        raise ValueError(f"double-sum verification of {f.name} at r={r} needs more than "
-                         f"{DILATE_VERIFY_CAP} terms or an uncertifiable truncation")
-    coeffs, m_terms = terms
-    double = _dilate_double_sum(f, r, coeffs.size - 1, m_terms)
-    mult = _dilate_mult_block(r)(0, coeffs.size) * coeffs
-    return float(np.max(np.abs(mult - double)))
-
-
-def abel_dilate(f: TaylorFunction, r: float, *, verify: Optional[bool] = None) -> TaylorFunction:
+def abel_dilate(f: TaylorFunction, r: float) -> TaylorFunction:
     """Radial dilate: coefficient multiplier a_k -> a_k r^k.
 
-    The multiplier form and the literal weighted sum of partial sums must
-    agree coefficientwise within methods._TAIL_TOL; ``verify=None`` runs that
-    check whenever the literal sum is affordable: f's wiener truncation is
-    certified and the sum stays within DILATE_VERIFY_CAP terms.
+    It equals Abel's method on the partial sums, (1 - r) sum_m r^m S_m f,
+    the identity ``dilate_dual_deviation`` checks.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("dilate needs 0 <= r < 1")
-    tail_tol = methods._TAIL_TOL
-    if verify is None:
-        verify = _dilate_terms(f, r) is not None
-    if verify:
-        deviation = dilate_dual_deviation(f, r)
-        tolerance = 4.0 * tail_tol + 1e-13 * max(1.0, float(np.max(np.abs(f.coeff_array(8)))))
-        if deviation > tolerance:
-            raise DilateConsistencyError(
-                f"dilate forms disagree by {deviation:.3e} at r={r} (tolerance {tolerance:.3e})")
     return _multiplied(f, _dilate_mult_block(r), f"A_{r:g}({f.name})")
+
+
+def _abel_of_partial_sums(fs: Sequence[TaylorFunction], r: float) -> list:
+    """(1 - r) sum_m r^m S_m f of every f in fs, coefficients 0 .. its wiener truncation.
+
+    The coefficients of every f, each up to its certified wiener truncation,
+    are stacked into one vector of C^D, in which coordinate k of an f holds
+    a_k in S_m once m >= k.  ``methods.transform_at`` sums that one sequence
+    with Abel's method at r, and the sum is split back into one array per f.
+    Raises NonSummableError when a truncation or the sum is not certified
+    within ``methods._MAX_TERMS``.
+    """
+    blocks = [f.coeff_array(_truncation_for(f.decay, WIENER)) for f in fs]
+    coeffs = np.concatenate(blocks)
+    ks = np.concatenate([np.arange(b.size) for b in blocks])
+    orbit = methods.vector_sequence(lambda ns: np.where(ks <= ns[:, None], coeffs, 0),
+                                    SpaceDescriptor(coeffs.size))
+    total = methods.transform_at(methods.abel_method(), orbit, r).coords
+    return np.split(total, np.cumsum([b.size for b in blocks])[:-1])
+
+
+def dilate_dual_deviation(fs: Sequence[TaylorFunction], r: float) -> float:
+    """Largest coefficientwise gap between Abel's method on the partial sums and ``abel_dilate``.
+
+    Over every f in fs and every coefficient up to f's wiener truncation;
+    ValueError when that Abel sum is not certified (see
+    ``_abel_of_partial_sums``).
+    """
+    if not 0.0 <= r < 1.0:
+        raise ValueError("dilate needs 0 <= r < 1")
+    try:
+        sums = _abel_of_partial_sums(fs, r)
+    except NonSummableError as exc:
+        raise ValueError(f"Abel sum of the partial sums at r={r} not certified: {exc}") from exc
+    return max(float(np.max(np.abs(abel_dilate(f, r).coeff_array(s.size - 1) - s)))
+               for f, s in zip(fs, sums))
 
 
 def _log_mean_mult_block(r: float):
@@ -448,7 +411,7 @@ LOG_MEAN = "log_mean"
 # chain step -> (parameter domain, the step applied to g at a grid parameter)
 _CHAIN = {
     PARTIAL_SUMS: (NAT, lambda g, param: partial_sum(g, int(param))),
-    ABEL_DILATE: (UNIT_INTERVAL, lambda g, param: abel_dilate(g, float(param), verify=False)),
+    ABEL_DILATE: (UNIT_INTERVAL, lambda g, param: abel_dilate(g, float(param))),
     LOG_MEAN: (UNIT_INTERVAL, lambda g, param: log_taylor_mean(g, float(param))),
 }
 CHAIN_STEPS = tuple(_CHAIN)

@@ -46,7 +46,7 @@ from .methods import (
     summability_limit,
 )
 from .regularity import FAIL, PASS, REGULAR_EVIDENCE, check_kernel_st, check_matrix_st
-from .vspace import LinearFunctional, SpaceDescriptor, VectorValue
+from .vspace import LinearFunctional, SpaceDescriptor, VectorValue, basis_vector
 
 TRANSFERS = "transfers"
 VIOLATES = "violates"
@@ -219,9 +219,7 @@ def truncation_family(space: SpaceDescriptor) -> OperatorFamily:
         mask = (np.arange(dim)[None, :] <= ns[:, None]).astype(complex)
         return mask * x.coords[None, :]
 
-    witnesses = tuple(
-        VectorValue(np.eye(dim, dtype=complex)[j], space) for j in range(dim)
-    )
+    witnesses = tuple(basis_vector(space, j) for j in range(dim))
     return OperatorFamily(
         name="truncation",
         apply_block=apply_block,

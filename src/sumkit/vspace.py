@@ -180,4 +180,4 @@ class LinearFunctional:
 
 
 def coordinate_functionals(space: SpaceDescriptor) -> list[LinearFunctional]:
-    return [LinearFunctional(np.eye(space.dim, dtype=complex)[j]) for j in range(space.dim)]
+    return [LinearFunctional(basis_vector(space, j).coords) for j in range(space.dim)]

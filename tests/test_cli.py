@@ -188,6 +188,16 @@ def test_tol_flag_out_of_range_exits_2_before_anything_runs(tmp_path, capsys, to
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_flag_below_1_exits_2_before_anything_runs(tmp_path, capsys, threads):
+    cfg = tmp_path / "good.json"
+    cfg.write_text(json.dumps(MINIMAL))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), f"--threads={threads}"]) == 2
+    assert "--threads: expected an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_tables_list_each_kinds_schema_keys_and_defaults():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Experiment runner")[1].split("\n## ")[0]
@@ -199,14 +209,58 @@ def test_readme_tables_list_each_kinds_schema_keys_and_defaults():
         documented = {key.strip("`"): default for key, _, _, default in rows}
         schema = cli._RUNNERS[kind][2]
         assert list(documented) == list(schema), kind
+        filled = _mode_defaults(kind)
         for key, (_, default) in schema.items():
             text = documented[key]
             if default is cli.REQUIRED:
                 assert text == "required", (kind, key)
-            elif default is None:
+            elif default is None and key not in filled:
                 assert text == "none", (kind, key)
             else:
-                assert json.loads(text.strip("`")) == default, (kind, key)
+                expected = filled[key] if default is None else default
+                assert json.loads(text.strip("`")) == expected, (kind, key)
+
+
+# one experiment of each mode of a kind whose keys depend on its mode
+_MODES = {
+    "check_regularity": [{"method": {"builtin": "cesaro"}}, {"method": {"builtin": "abel"}}],
+    "taylor": [{"function": {"generator": "monomial", "k": 1}}, {"mode": "dilate_identity"}],
+}
+
+
+def _mode_defaults(kind) -> dict:
+    """The keys of one mode that the build fills in when absent, with their values."""
+    schema = cli._RUNNERS[kind][2]
+    filled = {}
+    for given in _MODES.get(kind, []):
+        (exp,) = validate_config({"experiments": [{"id": "e", "kind": kind, **given}]})
+        filled |= {key: exp[key] for key, (_, default) in schema.items()
+                   if key not in given and default is None and exp[key] is not None}
+    return filled
+
+
+@pytest.mark.parametrize("kind, given, key", [
+    ("taylor", {"mode": "dilate_identity", "function": {"generator": "monomial", "k": 1}},
+     "function"),
+    ("taylor", {"mode": "dilate_identity", "chain": ["log_mean"]}, "chain"),
+    ("taylor", {"mode": "dilate_identity", "depth": 4}, "depth"),
+    ("taylor", {"function": {"generator": "monomial", "k": 1}, "count": 3}, "count"),
+    ("taylor", {"function": {"generator": "monomial", "k": 1}, "seed": 3}, "seed"),
+    ("taylor", {"function": {"generator": "monomial", "k": 1}, "max_degree": 3}, "max_degree"),
+    ("taylor", {"function": {"generator": "monomial", "k": 1}, "radii": [0.5]}, "radii"),
+    ("check_regularity", {"method": {"builtin": "cesaro"}, "r_depth": 4}, "r_depth"),
+    ("check_regularity", {"method": {"builtin": "cesaro"}, "exhaust_depth": 4}, "exhaust_depth"),
+    ("check_regularity", {"method": {"builtin": "logarithmic"}, "m_max_exp": 4}, "m_max_exp"),
+    ("check_regularity", {"method": {"builtin": "logarithmic"}, "n_max": 4}, "n_max"),
+])
+def test_a_key_of_the_other_mode_exits_2(tmp_path, capsys, kind, given, key):
+    # the runner would never read it
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiments": [{"id": "e", "kind": kind, **given}]}))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"experiments[0].{key}: is a key of " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_counting_kernel_sums_over_the_naturals_by_default():
@@ -512,14 +566,12 @@ def test_runtime_failure_exits_3(tmp_path):
     config = {
         "experiments": [
             {
-                "id": "dilate-too-deep",
+                "id": "wiener-too-slow",
                 "kind": "taylor",
-                "mode": "dilate_identity",
-                "count": 1,
-                "seed": 1,
-                "max_degree": 4,
-                # the literal double-sum check needs ~1e7 terms here: runtime abort
-                "radii": [0.9999999],
+                # (k + 1)^-1.5 has no certified wiener tail within methods._MAX_TERMS
+                # coefficients: NonSummableError, a runtime abort
+                "function": {"generator": "power", "c": 1, "alpha": 1.5},
+                "space": "wiener",
             }
         ]
     }
@@ -527,6 +579,7 @@ def test_runtime_failure_exits_3(tmp_path):
     assert run_config(config, str(out)) == 3
     report = json.loads(_read(out / "report.json"))
     assert report["experiments"][0]["status"] == "error"
+    assert report["experiments"][0]["error"].startswith("NonSummableError")
 
 
 def test_tol_override_applies(tmp_path):

@@ -14,7 +14,6 @@ from sumkit.holo import (
     LOG_MEAN,
     PARTIAL_SUMS,
     SeriesSpace,
-    DilateConsistencyError,
     NonSummableError,
     abel_dilate,
     series_norm,
@@ -101,25 +100,17 @@ def test_dilate_dual_forms_agree_on_random_polynomials():
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         f = taylor_from_coefficients(coeffs, H2)
         for r in (0.25, 0.5, 0.9):
-            assert dilate_dual_deviation(f, r) <= 1e-12
-            abel_dilate(f, r)  # consistency check runs internally
+            assert dilate_dual_deviation([f], r) <= 1e-12
 
 
-def test_abel_dilate_skips_an_unaffordable_check():
-    # power(1, 4) needs its whole wiener truncation, 32768 rows, in the literal
-    # double sum; power(1, 2) has no certified wiener truncation at all
-    for f in (power_taylor(1.0, 4.0), power_taylor(1.0, 2.0)):
-        d = abel_dilate(f, 0.5)
-        plain = abel_dilate(f, 0.5, verify=False)
-        assert np.array_equal(d.coeff_array(64), plain.coeff_array(64))
-        with pytest.raises(ValueError, match="double-sum verification"):
-            dilate_dual_deviation(f, 0.5)
-        with pytest.raises(ValueError, match="double-sum verification"):
-            abel_dilate(f, 0.5, verify=True)
+def test_dilate_dual_deviation_refuses_an_uncertified_truncation():
+    # power(1, 2) has no certified wiener truncation within methods._MAX_TERMS
+    with pytest.raises(ValueError, match="not certified"):
+        dilate_dual_deviation([power_taylor(1.0, 2.0)], 0.5)
 
 
 def _dilate_double_sum_by_loop(f, r, upto, m_terms):
-    """The row-by-row loop over m that holo._dilate_double_sum must match bit for bit."""
+    """(1 - r) sum_{m <= m_terms} r^m S_m(f), coefficients 0..upto, one row m at a time."""
     coeffs = f.coeff_array(upto)
     acc = np.zeros(upto + 1, dtype=complex)
     for m in range(m_terms + 1):
@@ -129,19 +120,21 @@ def _dilate_double_sum_by_loop(f, r, upto, m_terms):
     return acc
 
 
-def test_dilate_double_sum_matches_the_loop_over_m_bit_for_bit():
+def test_abel_of_partial_sums_matches_the_loop_over_m():
+    # the rows m > m_terms weigh at most r^(m_terms + 1) sum_k |a_k| < 1e-16
     rng = np.random.default_rng(11)
-    for _ in range(40):
-        deg = int(rng.integers(0, 65))
-        f = taylor_from_coefficients(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-        for r in (0.25, 0.5, 0.9):
-            m_terms = deg + int(rng.integers(0, 400))
-            assert np.array_equal(holo._dilate_double_sum(f, r, deg, m_terms),
-                                  _dilate_double_sum_by_loop(f, r, deg, m_terms))
-    # a long polynomial: about 30 rows per chunk, over a hundred chunks
+    fs = [taylor_from_coefficients(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+          for deg in rng.integers(0, 65, size=40)]
+    for r in (0.25, 0.5, 0.9):
+        m_terms = 64 + math.ceil(math.log(1e-20) / math.log(r))
+        for f, got in zip(fs, holo._abel_of_partial_sums(fs, r)):
+            ref = _dilate_double_sum_by_loop(f, r, got.size - 1, m_terms)
+            assert np.max(np.abs(got - ref)) <= 1e-13
+    # a long polynomial alone, at r close to 1
     f = taylor_from_coefficients(rng.standard_normal(2001) + 1j * rng.standard_normal(2001))
-    assert np.array_equal(holo._dilate_double_sum(f, 0.99, 2000, 3300),
-                          _dilate_double_sum_by_loop(f, 0.99, 2000, 3300))
+    (got,) = holo._abel_of_partial_sums([f], 0.99)
+    assert got.size == 2049  # coefficients up to the wiener truncation 2048, zero past 2000
+    assert np.max(np.abs(got - _dilate_double_sum_by_loop(f, 0.99, 2048, 2048 + 4600))) <= 1e-13
 
 
 def test_dilate_contractive_in_h2():
@@ -150,7 +143,7 @@ def test_dilate_contractive_in_h2():
         coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         f = taylor_from_coefficients(coeffs, H2)
         for r in (0.3, 0.8, 0.99):
-            assert series_norm(abel_dilate(f, r, verify=False)) <= series_norm(f) * (1 + 1e-12)
+            assert series_norm(abel_dilate(f, r)) <= series_norm(f) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
