@@ -252,14 +252,14 @@ def _expression(*variables):
 
 
 def _kernel_expression(param: str, index: str):
-    """A method's expression as its kernel_batch(p, ts)."""
+    """A method's expression as its kernel_batch(p, ts), p a scalar or an array aligned with ts."""
     compiled = _expression(param, index)
 
     def check(value, ctx):
         expr = compiled(value, ctx)
 
         def kernel_batch(p, ts):
-            values = expr(**{param: float(p), index: np.asarray(ts, dtype=float)})
+            values = expr(**{param: np.asarray(p, dtype=float), index: np.asarray(ts, dtype=float)})
             return np.asarray(values, dtype=complex) * np.ones(len(ts))
         return kernel_batch
     return check

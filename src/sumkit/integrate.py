@@ -186,12 +186,20 @@ def _adaptive_family(fbatch, a, b, tol: float) -> list:
         owners, starts, values, errs = (np.concatenate(parts) for parts in zip(*accepted))
         order = np.lexsort((starts, owners))  # stable: by integral, then left endpoint
         owners, values, errs = owners[order], values[order], errs[order]
-        bounds = np.searchsorted(owners, np.arange(a.size + 1))
-        for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+        # row k of a padded table holds integral k's panels in that order, then
+        # zeros; cumsum folds each row left to right, one addition at a time,
+        # so entry counts[k] - 1 is the sum whatever the padding after it
+        counts = np.bincount(owners, minlength=a.size)
+        rank = np.arange(owners.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        table = np.zeros((a.size, counts.max(), values.shape[1]), dtype=values.dtype)
+        err_table = np.zeros(table.shape[:2])
+        table[owners, rank], err_table[owners, rank] = values, errs
+        done = np.flatnonzero(counts)
+        sums = np.cumsum(table, axis=1, out=table)[done, counts[done] - 1]
+        err_sums = np.cumsum(err_table, axis=1, out=err_table)[done, counts[done] - 1]
+        for k, value, err in zip(done, sums, err_sums):
             if out[k] is None:
-                # cumsum folds left to right, one addition at a time
-                out[k] = (values[s:e].cumsum(axis=0)[-1], float(errs[s:e].cumsum()[-1]),
-                          int(evaluations[k]))
+                out[k] = value, float(err), int(evaluations[k])
     return out
 
 
@@ -207,23 +215,22 @@ def _adaptive(fbatch, a: float, b: float, tol: float):
     return out
 
 
-def _log_boundary_wrap(fbatch, a: float, b: float):
-    """Map [a, b] in [0, 1) to u-space via u = -log(1-t).
-
-    The wrapped integrand passes any further arguments (a family's owners)
-    through to fbatch.
-    """
+def _log_boundary_ends(a: float, b: float) -> tuple:
+    """The ends in u-space, u = -log(1-t), of [a, b] in [0, 1)."""
     if not (0.0 <= a <= b < 1.0):
         raise ValueError("log-boundary substitution needs [a, b] inside [0, 1)")
-    ua = -math.log1p(-a)
-    ub = -math.log1p(-b)
+    return -math.log1p(-a), -math.log1p(-b)
+
+
+def _log_boundary_integrand(fbatch):
+    """fbatch in u-space: f(1 - e^-u) e^-u; further arguments (a family's owners) pass through."""
 
     def gbatch(us: np.ndarray, *owner) -> np.ndarray:
         eu = np.exp(-us)
         ts = 1.0 - eu
         return fbatch(ts, *owner) * eu[:, None]
 
-    return gbatch, ua, ub
+    return gbatch
 
 
 def adaptive_quadrature_family(fbatch, intervals, cfg: QuadratureConfig) -> list:
@@ -236,16 +243,18 @@ def adaptive_quadrature_family(fbatch, intervals, cfg: QuadratureConfig) -> list
     per interval, (value array, err_estimate, evaluations) or the
     QuadratureError the lone call would raise.
     """
-    integrand, ends = fbatch, []
+    ends = []
     for interval in intervals:
         a, b = float(interval[0]), float(interval[1])
         if b < a:
             raise ValueError(f"empty interval [{a}, {b}]")
         if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
-            integrand, a, b = _log_boundary_wrap(fbatch, a, b)  # the same integrand for each
+            a, b = _log_boundary_ends(a, b)
         ends.append((a, b))
     a, b = np.array(ends, dtype=float).reshape(-1, 2).T
-    return _adaptive_family(integrand, a, b, cfg.tol)
+    if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
+        fbatch = _log_boundary_integrand(fbatch)
+    return _adaptive_family(fbatch, a, b, cfg.tol)
 
 
 def adaptive_quadrature_batch(

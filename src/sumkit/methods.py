@@ -64,12 +64,14 @@ on the other indices of the call); the scalar accessors ``entry``,
 ``coeff``, ``kernel``, ``term`` and ``value`` evaluate it on a single index.
 The measure decides the transform.  ``_row`` is the one reader of a
 counting kernel: a coefficient block, a support ``(lo, hi)`` summed from
-``lo``, and the tail weights of the certificates.  Only a Lebesgue kernel
-is integrated, over a support that must lie in the source's domain.  The
-integrals of every grid parameter of one call refine in lockstep
-(``_kernel_quadratures``): each level reads the source once at the nodes of
-all pending integrals, and the kernel once per parameter on that
-parameter's run of nodes; each integral then equals a lone one bit for bit.
+``lo``, and the tail weights of the certificates; it passes one scalar
+parameter.  Only a Lebesgue kernel is integrated, over a support that must
+lie in the source's domain.  The integrals of every grid parameter of one
+call refine in lockstep (``_kernel_quadratures``): each level reads the
+source and the kernel once, at the nodes of all pending integrals, the
+kernel with an array of parameters aligned with the nodes.  So a Lebesgue
+``kernel_batch`` must be elementwise in (r, t), and each integral then
+equals a lone one bit for bit.
 """
 
 from __future__ import annotations
@@ -382,7 +384,9 @@ class KernelSpec:
     """Kernel a(r, t) integrated against v over E (counting or Lebesgue): the one method spec."""
 
     name: str
-    kernel_batch: Callable[[float, np.ndarray], np.ndarray]  # (r, ts) -> a(r, ts)
+    # (r, ts) -> a(r, ts); a Lebesgue kernel takes r as a scalar or as an
+    # array aligned with ts, one parameter per node, and is elementwise in (r, t)
+    kernel_batch: Callable[[float, np.ndarray], np.ndarray]
     E: IndexDomain = UNIT_INTERVAL
     F: IndexDomain = UNIT_INTERVAL
     measure: str = "lebesgue"
@@ -481,10 +485,11 @@ def abel_method() -> SeqToFuncSpec:
 def logarithmic_method() -> KernelSpec:
     def kernel_batch(r, ts):
         ts = np.asarray(ts, dtype=float)
-        pref = -1.0 / math.log1p(-r)
-        inside = (ts >= 0.0) & (ts < r)
+        rs = np.broadcast_to(np.asarray(r, dtype=float), ts.shape)
+        # only inside the support [0, r): at r = 0 it is empty and log1p(-r) is 0
+        inside = (ts >= 0.0) & (ts < rs)
         out = np.zeros(ts.shape, dtype=complex)
-        out[inside] = pref / (1.0 - ts[inside])
+        out[inside] = -1.0 / np.log1p(-rs[inside]) / (1.0 - ts[inside])
         return out
 
     return KernelSpec(
@@ -695,19 +700,19 @@ def _kernel_quadratures(spec: KernelSpec, params, intervals, times,
     """Integrals of times(a(p_k, ts), ts) over intervals[k], one per parameter p_k.
 
     One quadrature engine call with the spec's substitution integrates them
-    all: each level reads the kernel once per pending parameter, on that
-    parameter's contiguous run of nodes, and hands ``times`` every node of
-    the level at once.  ``times`` returns the (len(ts), dim) integrand.
-    Each integral is taken to ``max(tail_tol, QuadratureConfig().tol)``
-    (None: the quadrature default).  A kernel must be elementwise in t, so
-    each integral equals a lone one bit for bit.  Returns what
-    ``adaptive_quadrature_family`` returns.
+    all: each level reads the kernel once, at every node of the level with
+    its own parameter (``kernel_batch(params[owner], ts)``), and hands
+    ``times`` those nodes at once.  ``times`` returns the (len(ts), dim)
+    integrand.  Each integral is taken to ``max(tail_tol,
+    QuadratureConfig().tol)`` (None: the quadrature default).  A Lebesgue
+    kernel must be elementwise in (r, t), so each integral equals a lone one
+    bit for bit.  Returns what ``adaptive_quadrature_family`` returns.
     """
 
+    params = np.asarray(params)
+
     def integrand(ts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1), len(ts)]
-        kernel = [spec.kernel_batch(params[owner[s]], ts[s:e]) for s, e in zip(cuts, cuts[1:])]
-        return times(np.concatenate(kernel), ts)
+        return times(spec.kernel_batch(params[owner], ts), ts)
 
     cfg = QuadratureConfig(substitution=spec.substitution)
     if tail_tol is not None:

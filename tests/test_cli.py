@@ -5,10 +5,11 @@ import json
 import os
 import pathlib
 import re
+import warnings
 
 import pytest
 
-from sumkit import cli
+from sumkit import cli, methods
 from sumkit.cli import (
     ConfigError,
     build_method,
@@ -18,7 +19,7 @@ from sumkit.cli import (
     shipped_configs,
     validate_config,
 )
-from sumkit.domains import NAT, UNIT_INTERVAL
+from sumkit.domains import NAT, UNIT_INTERVAL, parameter_grid
 from sumkit.regularity import check_kernel_st
 
 MINIMAL = {
@@ -445,6 +446,22 @@ def test_a_log_boundary_support_inside_the_unit_interval_runs(tmp_path, method):
     out = tmp_path / "out"
     assert run_config(_log_boundary_check(**method), str(out)) == 0
     assert json.loads(_read(out / "report.json"))["experiments"][0]["status"] == "completed"
+
+
+def test_a_config_lebesgue_kernel_reads_r_as_an_array_like_the_builtin():
+    # a grid's quadrature hands the expression one r per node
+    custom = build_method({"kind": "kernel", "kernel": "-1 / log(1 - r) / (1 - t)",
+                           "support": "upto_r", "substitution": "log_boundary"})
+    src = methods.scalar_function(lambda t: 1.0 + (1.0 - t) * (1.0 - 2.0 * t), name="quadratic")
+    grid = parameter_grid(UNIT_INTERVAL, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = methods._lebesgue_transforms(custom, src, grid, 1e-5)
+        est = methods.summability_limit(custom, src, depth=20, tol=1e-3)
+    theirs = methods._lebesgue_transforms(methods.logarithmic_method(), src, grid, 1e-5)
+    for a, b in zip(ours, theirs):
+        assert abs(complex(a.coords[0]) - complex(b.coords[0])) <= 1e-12
+    assert est.converged and abs(complex(est.value.coords[0]) - 1.0) <= 1e-3
 
 
 def test_abel_check_regularity_runs_the_kernel_form(tmp_path):

@@ -269,6 +269,34 @@ def test_disk_grid_dft_matches_polyval_on_the_grid(points, degree, monkeypatch):
     assert series_norm(f) == pytest.approx(ref, rel=1e-12)
 
 
+def _recording(log, name, fn):
+    def wrapped(*args, **kwargs):
+        log.append(name)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("degree", [100, 5000], ids=["one-row", "folded"])
+def test_disk_grid_half_spectrum_of_real_coefficients_matches_polyval(degree, monkeypatch):
+    # |p(conj w)| = |p(w)| for real coefficients, so the rfft half spectrum holds the max
+    coeffs = np.random.default_rng(degree).standard_normal(degree + 1)
+    transforms = []
+    for name in ("rfft", "ifft"):
+        monkeypatch.setattr(np.fft, name, _recording(transforms, name, getattr(np.fft, name)))
+    norm = series_norm(taylor_from_coefficients(coeffs, DISK))
+    assert transforms == ["rfft"]
+    assert norm == pytest.approx(_polyval_grid_max(coeffs, holo.BOUNDARY_POINTS), rel=1e-12)
+
+
+def test_disk_grid_of_complex_coefficients_keeps_the_full_inverse_dft(monkeypatch):
+    transforms = []
+    for name in ("rfft", "ifft"):
+        monkeypatch.setattr(np.fft, name, _recording(transforms, name, getattr(np.fft, name)))
+    f = taylor_from_coefficients(np.linspace(1.0, -1.0, 3001) + 0.5j, DISK)  # two rows of N
+    series_norm(f)
+    assert transforms == ["ifft"]
+
+
 def test_disk_grid_dft_matches_polyval_for_geometric_series(monkeypatch):
     monkeypatch.setattr(holo, "BOUNDARY_POINTS", 16)
     f = geometric_taylor(1.0, 0.9, DISK)

@@ -24,7 +24,8 @@ from sumkit.integrate import (
     StepPiece,
     _adaptive,
     _adaptive_family,
-    _log_boundary_wrap,
+    _log_boundary_ends,
+    _log_boundary_integrand,
     adaptive_quadrature,
     operator_commutation_check,
     norm_integral,
@@ -235,7 +236,8 @@ def _depth_first_adaptive(fbatch, a, b, tol):
 
 def _log_kernel_substituted(r):
     kernel = logarithmic_method().kernel_batch
-    return _log_boundary_wrap(lambda ts: kernel(r, ts)[:, None], 0.0, r)
+    return (_log_boundary_integrand(lambda ts: kernel(r, ts)[:, None]),
+            *_log_boundary_ends(0.0, r))
 
 
 _SQRT_NODES = []

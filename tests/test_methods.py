@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,47 @@ def test_lebesgue_grid_samples_equal_lone_transforms(monkeypatch, spec, depth, s
         else:
             assert np.array_equal(next(samples).coords, lone.coords)
     assert not failed and next(samples, None) is None
+
+
+def test_a_lebesgue_grid_reads_the_kernel_once_per_integrand_call():
+    # one kernel_batch call per quadrature level of the whole grid, each with
+    # one parameter per node, as the source is read once per integrand call
+    log = logarithmic_method()
+    kernel_calls, source_calls = [], []
+
+    def counted_kernel(r, ts):
+        kernel_calls.append((np.shape(r), np.shape(ts)))
+        return log.kernel_batch(r, ts)
+
+    def counted_source(ts):
+        source_calls.append(len(ts))
+        return 0.5 + (1.0 - ts) * (1.0 - 2.0 * ts)
+
+    est = summability_limit(replace(log, kernel_batch=counted_kernel),
+                            scalar_function(counted_source, name="quadratic"), depth=20, tol=1e-3)
+    assert est.converged
+    assert len(kernel_calls) == len(source_calls) > 0
+    assert all(r == ts == (n,) for (r, ts), n in zip(kernel_calls, source_calls))
+
+
+def test_lebesgue_grid_at_non_dyadic_parameters_equals_lone_transforms():
+    # off the dyadic grids np.log1p may round differently from math.log1p; a
+    # lone transform reads the kernel the same way, so the bits still agree
+    rs = np.sort(np.random.default_rng(23).uniform(0.0, 0.999, 25))
+    src = scalar_function(lambda t: 0.5 + (1.0 - t) * np.cos(9.0 * t), name="wave")
+    spec = logarithmic_method()
+    for r, value in zip(rs, methods._lebesgue_transforms(spec, src, list(rs))):
+        assert np.array_equal(value.coords, transform_at(spec, src, r).coords)
+
+
+def test_logarithmic_method_at_r_zero_has_an_empty_support():
+    # log1p(-0.0) is -0.0, so the prefactor -1/log(1 - r) has no value at r = 0
+    spec = logarithmic_method()
+    src = scalar_function(lambda t: 1.0 + t, name="1+t")
+    assert _scalar(transform_at(spec, src, 0.0)) == 0.0
+    assert spec.kernel(0.0, 0.0) == spec.kernel(0.0, 0.5) == 0.0
+    assert np.array_equal(spec.kernel_batch(np.array([0.0, 0.5]), np.array([0.0, 0.25])),
+                          [0.0, -1.0 / math.log1p(-0.5) / 0.75])
 
 
 def test_lebesgue_sample_is_integrated_to_the_budget_asked_for():
