@@ -209,10 +209,10 @@ def decay_verdict(values: Sequence[float], tol: float) -> tuple:
     ``slope`` is the log-log slope of the last half of the path.  ZERO by
     route "tol" when the last ``_WINDOW`` values are all <= tol, or by route
     "decay-trend" when the last half is non-increasing (up to rounding
-    slack) with slope <= -TREND_SLOPE.  NOT_ZERO when the whole last half
-    is above tol, the last value above 10 * tol and the slope above -0.01:
-    mass present across the tail yet not decaying.  Otherwise INCONCLUSIVE;
-    both have route "".
+    slack) with slope <= -TREND_SLOPE.  NOT_ZERO when the last half holds
+    ``_WINDOW`` values or more, all above tol, the last above 10 * tol and
+    the slope above -0.01: mass across the tail yet not decaying.
+    Otherwise INCONCLUSIVE; both have route "".
     """
     half = values[len(values) // 2:]
     slope = loglog_slope(half)
@@ -221,6 +221,6 @@ def decay_verdict(values: Sequence[float], tol: float) -> tuple:
     non_increasing = all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(half, half[1:]))
     if non_increasing and slope <= -TREND_SLOPE:
         return ZERO, "decay-trend", slope
-    if min(half) > tol and values[-1] > 10.0 * tol and slope > -0.01:
+    if len(half) >= _WINDOW and min(half) > tol and values[-1] > 10.0 * tol and slope > -0.01:
         return NOT_ZERO, "", slope
     return INCONCLUSIVE, "", slope

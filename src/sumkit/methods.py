@@ -697,27 +697,34 @@ def _kernel_support(spec: KernelSpec, r) -> tuple:
 
 def _kernel_quadratures(spec: KernelSpec, params, intervals, times,
                         tail_tol: Optional[float] = None) -> list:
-    """Integrals of times(a(p_k, ts), ts) over intervals[k], one per parameter p_k.
+    """Integrals of times(a(p_k, ts), ts) over intervals[k], one per pair (p_k, intervals[k]).
 
-    One quadrature engine call with the spec's substitution integrates them
-    all: each level reads the kernel once, at every node of the level with
-    its own parameter (``kernel_batch(params[owner], ts)``), and hands
-    ``times`` those nodes at once.  ``times`` returns the (len(ts), dim)
-    integrand.  Each integral is taken to ``max(tail_tol,
-    QuadratureConfig().tol)`` (None: the quadrature default).  A Lebesgue
-    kernel must be elementwise in (r, t), so each integral equals a lone one
-    bit for bit.  Returns what ``adaptive_quadrature_family`` returns.
+    One quadrature engine call with the spec's substitution integrates each
+    distinct pair with a nonempty interval once: each level reads the kernel
+    once, at every node of the level with its own parameter
+    (``kernel_batch(params[owner], ts)``), and hands ``times`` those nodes
+    at once.  ``times`` returns the (len(ts), dim) integrand; an empty
+    interval is zeros of its dimension, read at no node.  Each integral is
+    taken to ``max(tail_tol, QuadratureConfig().tol)`` (None: the quadrature
+    default).  A Lebesgue kernel must be elementwise in (r, t), so each
+    equals a lone one bit for bit.  Returns ``adaptive_quadrature_family``'s
+    outcome per pair.
     """
-
-    params = np.asarray(params)
+    pairs = [(p, lo, hi) for p, (lo, hi) in zip(np.asarray(params), intervals)]
+    keys = {key: k for k, key in enumerate(dict.fromkeys(key for key in pairs if key[1] != key[2]))}
+    owners = np.asarray([p for p, _, _ in keys])
 
     def integrand(ts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return times(spec.kernel_batch(params[owner], ts), ts)
+        return times(spec.kernel_batch(owners[owner], ts), ts)
 
     cfg = QuadratureConfig(substitution=spec.substitution)
     if tail_tol is not None:
         cfg = replace(cfg, tol=max(tail_tol, cfg.tol))
-    return adaptive_quadrature_family(integrand, intervals, cfg)
+    outs = adaptive_quadrature_family(integrand, [(lo, hi) for _, lo, hi in keys], cfg)
+    if any(lo == hi for _, lo, hi in pairs):  # the zeros of every empty interval, last
+        zero = np.zeros(times(np.zeros(0, dtype=complex), np.zeros(0)).shape[1], dtype=complex)
+        outs.append((zero, 0.0, 0))
+    return [outs[keys[key]] if key in keys else outs[-1] for key in pairs]
 
 
 def _lebesgue_transforms(spec: KernelSpec, source, params,

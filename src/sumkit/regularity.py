@@ -6,9 +6,11 @@ sums tending to 1.  Kernel form: (1) integrability of |a(r, .)| at each r,
 compact window, (4) total mass tending to 1.  The kernel form reads any
 spec, its measure deciding between quadrature and a sum over the row that
 ``methods._row`` reads; the matrix form is its counting-measure case on the
-naturals, taken by a spec declared a ``MatrixSpec``.  Both are judged by
-the same three grid rules: boundedness (c1, k2), vanishing (columns,
-windows) and tending to 1 (c3, k4).
+naturals, taken by a spec declared a ``MatrixSpec``.  A check asks once for
+the integrals it needs, one table (``_kernel_integrals``), which a Lebesgue
+kernel takes in two lockstep engine calls.  Both are judged by the same
+three grid rules: boundedness (c1, k2), vanishing (columns, windows) and
+tending to 1 (c3, k4).
 
 Finite computation can falsify these quantified conditions or accumulate
 evidence, never prove them, so verdicts are three-valued: "pass" (evidence),
@@ -20,7 +22,7 @@ evidence, never prove them, so verdicts are three-valued: "pass" (evidence),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -184,69 +186,52 @@ _ONES = SequenceSource(block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex)
 _EXACT_TERMS = 2_000_000
 
 
-def _kernel_integrals(spec: KernelSpec, grid, upto=None, absolute: bool = False,
-                      whole=None) -> list:
-    """Integral of a(p, .) -- of |a(p, .)| when ``absolute`` -- over its support, at every p.
+def _kernel_integrals(spec: KernelSpec, grid, windows=()) -> list:
+    """The integral table of a(p, .) on the grid: [absolute, *per_window, signed].
 
-    A Lebesgue kernel is integrated by quadrature, the whole grid in one
-    lockstep engine call (``methods._kernel_quadratures``); a window that
-    cuts a support away is 0, and one that cuts nothing away takes its
-    outcome from ``whole``, when given: the absolute integrals over the
-    uncut supports on the same grid.  A counting kernel (a matrix row m,
-    coefficients a_n(r), any other) is read by ``methods._row`` and
-    summed against ones, one point at a time: a signed sum over a finite
-    support exactly with math.fsum, anything else with a tail certificate.
-    ``upto`` cuts the support to the compact window [0, upto].  Absolute
-    integrals are floats.  A point whose integral fails holds its
-    QuadratureError or NonSummableError.
+    Each row holds one integral per grid point p: of |a(p, .)| over its
+    support, then over the support cut to [0, c] for each c in ``windows``,
+    then of a(p, .) over its support.  A Lebesgue kernel takes the absolute
+    integrals in one lockstep engine call and the signed ones in another
+    (``methods._kernel_quadratures``: each distinct interval once, an empty
+    one not at all).  A counting kernel (a matrix row m, coefficients
+    a_n(r), any other) is read by ``methods._row`` and summed against ones,
+    one point at a time: a signed sum over a finite support exactly with
+    math.fsum, anything else with a tail certificate.  Absolute integrals
+    are floats, signed ones complex; a failed one is its QuadratureError or
+    NonSummableError.
     """
-
-    def weights(a):
-        return np.abs(a) + 0j if absolute else a
-
-    def finish(value):
-        return float(value.real) if absolute else value
-
-    if spec.measure != "counting":
-        supports = [_kernel_support(spec, r) for r in grid]
-        cuts = [(lo, hi if upto is None else min(hi, upto)) for lo, hi in supports]
-        known = [whole is not None and cut == support for cut, support in zip(cuts, supports)]
-        live = [k for k, (lo, hi) in enumerate(cuts) if hi > lo and not known[k]]
-        out = [whole[k] if known[k] else finish(0.0) for k in range(len(cuts))]
-        outs = _kernel_quadratures(spec, [grid[k] for k in live], [cuts[k] for k in live],
-                                   lambda kernel, ts: weights(kernel)[:, None])
-        for k, res in zip(live, outs):
-            out[k] = res if isinstance(res, QuadratureError) else finish(complex(res[0][0]))
-        return out
-
-    def row_integral(p):
+    def column(p):  # a counting kernel's integrals at p, all complex
         coeffs, (lo, hi), tail_abs, tail_sum, label, _ = _row(spec, p)
-        if upto is not None:
-            hi = int(upto if hi is None else min(hi, upto))
-            tail_abs = tail_sum = None
-        if not absolute and hi is not None and hi - lo <= _EXACT_TERMS:
+
+        def total(terms, end, tails):
+            try:
+                coords, _, _ = _certified_sum(terms, _ONES, (lo, end), *tails, label)
+            except NonSummableError as exc:
+                return exc
+            return complex(coords[0])
+
+        moduli = lambda a, b: np.abs(coeffs(a, b))
+        out = [total(moduli, hi, (tail_abs, tail_abs))]
+        out += [total(moduli, int(c if hi is None else min(hi, c)), (None, None)) for c in windows]
+        if hi is not None and hi - lo <= _EXACT_TERMS:
             entries = np.asarray(coeffs(lo, hi + 1), dtype=complex)
-            return complex(math.fsum(entries.real), math.fsum(entries.imag))
-        coords, _, _ = _certified_sum(lambda a, b: weights(coeffs(a, b)), _ONES,
-                                      (lo, hi), tail_abs, tail_abs if absolute else tail_sum,
-                                      label)
-        return finish(complex(coords[0]))
+            return out + [complex(math.fsum(entries.real), math.fsum(entries.imag))]
+        return out + [total(coeffs, hi, (tail_abs, tail_sum))]
 
-    out = []
-    for p in grid:
-        try:
-            out.append(row_integral(p))
-        except NonSummableError as exc:
-            out.append(exc)
-    return out
-
-
-def _kernel_integral(spec: KernelSpec, r, upto=None, absolute: bool = False):
-    """``_kernel_integrals`` at the one point r; raises the error of a failed integral."""
-    (value,) = _kernel_integrals(spec, [r], upto, absolute)
-    if isinstance(value, (QuadratureError, NonSummableError)):
-        raise value
-    return value
+    if spec.measure == "counting":
+        table = [list(row) for row in zip(*(column(p) for p in grid))]
+    else:
+        supports = [_kernel_support(spec, r) for r in grid]
+        cuts = [(lo, max(lo, min(hi, c))) for c in (math.inf, *windows) for lo, hi in supports]
+        outs = _kernel_quadratures(spec, list(grid) * (1 + len(windows)), cuts,
+                                   lambda kernel, ts: np.abs(kernel)[:, None] + 0j)
+        outs += _kernel_quadratures(spec, grid, cuts[:len(grid)],
+                                    lambda kernel, ts: kernel[:, None])
+        outs = [out if isinstance(out, QuadratureError) else complex(out[0][0]) for out in outs]
+        table = [outs[i:i + len(grid)] for i in range(0, len(outs), len(grid))]
+    *absolute, signed = table
+    return [[v if isinstance(v, Exception) else v.real for v in row] for row in absolute] + [signed]
 
 
 _NO_ROW_CERTIFICATE = "tail certificate unavailable for some rows"
@@ -282,11 +267,10 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
     m_grid = sorted(int(m) for m in m_grid)
     half = len(m_grid) // 2
 
-    def row_sums(absolute):
-        return _scan(m_grid, _kernel_integrals(spec, m_grid, absolute=absolute))
+    absolute, signed = _kernel_integrals(spec, m_grid)
 
     # condition 1: row absolute sums bounded
-    cells, values, undecided = row_sums(True)
+    cells, values, undecided = _scan(m_grid, absolute)
     if undecided:
         c1 = ConditionCheck("c1_row_abs_sum", UNDECIDED, cells, note=_NO_ROW_CERTIFICATE)
     else:
@@ -309,7 +293,7 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
                for n in range(n_max + 1))
 
     # condition 3: row sums tend to 1 on the tail grid
-    c3 = _tends_to_one("c3_row_sum", row_sums(False), half, tol,
+    c3 = _tends_to_one("c3_row_sum", _scan(m_grid, signed), half, tol,
                        "row sum at m={} is {:.6g}, not 1", note=_NO_ROW_CERTIFICATE)
     return MatrixRegularityReport(spec.name, c1, c2, c3)
 
@@ -339,18 +323,19 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     """Four-condition regularity check for a kernel method.
 
     Condition 3 accepts a window when ``domains.decay_verdict`` says its
-    mass tends to 0: the mass is within tol at the last ``domains._WINDOW``
-    parameters, or decays with a clear negative trend.  Escape of mass from
-    a compact set can be arbitrarily slow (logarithmic kernels decay like
-    1/k in the grid index), so an absolute threshold alone would falsely
-    reject regular kernels.
+    mass tends to 0: within tol at the last ``domains._WINDOW`` parameters,
+    or a clear decaying trend, since escape of mass from a compact set can
+    be arbitrarily slow (logarithmic kernels decay like 1/k in the grid
+    index).  It fails a window only if it cuts the support at ``_WINDOW``
+    grid points or more: holding a whole support, it holds the full mass.
     """
     r_grid = parameter_grid(spec.F, r_depth)
     half = len(r_grid) // 2
+    windows = [exhaustion(spec.E, j).hi for j in range(exhaust_depth + 1)]
+    absolute, *masses, signed = _kernel_integrals(spec, r_grid, windows)
 
-    # conditions 1, 2 and the windows of 3 share the integrals of |a(r, .)| over all of E
-    whole = _kernel_integrals(spec, r_grid, absolute=True)
-    cells, values, undecided = _scan(r_grid, whole)
+    # conditions 1 and 2: the integrals of |a(r, .)| over all of E
+    cells, values, undecided = _scan(r_grid, absolute)
     k1 = ConditionCheck(
         "k1_abs_integral", UNDECIDED if undecided else PASS,
         tuple((r, value, verdict or PASS) for r, value, verdict in cells),
@@ -361,15 +346,22 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     else:
         k2 = ConditionCheck("k2_abs_sup", UNDECIDED, ())
 
-    # condition 3: mass escapes every compact window
-    k3 = tuple(_vanishing(f"k3_window_{j}", _scan(r_grid, _kernel_integrals(
-                   spec, r_grid, exhaustion(spec.E, j).hi, True, whole)), tol, f"window {j}: mass ")
-               for j in range(exhaust_depth + 1))
+    # condition 3: mass escapes every compact window; a support end of None has no end
+    ends = [_row(spec, r)[1][1] if spec.measure == "counting" else _kernel_support(spec, r)[1]
+            for r in r_grid]
+    k3 = []
+    for j, (c, mass) in enumerate(zip(windows, masses)):
+        check = _vanishing(f"k3_window_{j}", _scan(r_grid, mass), tol, f"window {j}: mass ")
+        cut = sum(end is None or end > c for end in ends)
+        if check.verdict == FAIL and cut < _WINDOW:
+            check = replace(check, verdict=UNDECIDED, witness="", note=f"the window cuts the "
+                            f"support at {cut} of {len(r_grid)} grid points, fewer than {_WINDOW}")
+        k3.append(check)
 
     # condition 4: total mass tends to 1
-    k4 = _tends_to_one("k4_total_mass", _scan(r_grid, _kernel_integrals(spec, r_grid)), half, tol,
+    k4 = _tends_to_one("k4_total_mass", _scan(r_grid, signed), half, tol,
                        "total mass at r={:.6g} is {:.6g}, not 1")
-    return KernelRegularityReport(spec.name, k1, k2, k3, k4)
+    return KernelRegularityReport(spec.name, k1, k2, tuple(k3), k4)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from sumkit import holo, regularity
 from sumkit.domains import (
+    _WINDOW,
     CONVERGED,
     DIVERGED,
     INCONCLUSIVE,
@@ -105,6 +106,25 @@ def test_forked_paths_are_inconclusive_in_both_vocabularies(path, monkeypatch):
     report = holo.taylor_summability_experiment(holo.monomial_taylor(1), holo.SeriesSpace(),
                                                 [holo.PARTIAL_SUMS], depth=len(path), tol=1e-3)
     assert (report.status, report.route) == (holo.UNDECIDED, "")
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_stuck_path_needs_a_full_window_in_its_last_half_to_fail(length, monkeypatch):
+    # a path stuck at 1 has slope 0, which reads "not decaying" only once the
+    # last half holds _WINDOW values (length 7 on); one value has slope 0 by default
+    path = [1.0] * length
+    fails = length - length // 2 >= _WINDOW
+    assert decay_verdict(path, 1e-3)[0] == (NOT_ZERO if fails else INCONCLUSIVE)
+
+    grid = list(range(1, length + 1))
+    check = regularity._vanishing("k3_window_0", regularity._scan(grid, path), 1e-3, "")
+    assert check.verdict == (regularity.FAIL if fails else regularity.UNDECIDED)
+
+    distances = iter(path)
+    monkeypatch.setattr(holo, "series_norm", lambda f: next(distances))
+    report = holo.taylor_summability_experiment(holo.monomial_taylor(1), holo.SeriesSpace(),
+                                                [holo.PARTIAL_SUMS], depth=length, tol=1e-3)
+    assert report.status == (holo.NOT_CONVERGED if fails else holo.UNDECIDED)
 
 
 def test_domain_usage_errors():

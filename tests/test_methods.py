@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -449,6 +450,26 @@ def test_logarithmic_method_at_r_zero_has_an_empty_support():
     assert spec.kernel(0.0, 0.0) == spec.kernel(0.0, 0.5) == 0.0
     assert np.array_equal(spec.kernel_batch(np.array([0.0, 0.5]), np.array([0.0, 0.25])),
                           [0.0, -1.0 / math.log1p(-0.5) / 0.75])
+
+
+def test_config_kernel_with_an_empty_support_is_not_read():
+    # the config kernel has no value at r = 0 (0/0 under numpy), where its
+    # support [0, r] is empty: the transform is 0 and the kernel is never read
+    spec = build_method({"kind": "kernel", "kernel": "-1 / log(1 - r) / (1 - t)",
+                         "support": "upto_r", "substitution": "log_boundary"})
+    reads = []
+    kernel_batch = spec.kernel_batch
+
+    def counting(r, ts):
+        reads.append(len(ts))
+        return kernel_batch(r, ts)
+
+    spec = replace(spec, kernel_batch=counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = transform_at(spec, scalar_function(lambda t: 1 + 0 * t), 0.0)
+    assert _scalar(value) == 0.0
+    assert reads == []
 
 
 def test_lebesgue_sample_is_integrated_to_the_budget_asked_for():

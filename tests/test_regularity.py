@@ -32,11 +32,25 @@ from sumkit.regularity import (
     PASS,
     REGULAR_EVIDENCE,
     UNDECIDED,
-    _kernel_integral,
+    _kernel_integrals,
     check_kernel_st,
     check_matrix_st,
     group_norm_scalar_row,
 )
+
+
+def _kernel_integral(spec, r, upto=None, absolute=False):
+    """One cell of the ``_kernel_integrals`` table at the one point r.
+
+    The integral of |a(r, .)| (``absolute``) over the support cut to [0, upto],
+    or of a(r, .) over all of it; raises the error of a failed integral.
+    """
+    assert absolute or upto is None, "the table cuts only absolute integrals to a window"
+    whole, *windows, signed = _kernel_integrals(spec, [r], () if upto is None else (upto,))
+    (value,) = windows[0] if windows else whole if absolute else signed
+    if isinstance(value, (QuadratureError, methods.NonSummableError)):
+        raise value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +185,67 @@ def test_windows_that_cut_nothing_take_the_whole_integral(monkeypatch):
                 assert value == whole
                 reused += 1
     assert reused == 91
+
+
+def test_a_lebesgue_check_takes_its_integral_table_in_two_engine_calls(monkeypatch):
+    # every absolute integral (k1 and the 13 windows) in one call, the signed
+    # ones (k4) in the other
+    calls = []
+    family = methods.adaptive_quadrature_family
+
+    def counting(fbatch, intervals, cfg):
+        calls.append(len(intervals))
+        return family(fbatch, intervals, cfg)
+
+    monkeypatch.setattr(methods, "adaptive_quadrature_family", counting)
+    check_kernel_st(logarithmic_method(), r_depth=20, exhaust_depth=12)
+    assert calls == [189, 20]
+
+
+@pytest.mark.parametrize("spec", [as_kernel(abel_method()), as_kernel(cesaro_method())])
+def test_counting_kernel_table_equals_its_per_point_sums(spec):
+    grid = parameter_grid(spec.F, 8)
+    windows = [exhaustion(spec.E, j).hi for j in range(5)]
+    table = _kernel_integrals(spec, grid, windows)
+    assert len(table) == len(windows) + 2
+    for k, p in enumerate(grid):
+        alone = [value for (value,) in _kernel_integrals(spec, [p], windows)]
+        column = [row[k] for row in table]
+        assert column == alone
+        assert all(type(v) is float for v in column[:-1]) and type(column[-1]) is complex
+    if spec.F == NAT:  # finite rows: the absolute sums over each cut, the exact signed sum
+        for k, m in enumerate(grid):
+            entries = np.abs(spec.kernel_batch(m, np.arange(m + 1)))
+            for row, end in zip(table, [m, *windows]):
+                assert row[k] == pytest.approx(math.fsum(entries[:int(end) + 1]), rel=1e-15)
+            assert table[-1][k] == math.fsum(entries)
+
+
+def test_a_grid_too_short_for_a_trend_does_not_fail_a_regular_method():
+    # one value in the last half of a path has slope 0 by default, not "stuck"
+    cesaro = check_matrix_st(cesaro_method(), m_grid=parameter_grid(NAT, 2))
+    assert cesaro.overall == INCONCLUSIVE_OVERALL and cesaro.witness == ""
+    assert [c.verdict for c in cesaro.c2[:5]] == [UNDECIDED] * 5  # columns past 4 are 0
+    abel = check_kernel_st(as_kernel(abel_method()), r_depth=2, exhaust_depth=1)
+    assert abel.overall == INCONCLUSIVE_OVERALL and abel.witness == ""
+    assert [c.verdict for c in abel.k3] == [UNDECIDED, UNDECIDED]
+
+
+@pytest.mark.parametrize("r_depth, exhaust_depth, stuck", [(8, 8, [7, 8]), (20, 19, [18, 19])])
+def test_a_window_the_grid_barely_passes_does_not_fail(r_depth, exhaust_depth, stuck):
+    # window j = 1 - 2^-(j+1) cuts the support [0, r] only at r = 1 - 2^-k, k > j + 1;
+    # where it holds the whole support its mass is 1 by construction
+    report = check_kernel_st(logarithmic_method(), r_depth=r_depth, exhaust_depth=exhaust_depth)
+    assert report.overall == INCONCLUSIVE_OVERALL and report.witness == ""
+    assert all(c.verdict != FAIL for c in report.conditions())
+    for j in stuck:
+        check = report.k3[j]
+        cut = max(0, r_depth - j - 1)
+        assert check.verdict == UNDECIDED
+        assert check.note == (f"the window cuts the support at {cut} of {r_depth} grid points, "
+                              f"fewer than 4")
+        assert [value for _, value, _ in check.cells][:r_depth - cut] == \
+            [value for _, value, _ in report.k1.cells][:r_depth - cut]
 
 
 def test_scaled_logarithmic_flips_only_condition_four():
