@@ -14,15 +14,18 @@ or power law) that certifies truncation tails.  Three norms are implemented:
                coefficient tail bounds the additional error, and reports
                carry that bound.
 
-The radial dilate multiplies coefficient k by r^k.  It is Abel's method on
-the partial sums, (1-r) sum_m r^m S_m f = sum_k r^k a_k z^k, and
-``dilate_dual_deviation`` checks that identity with the package's one
-certified vector-valued sum, ``methods.transform_at``: the coefficients of
-many functions are stacked into one vector of C^D, and their partial sums
-are summed at once.  The logarithmic mean applies the multiplier
-lambda_k(r) = (-1/log(1-r)) integral_0^r t^k/(1-t) dt in its closed form
-(L - sum_{j<=k} r^j/j) / L with L = -log(1-r) (Hardy, Divergent Series),
-one cumulative sum per block; lambda_0 = 1 exactly.
+Every chain step is a counting method a(p, n) applied to the partial sums
+S_n f, by one rule: sum_n a(p, n) S_n f multiplies coefficient k by its
+row mass lambda_k(p) = sum_{n>=k} a(p, n), the spec's signed tail at
+N = k - 1, one tail block per coefficient block (Hardy, Divergent Series).
+The identity's row m gives the partial sum S_m f.  Abel's method gives the
+radial dilate r^k, which ``dilate_dual_deviation`` checks with the
+package's one certified vector-valued sum, ``methods.transform_at``, on
+the coefficients of many functions stacked into one vector of C^D.  The
+discrete logarithmic kernel r^(n+1) / ((n+1) L), L = -log(1-r), gives the
+logarithmic mean lambda_k(r) = (-1/log(1-r)) integral_0^r t^k/(1-t) dt in
+its closed form (L - sum_{j<=k} r^j/j) / L, one cumulative sum per block;
+lambda_0 = 1 exactly.
 
 Monomials have norm one in h2 and wiener, so the k-th root of ||z^k|| stays
 bounded by one and the dilate is a bounded operator on all built-in spaces.
@@ -32,13 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import methods
-from .domains import (INCONCLUSIVE, NAT, NOT_ZERO, UNIT_INTERVAL, ZERO, decay_verdict,
-                      parameter_grid)
+from .domains import INCONCLUSIVE, NOT_ZERO, ZERO, decay_verdict, parameter_grid
 # Unused here; perfbench/layers.py wraps ``holo._adaptive`` by name.
 from .integrate import _adaptive  # noqa: F401
 from .methods import NonSummableError
@@ -300,37 +302,58 @@ def disk_grid_error_bound(f: TaylorFunction) -> float:
 # Partial sums, dilates, logarithmic means
 
 
+def _summed(spec: methods.KernelSpec, f: TaylorFunction, param, name: str = "") -> TaylorFunction:
+    """The counting method ``spec`` at ``param`` on the partial sums of f: the one multiplier rule.
+
+    Coefficient k is multiplied by the spec's signed tail at N = k - 1, one
+    tail block per coefficient block.  A row with a support end m caps the
+    decay at m; any other keeps f's, as every step's multipliers lie in
+    [0, 1].  Raises ValueError for a parameter outside the spec's F.
+    """
+    p = methods._in_f(spec, param)
+    end = None if spec.support is None else spec.support(p)[1]
+    return TaylorFunction(block=lambda lo, hi: spec.tail_sum(p, lo - 1, hi - 1) * f.block(lo, hi),
+                          decay=f.decay if end is None else CappedDecay(f.decay, end),
+                          space=f.space, name=name or f"{spec.name}_{p:g}({f.name})")
+
+
+def _log_mean_method() -> methods.SeqToFuncSpec:
+    """The discrete logarithmic kernel a_n(r) = r^(n+1) / ((n+1) L), L = -log(1-r), 0 < r < 1.
+
+    Its tail past N is (L - S_{N+1}) / L, S_k = sum_{j<=k} r^j/j from one
+    cumulative sum from j = 1, so the tail at N = -1 is 1 exactly.
+    """
+    def kernel_batch(r, ns):
+        ns = np.asarray(ns, dtype=float) + 1.0
+        return np.exp(ns * math.log(r)) / (ns * -math.log1p(-r)) + 0j
+
+    def tail(r, lo, hi):
+        if not 0.0 < r < 1.0:
+            raise ValueError("logarithmic mean needs 0 < r < 1")
+        big = -math.log1p(-r)
+        js = np.arange(1, hi + 1, dtype=float)
+        head = np.concatenate(([0.0], np.cumsum(np.exp(js * math.log(r)) / js)))
+        return (big - head[lo + 1:hi + 1]) / big
+
+    return methods.SeqToFuncSpec(name="log_mean", kernel_batch=kernel_batch, tail_sum=tail)
+
+
+PARTIAL_SUMS = "partial_sums"
+ABEL_DILATE = "abel_dilate"
+LOG_MEAN = "log_mean"
+
+# chain step -> the counting method it applies to the partial sums of g
+_CHAIN = {
+    PARTIAL_SUMS: methods.identity_method(),
+    ABEL_DILATE: methods.abel_method(),
+    LOG_MEAN: _log_mean_method(),
+}
+CHAIN_STEPS = tuple(_CHAIN)
+
+
 def partial_sum(f: TaylorFunction, n: int) -> TaylorFunction:
-    """Truncation to coefficients 0..n; a projection (idempotent exactly)."""
-    if n < 0:
-        raise ValueError("partial sum index must be >= 0")
-
-    def block(lo, hi):
-        return np.where(np.arange(lo, hi) > n, 0.0, f.block(lo, hi))
-
-    return TaylorFunction(block=block, decay=CappedDecay(f.decay, n), space=f.space,
-                          name=f"S_{n}({f.name})")
-
-
-def _multiplied(f: TaylorFunction, mult_block: Callable[[int, int], np.ndarray],
-                name: str) -> TaylorFunction:
-    """Coefficientwise |multiplier| <= 1 transform; decay class is inherited."""
-    return TaylorFunction(
-        block=lambda lo, hi: mult_block(lo, hi) * f.block(lo, hi),
-        decay=f.decay,
-        space=f.space,
-        name=name,
-    )
-
-
-def _dilate_mult_block(r: float):
-    def mult(lo, hi):
-        ks = np.arange(lo, hi, dtype=float)
-        if r == 0.0:
-            return (ks == 0).astype(complex)
-        return np.exp(ks * math.log(r)) + 0j
-
-    return mult
+    """Truncation to coefficients 0..n, the identity's row n; a projection (idempotent exactly)."""
+    return _summed(_CHAIN[PARTIAL_SUMS], f, n, f"S_{n}({f.name})")
 
 
 def abel_dilate(f: TaylorFunction, r: float) -> TaylorFunction:
@@ -339,9 +362,7 @@ def abel_dilate(f: TaylorFunction, r: float) -> TaylorFunction:
     It equals Abel's method on the partial sums, (1 - r) sum_m r^m S_m f,
     the identity ``dilate_dual_deviation`` checks.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError("dilate needs 0 <= r < 1")
-    return _multiplied(f, _dilate_mult_block(r), f"A_{r:g}({f.name})")
+    return _summed(_CHAIN[ABEL_DILATE], f, r, f"A_{r:g}({f.name})")
 
 
 def _abel_of_partial_sums(fs: Sequence[TaylorFunction], r: float) -> list:
@@ -359,7 +380,7 @@ def _abel_of_partial_sums(fs: Sequence[TaylorFunction], r: float) -> list:
     ks = np.concatenate([np.arange(b.size) for b in blocks])
     orbit = methods.vector_sequence(lambda ns: np.where(ks <= ns[:, None], coeffs, 0),
                                     SpaceDescriptor(coeffs.size))
-    total = methods.transform_at(methods.abel_method(), orbit, r).coords
+    total = methods.transform_at(_CHAIN[ABEL_DILATE], orbit, r).coords
     return np.split(total, np.cumsum([b.size for b in blocks])[:-1])
 
 
@@ -380,48 +401,18 @@ def dilate_dual_deviation(fs: Sequence[TaylorFunction], r: float) -> float:
                for f, s in zip(fs, sums))
 
 
-def _log_mean_mult_block(r: float):
-    """Block of lambda_k(r) = (L - S_k) / L, S_k = sum_{j<=k} r^j/j, L = -log(1-r).
-
-    S_k comes from one cumulative sum from j = 1, so S_0 = 0 and lambda_0 = 1
-    exactly.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError("logarithmic mean needs 0 < r < 1")
-    big = -math.log1p(-r)
-
-    def mult(lo, hi):
-        js = np.arange(1, max(hi, 1), dtype=float)
-        head = np.concatenate(([0.0], np.cumsum(np.exp(js * math.log(r)) / js)))
-        return (big - head[lo:hi]) / big
-
-    return mult
-
-
 def log_mean_multiplier(k: int, r: float) -> float:
     """lambda_k(r) = (-1/log(1-r)) integral_0^r t^k/(1-t) dt; lambda_0 = 1 exactly."""
-    return float(_log_mean_mult_block(r)(k, k + 1)[0])
+    return float(_CHAIN[LOG_MEAN].tail_sum(r, k - 1, k)[0])
 
 
 def log_taylor_mean(f: TaylorFunction, r: float) -> TaylorFunction:
     """Logarithmic mean: coefficient k gets the multiplier lambda_k(r)."""
-    return _multiplied(f, _log_mean_mult_block(r), f"L_{r:g}({f.name})")
+    return _summed(_CHAIN[LOG_MEAN], f, r, f"L_{r:g}({f.name})")
 
 
 # ---------------------------------------------------------------------------
 # Summability experiments
-
-PARTIAL_SUMS = "partial_sums"
-ABEL_DILATE = "abel_dilate"
-LOG_MEAN = "log_mean"
-
-# chain step -> (parameter domain, the step applied to g at a grid parameter)
-_CHAIN = {
-    PARTIAL_SUMS: (NAT, lambda g, param: partial_sum(g, int(param))),
-    ABEL_DILATE: (UNIT_INTERVAL, lambda g, param: abel_dilate(g, float(param))),
-    LOG_MEAN: (UNIT_INTERVAL, lambda g, param: log_taylor_mean(g, float(param))),
-}
-CHAIN_STEPS = tuple(_CHAIN)
 
 CONVERGED_TO_ZERO = "converged_to_zero"
 NOT_CONVERGED = "not_converged"
@@ -464,7 +455,7 @@ def chain_domain(chain: Sequence[str]):
     for step in chain:
         if step not in CHAIN_STEPS:  # a tuple, so an unhashable step is unknown too
             raise ValueError(f"unknown chain step {step!r}")
-    domains = {_CHAIN[step][0] for step in chain}
+    domains = {_CHAIN[step].F for step in chain}
     if len(domains) > 1:
         raise ValueError("chain mixes discrete and continuous parameters")
     return domains.pop()
@@ -490,7 +481,7 @@ def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: 
     for param in grid:
         g = fx
         for step in chain:
-            g = _CHAIN[step][1](g, param)
+            g = _summed(_CHAIN[step], g, param)
         distances.append(series_norm(taylor_sub(g, fx)))
     outcome, route, _ = decay_verdict(distances, tol)
     status = {ZERO: CONVERGED_TO_ZERO, NOT_ZERO: NOT_CONVERGED}.get(outcome, UNDECIDED)

@@ -21,7 +21,7 @@ All three are evidence from the sampled prefix, not proofs about the
 unseen tail.  Reports do not yet say which rule fired; only a failure is
 explained: a summation without an end that achieves no certificate within
 ``_MAX_TERMS`` terms raises NonSummableError naming the reason, with the
-partial sum and the best bound seen.  A finite row always runs to its
+partial sum and the number of terms read.  A finite row always runs to its
 support end, however long.
 
 The tail tolerance is ``_TAIL_TOL`` = 1e-14 for a lone ``transform_at``, for
@@ -62,11 +62,14 @@ vectorised callable (``kernel_batch``, ``block``, ``batch``) that must be
 elementwise in its index array (a value at n or t depends on it alone, not
 on the other indices of the call); the scalar accessors ``entry``,
 ``coeff``, ``kernel``, ``term`` and ``value`` evaluate it on a single index.
-The measure decides the transform.  ``_row`` is the one reader of a
-counting kernel: a coefficient block, a support ``(lo, hi)`` summed from
-``lo``, and the tail weights of the certificates; it passes one scalar
-parameter.  Only a Lebesgue kernel is integrated, over a support that must
-lie in the source's domain.  The integrals of every grid parameter of one
+A counting kernel's tails are blocks too: ``tail_abs``/``tail_sum(p, lo,
+hi)`` give those past N = lo .. hi-1, and the signed one at N = k - 1 is
+the row mass ``holo`` multiplies Taylor coefficient k by.  The measure
+decides the transform.  ``_row`` is the one reader of a counting kernel: a
+coefficient block, a support ``(lo, hi)`` summed from ``lo``, and the tail
+blocks of the certificates; it passes one scalar parameter.  Only a
+Lebesgue kernel is integrated, over a support that must lie in the
+source's domain.  The integrals of every grid parameter of one
 call refine in lockstep (``_kernel_quadratures``): each level reads the
 source and the kernel once, at the nodes of all pending integrals, the
 kernel with an array of parameters aligned with the nodes.  So a Lebesgue
@@ -107,13 +110,11 @@ from .vspace import SCALAR, SpaceDescriptor, VectorValue, space_norm
 
 
 class NonSummableError(RuntimeError):
-    """No tail certificate achieved; carries the partial sum and bound."""
+    """No tail certificate achieved; carries the partial sum and the number of terms read."""
 
-    def __init__(self, message, partial: Optional[VectorValue] = None,
-                 bound: Optional[float] = None, terms: int = 0):
+    def __init__(self, message, partial: Optional[VectorValue] = None, terms: int = 0):
         super().__init__(message)
         self.partial = partial
-        self.bound = bound
         self.terms = terms
 
 
@@ -393,8 +394,9 @@ class KernelSpec:
     # (lo, hi) inclusive, a subset of E, else all of E; a counting hi None has no end
     support: Optional[Callable[[float], tuple]] = None
     substitution: str = SUBSTITUTION_NONE
-    tail_abs: Optional[Callable[[float, int], float]] = None   # sum_{n > N} |a(r, n)|, counting
-    tail_sum: Optional[Callable[[float, int], complex]] = None  # sum_{n > N} a(r, n), counting
+    # counting, (r, lo, hi) -> sum_{n > N} |a(r, n)| and sum_{n > N} a(r, n) at N = lo .. hi-1
+    tail_abs: Optional[Callable[[float, int, int], np.ndarray]] = None
+    tail_sum: Optional[Callable[[float, int, int], np.ndarray]] = None
     # a box row: the one value w(r) of every entry on the support, so a block
     # sums to w(r) times the block's sum (see _Block); settable on MatrixSpec only
     weight: Optional[Callable[[float], complex]] = field(default=None, init=False)
@@ -439,8 +441,8 @@ def identity_method() -> MatrixSpec:
         name="identity",
         kernel_batch=lambda m, ns: (ns == m).astype(complex),
         support=lambda m: (m, m),
-        tail_abs=lambda m, N: 0.0 if N >= m else 1.0,
-        tail_sum=lambda m, N: 0.0 if N >= m else 1.0,
+        tail_abs=lambda m, lo, hi: (np.arange(lo, hi) < m).astype(float),
+        tail_sum=lambda m, lo, hi: (np.arange(lo, hi) < m).astype(float),
         weight=lambda m: 1.0,
     )
 
@@ -450,8 +452,8 @@ def series_summation_method() -> MatrixSpec:
         name="series_summation",
         kernel_batch=lambda m, ns: (ns <= m).astype(complex),
         support=lambda m: (0, m),
-        tail_abs=lambda m, N: float(max(m - N, 0)),
-        tail_sum=lambda m, N: float(max(m - N, 0)),
+        tail_abs=lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0),
+        tail_sum=lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0),
         weight=lambda m: 1.0,
     )
 
@@ -461,8 +463,8 @@ def cesaro_method() -> MatrixSpec:
         name="cesaro",
         kernel_batch=lambda m, ns: (ns <= m) / (m + 1.0) + 0j,
         support=lambda m: (0, m),
-        tail_abs=lambda m, N: max(m - N, 0) / (m + 1.0),
-        tail_sum=lambda m, N: max(m - N, 0) / (m + 1.0),
+        tail_abs=lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0) / (m + 1.0),
+        tail_sum=lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0) / (m + 1.0),
         weight=lambda m: 1.0 / (m + 1.0),
     )
 
@@ -474,11 +476,15 @@ def abel_method() -> SeqToFuncSpec:
         return (1.0 - r) * np.exp(ns * math.log(r)) + 0j if r > 0 else \
             (1.0 - r) * (ns == 0).astype(complex)
 
+    def tail(r, lo, hi):  # r**(N + 1) at N = lo .. hi-1 in the kernel's form, 0**0 = 1
+        ns = np.arange(lo + 1, hi + 1, dtype=float)
+        return np.exp(ns * math.log(r)) if r > 0 else (ns == 0).astype(float)
+
     return SeqToFuncSpec(
         name="abel",
         kernel_batch=kernel_batch,
-        tail_abs=lambda r, N: r ** (N + 1),
-        tail_sum=lambda r, N: r ** (N + 1),
+        tail_abs=tail,
+        tail_sum=tail,
     )
 
 
@@ -569,8 +575,9 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
     has q = 0, a nonzero block after a zero one has no ratio).  It fails on
     a non-finite term, on terms overflowing, or at _MAX_TERMS terms without
     an end; no sum is called divergent from the trend of its blocks.
-    coeffs(a, b) -> complex array of c_a .. c_{b-1}; tail_abs/tail_sum(N)
-    describe the coefficient tail beyond the absolute index N (up to hi).
+    coeffs(a, b) -> complex array of c_a .. c_{b-1}; tail_abs/tail_sum(a, b)
+    -> the coefficient tails beyond the absolute indices N = a .. b-1 (up
+    to hi), read at a block's last N as ``tail(N, N + 1)[0]``.
     A box row (``weight`` w, every c_n = w on the support) sums each source
     block as w times its sum, and coeffs is not called.
     Returns (coords, bound, terms).
@@ -590,9 +597,9 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
     prev_abs = 0.0
     geo_ok = 0
 
-    def fail(msg, bound=None):
+    def fail(msg):
         partial = VectorValue(acc, space) if np.isfinite(acc).all() else None
-        raise NonSummableError(f"{label}: {msg}", partial=partial, bound=bound, terms=n - lo)
+        raise NonSummableError(f"{label}: {msg}", partial=partial, terms=n - lo)
 
     while n < end:
         hi = min(n + block, end)
@@ -613,14 +620,14 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
             return acc, 0.0, n - lo
 
         if tail_abs is not None:
-            w_abs = float(tail_abs(N))
+            w_abs = float(tail_abs(N, N + 1)[0])
             if w_abs * rec.sup <= tail_tol:
                 return acc, w_abs * rec.sup, n - lo
             # center on the last term: exact (dev = 0) for stable blocks
             if tail_sum is not None and rec.size >= 2 and w_abs * rec.dev <= tail_tol:
                 # stabilized closure: recent terms are flat to within dev,
                 # close the tail with the exact remaining weight
-                acc = acc + complex(tail_sum(N)) * rec.last
+                acc = acc + complex(tail_sum(N, N + 1)[0]) * rec.last
                 return acc, w_abs * rec.dev, n - lo
 
         blk_abs = (float(np.sum(np.abs(cs) * rec.norms)) if weight is None
@@ -666,7 +673,7 @@ def _row(spec: KernelSpec, param) -> tuple:
     naturals), the coefficients a_n(r) and any other counting kernel at r in
     F.  coeffs(a, b) gives the kernel at the indices a .. b-1, (lo, hi)
     is the support (all of the naturals by default; hi None: no end), the
-    tail functions of N are those of the spec with its parameter fixed, and
+    tail blocks (a, b) are those of the spec with its parameter fixed, and
     weight is a box row's one entry (None for every other row).  Raises
     ValueError for a parameter outside F.
     """

@@ -320,6 +320,73 @@ def test_disk_grid_fold_equals_the_padded_fold_bit_for_bit(f, size):
 
 
 # ---------------------------------------------------------------------------
+# one multiplier rule: a chain step is a counting spec's row mass
+
+
+def _row_masses(spec, p, upto, far):
+    """math.fsum of the spec's own kernel row a(p, n) from n = k to far, for k < upto."""
+    row = spec.kernel_batch(p, np.arange(far)).real
+    return [math.fsum(row[k:]) for k in range(upto)]
+
+
+@pytest.mark.parametrize("step, params, far", [
+    (PARTIAL_SUMS, (0, 3, 10), 400),
+    (ABEL_DILATE, (0.0, 0.25, 0.9), 800),          # 0.9^800 < 1e-36
+    (LOG_MEAN, (0.5, 0.99), 7000),                  # 0.99^7000 < 1e-30
+])
+def test_step_multiplier_is_the_spec_tail_sum_of_its_kernel_row(step, params, far):
+    spec = holo._CHAIN[step]
+    for p in params:
+        masses = spec.tail_sum(p, -1, 199)
+        for k, ref in enumerate(_row_masses(spec, p, 200, far)):
+            assert masses[k] == pytest.approx(ref, rel=1e-13, abs=1e-15), (step, p, k)
+
+
+def _parent_dilate(r, lo, hi):
+    ks = np.arange(lo, hi, dtype=float)
+    if r == 0.0:
+        return (ks == 0).astype(complex)
+    return np.exp(ks * math.log(r)) + 0j
+
+
+def _parent_log_mean(r, lo, hi):
+    big = -math.log1p(-r)
+    js = np.arange(1, max(hi, 1), dtype=float)
+    head = np.concatenate(([0.0], np.cumsum(np.exp(js * math.log(r)) / js)))
+    return (big - head[lo:hi]) / big
+
+
+def _parent_partial_sum(n, lo, hi):
+    return np.where(np.arange(lo, hi) > n, 0.0, 1.0)
+
+
+def test_step_multipliers_equal_the_three_closed_forms_bit_for_bit():
+    # the multipliers are the coefficients of each step applied to 1 + z + ... + z^128,
+    # read whole and in two blocks
+    ones = taylor_from_coefficients(np.ones(129))
+    rs = [1.0 - 2.0**-j for j in range(1, 21)]
+    cases = ([(abel_dilate, _parent_dilate, r) for r in [0.0] + rs]
+             + [(log_taylor_mean, _parent_log_mean, r) for r in rs]
+             + [(partial_sum, _parent_partial_sum, n) for n in (0, 1, 5, 64, 128, 200)])
+    for step, parent, p in cases:
+        got = step(ones, p)
+        ref = np.asarray(parent(p, 0, 129), dtype=complex)
+        assert got.block(0, 129).tobytes() == ref.tobytes(), (step.__name__, p)
+        split = np.concatenate((got.block(0, 50), got.block(50, 129)))
+        assert split.tobytes() == ref.tobytes(), (step.__name__, p)
+    for r in rs:
+        assert all(log_mean_multiplier(k, r) == _parent_log_mean(r, k, k + 1)[0]
+                   for k in range(129))
+
+
+def test_partial_sum_keeps_its_capped_decay_and_the_other_steps_inherit_theirs():
+    f = geometric_taylor(1.0, 0.5, H2)
+    assert partial_sum(f, 6).decay == holo.CappedDecay(f.decay, 6)
+    assert abel_dilate(f, 0.5).decay is f.decay
+    assert log_taylor_mean(f, 0.5).decay is f.decay
+
+
+# ---------------------------------------------------------------------------
 # experiments
 
 

@@ -224,8 +224,33 @@ def test_scaled_method_has_one_name_rule_and_scales_the_box_weight():
             assert scaled_method(spec, factor).name == f"scaled({spec.name})"
     cesaro, ns = cesaro_method(), np.arange(6)
     doubled = scaled_method(cesaro, 2.0)
-    assert doubled.weight(3) == 0.5 and doubled.tail_abs(3, 1) == 1.0
+    assert doubled.weight(3) == 0.5 and doubled.tail_abs(3, 1, 2)[0] == 1.0
     assert np.array_equal(doubled.kernel_batch(3, ns), 2 * cesaro.kernel_batch(3, ns))
+
+
+@pytest.mark.parametrize("spec, params", [
+    (identity_method(), (0, 3, 10)),
+    (series_summation_method(), (0, 3, 10)),
+    (cesaro_method(), (0, 3, 10)),
+    (abel_method(), (0.0, 0.25, 0.9, 1.0 - 2.0**-20)),
+    (scaled_method(cesaro_method(), 2.0), (0, 7)),
+    (scaled_method(abel_method(), 1j), (0.0, 0.5)),
+])
+def test_tail_blocks_equal_their_one_element_blocks(spec, params):
+    for p in params:
+        for tail in (spec.tail_abs, spec.tail_sum):
+            block = np.asarray(tail(p, -1, 40))
+            assert block.shape == (41,)
+            singles = np.concatenate([tail(p, N, N + 1) for N in range(-1, 40)])
+            assert block.tobytes() == singles.tobytes(), (spec.name, p)
+
+
+def test_abel_tails_take_the_kernel_form_with_zero_to_the_zero_one():
+    tail = abel_method().tail_sum
+    assert np.array_equal(tail(0.0, -1, 3), [1.0, 0.0, 0.0, 0.0])
+    for r in (0.25, 0.9, 1.0 - 2.0**-20):
+        ns = np.arange(0, 130, dtype=float)
+        assert tail(r, -1, 129).tobytes() == np.exp(ns * math.log(r)).tobytes()
 
 
 def test_abel_as_kernel_consistency():
