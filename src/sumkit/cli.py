@@ -56,8 +56,8 @@ from .inclusion import (
     truncation_family,
     weak_inclusion_experiment,
 )
-from .integrate import (MEASURE_COUNTING, MEASURE_LEBESGUE, MEASURES,
-                        SUBSTITUTION_LOG_BOUNDARY, SUBSTITUTION_NONE, SUBSTITUTIONS)
+from .integrate import (MEASURE_COUNTING, SUBSTITUTION_LOG_BOUNDARY, SUBSTITUTION_NONE,
+                        SUBSTITUTIONS)
 from .methods import (
     FunctionSource,
     KernelSpec,
@@ -277,22 +277,21 @@ def _builtin(g):
 
 
 def _custom_kernel(g):
-    # a counting kernel sums over the naturals unless told otherwise
     spec = KernelSpec(name=g["name"], kernel_batch=g["kernel"], support=g["support"],
-                      E=g["E"] or (NAT if g["measure"] == MEASURE_COUNTING else UNIT_INTERVAL),
-                      F=g["F"], measure=g["measure"], substitution=g["substitution"])
+                      E=g["E"], F=g["F"], substitution=g["substitution"])
     if spec.measure == MEASURE_COUNTING and spec.substitution != SUBSTITUTION_NONE:
         raise _KeyRule("substitution", f"a counting kernel sums its terms and takes no "
                                        f"substitution, not {spec.substitution!r}")
-    if spec.substitution == SUBSTITUTION_LOG_BOUNDARY:
-        # u = -log(1 - t) maps only [0, 1); every support form is constant or
-        # increasing and affine in r, so both ends of F bound it
-        for r in (0.0, math.nextafter(getattr(spec.F, "right", math.inf), 0.0)):
+    # every support form is constant or increasing and affine in r, so both
+    # ends of F bound it; u = -log(1 - t) of log_boundary maps only [0, 1)
+    for r in (0.0, math.nextafter(getattr(spec.F, "right", math.inf), 0.0)):
+        try:
             lo, hi = _kernel_support(spec, r)
-            if not 0.0 <= lo <= hi < 1.0:
-                raise _KeyRule("support", f"a log_boundary kernel needs its support inside "
-                                          f"[0, 1) at every r in F; it is [{lo:.17g}, {hi:.17g}] "
-                                          f"at r = {r:.17g}")
+        except ValueError as exc:
+            raise _KeyRule("support", str(exc)) from exc
+        if spec.substitution == SUBSTITUTION_LOG_BOUNDARY and not hi < 1.0:
+            raise _KeyRule("support", f"a log_boundary kernel needs its support inside [0, 1) at "
+                                      f"every r in F; it is [{lo:.17g}, {hi:.17g}] at r = {r:.17g}")
     return spec
 
 
@@ -311,9 +310,8 @@ _METHODS = {
     ("kind", "kernel"): (
         {"kind": (_keep, REQUIRED), "kernel": (_kernel_expression("r", "t"), REQUIRED),
          "name": (_string, "custom_kernel"), "support": (_support, "full"),
-         "measure": (_choice(MEASURES), MEASURE_LEBESGUE),
          "substitution": (_choice(SUBSTITUTIONS), SUBSTITUTION_NONE),
-         "E": (_domain, None), "F": (_domain, "unit")},
+         "E": (_domain, "unit"), "F": (_domain, "unit")},
         _custom_kernel),
 }
 

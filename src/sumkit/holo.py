@@ -311,7 +311,7 @@ def _summed(spec: methods.KernelSpec, f: TaylorFunction, param, name: str = "") 
     [0, 1].  Raises ValueError for a parameter outside the spec's F.
     """
     p = methods._in_f(spec, param)
-    end = None if spec.support is None else spec.support(p)[1]
+    end = methods._kernel_support(spec, p)[1]
     return TaylorFunction(block=lambda lo, hi: spec.tail_sum(p, lo - 1, hi - 1) * f.block(lo, hi),
                           decay=f.decay if end is None else CappedDecay(f.decay, end),
                           space=f.space, name=name or f"{spec.name}_{p:g}({f.name})")

@@ -305,7 +305,6 @@ def quad_scalar(g: Callable[[float], complex], interval, cfg: QuadratureConfig =
 
 MEASURE_LEBESGUE = "lebesgue"
 MEASURE_COUNTING = "counting"
-MEASURES = (MEASURE_LEBESGUE, MEASURE_COUNTING)
 
 
 @dataclass(frozen=True)

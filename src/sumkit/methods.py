@@ -57,22 +57,23 @@ other vectorised callable below: the terms of ``block(lo, hi)`` are those of
 Every method is one ``KernelSpec``, a kernel a(r, t) on E with parameters
 r in F: a matrix (``MatrixSpec``, E = F = naturals) and a
 sequence-to-function method (``SeqToFuncSpec``, E = naturals) are counting
-kernels with their domains and measure fixed.  Every object is given by one
+kernels with their domains fixed.  Every object is given by one
 vectorised callable (``kernel_batch``, ``block``, ``batch``) that must be
 elementwise in its index array (a value at n or t depends on it alone, not
 on the other indices of the call); the scalar accessors ``entry``,
 ``coeff``, ``kernel``, ``term`` and ``value`` evaluate it on a single index.
 A counting kernel's tails are blocks too: ``tail_abs``/``tail_sum(p, lo,
 hi)`` give those past N = lo .. hi-1, and the signed one at N = k - 1 is
-the row mass ``holo`` multiplies Taylor coefficient k by.  The measure
-decides the transform.  ``_row`` is the one reader of a counting kernel: a
-coefficient block, a support ``(lo, hi)`` summed from ``lo``, and the tail
-blocks of the certificates; it passes one scalar parameter.  Only a
-Lebesgue kernel is integrated, over a support that must lie in the
-source's domain.  The integrals of every grid parameter of one
-call refine in lockstep (``_kernel_quadratures``): each level reads the
-source and the kernel once, at the nodes of all pending integrals, the
-kernel with an array of parameters aligned with the nodes.  So a Lebesgue
+the row mass ``holo`` multiplies Taylor coefficient k by.  E's measure,
+counting on the naturals and Lebesgue on an interval, decides the
+transform; ``_kernel_support`` reads every support, an interval of E.
+``_row`` is the one reader of a counting kernel: a coefficient block, the
+support's integer points, and the tail blocks of the certificates, at one
+scalar parameter.  Only a Lebesgue kernel is integrated, over a support in
+the source's domain.  The integrals of every grid parameter of one call
+refine in lockstep (``_kernel_quadratures``): each level reads the source
+and the kernel once, at the nodes of all pending integrals, the kernel
+with an array of parameters aligned with the nodes.  So a Lebesgue
 ``kernel_batch`` must be elementwise in (r, t), and each integral then
 equals a lone one bit for bit.
 """
@@ -99,6 +100,8 @@ from .domains import (
     sample_grid,
 )
 from .integrate import (
+    MEASURE_COUNTING,
+    MEASURE_LEBESGUE,
     QuadratureConfig,
     QuadratureError,
     SUBSTITUTION_NONE,
@@ -390,8 +393,7 @@ class KernelSpec:
     kernel_batch: Callable[[float, np.ndarray], np.ndarray]
     E: IndexDomain = UNIT_INTERVAL
     F: IndexDomain = UNIT_INTERVAL
-    measure: str = "lebesgue"
-    # (lo, hi) inclusive, a subset of E, else all of E; a counting hi None has no end
+    # (lo, hi) inclusive, an interval of E (see _kernel_support), else all of E
     support: Optional[Callable[[float], tuple]] = None
     substitution: str = SUBSTITUTION_NONE
     # counting, (r, lo, hi) -> sum_{n > N} |a(r, n)| and sum_{n > N} a(r, n) at N = lo .. hi-1
@@ -400,6 +402,10 @@ class KernelSpec:
     # a box row: the one value w(r) of every entry on the support, so a block
     # sums to w(r) times the block's sum (see _Block); settable on MatrixSpec only
     weight: Optional[Callable[[float], complex]] = field(default=None, init=False)
+
+    @property
+    def measure(self) -> str:  # E's: counting on the naturals, Lebesgue on an interval
+        return MEASURE_COUNTING if self.E == NAT else MEASURE_LEBESGUE
 
     def kernel(self, r: float, t) -> complex:
         return complex(self.kernel_batch(r, np.asarray([t]))[0])
@@ -411,7 +417,6 @@ class MatrixSpec(KernelSpec):
 
     E: IndexDomain = field(default=NAT, init=False)
     F: IndexDomain = field(default=NAT, init=False)
-    measure: str = field(default="counting", init=False)
     substitution: str = field(default=SUBSTITUTION_NONE, init=False)
     weight: Optional[Callable[[int], complex]] = None
 
@@ -424,7 +429,6 @@ class SeqToFuncSpec(KernelSpec):
     """Coefficients a_n(r): the counting kernel on E = naturals; r |-> sum_n a_n(r) v_n, r in F."""
 
     E: IndexDomain = field(default=NAT, init=False)
-    measure: str = field(default="counting", init=False)
     support: Optional[Callable[[float], tuple]] = field(default=None, init=False)
     substitution: str = field(default=SUBSTITUTION_NONE, init=False)
 
@@ -502,7 +506,6 @@ def logarithmic_method() -> KernelSpec:
         name="logarithmic",
         E=UNIT_INTERVAL,
         F=UNIT_INTERVAL,
-        measure="lebesgue",
         kernel_batch=kernel_batch,
         support=lambda r: (0.0, r),
         substitution="log_boundary",
@@ -671,35 +674,35 @@ def _row(spec: KernelSpec, param) -> tuple:
 
     The one reader of every discrete spec: a matrix row (param = m in F =
     naturals), the coefficients a_n(r) and any other counting kernel at r in
-    F.  coeffs(a, b) gives the kernel at the indices a .. b-1, (lo, hi)
-    is the support (all of the naturals by default; hi None: no end), the
-    tail blocks (a, b) are those of the spec with its parameter fixed, and
-    weight is a box row's one entry (None for every other row).  Raises
-    ValueError for a parameter outside F.
+    F.  coeffs(a, b) gives the kernel at the indices a .. b-1, (lo, hi) is
+    ``_kernel_support``'s, the tail blocks (a, b) are those of the spec with
+    its parameter fixed, and weight is a box row's one entry (None for every
+    other row).  Raises ValueError as ``_kernel_support`` does.
     """
     p = _in_f(spec, param)
     label = f"{spec.name} row {p}" if spec.F == NAT else f"{spec.name} at r={p}"
-    lo, hi = (0, None) if spec.support is None else spec.support(p)
     tail_abs, tail_sum = (None if fn is None else partial(fn, p)
                           for fn in (spec.tail_abs, spec.tail_sum))
     return (lambda a, b: spec.kernel_batch(p, np.arange(a, b)),
-            (int(lo), None if hi is None else int(hi)), tail_abs, tail_sum, label,
+            _kernel_support(spec, p), tail_abs, tail_sum, label,
             None if spec.weight is None else spec.weight(p))
 
 
-def _kernel_support(spec: KernelSpec, r) -> tuple:
-    """(lo, hi): where a Lebesgue kernel a(r, .) lives; all of E by default, and bounded.
+def _kernel_support(spec: KernelSpec, param) -> tuple:
+    """(lo, hi): where a(p, .) lives, all of E by default; the one reader of ``spec.support``.
 
-    Raises ValueError for a parameter outside F.
+    On the naturals, its integer points (hi None: no end).  Raises ValueError for a parameter
+    outside F or a support that is not an interval of E, bounded when E is an interval.
     """
-    r = _in_f(spec, r)
-    if spec.support is not None:
-        lo, hi = spec.support(r)
-    else:
-        lo, hi = 0.0, (spec.E.right if isinstance(spec.E, HalfOpenInterval) else math.inf)
-    if math.isinf(hi):
-        raise ValueError("unbounded kernel support needs an explicit support declaration")
-    return lo, hi
+    p = _in_f(spec, param)
+    counting = spec.measure == MEASURE_COUNTING
+    right = math.inf if counting else spec.E.right
+    lo, hi = (0, right) if spec.support is None else spec.support(p)
+    hi = math.inf if hi is None else hi
+    if not (0 <= lo <= hi <= right and (counting or hi < math.inf)):
+        raise ValueError(f"{spec.name} at {p:.16g}: the support [{lo:.16g}, {hi:.16g}] is not "
+                         f"{'an' if counting else 'a bounded'} interval of E in [0, {right}]")
+    return (math.ceil(lo), None if hi == math.inf else math.floor(hi)) if counting else (lo, hi)
 
 
 def _kernel_quadratures(spec: KernelSpec, params, intervals, times,
@@ -772,7 +775,7 @@ def transform_at(spec: KernelSpec, source, param, *,
     needs a ``FunctionSource`` and a counting one a ``SequenceSource``;
     either raises TypeError for the other kind.
     """
-    if spec.measure != "counting":
+    if spec.measure != MEASURE_COUNTING:
         (value,) = _lebesgue_transforms(spec, source, [param], tail_tol)
         if isinstance(value, QuadratureError):
             raise value
@@ -809,7 +812,7 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     params = sample_grid(spec.F, depth)
 
     tail_tol = max(tol * _TAIL_SHARE, _TAIL_TOL)
-    if spec.measure != "counting":
+    if spec.measure != MEASURE_COUNTING:
         outcomes = _lebesgue_transforms(spec, source, params, tail_tol)
     else:
         if isinstance(source, SequenceSource):

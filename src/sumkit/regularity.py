@@ -29,7 +29,7 @@ import numpy as np
 
 from .domains import (_WINDOW, INCONCLUSIVE, NAT, NOT_ZERO, TREND_SLOPE, ZERO, decay_verdict,
                       exhaustion, loglog_slope, parameter_grid)
-from .integrate import QuadratureError
+from .integrate import MEASURE_COUNTING, QuadratureError
 # Unused here; perfbench/layers.py wraps ``regularity.adaptive_quadrature_batch`` by name.
 from .integrate import adaptive_quadrature_batch  # noqa: F401
 from .methods import (
@@ -219,7 +219,7 @@ def _kernel_integrals(spec: KernelSpec, grid, windows=()) -> list:
             return out + [complex(math.fsum(entries.real), math.fsum(entries.imag))]
         return out + [total(coeffs, hi, (tail_abs, tail_sum))]
 
-    if spec.measure == "counting":
+    if spec.measure == MEASURE_COUNTING:
         table = [list(row) for row in zip(*(column(p) for p in grid))]
     else:
         supports = [_kernel_support(spec, r) for r in grid]
@@ -347,8 +347,7 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
         k2 = ConditionCheck("k2_abs_sup", UNDECIDED, ())
 
     # condition 3: mass escapes every compact window; a support end of None has no end
-    ends = [_row(spec, r)[1][1] if spec.measure == "counting" else _kernel_support(spec, r)[1]
-            for r in r_grid]
+    ends = [_kernel_support(spec, r)[1] for r in r_grid]
     k3 = []
     for j, (c, mass) in enumerate(zip(windows, masses)):
         check = _vanishing(f"k3_window_{j}", _scan(r_grid, mass), tol, f"window {j}: mass ")

@@ -19,7 +19,8 @@ from sumkit.cli import (
     shipped_configs,
     validate_config,
 )
-from sumkit.domains import NAT, UNIT_INTERVAL, parameter_grid
+from sumkit.domains import HALF_LINE, NAT, UNIT_INTERVAL, parameter_grid
+from sumkit.integrate import MEASURE_COUNTING, MEASURE_LEBESGUE
 from sumkit.regularity import check_kernel_st
 
 MINIMAL = {
@@ -264,31 +265,60 @@ def test_a_key_of_the_other_mode_exits_2(tmp_path, capsys, kind, given, key):
     assert not out.exists()
 
 
-def test_counting_kernel_sums_over_the_naturals_by_default():
-    # on E = [0, 1) every k3 window exhaustion(E, j) would cut to n = 0 and
-    # check the mass 1/(r+1) of n = 0 alone
-    kernel = {"kind": "kernel", "kernel": "1 / (r + 1)", "measure": "counting", "F": "nat",
-              "support": "upto_r"}
-    plain = build_method(kernel)
-    assert plain.E == NAT and build_method({**kernel, "measure": "lebesgue"}).E == UNIT_INTERVAL
-    windows = check_kernel_st(plain, r_depth=8).k3
-    assert [check.cells for check in windows] == \
-        [check.cells for check in check_kernel_st(build_method({**kernel, "E": "nat"}),
-                                                  r_depth=8).k3]
-    # the window 0..j holds j + 1 of the 257 entries 1/257 of row 256
+def test_every_config_method_takes_its_measure_from_E():
+    # counting on the naturals, Lebesgue on an interval; a kernel's E is unit by default
+    kernel = {"kind": "kernel", "kernel": "1 / (r + 1)", "support": "upto_r"}
+    for method, E in [({"builtin": "cesaro"}, NAT), ({"builtin": "abel", "as_kernel": True}, NAT),
+                      ({"builtin": "logarithmic", "scale": 2.0}, UNIT_INTERVAL),
+                      ({"kind": "matrix", "entries": "1"}, NAT),
+                      ({"kind": "seq_to_func", "coeff": "r ** n"}, NAT),
+                      ({**kernel, "E": "nat", "F": "nat"}, NAT), (kernel, UNIT_INTERVAL),
+                      ({**kernel, "E": "halfline"}, HALF_LINE)]:
+        spec = build_method(method)
+        assert spec.E == E
+        assert spec.measure == (MEASURE_COUNTING if E == NAT else MEASURE_LEBESGUE)
+    # on E = nat the window 0..j holds j + 1 of the 257 entries 1/257 of row 256
+    windows = check_kernel_st(build_method({**kernel, "E": "nat", "F": "nat"}), r_depth=8).k3
     assert [check.cells[-1][1] for check in windows] == \
         pytest.approx([(j + 1) / 257 for j in range(len(windows))], rel=1e-12)
     assert len(windows) >= 5
 
 
-def test_misspelt_kernel_measure_is_a_config_error(tmp_path, capsys):
-    # a measure outside ("lebesgue", "counting") must not fall back to Lebesgue
+def test_a_kernel_measure_key_is_an_unknown_key(tmp_path, capsys):
+    # the measure is E's, so a config never sets it, spelt right or not
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(_kernel_sum_config(
-        {"expr": "1"}, kernel="indicator(t <= r) / (r + 1)", E="nat", F="nat",
-        measure="countng")))
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "unknown measure 'countng'" in capsys.readouterr().err
+    for measure in ("counting", "countng"):
+        cfg.write_text(json.dumps(_kernel_sum_config(
+            {"expr": "1"}, kernel="indicator(t <= r) / (r + 1)", E="nat", F="nat",
+            measure=measure)))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "method: unknown keys ['measure']" in capsys.readouterr().err
+
+
+def test_a_counting_support_sums_its_integer_points():
+    # [0.5, 3.7] holds n = 1, 2, 3: the mass of 1/(r + 1) at r = 2 is 3/3, not 4/3
+    spec = build_method({"kind": "kernel", "kernel": "1 / (r + 1)", "E": "nat", "F": "nat",
+                         "support": [0.5, 3.7]})
+    cells = dict((r, value) for r, value, _ in check_kernel_st(spec, r_depth=4).k4.cells)
+    assert cells[2] == 1.0
+
+
+@pytest.mark.parametrize("method", [
+    {"E": "nat", "F": "nat", "support": [-2, 3]},
+    {"support": [-0.5, 0.5]},
+    {"E": "nat", "F": "nat", "support": [0.7, 0.2]},
+    {"support": [0.7, 0.2]},
+    {"F": "nat", "support": "upto_r"},
+], ids=["counting-below-0", "lebesgue-below-0", "counting-backwards", "lebesgue-backwards",
+        "lebesgue-past-E"])
+def test_a_support_that_is_not_an_interval_of_E_exits_2(tmp_path, capsys, method):
+    cfg = tmp_path / "bad.json"
+    source = {"expr": "1"} if method.get("E") == "nat" else {"fexpr": "1"}
+    cfg.write_text(json.dumps(_kernel_sum_config(source, kernel="1", **method)))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "experiments[0].method.support: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_misspelt_kernel_substitution_is_a_config_error(tmp_path, capsys):
@@ -301,7 +331,7 @@ def test_misspelt_kernel_substitution_is_a_config_error(tmp_path, capsys):
 
 def test_substitution_on_a_counting_kernel_is_a_config_error(tmp_path, capsys):
     # a counting kernel sums its terms, so a substitution would go unread
-    kernel = dict(kernel="r**t*(1-r)", measure="counting", support="full", F="unit")
+    kernel = dict(kernel="r**t*(1-r)", E="nat", support="full", F="unit")
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(_kernel_sum_config({"expr": "1"}, **kernel,
                                                  substitution="log_boundary")))
@@ -329,12 +359,11 @@ def test_builtin_modifier_on_custom_method_is_a_config_error():
     with pytest.raises(ConfigError, match="'scale'"):
         build_method({"kind": "matrix", "entries": "1", "scale": 2.0})
     # each custom kind takes only its own keys (besides kind and name)
-    foreign = {"matrix": {"entries": "1", "coeff": "1", "kernel": "t", "measure": "lebesgue",
+    foreign = {"matrix": {"entries": "1", "coeff": "1", "kernel": "t",
                           "substitution": "log_boundary", "support": "full", "E": "nat",
                           "F": "unit"},
                "seq_to_func": {"coeff": "r ** n", "entries": "1", "kernel": "t",
-                               "measure": "counting", "support": "full", "E": "nat",
-                               "substitution": "none"},
+                               "support": "full", "E": "nat", "substitution": "none"},
                "kernel": {"kernel": "t", "entries": "1", "coeff": "1"}}
     for kind, keys in foreign.items():
         own, *others = keys
@@ -344,8 +373,8 @@ def test_builtin_modifier_on_custom_method_is_a_config_error():
                 build_method(method)
     assert build_method({"kind": "matrix", "entries": "1", "name": "ones"}).name == "ones"
     assert build_method({"kind": "seq_to_func", "coeff": "r ** n", "F": "unit"}).F.right == 1.0
-    kernel = build_method({"kind": "kernel", "kernel": "1", "support": "upto_r", "measure":
-                           "lebesgue", "substitution": "none", "E": "unit", "F": "unit"})
+    kernel = build_method({"kind": "kernel", "kernel": "1", "support": "upto_r",
+                           "substitution": "none", "E": "unit", "F": "unit"})
     assert kernel.support(0.5) == (0.0, 0.5)
 
 

@@ -17,7 +17,7 @@ import pytest
 from sumkit import methods
 from sumkit.cli import build_method
 from sumkit.domains import CONVERGED, DIVERGED, HALF_LINE, NAT, parameter_grid, UNIT_INTERVAL
-from sumkit.integrate import QuadratureError
+from sumkit.integrate import MEASURE_COUNTING, MEASURE_LEBESGUE, QuadratureError
 from sumkit.methods import (
     FunctionSource,
     KernelSpec,
@@ -210,7 +210,7 @@ def test_as_kernel_keeps_every_kernel_field_and_drops_the_box_weight():
     for spec in (cesaro_method(), abel_method()):
         kern = as_kernel(spec)
         assert type(kern) is KernelSpec and kern.name == f"{spec.name}_as_kernel"
-        assert kern.measure == "counting" and kern.E == NAT and kern.F == spec.F
+        assert kern.measure == MEASURE_COUNTING and kern.E == NAT and kern.F == spec.F
         for name in ("kernel_batch", "support", "tail_abs", "tail_sum", "substitution"):
             assert getattr(kern, name) is getattr(spec, name)
         assert kern.weight is None
@@ -269,7 +269,6 @@ def test_counting_kernel_sums_from_the_support_start():
         kernel_batch=lambda r, ts: np.full(len(ts), 0.5, dtype=complex),
         E=NAT,
         F=NAT,
-        measure="counting",
         support=lambda r: (r, r + 1),
     )
     ones = scalar_sequence(lambda n: np.ones_like(n, dtype=float), "ones")
@@ -278,6 +277,50 @@ def test_counting_kernel_sums_from_the_support_start():
     assert _scalar(est.value) == 1.0
     v = scalar_sequence(lambda n: n * 1.0, "n")
     assert _scalar(transform_at(spec, v, 8)) == 8.5
+
+
+def test_the_measure_is_read_from_E():
+    for builtin, measure in [(identity_method, MEASURE_COUNTING),
+                             (series_summation_method, MEASURE_COUNTING),
+                             (cesaro_method, MEASURE_COUNTING), (abel_method, MEASURE_COUNTING),
+                             (logarithmic_method, MEASURE_LEBESGUE)]:
+        spec = builtin()
+        for each in (spec, as_kernel(spec), scaled_method(spec, 2.0)):
+            assert each.measure == measure, each.name
+    assert MEASURE_COUNTING == "counting" and MEASURE_LEBESGUE == "lebesgue"
+    assert replace(logarithmic_method(), E=NAT).measure == MEASURE_COUNTING
+    with pytest.raises(TypeError, match="measure"):
+        KernelSpec(name="k", kernel_batch=lambda r, ts: ts + 0j, measure=MEASURE_COUNTING)
+
+
+def _fixed_support(lo, hi, E):
+    """The kernel 1 on the fixed support [lo, hi] of E, with F = [0, 1)."""
+    return KernelSpec(name="fixed", kernel_batch=lambda r, ts: np.ones(len(ts), dtype=complex),
+                      E=E, support=lambda r: (lo, hi))
+
+
+def test_a_counting_support_sums_its_integer_points():
+    # [0.5, 3.7] holds n = 1, 2, 3, as a matrix row's support would
+    spec = _fixed_support(0.5, 3.7, NAT)
+    ones = scalar_sequence(lambda n: np.ones_like(n, dtype=float), "ones")
+    assert _scalar(transform_at(spec, ones, 0.5)) == 3.0
+    assert _scalar(transform_at(spec, scalar_sequence(lambda n: n * 1.0, "n"), 0.5)) == 6.0
+
+
+@pytest.mark.parametrize("lo, hi, E", [
+    (-2, 3, NAT), (-0.5, 0.5, UNIT_INTERVAL), (0.7, 0.2, NAT), (0.7, 0.2, UNIT_INTERVAL),
+    (0.0, 1.5, UNIT_INTERVAL),
+], ids=["counting-below-0", "lebesgue-below-0", "counting-backwards", "lebesgue-backwards",
+        "lebesgue-past-E"])
+def test_a_support_that_is_not_an_interval_of_E_raises(lo, hi, E):
+    # read as given, each would sum or integrate a source of ones to a number, and no error
+    spec = _fixed_support(lo, hi, E)
+    if E == NAT:
+        source = scalar_sequence(lambda n: np.ones_like(n, dtype=float), "ones")
+    else:
+        source = scalar_function(lambda t: np.ones_like(t), HALF_LINE, "ones")
+    with pytest.raises(ValueError, match="interval of E"):
+        transform_at(spec, source, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,6 @@ def test_translation_kernel_mass_escapes_every_window():
         name="translation",
         E=HALF_LINE,
         F=HALF_LINE,
-        measure="lebesgue",
         kernel_batch=kernel_batch,
         support=lambda r: (r, r + 1.0),
     )
@@ -293,7 +292,6 @@ def test_counting_kernel_mass_starts_at_the_support_start():
         kernel_batch=lambda r, ts: np.full(len(ts), 0.5, dtype=complex),
         E=NAT,
         F=NAT,
-        measure="counting",
         support=lambda r: (r, r + 1),
     )
     report = check_kernel_st(spec, r_depth=10, exhaust_depth=4)
@@ -330,8 +328,8 @@ def test_regularity_evidence_takes_the_matrix_form_for_a_declared_matrix_only():
 def test_supported_counting_kernel_on_the_naturals_same_verdict_in_both_forms():
     # 1/2 at n = m and m + 1, nothing else: regular, and every column vanishes
     # only if the matrix form reads the kernel on its support alone
-    spec = build_method({"kind": "kernel", "kernel": "0.5", "measure": "counting",
-                         "E": "nat", "F": "nat", "support": "unit_window"})
+    spec = build_method({"kind": "kernel", "kernel": "0.5", "E": "nat", "F": "nat",
+                         "support": "unit_window"})
     assert spec.kernel(3, 0) == 0.5  # the formula alone does not vanish off the support
     matrix_report = check_matrix_st(spec)
     kernel_report = check_kernel_st(spec, r_depth=10, exhaust_depth=6)
@@ -360,7 +358,6 @@ def test_finite_counting_kernel_mass_is_the_exact_sum_of_its_entries():
         kernel_batch=lambda r, ts: np.full(len(ts), 1.0 / (3 * r + 1), dtype=complex),
         E=NAT,
         F=NAT,
-        measure="counting",
         support=lambda r: (0, 3 * r),
     )
     report = check_kernel_st(spec, r_depth=10, exhaust_depth=2)
