@@ -25,6 +25,11 @@ level is split into consecutive calls, which leaves the bits unchanged.
 
 Integrands with the 1/(1-t) boundary blow-up are handled by the log-boundary
 substitution u = -log(1-t), which makes the transformed integrand bounded.
+
+An integrand is read at the nodes alone, so it may blow up at an end, as
+t^(-1/2) does on [0, 1]; an empty interval is read at none.  A pointwise f has
+one reader, ``_batch_from_pointwise``; its space, unless given, is read once
+at the interval's midpoint.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .vspace import SCALAR, LinearFunctional, SpaceDescriptor, VectorValue, space_norm
+from .vspace import SCALAR, LinearFunctional, SpaceDescriptor, VectorValue
 
 SUBSTITUTION_NONE = "none"
 SUBSTITUTION_LOG_BOUNDARY = "log_boundary"
@@ -132,10 +137,10 @@ def _adaptive_family(fbatch, a, b, tol: float) -> list:
     out = [None] * a.size
     evaluations = np.zeros(a.size, dtype=int)
     empty = np.flatnonzero(total_len == 0.0)
-    if empty.size:  # no mass on a point; one node per empty interval gives the dimension
-        dim = fbatch(a[empty], empty).shape[1]
+    if empty.size:  # no mass on a point; a call on zero nodes gives the dimension
+        dim = fbatch(a[:0], empty[:0]).shape[1]
         for k in empty:
-            out[k] = np.zeros(dim, dtype=complex), 0.0, 1
+            out[k] = np.zeros(dim, dtype=complex), 0.0, 0
     owner = np.flatnonzero(total_len != 0.0)
     lo, hi, coarse = a[owner], b[owner], None
     accepted = []  # (owners, left endpoints, panel values, errors), one tuple per level
@@ -239,7 +244,8 @@ def adaptive_quadrature_family(fbatch, intervals, cfg: QuadratureConfig) -> list
     ``fbatch(ts, owner)`` is as for ``_adaptive_family``, with owner k for
     the k-th interval.  Each interval is checked and mapped by
     cfg.substitution as a lone ``adaptive_quadrature_batch`` call maps it,
-    and an invalid one raises ValueError for the whole family.  Returns,
+    and an invalid one (backwards, or with a non-finite end) raises
+    ValueError for the whole family before any node is read.  Returns,
     per interval, (value array, err_estimate, evaluations) or the
     QuadratureError the lone call would raise.
     """
@@ -251,7 +257,11 @@ def adaptive_quadrature_family(fbatch, intervals, cfg: QuadratureConfig) -> list
         if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
             a, b = _log_boundary_ends(a, b)
         ends.append((a, b))
-    a, b = np.array(ends, dtype=float).reshape(-1, 2).T
+    ends = np.array(ends, dtype=float).reshape(-1, 2)
+    if not np.isfinite(ends).all():
+        a, b = ends[~np.isfinite(ends).all(axis=1)][0]
+        raise ValueError(f"non-finite interval end in [{a}, {b}]")
+    a, b = ends.T
     if cfg.substitution == SUBSTITUTION_LOG_BOUNDARY:
         fbatch = _log_boundary_integrand(fbatch)
     return _adaptive_family(fbatch, a, b, cfg.tol)
@@ -271,9 +281,12 @@ def adaptive_quadrature_batch(
     return QuadratureResult(VectorValue(arr, space), err, n)
 
 
-def _batch_from_pointwise(f: Callable[[float], VectorValue]):
+def _batch_from_pointwise(f: Callable[[float], VectorValue], space: SpaceDescriptor):
+    """The batch integrand of a pointwise f: f at each node, as a (len(ts), space.dim) array."""
+
     def fbatch(ts: np.ndarray) -> np.ndarray:
-        return np.stack([f(float(t)).coords for t in ts])
+        values = [f(float(t)).coords for t in ts]
+        return np.array(values, dtype=complex).reshape(len(ts), space.dim)
 
     return fbatch
 
@@ -284,19 +297,15 @@ def adaptive_quadrature(
     cfg: QuadratureConfig = QuadratureConfig(),
     space: SpaceDescriptor | None = None,
 ) -> QuadratureResult:
-    """Componentwise adaptive quadrature of a vector-valued integrand."""
+    """Componentwise adaptive quadrature of f; its space, unless given, is f's at the midpoint."""
     if space is None:
-        space = f(float(interval[0])).space
-    return adaptive_quadrature_batch(_batch_from_pointwise(f), interval, cfg, space)
+        space = f(0.5 * (float(interval[0]) + float(interval[1]))).space
+    return adaptive_quadrature_batch(_batch_from_pointwise(f, space), interval, cfg, space)
 
 
 def quad_scalar(g: Callable[[float], complex], interval, cfg: QuadratureConfig = QuadratureConfig()):
     """Adaptive quadrature of a complex scalar integrand; returns (value, err, evals)."""
-
-    def fbatch(ts: np.ndarray) -> np.ndarray:
-        return np.asarray([complex(g(float(t))) for t in ts], dtype=complex)[:, None]
-
-    res = adaptive_quadrature_batch(fbatch, interval, cfg, SCALAR)
+    res = adaptive_quadrature(lambda t: VectorValue([g(t)], SCALAR), interval, cfg, SCALAR)
     return complex(res.value.coords[0]), res.err_estimate, res.evaluations
 
 
@@ -326,12 +335,14 @@ class StepFunction:
             for lo, hi in piece.support:
                 if hi < lo:
                     raise ValueError(f"backwards interval ({lo}, {hi})")
-                if math.isinf(lo) or math.isinf(hi):
-                    raise ValueError("infinite-measure piece rejected")
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise ValueError("non-finite piece end rejected")
                 intervals.append((float(lo), float(hi)))
         intervals.sort()
         for (a0, b0), (a1, _) in zip(intervals, intervals[1:]):
-            if a1 < b0:
+            # counting pieces are closed: touching at an integer shares a point
+            shared = self.measure == MEASURE_COUNTING and a1 == b0 and b0.is_integer()
+            if a1 < b0 or shared:
                 raise ValueError(f"overlapping supports near ({a1}, {b0})")
 
 
@@ -382,7 +393,7 @@ def weak_integral_check(
 
     PASS iff |difference| <= cfg.tol * (1 + |phi(candidate)|).
     """
-    fbatch = _batch_from_pointwise(f)
+    fbatch = _batch_from_pointwise(f, candidate.space)
     reports = []
     for idx, phi in enumerate(functionals):
         if phi.dim != candidate.dim:
@@ -415,12 +426,10 @@ def operator_commutation_check(
 ) -> CommuteCheck:
     """Verify T(integral f) = integral (T o f) within cfg.tol."""
     T = np.asarray(T, dtype=complex)
-    probe = f(float(interval[0]))
-    space = probe.space
+    integral = adaptive_quadrature(f, interval, cfg)
+    space = integral.value.space
     if T.shape != (space.dim, space.dim):
         raise ValueError(f"operator shape {T.shape} incompatible with dim {space.dim}")
-
-    integral = adaptive_quadrature(f, interval, cfg, space)
     lhs = VectorValue(T @ integral.value.coords, space)
 
     def tf(t: float) -> VectorValue:
@@ -438,12 +447,4 @@ def norm_integral(
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> float:
     """Quadrature of t -> ||f(t)||; used for the norm-bound contract."""
-    probe = f(float(interval[0]))
-    tag = probe.space.norm_tag
-
-    def fbatch(ts: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            [space_norm(f(float(t)).coords, tag) for t in ts], dtype=complex
-        )[:, None]
-
-    return float(adaptive_quadrature_batch(fbatch, interval, cfg, SCALAR).value.coords[0].real)
+    return quad_scalar(lambda t: f(t).norm(), interval, cfg)[0].real

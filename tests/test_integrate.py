@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import sumkit
 from sumkit import integrate
 from sumkit.integrate import (
     MEASURE_COUNTING,
+    MEASURE_LEBESGUE,
     QuadratureConfig,
     QuadratureError,
     SUBSTITUTION_LOG_BOUNDARY,
@@ -27,6 +29,7 @@ from sumkit.integrate import (
     _log_boundary_ends,
     _log_boundary_integrand,
     adaptive_quadrature,
+    adaptive_quadrature_family,
     operator_commutation_check,
     norm_integral,
     quad_scalar,
@@ -86,10 +89,23 @@ def test_step_integral_counting_measure():
 
 def test_step_integral_rejects_overlap_and_infinite():
     x = VectorValue([1], SpaceDescriptor(1, "l2"))
-    with pytest.raises(ValueError):
-        StepFunction((StepPiece(((0.0, 1.0),), x), StepPiece(((0.5, 2.0),), x)))
-    with pytest.raises(ValueError):
-        StepFunction((StepPiece(((0.0, math.inf),), x),))
+    for supports, measure in [
+        ((((0.0, 1.0),), ((0.5, 2.0),)), MEASURE_LEBESGUE),
+        ((((0.0, math.inf),),), MEASURE_LEBESGUE),
+        ((((0.0, math.nan),),), MEASURE_LEBESGUE),
+        ((((math.nan, 1.0),),), MEASURE_COUNTING),
+        # closed index ranges that share the integer 1 would count it twice
+        ((((0, 1),), ((1, 2),)), MEASURE_COUNTING),
+        ((((1, 1),), ((1, 1),)), MEASURE_COUNTING),
+    ]:
+        with pytest.raises(ValueError):
+            StepFunction(tuple(StepPiece(support, x) for support in supports), measure)
+    # Lebesgue pieces may touch, and counting pieces may touch off the integers
+    StepFunction((StepPiece(((0.0, 1.0),), x), StepPiece(((1.0, 2.0),), x)))
+    whole = step_integral(StepFunction((StepPiece(((0, 3),), x),), MEASURE_COUNTING))
+    for split in [(((0, 1),), ((2, 3),)), (((0, 1.5),), ((1.5, 3),))]:
+        pieces = tuple(StepPiece(support, x) for support in split)
+        assert step_integral(StepFunction(pieces, MEASURE_COUNTING)) == whole  # n = 0..3
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +159,60 @@ def test_norm_integral_honours_the_log_boundary_substitution():
 
     value = norm_integral(f, (0.0, 1.0 - 2.0**-20), cfg)
     assert value == pytest.approx(20.0 * math.log(2.0), abs=1e-9)
+
+
+def test_a_pointwise_integrand_is_read_at_the_nodes_alone():
+    # (t^(-1/2), 1) is integrable on [0, 1] but cannot be read at t = 0
+    nodes = []
+
+    def f(t):
+        nodes.append(t)
+        return VectorValue([t**-0.5, 1.0], SPACE2)
+
+    value = adaptive_quadrature(f, (0.0, 1.0)).value
+    assert value.space == SPACE2
+    assert np.allclose(value.coords, [2.0, 1.0], rtol=0, atol=1e-8)
+    assert 0.0 < min(nodes) and max(nodes) < 1.0
+    # ||f(t)|| = sqrt(1/t + 1), whose integral is sqrt(2) + asinh(1)
+    assert norm_integral(f, (0.0, 1.0)) == pytest.approx(math.sqrt(2) + math.asinh(1), abs=1e-8)
+    T = np.array([[1.0, 2.0], [0.0, 1j]])
+    check = operator_commutation_check(T, f, (0.0, 1.0))
+    assert check.passed
+    assert np.allclose(check.lhs.coords, T @ [2.0, 1.0], rtol=0, atol=1e-8)
+    with pytest.raises(ValueError, match="operator shape"):
+        operator_commutation_check(np.eye(3), f, (0.0, 1.0))
+
+
+def test_an_empty_interval_is_read_at_no_node():
+    calls = []
+
+    def fbatch(ts):
+        calls.append(len(ts))
+        return np.zeros((len(ts), 3), dtype=complex)
+
+    value, err, evaluations = _adaptive(fbatch, 0.5, 0.5, 1e-10)
+    assert calls == [0]
+    assert np.array_equal(value, np.zeros(3)) and (err, evaluations) == (0.0, 0)
+    assert quad_scalar(lambda t: 1 / t, (0.0, 0.0)) == (0j, 0.0, 0)
+
+
+@pytest.mark.parametrize("interval", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0)],
+                         ids=["right-inf", "right-nan", "left-inf"])
+def test_a_non_finite_interval_end_is_rejected_before_any_node_is_read(interval):
+    nodes = []
+
+    def g(t):
+        nodes.append(t)
+        return math.exp(-t)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite interval end"):
+            quad_scalar(g, interval)
+        with pytest.raises(ValueError, match="non-finite interval end"):
+            adaptive_quadrature_family(lambda ts, owner: nodes.extend(ts),
+                                       [(0.0, 1.0), interval], QuadratureConfig())
+    assert nodes == []
 
 
 def test_against_scipy_oracle():
