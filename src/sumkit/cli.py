@@ -342,14 +342,12 @@ def _synthetic_convergent(g) -> list:
 
 
 def _expr_source(g) -> list:
-    block = lambda lo, hi: (np.asarray(g["expr"](n=np.arange(lo, hi, dtype=float)),
-                                       dtype=complex) * np.ones(hi - lo))[:, None]
+    block = lambda lo, hi: g["expr"](n=np.arange(lo, hi, dtype=float)) * np.ones(hi - lo)
     return [(g["name"], SequenceSource(space=SCALAR, block=block, name=g["name"]), None)]
 
 
 def _function_source(g) -> list:
-    batch = lambda ts: (np.asarray(g["fexpr"](t=np.asarray(ts, dtype=float)), dtype=complex)
-                        * np.ones(len(ts)))[:, None]
+    batch = lambda ts: g["fexpr"](t=np.asarray(ts, dtype=float)) * np.ones(len(ts))
     return [(g["name"], FunctionSource(space=SCALAR, batch=batch, domain=g["domain"],
                                        name=g["name"]), None)]
 

@@ -384,13 +384,13 @@ def _functional_source(source, phi: LinearFunctional):
     if isinstance(source, SequenceSource):
         return SequenceSource(
             space=SpaceDescriptor(1, "l2"),
-            block=lambda lo, hi: (source.block(lo, hi) @ phi.weights)[:, None],
+            block=lambda lo, hi: source.block(lo, hi) @ phi.weights,
             name=f"phi({source.name})",
         )
     if isinstance(source, FunctionSource):
         return FunctionSource(
             space=SpaceDescriptor(1, "l2"),
-            batch=lambda ts: (source.batch(ts) @ phi.weights)[:, None],
+            batch=lambda ts: source.batch(ts) @ phi.weights,
             domain=source.domain,
             name=f"phi({source.name})",
         )

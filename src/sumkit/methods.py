@@ -21,8 +21,10 @@ All three are evidence from the sampled prefix, not proofs about the
 unseen tail.  Reports do not yet say which rule fired; only a failure is
 explained: a summation without an end that achieves no certificate within
 ``_MAX_TERMS`` terms raises NonSummableError naming the reason, with the
-partial sum and the number of terms read.  A finite row always runs to its
-support end, however long.
+partial sum and the number of terms read.  The term budget never stops a
+finite row, but the plain certificate and the stabilized closure can stop
+one before its support end: ``transform_at(cesaro_method(), <1 + [n >= 100]>,
+1000)`` is 1.0, where the exact mean is 1.9001 (ROADMAP item 7).
 
 The tail tolerance is ``_TAIL_TOL`` = 1e-14 for a lone ``transform_at``, for
 the regularity checks and for the Taylor norms in ``holo``.  The samples of
@@ -37,10 +39,12 @@ package, read at call time.
 The certified sum reads its source one block at a time, as a ``_Block``
 record: the terms, their norms, and the O(dim) sums every row takes of them
 (the block's sum and norm sum, the sup norm, the last term and the
-stabilized scatter about it).  A record holds its terms component-major,
-one C-contiguous (dim, n) array, so every sum over a block runs along
-contiguous memory and each component rounds pairwise, as a scalar block
-does.  Block sizes are counted in values: a block holds at most
+stabilized scatter about it).  Every norm is ``vspace.space_norm``, the
+package's one per-vector norm, which the limit estimator takes too: a term
+whose modulus overflows has norm inf, never nan.  A record holds its terms
+component-major, one C-contiguous (dim, n) array, so every sum over a block
+runs along contiguous memory and each component rounds pairwise, as a
+scalar block does.  Block sizes are counted in values: a block holds at most
 ``_block_cap(dim)`` = max(1, ``_MAX_BLOCK`` // dim) terms, so a block, its
 weighted product and the memo below stay bounded whatever dim X is, and
 one dimension keeps ``_MAX_BLOCK`` terms.  A matrix row that declares
@@ -192,7 +196,7 @@ class _Block:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        return _term_norms(self.terms, self._tag)
+        return space_norm(self.terms.T, self._tag)
 
     @cached_property
     def sup(self) -> float:
@@ -212,7 +216,7 @@ class _Block:
 
     @cached_property
     def dev(self) -> float:
-        return float(np.max(_term_norms(self.terms - self.last[:, None], self._tag)))
+        return float(np.max(space_norm((self.terms - self.last[:, None]).T, self._tag)))
 
     def prefix(self, size: int) -> "_Block":
         """The record of the first ``size`` terms (self when that is all of them)."""
@@ -332,29 +336,19 @@ class FunctionSource:
 
 def scalar_sequence(fn: Callable[[np.ndarray], np.ndarray], name: str = "") -> SequenceSource:
     """Scalar sequence from a numpy-vectorized formula over the index array."""
-
-    def block(lo, hi):
-        return np.asarray(fn(np.arange(lo, hi)), dtype=complex)[:, None]
-
-    return SequenceSource(space=SCALAR, block=block, name=name)
+    return SequenceSource(space=SCALAR, block=lambda lo, hi: fn(np.arange(lo, hi)), name=name)
 
 
 def vector_sequence(fn: Callable[[np.ndarray], np.ndarray], space: SpaceDescriptor,
                     name: str = "") -> SequenceSource:
     """Vector sequence from a vectorized formula: ns -> (len(ns), dim)."""
-
-    def block(lo, hi):
-        return np.asarray(fn(np.arange(lo, hi)), dtype=complex)
-
-    return SequenceSource(space=space, block=block, name=name)
+    return SequenceSource(space=space, block=lambda lo, hi: fn(np.arange(lo, hi)), name=name)
 
 
 def scalar_function(fn: Callable[[np.ndarray], np.ndarray],
                     domain: HalfOpenInterval = UNIT_INTERVAL, name: str = "") -> FunctionSource:
-    def batch(ts):
-        return np.asarray(fn(np.asarray(ts, dtype=float)), dtype=complex)[:, None]
-
-    return FunctionSource(space=SCALAR, batch=batch, domain=domain, name=name)
+    return FunctionSource(space=SCALAR, batch=lambda ts: fn(np.asarray(ts, dtype=float)),
+                          domain=domain, name=name)
 
 
 def combine_sources(alpha: complex, u, beta: complex, v):
@@ -542,25 +536,6 @@ def as_kernel(spec: KernelSpec) -> KernelSpec:
 
 # ---------------------------------------------------------------------------
 # Certified summation engine
-
-
-def _term_norms(terms: np.ndarray, tag: str) -> np.ndarray:
-    """The norm of each column of a component-major (dim, n) block."""
-    if terms.shape[0] == 1:
-        return np.abs(terms[0])   # in one dimension every norm is the modulus
-    mags = np.abs(terms)
-    if tag == "l1":
-        return np.sum(mags, axis=0)
-    if tag == "sup":
-        return np.max(mags, axis=0)
-    norms = np.sqrt(np.sum(mags * mags, axis=0))
-    big = np.flatnonzero(np.isinf(norms))
-    if big.size:
-        # squares past the float range: rescale those terms by their peak,
-        # as space_norm does; a term with an infinite component stays infinite
-        big = big[np.isfinite(mags[:, big]).all(axis=0)]
-        norms[big] = space_norm(np.ascontiguousarray(mags[:, big].T), tag)
-    return norms
 
 
 # over- and underflow in a block are caught by the finiteness and overflow checks
@@ -824,17 +799,12 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
             except NonSummableError as exc:
                 outcomes.append(exc)
     samples = [out for out in outcomes if isinstance(out, VectorValue)]
-    failed = [(p, f"{type(out).__name__}: {out}")
-              for p, out in zip(params, outcomes) if not isinstance(out, VectorValue)]
-
-    failed_tuple = tuple(failed)
+    failed = tuple((p, f"{type(out).__name__}: {out}")
+                   for p, out in zip(params, outcomes) if not isinstance(out, VectorValue))
     if len(samples) < 2:
         return ConvergenceEstimate(INCONCLUSIVE, None, math.inf, len(samples),
-                                   window, tol, failed_points=failed_tuple)
-    est = estimate_limit_at_infinity(samples, tol=tol, failed_points=failed_tuple)
-    if failed:
-        tail_start = len(params) - 2 * window
-        tail_failed = any(params.index(p) >= tail_start for p, _ in failed)
-        if est.converged and tail_failed:
-            est = replace(est, status=INCONCLUSIVE, value=None)
+                                   window, tol, failed_points=failed)
+    est = estimate_limit_at_infinity(samples, tol=tol, failed_points=failed)
+    if est.converged and not all(isinstance(out, VectorValue) for out in outcomes[-2 * window:]):
+        est = replace(est, status=INCONCLUSIVE, value=None)
     return est

@@ -45,22 +45,30 @@ DEFAULT_SPACE = SpaceDescriptor(4, "l2")
 def space_norm(coords: np.ndarray, tag: str):
     """Norm of a coordinate array under one of the three tags.
 
-    A 1-D array gives a float.  A stacked (..., d) array gives the norm of
-    each vector along its last axis; when the array is C-contiguous, each
-    equals the norm of that vector alone, bit for bit.
+    The package's one per-vector norm.  A 1-D array gives a float.  A
+    stacked (..., d) array gives the norm of each vector along its last
+    axis; when the array is C-contiguous, each equals the norm of that
+    vector alone, bit for bit.  A vector with one coordinate has its
+    modulus as every norm.  A coordinate whose modulus overflows makes the
+    norm inf, never nan.
     """
+    if tag not in NORM_TAGS:
+        raise ValueError(f"unknown norm tag {tag!r}")
     mags = np.abs(coords)
-    if tag == "l1":
+    if mags.shape[-1] == 1:
+        out = mags[..., 0]
+    elif tag == "l1":
         out = mags.sum(-1)
-    elif tag in ("l2", "sup"):
+    else:
         out = mags.max(-1, initial=0.0)
         if tag == "l2":
-            # rescaling by the peak avoids over- and underflow of the squares
-            scaled = mags / (out + (out == 0.0))[..., None]
-            scaled *= scaled
-            out = out * np.sqrt(scaled.sum(-1))
-    else:
-        raise ValueError(f"unknown norm tag {tag!r}")
+            # rescaling by a finite, nonzero peak keeps the squares from over-
+            # and underflowing; an infinite peak is the norm
+            rescale = np.isfinite(out)
+            rescale &= out > 0.0
+            np.divide(mags, out[..., None], out=mags, where=rescale[..., None])
+            mags *= mags
+            out *= np.sqrt(mags.sum(-1))
     return out.item() if out.ndim == 0 else out
 
 

@@ -208,3 +208,12 @@ def test_estimator_soundness_geometric_approach(rho):
     est = estimate_limit_at_infinity(samples, tol=tol)
     assert est.status == CONVERGED
     assert (est.value - target).norm() <= tol
+
+
+def test_a_path_whose_differences_overflow_their_modulus_is_not_converged():
+    # each sample is finite, and so is each difference -1.6e308(1 + i), but the
+    # modulus of that difference is past the float range: the diameter is inf
+    z = 0.8e308 * (1 + 1j)
+    est = estimate_limit_at_infinity([scalar_value(-z)] * 3 + [scalar_value(z)], tol=1e-6)
+    assert not est.converged
+    assert est.residual == math.inf

@@ -16,7 +16,9 @@ import pytest
 
 from sumkit import methods
 from sumkit.cli import build_method
-from sumkit.domains import CONVERGED, DIVERGED, HALF_LINE, NAT, parameter_grid, UNIT_INTERVAL
+from sumkit.domains import (
+    CONVERGED, DIVERGED, HALF_LINE, INCONCLUSIVE, NAT, parameter_grid, UNIT_INTERVAL,
+)
 from sumkit.integrate import MEASURE_COUNTING, MEASURE_LEBESGUE, QuadratureError
 from sumkit.methods import (
     FunctionSource,
@@ -833,6 +835,26 @@ def test_box_row_with_overflowing_terms_is_not_summable(spec, scale):
         transform_at(spec, src, 100)
 
 
+@pytest.mark.parametrize("tag", ["l1", "l2", "sup"])
+@pytest.mark.parametrize("r", [0.5, 0.99])
+def test_abel_sum_of_a_c3_source_is_its_closed_form(r, tag):
+    # v_n = L + rho^n u: the Abel mean is L + (1 - r) u / (1 - r rho) in every norm
+    L, u, rho = np.array([1.0, -2j, 0.5 + 0.5j]), np.array([0.3, 1j, -0.7]), 0.8j
+    src = vector_sequence(lambda ns: L + np.power(rho, ns)[:, None] * u, SpaceDescriptor(3, tag))
+    got = transform_at(abel_method(), src, r).coords
+    assert np.abs(got - (L + (1 - r) / (1 - r * rho) * u)).max() <= 1e-13
+
+
+def test_abel_sum_of_a_c2_term_whose_modulus_overflows_is_not_summable():
+    # v_3's first coordinate 1.5e308(1 + i) is finite; its modulus, and so the l2 norm, is inf
+    def terms(ns):
+        first = np.where(ns == 3, 1.5e308 + 1.5e308j, 0.5 ** ns)
+        return np.stack([first, 0.5 ** ns], axis=1)
+
+    with pytest.raises(NonSummableError, match="terms overflowing"):
+        transform_at(abel_method(), vector_sequence(terms, SpaceDescriptor(2, "l2")), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # summability limits
 
@@ -879,6 +901,18 @@ def test_failed_grid_points_are_recorded():
     est = summability_limit(cesaro_method(), bad, depth=8, tol=1e-6)
     assert est.failed_points  # rows beyond 60 hit non-finite terms
     assert est.status != CONVERGED
+
+
+@pytest.mark.parametrize("depth, bad, status", [
+    (6, 65, INCONCLUSIVE),   # the last grid point, 2^6 + 1
+    (6, 2, CONVERGED),       # the first of 12 grid points, before the last 2 windows of 4
+    (3, 2, INCONCLUSIVE),    # a grid of 6 points is shorter than 2 windows
+], ids=["last", "before-the-last-two-windows", "short-grid"])
+def test_a_failure_among_the_last_two_windows_makes_a_limit_inconclusive(depth, bad, status):
+    src = scalar_sequence(lambda n: np.where(n == bad, np.inf, 1.0))
+    est = summability_limit(identity_method(), src, depth=depth, tol=1e-6)
+    assert [p for p, _ in est.failed_points] == [bad]
+    assert est.status == status
 
 
 def test_vector_sequence_roundtrip():

@@ -1,5 +1,8 @@
 """Norm axioms, functional linearity and duality for the vector carrier."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from sumkit.vspace import (
     basis_vector,
     coordinate_functionals,
     scalar_value,
+    space_norm,
     zero,
 )
 
@@ -30,6 +34,19 @@ def test_zero_vector_norm_is_zero():
 def test_modulus_in_dim_one():
     v = VectorValue([3 + 4j], SpaceDescriptor(1, "l2"))
     assert v.norm() == pytest.approx(5.0, abs=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("tag", TAGS)
+def test_a_coordinate_whose_modulus_overflows_has_norm_inf(tag, dim):
+    # 1.5e308(1 + i) is finite, but its modulus 2.1e308 is past the float range
+    coords = np.full(dim, 1.5e308 + 1.5e308j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert space_norm(coords, tag) == math.inf
+        assert VectorValue(coords, SpaceDescriptor(dim, tag)).norm() == math.inf
+        stacked = space_norm(np.stack([coords, np.ones(dim)]), tag)
+    assert stacked[0] == math.inf and np.isfinite(stacked[1])
 
 
 def test_l1_norm_sums_moduli():
