@@ -317,6 +317,8 @@ def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
     battery sequences converge at 1/m rates, so the tight conclusion
     tolerance would leave the inclusion evidence inconclusive.
     """
+    # each probe's orbit, summed by A and then B: B's grid reads A's kept ramp
+    orbits = [family.source_for(x) for x in probes]
     a_estimates = []  # (A-estimate, target) per probe, for the conclusion
 
     # each check returns (passed, detail); its function name is the hypothesis name
@@ -331,8 +333,8 @@ def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
 
     def probes_a_summable():
         # each probe orbit is A-summable to the target
-        for i, x in enumerate(probes):
-            est = summability_limit(A, family.source_for(x), depth=depth, tol=tol)
+        for i, (x, orbit) in enumerate(zip(probes, orbits)):
+            est = summability_limit(A, orbit, depth=depth, tol=tol)
             target = family.target(x)
             a_estimates.append((est, target))
             dist = (est.value - target).norm() if est.converged else math.inf
@@ -362,8 +364,8 @@ def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
 
     # conclusion: every probe orbit is B-summable to the same target
     cases = []
-    for i, (x, (est_a, target)) in enumerate(zip(probes, a_estimates)):
-        est_b = summability_limit(B, family.source_for(x), depth=depth, tol=tol)
+    for i, (orbit, (est_a, target)) in enumerate(zip(orbits, a_estimates)):
+        est_b = summability_limit(B, orbit, depth=depth, tol=tol)
         dist = (est_b.value - target).norm() if est_b.converged else math.nan
         if est_b.converged and dist <= tol:
             verdict = TRANSFERS

@@ -51,12 +51,16 @@ one dimension keeps ``_MAX_BLOCK`` terms.  A matrix row that declares
 ``weight`` is a box row -- Cesaro, series summation and the identity are --
 and sums a block as its one weight times the block's sum, which rounds
 differently from the sum of weighted terms; every other row multiplies its
-coefficients into the terms.  The grid of one ``summability_limit`` call
-shares a sequence source's block records (``_SharedBlocks``), and a longer
-request at a start it holds reads only the missing suffix.  So a
-``SequenceSource.block`` must be elementwise in its index range, like every
-other vectorised callable below: the terms of ``block(lo, hi)`` are those of
-``block(lo, k)`` followed by those of ``block(k, hi)``, bit for bit.
+coefficients into the terms.  Every ``summability_limit`` grid on one
+sequence source shares the source's block records (``_SharedBlocks``,
+made by the first such call), whichever method sums it, and a longer
+request at a start it holds reads only the missing suffix.  The records of
+the leading block ramp stay with the source for its lifetime; the rest go
+with the call.  So a ``SequenceSource.block`` must be a pure function of
+(lo, hi) for the source's lifetime, and elementwise in its index range,
+like every other vectorised callable below: the terms of ``block(lo, hi)``
+are those of ``block(lo, k)`` followed by those of ``block(k, hi)``, bit
+for bit.
 
 Every method is one ``KernelSpec``, a kernel a(r, t) on E with parameters
 r in F: a matrix (``MatrixSpec``, E = F = naturals) and a
@@ -86,6 +90,8 @@ from __future__ import annotations
 
 import copy
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from typing import Callable, Optional
@@ -147,12 +153,23 @@ def _block_cap(dim: int) -> int:
 
 
 class SequenceSource:
-    """Lazy X-valued sequence given by its vectorised ``block(lo, hi)``."""
+    """Lazy X-valued sequence given by its vectorised ``block(lo, hi)``.
+
+    ``block`` must be a pure function of (lo, hi) for the source's lifetime,
+    and elementwise in that range (see the module docstring): the grids of
+    every ``summability_limit`` call on this source read it through one
+    memo, ``_SharedBlocks``, made by the first such call.  Between calls the
+    source keeps only that memo's kept ramp, the records of the block ramp
+    plus one full block (at most 87,360 values), for as long as the source
+    lives.  Grids on one source run one at a time, under the source's lock.
+    """
 
     def __init__(self, block, space: SpaceDescriptor = SCALAR, name: str = ""):
         self.space = space
         self.name = name
         self._block = block
+        self._grid_lock = threading.Lock()
+        self._memo = None
 
     def term(self, n: int) -> VectorValue:
         return VectorValue(self.block(n, n + 1)[0], self.space)
@@ -176,6 +193,23 @@ class SequenceSource:
         if vs.shape != (hi - lo, self.space.dim):
             raise ValueError(f"source block shape {vs.shape}, expected {(hi - lo, self.space.dim)}")
         return _Block(np.ascontiguousarray(vs.T), self.space.norm_tag)
+
+    @contextmanager
+    def _grid(self):
+        """This source's one grid memo, for one grid at a time.
+
+        The memo is made on first use and kept with the source.  The lock
+        makes grids that share the source run one after another, and every
+        grid ends, on return or raise, by dropping what only it needed
+        (``_SharedBlocks.end_grid``).
+        """
+        with self._grid_lock:
+            if self._memo is None:
+                self._memo = _SharedBlocks(self)
+            try:
+                yield self._memo
+            finally:
+                self._memo.end_grid()
 
 
 class _Block:
@@ -250,29 +284,32 @@ class _Block:
 
 
 class _SharedBlocks(SequenceSource):
-    """Read-through memo of a source's block records, shared by one grid of transforms.
+    """Read-through memo of a source's block records, shared by every grid on the source.
 
     Every certified sum of ``summability_limit`` asks the source for the same
-    leading ``(lo, hi)`` blocks.  A request at a start the memo holds is
-    served as a prefix of the held record, or, when it is longer, as that
-    record extended by the missing suffix alone, which relies on ``block``
-    being elementwise.  The records of the block ramp plus one full block
-    (``_block_cap`` terms, ``_MAX_BLOCK`` values) are kept whole and
-    read-only by their start (``held`` terms, about 87,360 values whatever
-    the dimension).  Past that cap the memo keeps one open record with its
-    terms, the one read furthest along (at most one full block): a finite
-    row's last block, which the next row extends, or the last block of a
-    row without an end, which the next row reuses.  It also keeps the
-    O(dim) summary of every full block past the cap, by ``(lo, hi)``, with
-    no cap: it serves a box row, which needs no terms.  Any other block
-    past the cap is read afresh.  ``block`` returns the (n, dim) transpose
-    of a held record, read-only.  The memo holds no reference to itself,
-    so it is freed as soon as the call that made it returns.
+    leading ``(lo, hi)`` blocks, whichever method sums it.  A request at a
+    start the memo holds is served as a prefix of the held record, or, when
+    it is longer, as that record extended by the missing suffix alone, which
+    relies on ``block`` being elementwise.  The records of the block ramp
+    plus one full block (``_block_cap`` terms, ``_MAX_BLOCK`` values) are
+    kept whole and read-only by their start (``held`` terms, about 87,360
+    values whatever the dimension), for as long as the source lives, which
+    relies on ``block`` being a pure function of (lo, hi).  Past that cap
+    the memo keeps, for one grid, one open record with its terms, the one
+    read furthest along (at most one full block): a finite row's last
+    block, which the next row extends, or the last block of a row without
+    an end, which the next row reuses.  It also keeps, for one grid, the
+    O(dim) summary of every full block past the cap, by ``(lo, hi)``: it
+    serves a box row, which needs no terms.  ``end_grid`` drops both.  Any
+    other block past the cap is read afresh.  ``block`` returns the (n, dim)
+    transpose of a held record, read-only.  The memo holds the source's
+    block callable and space, never the source, so no reference cycle keeps
+    either alive: the memo is freed with the last reference to its source.
     """
 
     def __init__(self, source: SequenceSource):
-        super().__init__(source.block, source.space, source.name)
-        self._source = source
+        super().__init__(source._block, source.space, source.name)
+        self._fresh = SequenceSource(source._block, source.space, source.name)
         self._kept = {}
         self._open = {}
         self._summaries = {}
@@ -282,6 +319,11 @@ class _SharedBlocks(SequenceSource):
         while size < self._full:
             self._cap += size
             size *= 4
+
+    def end_grid(self):
+        """Drop the open record and the block summaries; the kept ramp stays."""
+        self._open = {}
+        self._summaries = {}
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         return self._record(lo, hi).terms.T
@@ -294,9 +336,9 @@ class _SharedBlocks(SequenceSource):
         if summary is not None:
             return summary
         if prior is None:
-            rec = self._source._record(lo, hi)
+            rec = self._fresh._record(lo, hi)
         else:
-            rec = prior.extended(self._source._record(lo + prior.size, hi))
+            rec = prior.extended(self._fresh._record(lo + prior.size, hi))
         rec.terms = rec.terms.view()
         rec.terms.flags.writeable = False
         if lo in self._kept:
@@ -773,10 +815,15 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
 
     Each sample's error budget, its ``tail_tol``, is ``tol * _TAIL_SHARE``
     (at least ``_TAIL_TOL``), whatever the measure: the limit is asked for
-    only to ``tol``.  The samples of a sequence source share its leading
-    blocks (``_SharedBlocks``), and a Lebesgue kernel integrates the whole
-    grid in one lockstep quadrature (``_lebesgue_transforms``), so each
-    sample equals a lone ``transform_at`` at that ``tail_tol``, bit for bit.
+    only to ``tol``.  The samples of a sequence source read it through the
+    source's one memo (``_SharedBlocks``), which every later call on the
+    same source reads too, whatever its method: the source keeps the memo's
+    kept ramp (at most about 87,360 values) for its lifetime, and the rest
+    only for the call.  So ``block`` must be a pure function of (lo, hi)
+    for the source's lifetime, and calls that share a source run one at a
+    time.  A Lebesgue kernel integrates the whole grid in one lockstep
+    quadrature (``_lebesgue_transforms``).  So each sample equals a lone
+    ``transform_at`` at that ``tail_tol``, bit for bit.
 
     Transform failures at individual grid points are recorded in
     ``failed_points`` rather than aborting; a failure among the last
@@ -790,14 +837,15 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     if spec.measure != MEASURE_COUNTING:
         outcomes = _lebesgue_transforms(spec, source, params, tail_tol)
     else:
-        if isinstance(source, SequenceSource):
-            source = _SharedBlocks(source)
+        if not isinstance(source, SequenceSource):
+            raise TypeError("counting kernels need a SequenceSource")
         outcomes = []
-        for p in params:
-            try:
-                outcomes.append(transform_at(spec, source, p, tail_tol=tail_tol))
-            except NonSummableError as exc:
-                outcomes.append(exc)
+        with source._grid() as memo:
+            for p in params:
+                try:
+                    outcomes.append(transform_at(spec, memo, p, tail_tol=tail_tol))
+                except NonSummableError as exc:
+                    outcomes.append(exc)
     samples = [out for out in outcomes if isinstance(out, VectorValue)]
     failed = tuple((p, f"{type(out).__name__}: {out}")
                    for p, out in zip(params, outcomes) if not isinstance(out, VectorValue))

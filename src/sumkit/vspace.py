@@ -49,8 +49,9 @@ def space_norm(coords: np.ndarray, tag: str):
     stacked (..., d) array gives the norm of each vector along its last
     axis; when the array is C-contiguous, each equals the norm of that
     vector alone, bit for bit.  A vector with one coordinate has its
-    modulus as every norm.  A coordinate whose modulus overflows makes the
-    norm inf, never nan.
+    modulus as every norm.  A norm past the float range is inf, never nan,
+    and warns of no overflow: whether a coordinate's modulus overflows or
+    only the l1 sum or the rescaled l2 product does.
     """
     if tag not in NORM_TAGS:
         raise ValueError(f"unknown norm tag {tag!r}")
@@ -58,17 +59,20 @@ def space_norm(coords: np.ndarray, tag: str):
     if mags.shape[-1] == 1:
         out = mags[..., 0]
     elif tag == "l1":
-        out = mags.sum(-1)
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            out = mags.sum(-1)
     else:
         out = mags.max(-1, initial=0.0)
         if tag == "l2":
             # rescaling by a finite, nonzero peak keeps the squares from over-
-            # and underflowing; an infinite peak is the norm
+            # and underflowing; an infinite peak is the norm, and a finite
+            # one times the rescaled root may overflow to inf
             rescale = np.isfinite(out)
             rescale &= out > 0.0
             np.divide(mags, out[..., None], out=mags, where=rescale[..., None])
-            mags *= mags
-            out *= np.sqrt(mags.sum(-1))
+            with np.errstate(over="ignore"):
+                mags *= mags
+                out *= np.sqrt(mags.sum(-1))
     return out.item() if out.ndim == 0 else out
 
 

@@ -1,0 +1,244 @@
+"""Closed-form differential tests: every grid sample against its exact transform.
+
+Every transform is linear, so a source built from families whose transforms
+have closed forms has a closed-form transform too.  The sequences here are
+
+    v_n = c + a rho^n + h / (n + 1),    rho real or complex, |rho| <= 0.95,
+
+in C^dim, each coefficient vector present or absent, and each is summed with
+Abel, Cesaro, series summation, the identity and ``as_kernel(abel)`` in turn,
+as one ``SequenceSource``: the later grids read the blocks the earlier ones
+kept on it.  With L = -log(1 - r) and H_k the harmonic numbers:
+
+    Abel at r          c + a (1-r)/(1-r rho) + h (1-r) L(r)/r
+    Cesaro at m        c + a (1-rho^(m+1))/((m+1)(1-rho)) + h H_(m+1)/(m+1)
+    series at m        c (m+1) + a (1-rho^(m+1))/(1-rho) + h H_(m+1)
+    identity at m      v_m
+
+The functions on [0, 1) are c + b (1-t)^p, 0.5 <= p <= 2, under the
+logarithmic kernel, whose transform is c + b (1 - (1-r)^p)/(p L(r)).
+
+Invariants, on every grid sample and every estimate:
+
+* each sample lies within its budget, the ``tail_tol`` of
+  ``summability_limit`` (``tol * _TAIL_SHARE``, the certified tail or the
+  quadrature tolerance), plus a rounding slack of ``_SLACK`` times one plus
+  the row's mass times the coefficients' size, of its closed form, or its
+  grid point is a recorded failure;
+* a ``converged`` limit lies within ``tol`` of the true limit: c for the
+  regular methods, a/(1 - rho) for series summation when c = h = 0, and
+  none otherwise.
+
+Every coefficient present has modulus in [0.25, 2] in each coordinate.
+Nearer zero, a slowly moving part (h/(n+1) under series summation, b(1-t)^p
+under the logarithmic kernel) moves the estimator's window by less than
+``tol``, and the estimate says ``converged`` short of the limit: that is
+the rate-blind estimator of ROADMAP item 2.  Left out too, each until the
+item that mends it lands:
+
+* steps [n >= K] and spikes [n = K] (item 7): a certificate can stop a row
+  before a late step, so a sample misses it by the whole step;
+* 0.5 + (1-t)^2 sin(40 t) under the logarithmic kernel (item 2): it says
+  ``converged`` at 0.50253 at depth 14.
+
+Cesaro's limit of a source with an h/(n+1) part is not judged either (item
+2 again).  Its means fall like log(m)/m, and the estimator's last window,
+rows 2^13 .. 2^14 + 1, spans less than the distance still to go: with h = 1.7
+it says ``converged`` 1.07e-3 from the limit at tol 1e-3.  A strict xfail
+test pins that case until the estimator checks the method's rate.
+
+The examples are drawn with ``derandomize=True`` from the hypothesis profile
+``closed-forms`` (a few seconds); set ``SUMKIT_CLOSED_FORMS_PROFILE`` to
+``closed-forms-deep`` for ten times as many.
+"""
+
+import functools
+import math
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sumkit import methods
+from sumkit.domains import sample_grid
+from sumkit.methods import (
+    FunctionSource,
+    SequenceSource,
+    abel_method,
+    as_kernel,
+    cesaro_method,
+    identity_method,
+    logarithmic_method,
+    series_summation_method,
+    summability_limit,
+)
+from sumkit.vspace import SpaceDescriptor, space_norm
+
+settings.register_profile("closed-forms", max_examples=12, derandomize=True, deadline=None)
+settings.register_profile("closed-forms-deep", settings.get_profile("closed-forms"),
+                          max_examples=120)
+PROFILE = settings.get_profile(os.environ.get("SUMKIT_CLOSED_FORMS_PROFILE", "closed-forms"))
+
+TOL = 1e-3
+DEPTH = 14
+LOG_DEPTH = 20
+# rounding slack per unit of row mass times coefficient size: the pairwise
+# block sums err by about eps log2(n) per unit, some 4e-15 at 2^18 terms
+_SLACK = 1e-12
+
+
+def _coefficient(dim):
+    """None (absent) or a C^dim vector with every modulus in [0.25, 2]."""
+    part = st.tuples(st.floats(0.25, 2.0), st.floats(0.0, 2.0 * math.pi)).map(
+        lambda mp: mp[0] * complex(math.cos(mp[1]), math.sin(mp[1])))
+    return st.one_of(st.none(), st.lists(part, min_size=dim, max_size=dim).map(np.array))
+
+
+_RHO = st.one_of(
+    st.floats(-0.95, 0.95),
+    st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi)).map(
+        lambda mp: mp[0] * complex(math.cos(mp[1]), math.sin(mp[1])))).map(complex)
+
+
+@st.composite
+def sequences(draw):
+    dim = draw(st.sampled_from([1, 3]))
+    c, a, h = (draw(_coefficient(dim)) for _ in range(3))
+    zero = np.zeros(dim, dtype=complex)
+    return dict(dim=dim, rho=draw(_RHO), **{k: zero if v is None else v
+                                           for k, v in zip("cah", (c, a, h))})
+
+
+@st.composite
+def functions(draw):
+    dim = draw(st.sampled_from([1, 3]))
+    c, b = (draw(_coefficient(dim)) for _ in range(2))
+    zero = np.zeros(dim, dtype=complex)
+    return dict(dim=dim, p=draw(st.floats(0.5, 2.0)),
+                c=zero if c is None else c, b=zero if b is None else b)
+
+
+@functools.lru_cache(maxsize=None)
+def _harmonic(k: int) -> float:
+    return math.fsum(1.0 / np.arange(1, k + 1))
+
+
+def _abel(f, r):
+    L = -math.log1p(-r)
+    return f["c"] + f["a"] * ((1 - r) / (1 - r * f["rho"])) + f["h"] * ((1 - r) * L / r), 1.0
+
+
+def _cesaro(f, m):
+    rho = f["rho"]
+    return (f["c"] + f["a"] * ((1 - rho ** (m + 1)) / ((m + 1) * (1 - rho)))
+            + f["h"] * (_harmonic(m + 1) / (m + 1))), 1.0
+
+
+def _series(f, m):
+    rho = f["rho"]
+    return (f["c"] * (m + 1) + f["a"] * ((1 - rho ** (m + 1)) / (1 - rho))
+            + f["h"] * _harmonic(m + 1)), m + 1.0
+
+
+def _identity(f, m):
+    return f["c"] + f["a"] * f["rho"] ** m + f["h"] / (m + 1), 1.0
+
+
+def _regular_limit(f):
+    return f["c"]
+
+
+def _series_limit(f):
+    return f["a"] / (1 - f["rho"]) if not (f["c"].any() or f["h"].any()) else None
+
+
+# (spec, closed form at a parameter -> (value, row mass), true limit or None)
+_METHODS = [
+    (abel_method(), _abel, _regular_limit),
+    (cesaro_method(), _cesaro, _regular_limit),
+    (series_summation_method(), _series, _series_limit),
+    (identity_method(), _identity, _regular_limit),
+    (as_kernel(abel_method()), _abel, _regular_limit),
+]
+
+
+def _sequence_source(f):
+    def block(lo, hi):
+        ns = np.arange(lo, hi)
+        return (f["c"][None, :] + np.power(f["rho"], ns)[:, None] * f["a"][None, :]
+                + (1.0 / (ns + 1.0))[:, None] * f["h"][None, :])
+
+    return SequenceSource(block, SpaceDescriptor(f["dim"], "l2"), "closed_form")
+
+
+def _grid(spec, source, depth):
+    """summability_limit's estimate and its (param, sample) pairs, failed points left out."""
+    taken = []
+    estimate = methods.estimate_limit_at_infinity
+
+    def recording(samples, **kwargs):
+        taken.extend(samples)
+        return estimate(samples, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(methods, "estimate_limit_at_infinity", recording)
+        est = summability_limit(spec, source, depth=depth, tol=TOL)
+    failed = {p for p, _ in est.failed_points}
+    params = [p for p in sample_grid(spec.F, depth) if p not in failed]
+    assert len(taken) == (len(params) if len(params) >= 2 else 0)
+    return est, list(zip(params, taken))
+
+
+def _check(spec, est, pairs, closed, limit, size, judge_limit=True):
+    budget = max(TOL * methods._TAIL_SHARE, methods._TAIL_TOL)
+    for param, sample in pairs:
+        want, mass = closed(param)
+        slack = _SLACK * (1.0 + mass * size)
+        miss = space_norm(sample.coords - want, "l2")
+        assert miss <= budget + slack, (spec.name, param, miss)
+    if est.converged and judge_limit:
+        assert limit is not None, (spec.name, "converged without a limit")
+        assert space_norm(est.value.coords - limit, "l2") <= TOL, (spec.name, est.value)
+
+
+@PROFILE
+@given(f=sequences())
+def test_counting_samples_match_their_closed_forms(f):
+    source = _sequence_source(f)
+    size = sum(float(np.abs(f[k]).max()) for k in "cah")
+    for spec, closed, limit in _METHODS:
+        est, pairs = _grid(spec, source, DEPTH)
+        # Cesaro's limit of an h/(n+1) part is not judged: see the strict xfail below
+        _check(spec, est, pairs, functools.partial(closed, f), limit(f), size,
+               judge_limit=not (spec.name == "cesaro" and f["h"].any()))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the window rule is blind to a "
+                                       "log(m)/m rate")
+def test_cesaro_limit_of_a_harmonic_part_is_within_tol():
+    # Cesaro means of 1.7/(n+1) are 1.7 H_(m+1)/(m+1): the last window, rows
+    # 2^13 .. 2^14 + 1, spans 9.2e-4 < tol, but the last mean is 1.07e-3 from
+    # the limit 0, since the mean falls like log(m)/m, more slowly than the
+    # window's two doublings show
+    f = dict(dim=1, rho=0j, c=np.zeros(1), a=np.zeros(1), h=np.array([1.7 + 0j]))
+    est = summability_limit(cesaro_method(), _sequence_source(f), depth=DEPTH, tol=TOL)
+    assert not est.converged or abs(est.value.coords[0]) <= TOL
+
+
+def _log_mean(f, r):
+    L = -math.log1p(-r)
+    return f["c"] + f["b"] * ((1 - (1 - r) ** f["p"]) / (f["p"] * L)), 1.0
+
+
+@PROFILE
+@given(f=functions())
+def test_logarithmic_samples_match_their_closed_forms(f):
+    source = FunctionSource(
+        lambda ts: f["c"][None, :] + ((1.0 - ts) ** f["p"])[:, None] * f["b"][None, :],
+        SpaceDescriptor(f["dim"], "l2"), name="closed_form")
+    spec = logarithmic_method()
+    est, pairs = _grid(spec, source, LOG_DEPTH)
+    size = sum(float(np.abs(f[k]).max()) for k in "cb")
+    _check(spec, est, pairs, functools.partial(_log_mean, f), f["c"], size)

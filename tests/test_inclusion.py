@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sumkit import inclusion
 from sumkit.domains import CONVERGED
 from sumkit.inclusion import (
     TRANSFERS,
@@ -173,6 +174,40 @@ def test_transfer_oscillating_family_reduces_coordinatewise():
                                  depth=15, tol=1e-3)
     assert report.applicable
     assert report.all_transfer
+
+
+def test_transfer_sums_each_probe_orbit_with_a_then_b_on_one_source(monkeypatch):
+    # B's grid on a probe's orbit reads the blocks A's grid kept on it
+    space = SpaceDescriptor(4, "l2")
+    family = truncation_family(space)
+    read = [0]
+
+    def counted(ns, x):
+        read[0] += len(ns)
+        return truncation_family(space).apply_block(ns, x)
+
+    family = replace(family, apply_block=counted)
+    rng = np.random.default_rng(5)
+    probes = [VectorValue(rng.standard_normal(4), space) for _ in range(3)]
+    grids = []
+    limit = inclusion.summability_limit
+
+    def recording(spec, source, **kwargs):
+        before = read[0]
+        est = limit(spec, source, **kwargs)
+        grids.append((spec.name, source, read[0] - before))
+        return est
+
+    monkeypatch.setattr(inclusion, "summability_limit", recording)
+    report = transfer_experiment(cesaro_method(), abel_method(), family, probes,
+                                 depth=16, tol=1e-3)
+    assert report.all_transfer
+    # the scalar battery's grids run between A's and B's
+    orbits = [(name, source, terms) for name, source, terms in grids if source.space == space]
+    assert [name for name, _, _ in orbits] == ["cesaro"] * 3 + ["abel"] * 3
+    assert all(a is b for (_, a, _), (_, b, _) in zip(orbits[:3], orbits[3:]))
+    assert all(terms > 0 for _, _, terms in orbits[:3])
+    assert all(terms == 0 for _, _, terms in orbits[3:])
 
 
 @pytest.mark.parametrize("A, B, target, failed", [

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 import weakref
 from dataclasses import replace
@@ -605,36 +606,64 @@ def test_summability_limit_reads_each_leading_block_once(spec, depth, formula, t
     assert read[0] == terms
 
 
+def _record_open_terms(monkeypatch):
+    """Patch methods.transform_at to log the terms of the memo's open record after each call."""
+    lone = methods.transform_at
+    opened = []
+
+    def recording(spec, source, param, **kwargs):
+        value = lone(spec, source, param, **kwargs)
+        opened.append(sum(rec.size for rec in source._open.values()))
+        return value
+
+    monkeypatch.setattr(methods, "transform_at", recording)
+    return opened
+
+
+def _assert_between_grids(memo, lock, cap):
+    """A memo between grids: its kept ramp alone, and the source's lock free."""
+    assert memo.held == sum(rec.size for rec in memo._kept.values()) <= cap
+    assert not memo._open and not memo._summaries
+    assert lock.acquire(blocking=False)
+    lock.release()
+
+
 def test_shared_blocks_keep_at_most_the_ramp_and_one_max_block(monkeypatch):
-    taken = _record_transforms(monkeypatch)
+    opened = _record_open_terms(monkeypatch)
     src, read = _counted_grandi()
     summability_limit(abel_method(), src, depth=14, tol=1e-3)
-    shared = {id(source): source for _, _, source in taken}
-    assert len(shared) == 1
-    (memo,) = shared.values()
-    # 64 + 256 + 1024 + 4096 + 16384 + 65536 terms; the last rows read past them
+    memo = src._memo
+    # 64 + 256 + 1024 + 4096 + 16384 + 65536 terms; the last rows read past
+    # them, into one open record of a full block, which the grid drops
     assert memo.held == 87_360
     assert read[0] > 87_360
-    assert sum(rec.size for rec in memo._open.values()) == methods._MAX_BLOCK
+    assert max(opened) == methods._MAX_BLOCK
+    _assert_between_grids(memo, src._grid_lock, 87_360)
     block = memo.block(0, 64)
     assert not block.flags.writeable
     assert np.array_equal(memo.block(0, 10), block[:10])
-    # no reference cycle: the kept blocks go with the last reference
+    # the next grid on the source is served by the same memo
+    summability_limit(cesaro_method(), src, depth=8, tol=1e-3)
+    assert src._memo is memo
+    # no reference cycle: the kept blocks go with the last reference to the source
     gone = weakref.ref(memo)
-    del memo, shared, taken[:]
+    del memo
+    assert gone() is not None
+    del src
     assert gone() is None
 
 
 def test_c4_shared_blocks_count_their_caps_in_values(monkeypatch):
     assert [methods._block_cap(d) for d in (1, 4, 1024, 10**6)] == [65_536, 16_384, 64, 1]
-    taken = _record_transforms(monkeypatch)
+    opened = _record_open_terms(monkeypatch)
     src, read = _counted(_grandi, "grandi4", dim=4)
     summability_limit(abel_method(), src, depth=14, tol=1e-3)
-    (memo,) = {id(source): source for _, _, source in taken}.values()
+    memo = src._memo
     # 64 + 256 + 1024 + 4096 + 16384 terms, 87,296 values; the last rows read past them
     assert memo.held == 21_824
     assert read[0] > 21_824
-    assert sum(rec.size for rec in memo._open.values()) == 16_384
+    assert max(opened) == 16_384
+    _assert_between_grids(memo, src._grid_lock, 21_824)
     # a record is component-major, its block the (n, dim) transpose
     assert memo._kept[0].terms.shape == (4, 64) and memo._kept[0].terms.flags.c_contiguous
     block = memo.block(0, 64)
@@ -642,18 +671,135 @@ def test_c4_shared_blocks_count_their_caps_in_values(monkeypatch):
     assert np.array_equal(block, src.block(0, 64))
 
 
+def _dense4_counted():
+    """A C^4 source L + rho^n u with |rho| = 0.999, turning, and a counter of the terms read."""
+    read = [0]
+    rho = 0.999 * np.exp(0.6j * math.pi)
+
+    def block(lo, hi):
+        read[0] += hi - lo
+        return _L4[None, :] + np.power(rho, np.arange(lo, hi))[:, None] * _U4[None, :]
+
+    return SequenceSource(block, SpaceDescriptor(4, "l2"), "dense4"), read
+
+
+def _same_estimate(a, b):
+    return (a.status == b.status and a.residual == b.residual and a.failed_points == b.failed_points
+            and (a.value is None and b.value is None
+                 or a.value is not None and b.value is not None
+                 and np.array_equal(a.value.coords, b.value.coords)))
+
+
+_THREE_GRIDS = ((cesaro_method(), 19), (abel_method(), 14), (as_kernel(abel_method()), 14))
+
+
+# Cesaro reads 524,290 terms of 1, 0, 1, 0, ... and each Abel grid 218,432;
+# the two Abel grids find the kept ramp of 87,360 terms.  On the C^4 source
+# each grid reads 38,208 terms, the kept ramp of 21,824 and one full block.
+@pytest.mark.parametrize("counted, shared_terms, fresh_terms", [
+    (_counted_grandi, 786_434, 961_154),
+    (_dense4_counted, 70_976, 114_624),
+], ids=["scalar", "C4"])
+def test_one_source_summed_by_three_methods_reads_its_ramp_once(counted, shared_terms,
+                                                                 fresh_terms):
+    src, read = counted()
+    shared = [summability_limit(spec, src, depth=depth, tol=1e-3) for spec, depth in _THREE_GRIDS]
+    assert read[0] == shared_terms
+    assert all(est.converged for est in shared)
+    fresh_read = 0
+    for (spec, depth), est in zip(_THREE_GRIDS, shared):
+        fresh, fresh_count = counted()
+        assert _same_estimate(est, summability_limit(spec, fresh, depth=depth, tol=1e-3))
+        fresh_read += fresh_count[0]
+    assert fresh_read == fresh_terms
+
+
+def test_a_grid_that_raises_leaves_only_the_kept_ramp():
+    # Cesaro rows up to 2^18 + 1 read past the kept ramp, into an open record
+    # and summaries of full blocks; the support at row 2^19 is not an
+    # interval of E, so the grid raises there
+    src, _ = _counted_grandi()
+    seen = []
+
+    def support(m):
+        if m < 2**19:
+            return (0, m)
+        seen.append((len(src._memo._open), len(src._memo._summaries)))
+        return (5, 2)
+
+    with pytest.raises(ValueError, match="not an interval of E"):
+        summability_limit(replace(cesaro_method(), support=support), src, depth=19, tol=1e-3)
+    assert seen == [(1, 2)]
+    _assert_between_grids(src._memo, src._grid_lock, 87_360)
+    assert src._memo.held == 87_360
+
+
+def test_a_source_memo_dies_with_its_source():
+    # the memo holds the source's block callable and space, not the source:
+    # reference counting alone frees both, with the collector off
+    gc.disable()
+    try:
+        src = vector_sequence(lambda ns: _L4[None, :] + np.power(0.99, ns)[:, None] * _U4[None, :],
+                              SpaceDescriptor(4, "l2"), "dense4")
+        summability_limit(abel_method(), src, depth=10, tol=1e-3)
+        summability_limit(cesaro_method(), src, depth=10, tol=1e-3)
+        source_gone, memo_gone = weakref.ref(src), weakref.ref(src._memo)
+        del src
+        assert source_gone() is None and memo_gone() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_that_share_a_source_get_the_estimates_of_sequential_grids():
+    grids = [(abel_method(), 14), (cesaro_method(), 16)] * 3
+    sequential, seq_read = _counted(_grandi, "grandi4", dim=4)
+    want = [summability_limit(spec, sequential, depth=depth, tol=1e-3) for spec, depth in grids]
+    src, read = _counted(_grandi, "grandi4", dim=4)
+    got = [None] * len(grids)
+
+    def run(i):
+        spec, depth = grids[i]
+        got[i] = summability_limit(spec, src, depth=depth, tol=1e-3)
+
+    # more threads than cores, switching often, so the grids interleave
+    # wherever the source's lock lets them
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(grids))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(_same_estimate(a, b) for a, b in zip(got, want))
+    # every grid reads the whole kept ramp, so the order does not change the count
+    assert read[0] == seq_read[0]
+    _assert_between_grids(src._memo, src._grid_lock, 21_824)
+
+
 def test_memory_of_a_sum_does_not_grow_with_the_dimension():
     # C^1024 rows: a block and the memo hold at most _MAX_BLOCK values each,
     # where blocks of _MAX_BLOCK terms would take 1 GB apiece
+    # The peak is the child's own, in KiB.  On Linux ru_maxrss also counts
+    # the peak of the process that spawned it (the test run's), so the
+    # child reads its VmHWM; elsewhere ru_maxrss, in bytes on macOS.
     code = textwrap.dedent("""
-        import resource, numpy as np
+        import resource, sys, numpy as np
         from sumkit.methods import cesaro_method, summability_limit, vector_sequence
         from sumkit.vspace import SpaceDescriptor
         grandi = lambda n: np.repeat(((1.0 + (-1.0) ** n) / 2.0)[:, None], 1024, axis=1)
         s = vector_sequence(grandi, SpaceDescriptor(1024, "l2"))
         est = summability_limit(cesaro_method(), s, depth=16, tol=1e-3)
-        print(est.converged, float(np.abs(est.value.coords - 0.5).max()),
-              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        try:
+            with open("/proc/self/status") as status:
+                peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+        except OSError:
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            peak //= 1024 if sys.platform == "darwin" else 1
+        print(est.converged, float(np.abs(est.value.coords - 0.5).max()), peak)
     """)
     path = os.pathsep.join([str(Path(methods.__file__).parents[1]),
                             os.environ.get("PYTHONPATH", "")])
@@ -661,8 +807,7 @@ def test_memory_of_a_sum_does_not_grow_with_the_dimension():
                          capture_output=True, text=True, check=True)
     converged, error, peak = out.stdout.split()
     assert converged == "True" and float(error) <= 1e-3
-    # ru_maxrss is in bytes on macOS, in KiB elsewhere
-    assert int(peak) / (2**20 if sys.platform == "darwin" else 2**10) < 150
+    assert int(peak) / 2**10 < 150
 
 
 # a row's blocks from index 0, (start, size): the kept ramp of 87,360 terms,

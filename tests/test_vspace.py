@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sumkit.domains import CONVERGED, estimate_limit_at_infinity
 from sumkit.vspace import (
     SCALAR,
     LinearFunctional,
@@ -47,6 +48,34 @@ def test_a_coordinate_whose_modulus_overflows_has_norm_inf(tag, dim):
         assert VectorValue(coords, SpaceDescriptor(dim, tag)).norm() == math.inf
         stacked = space_norm(np.stack([coords, np.ones(dim)]), tag)
     assert stacked[0] == math.inf and np.isfinite(stacked[1])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("tag", TAGS)
+def test_a_norm_past_the_float_range_is_inf_without_a_warning(tag, dim):
+    # every modulus 1.5e308 is finite; the l1 sum and the rescaled l2
+    # product are not, and the sup norm is the modulus itself
+    coords = np.full(dim, 1.5e308)
+    want = 1.5e308 if tag == "sup" else math.inf
+    small = {"l1": float(dim), "l2": math.sqrt(dim), "sup": 1.0}[tag]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert space_norm(coords, tag) == want
+        assert VectorValue(coords, SpaceDescriptor(dim, tag)).norm() == want
+        stacked = space_norm(np.stack([coords, np.ones(dim), coords]), tag)
+    assert stacked[0] == stacked[2] == want
+    assert stacked[1] == pytest.approx(small, rel=1e-15)
+
+
+def test_limit_estimate_of_a_path_with_overflowing_norms_is_not_converged():
+    # a C^2 l2 path alternating between 0 and (1.5e308, 1.5e308): its
+    # sample norms and differences overflow to inf
+    space = SpaceDescriptor(2, "l2")
+    path = [VectorValue([1.5e308, 1.5e308], space), zero(space)] * 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_limit_at_infinity(path, tol=1e-3)
+    assert est.status != CONVERGED and est.residual == math.inf
 
 
 def test_l1_norm_sums_moduli():
