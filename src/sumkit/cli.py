@@ -17,7 +17,8 @@ plus a combined report.json and a run_manifest.json.  CSV serialization uses
 shortest-roundtrip floats and a deterministic row order, so identical config
 and toolkit version give byte-identical CSVs.  Verdicts (including fail
 verdicts) are data; the process exits 0 when all experiments complete, 2 on
-an invalid config, 3 on a runtime failure.
+an invalid config (a config file that cannot be read as UTF-8 text and an
+--out that cannot be made a directory included), 3 on a runtime failure.
 """
 
 from __future__ import annotations
@@ -727,15 +728,26 @@ def _svg_loglog(series, title: str) -> str:
 
 
 def run_config(config, out_dir: str, threads=None, tol=None, plots: bool = False) -> int:
-    """Execute a config (dict, or a path as str or os.PathLike).  Returns the exit code."""
+    """Execute a config (dict, or a path as str or os.PathLike).  Returns the exit code.
+
+    Raises ConfigError, before any experiment runs, for an invalid config or
+    flag, a config path that cannot be read as UTF-8 text (a directory, say)
+    and an ``out_dir`` that cannot be made a directory (an existing file).
+    """
     started = time.time()
     if isinstance(config, (str, os.PathLike)):
-        with open(config) as fh:
-            config = json.load(fh)
+        try:
+            with open(config, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {os.fspath(config)}: {exc}") from None
     experiments = validate_config(config)
     tol = None if tol is None else _TOL(tol, "--tol")
     threads = (os.cpu_count() or 1) if threads is None else _COUNT(threads, "--threads")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
 
     outcomes = [None] * len(experiments)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:

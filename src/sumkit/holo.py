@@ -195,7 +195,7 @@ def taylor_from_coefficients(coeffs: Sequence[complex], space: SeriesSpace = Ser
     arr = np.asarray(list(coeffs), dtype=complex)
     if arr.size == 0:
         arr = np.zeros(1, dtype=complex)
-    peak = float(np.max(np.abs(arr))) if arr.size else 0.0
+    peak = float(np.max(np.abs(arr)))
     degree = arr.size - 1
 
     def block(lo, hi):

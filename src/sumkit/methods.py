@@ -51,16 +51,20 @@ one dimension keeps ``_MAX_BLOCK`` terms.  A matrix row that declares
 ``weight`` is a box row -- Cesaro, series summation and the identity are --
 and sums a block as its one weight times the block's sum, which rounds
 differently from the sum of weighted terms; every other row multiplies its
-coefficients into the terms.  Every ``summability_limit`` grid on one
-sequence source shares the source's block records (``_SharedBlocks``,
-made by the first such call), whichever method sums it, and a longer
-request at a start it holds reads only the missing suffix.  The records of
-the leading block ramp stay with the source for its lifetime; the rest go
-with the call.  So a ``SequenceSource.block`` must be a pure function of
-(lo, hi) for the source's lifetime, and elementwise in its index range,
-like every other vectorised callable below: the terms of ``block(lo, hi)``
-are those of ``block(lo, k)`` followed by those of ``block(k, hi)``, bit
-for bit.
+coefficients into the terms.  A row's blocks from its start follow one
+layout, ``_block_ramp``: ``_START_BLOCK`` terms, then 4x per block up to
+and including one full block, then full blocks.  Every
+``summability_limit`` grid on one sequence source shares the source's
+block records (``_SharedBlocks``, made by the first such call), whichever
+method sums it, and a longer request at a start it holds reads only the
+missing suffix.  A record stays with the source for its lifetime exactly
+when it starts at a ramp start and ends within that ramp block, so the
+kept records are the blocks a row from 0 asks for, and a row that starts
+past 0 cannot crowd them out; the rest go with the call.  So a
+``SequenceSource.block`` must be a pure function of (lo, hi) for the
+source's lifetime, and elementwise in its index range, like every other
+vectorised callable below: the terms of ``block(lo, hi)`` are those of
+``block(lo, k)`` followed by those of ``block(k, hi)``, bit for bit.
 
 Every method is one ``KernelSpec``, a kernel a(r, t) on E with parameters
 r in F: a matrix (``MatrixSpec``, E = F = naturals) and a
@@ -94,6 +98,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -138,7 +143,7 @@ _TAIL_TOL = 1e-14
 _TAIL_SHARE = 1e-2
 _MAX_TERMS = 1_000_000
 # _certified_sum's block sizes: the first block, then 4x per block up to the
-# cap, counted in values (see _block_cap)
+# cap, counted in values (see _block_cap and _block_ramp)
 _START_BLOCK = 64
 _MAX_BLOCK = 65536
 
@@ -146,6 +151,23 @@ _MAX_BLOCK = 65536
 def _block_cap(dim: int) -> int:
     """The most terms in one block of a C^dim source: ``_MAX_BLOCK`` values."""
     return max(1, _MAX_BLOCK // dim)
+
+
+def _block_ramp(dim: int) -> dict:
+    """The block ramp of a C^dim row from 0, {start: size}: the one block layout.
+
+    ``_START_BLOCK`` terms (at most ``_block_cap(dim)``), then 4x per block
+    up to and including one full block of ``_block_cap(dim)`` terms: starts
+    0, 64, 320, 1,344, 5,440 and 21,824 in C^1 (ending at 87,360), and 0 ..
+    5,440 in C^4 (ending at 21,824).  Every later block is full.
+    """
+    cap = _block_cap(dim)
+    ramp, start, size = {}, 0, _START_BLOCK
+    while size < cap:
+        ramp[start] = size
+        start, size = start + size, size * 4
+    ramp[start] = cap
+    return ramp
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +181,11 @@ class SequenceSource:
     and elementwise in that range (see the module docstring): the grids of
     every ``summability_limit`` call on this source read it through one
     memo, ``_SharedBlocks``, made by the first such call.  Between calls the
-    source keeps only that memo's kept ramp, the records of the block ramp
-    plus one full block (at most 87,360 values), for as long as the source
-    lives.  Grids on one source run one at a time, under the source's lock.
+    source keeps only that memo's kept ramp, for as long as the source
+    lives: a record is kept exactly when it starts at a start of
+    ``_block_ramp`` and ends within that ramp block (at most 87,360 values
+    in all).  Grids on one source run one at a time, under the source's
+    lock.
     """
 
     def __init__(self, block, space: SpaceDescriptor = SCALAR, name: str = ""):
@@ -290,66 +314,51 @@ class _SharedBlocks(SequenceSource):
     leading ``(lo, hi)`` blocks, whichever method sums it.  A request at a
     start the memo holds is served as a prefix of the held record, or, when
     it is longer, as that record extended by the missing suffix alone, which
-    relies on ``block`` being elementwise.  The records of the block ramp
-    plus one full block (``_block_cap`` terms, ``_MAX_BLOCK`` values) are
-    kept whole and read-only by their start (``held`` terms, about 87,360
-    values whatever the dimension), for as long as the source lives, which
-    relies on ``block`` being a pure function of (lo, hi).  Past that cap
-    the memo keeps, for one grid, one open record with its terms, the one
-    read furthest along (at most one full block): a finite row's last
+    relies on ``block`` being elementwise.  The keep rule is structural: a
+    record is kept whole and read-only, for as long as the source lives,
+    exactly when it starts at a start of ``_block_ramp`` and ends within that
+    ramp block, which relies on ``block`` being a pure function of (lo, hi).
+    So the kept records are the blocks a row from 0 asks for, at most the
+    ramp's 87,360 terms in C^1 (about 87,360 values whatever the
+    dimension), and a row that starts past 0 keeps nothing there but a
+    prefix of the ramp block at its own start.  Every other record is kept
+    for one grid at most: the open record with its terms, the one read
+    furthest along (at most one full block), which is a finite row's last
     block, which the next row extends, or the last block of a row without
-    an end, which the next row reuses.  It also keeps, for one grid, the
-    O(dim) summary of every full block past the cap, by ``(lo, hi)``: it
-    serves a box row, which needs no terms.  ``end_grid`` drops both.  Any
-    other block past the cap is read afresh.  ``block`` returns the (n, dim)
-    transpose of a held record, read-only.  The memo holds the source's
+    an end, which the next row reuses; and the O(dim) summary of every full
+    block off the ramp, by ``(lo, hi)``, which serves a box row, since it
+    needs no terms.  ``end_grid`` drops both.  Any other block is read
+    afresh, through ``SequenceSource._record``.  The memo holds the source's
     block callable and space, never the source, so no reference cycle keeps
     either alive: the memo is freed with the last reference to its source.
     """
 
     def __init__(self, source: SequenceSource):
         super().__init__(source._block, source.space, source.name)
-        self._fresh = SequenceSource(source._block, source.space, source.name)
+        self._ramp = _block_ramp(source.space.dim)
         self._kept = {}
-        self._open = {}
-        self._summaries = {}
-        self.held = 0
-        self._full = _block_cap(source.space.dim)
-        self._cap, size = self._full, min(_START_BLOCK, self._full)
-        while size < self._full:
-            self._cap += size
-            size *= 4
+        self.end_grid()
 
     def end_grid(self):
         """Drop the open record and the block summaries; the kept ramp stays."""
         self._open = {}
         self._summaries = {}
 
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        return self._record(lo, hi).terms.T
-
     def _record(self, lo: int, hi: int, terms: bool = True) -> "_Block":
         prior = self._kept.get(lo, self._open.get(lo))
         if prior is not None and prior.size >= hi - lo:
             return prior.prefix(hi - lo)
-        summary = None if terms else self._summaries.get((lo, hi))
-        if summary is not None:
-            return summary
-        if prior is None:
-            rec = self._fresh._record(lo, hi)
-        else:
-            rec = prior.extended(self._fresh._record(lo + prior.size, hi))
-        rec.terms = rec.terms.view()
+        if not terms and (lo, hi) in self._summaries:
+            return self._summaries[(lo, hi)]
+        fresh = super()._record  # its terms are a new array object: freezing them is safe
+        rec = fresh(lo, hi) if prior is None else prior.extended(fresh(lo + prior.size, hi))
         rec.terms.flags.writeable = False
-        if lo in self._kept:
-            self.held -= self._kept.pop(lo).size
-        if self.held + rec.size <= self._cap:
+        if hi - lo <= self._ramp.get(lo, 0):
             self._kept[lo] = rec
-            self.held += rec.size
             return rec
         if lo >= max(self._open, default=lo):
             self._open = {lo: rec}
-        if not terms and rec.size == self._full:
+        if not terms and rec.size == _block_cap(self.space.dim):
             self._summaries[(lo, hi)] = rec.summary()
         return rec
 
@@ -378,7 +387,7 @@ class FunctionSource:
 
 def scalar_sequence(fn: Callable[[np.ndarray], np.ndarray], name: str = "") -> SequenceSource:
     """Scalar sequence from a numpy-vectorized formula over the index array."""
-    return SequenceSource(space=SCALAR, block=lambda lo, hi: fn(np.arange(lo, hi)), name=name)
+    return vector_sequence(fn, SCALAR, name)
 
 
 def vector_sequence(fn: Callable[[np.ndarray], np.ndarray], space: SpaceDescriptor,
@@ -613,7 +622,7 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
     n = lo
     end = lo + _MAX_TERMS if support_end is None else support_end + 1
     cap = _block_cap(space.dim)
-    block = min(_START_BLOCK, cap)
+    sizes = chain(_block_ramp(space.dim).values(), repeat(cap))
     prev_abs = 0.0
     geo_ok = 0
 
@@ -622,6 +631,7 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
         raise NonSummableError(f"{label}: {msg}", partial=partial, terms=n - lo)
 
     while n < end:
+        block = next(sizes)
         hi = min(n + block, end)
         rec = source._record(n, hi, terms=weight is None)
         if weight is None:
@@ -664,7 +674,6 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
                 if tail_est <= _TAIL_TOL:
                     return acc, tail_est, n - lo
             prev_abs = blk_abs
-        block = min(block * 4, cap)
 
     fail("no tail certificate within max_terms")
 
@@ -818,11 +827,14 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     only to ``tol``.  The samples of a sequence source read it through the
     source's one memo (``_SharedBlocks``), which every later call on the
     same source reads too, whatever its method: the source keeps the memo's
-    kept ramp (at most about 87,360 values) for its lifetime, and the rest
-    only for the call.  So ``block`` must be a pure function of (lo, hi)
-    for the source's lifetime, and calls that share a source run one at a
-    time.  A Lebesgue kernel integrates the whole grid in one lockstep
-    quadrature (``_lebesgue_transforms``).  So each sample equals a lone
+    kept ramp for its lifetime, and the rest only for the call.  A record
+    is kept exactly when it starts at a start of ``_block_ramp`` and ends
+    within that ramp block (at most about 87,360 values), so a row that
+    starts past 0 cannot crowd out the blocks a row from 0 asks for.  So
+    ``block`` must be a pure function of (lo, hi) for the source's lifetime,
+    and calls that share a source run one at a time.  A Lebesgue kernel
+    integrates the whole grid in one lockstep quadrature
+    (``_lebesgue_transforms``).  So each sample equals a lone
     ``transform_at`` at that ``tail_tol``, bit for bit.
 
     Transform failures at individual grid points are recorded in

@@ -83,6 +83,33 @@ def test_main_exit_2_on_missing_config(tmp_path):
     assert main(["run", str(tmp_path / "nowhere.json"), "--out", str(tmp_path)]) == 2
 
 
+def _unreadable_input(tmp_path, case):
+    """(config path, --out path, stderr fragment) of an input sumkit cannot read."""
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    if case == "config-is-a-directory":
+        cfg.mkdir()
+        return cfg, out, "Is a directory"
+    if case == "config-not-utf8":
+        text = json.dumps({**MINIMAL, "description": "café"}, ensure_ascii=False)
+        cfg.write_bytes(text.encode("latin-1"))
+        return cfg, out, "'utf-8' codec can't decode"
+    cfg.write_text(json.dumps(MINIMAL))
+    out.write_text("kept")
+    return cfg, out, "--out: "
+
+
+@pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8", "out-is-a-file"])
+def test_an_unreadable_input_exits_2_before_anything_runs(tmp_path, capsys, monkeypatch, case):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: ran.append(args))
+    cfg, out, reason = _unreadable_input(tmp_path, case)
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("\n") == 1 and reason in err
+    assert ran == []
+    assert not out.is_dir() and (case != "out-is-a-file" or out.read_text() == "kept")
+
+
 def _kernel_sum_config(source, **kernel):
     method = {"kind": "kernel", "support": "upto_r", **kernel}
     return {"experiments": [{"id": "custom-kernel", "kind": "sum", "method": method,

@@ -620,9 +620,14 @@ def _record_open_terms(monkeypatch):
     return opened
 
 
+def _kept_terms(memo):
+    """The terms of the memo's kept records."""
+    return sum(rec.size for rec in memo._kept.values())
+
+
 def _assert_between_grids(memo, lock, cap):
     """A memo between grids: its kept ramp alone, and the source's lock free."""
-    assert memo.held == sum(rec.size for rec in memo._kept.values()) <= cap
+    assert _kept_terms(memo) <= cap
     assert not memo._open and not memo._summaries
     assert lock.acquire(blocking=False)
     lock.release()
@@ -635,13 +640,13 @@ def test_shared_blocks_keep_at_most_the_ramp_and_one_max_block(monkeypatch):
     memo = src._memo
     # 64 + 256 + 1024 + 4096 + 16384 + 65536 terms; the last rows read past
     # them, into one open record of a full block, which the grid drops
-    assert memo.held == 87_360
+    assert _kept_terms(memo) == 87_360
     assert read[0] > 87_360
     assert max(opened) == methods._MAX_BLOCK
     _assert_between_grids(memo, src._grid_lock, 87_360)
-    block = memo.block(0, 64)
+    block = memo._kept[0].terms
     assert not block.flags.writeable
-    assert np.array_equal(memo.block(0, 10), block[:10])
+    assert np.array_equal(memo._record(0, 10).terms, block[:, :10])
     # the next grid on the source is served by the same memo
     summability_limit(cesaro_method(), src, depth=8, tol=1e-3)
     assert src._memo is memo
@@ -660,13 +665,13 @@ def test_c4_shared_blocks_count_their_caps_in_values(monkeypatch):
     summability_limit(abel_method(), src, depth=14, tol=1e-3)
     memo = src._memo
     # 64 + 256 + 1024 + 4096 + 16384 terms, 87,296 values; the last rows read past them
-    assert memo.held == 21_824
+    assert _kept_terms(memo) == 21_824
     assert read[0] > 21_824
     assert max(opened) == 16_384
     _assert_between_grids(memo, src._grid_lock, 21_824)
     # a record is component-major, its block the (n, dim) transpose
     assert memo._kept[0].terms.shape == (4, 64) and memo._kept[0].terms.flags.c_contiguous
-    block = memo.block(0, 64)
+    block = memo._kept[0].terms.T
     assert block.shape == (64, 4) and not block.flags.writeable
     assert np.array_equal(block, src.block(0, 64))
 
@@ -731,7 +736,26 @@ def test_a_grid_that_raises_leaves_only_the_kept_ramp():
         summability_limit(replace(cesaro_method(), support=support), src, depth=19, tol=1e-3)
     assert seen == [(1, 2)]
     _assert_between_grids(src._memo, src._grid_lock, 87_360)
-    assert src._memo.held == 87_360
+    assert _kept_terms(src._memo) == 87_360
+
+
+def test_an_identity_grid_leaves_the_ramp_to_a_later_abel_grid():
+    # identity rows start past 0: of the ramp they keep only the term at 64,
+    # a prefix of the ramp block there, so the Abel grid keeps the whole
+    # ramp, the full block at 21,824 included, and reads one term fewer than
+    # on a fresh source; a second Abel grid reads only its two full blocks
+    src, read = _counted_grandi()
+    summability_limit(identity_method(), src, depth=14, tol=1e-3)
+    read[0] = 0
+    abel = [summability_limit(abel_method(), src, depth=14, tol=1e-3)]
+    assert read[0] == 218_431
+    read[0] = 0
+    abel.append(summability_limit(abel_method(), src, depth=14, tol=1e-3))
+    assert read[0] == 131_072
+    assert _kept_terms(src._memo) == 87_360 and 21_824 in src._memo._kept
+    fresh, _ = _counted_grandi()
+    want = summability_limit(abel_method(), fresh, depth=14, tol=1e-3)
+    assert all(_same_estimate(est, want) for est in abel)
 
 
 def test_a_source_memo_dies_with_its_source():
@@ -841,6 +865,28 @@ def _memo_requests(rng, count):
         yield lo, lo + size, bool(rng.integers(2))
 
 
+@pytest.mark.parametrize("dim, kept_blocks", [(1, 6), (4, 5)], ids=["scalar", "C4"])
+def test_a_row_from_0_asks_for_the_kept_blocks_then_full_blocks(dim, kept_blocks):
+    # one ramp: the blocks a certified sum asks for from 0 are the ones the
+    # memo keeps (87,360 terms in C^1, 21,824 in C^4), then full blocks
+    requests = []
+
+    def block(lo, hi):
+        requests.append((lo, hi))
+        return np.repeat(_grandi(np.arange(lo, hi))[:, None], dim, axis=1)
+
+    memo = methods._SharedBlocks(SequenceSource(block, SpaceDescriptor(dim, "l2")))
+    transform_at(abel_method(), memo, 1 - 2.0**-14, tail_tol=1e-5)
+    kept = [(lo, lo + rec.size) for lo, rec in memo._kept.items()]
+    assert kept == [(lo, lo + size) for lo, size in _ROW_BLOCKS[:kept_blocks]]
+    assert requests[:kept_blocks] == kept
+    full = methods._block_cap(dim)
+    past = requests[kept_blocks:]
+    assert len(past) >= 2
+    assert past == [(kept[-1][1] + k * full, kept[-1][1] + (k + 1) * full)
+                    for k in range(len(past))]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("src", [
     scalar_sequence(_slow, "slow"),
@@ -862,7 +908,7 @@ def test_shared_blocks_serve_every_request_as_a_fresh_read(src, seed):
             for name in ("total", "abs_total", "sup", "last", "dev"):
                 assert np.array_equal(getattr(got, name), getattr(fresh, name)), (lo, hi, name)
             # terms held: the kept ramp plus one open record
-            assert memo.held == sum(rec.size for rec in memo._kept.values()) <= 87_360
+            assert _kept_terms(memo) <= 87_360
             assert sum(rec.size for rec in memo._open.values()) <= methods._MAX_BLOCK
         assert memo._open, "no request reached past the cap"
         gone = weakref.ref(memo)
