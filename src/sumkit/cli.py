@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from ._expr import ExpressionError, compile_expression
-from .domains import HALF_LINE, NAT, UNIT_INTERVAL, HalfOpenInterval, parameter_grid
+from .domains import HALF_LINE, NAT, UNIT_INTERVAL, HalfOpenInterval, check_depth, parameter_grid
 from .holo import (
     CHAIN_STEPS,
     SPACE_TAGS,
@@ -195,6 +195,15 @@ def _string(value, ctx):
     if isinstance(value, str) and value:
         return value
     raise ConfigError(f"{ctx}: expected a non-empty string, got {value!r}")
+
+
+def _file_name(value, ctx):
+    """A non-empty string that names one file in --out, where {id}.csv is written."""
+    name = _string(value, ctx)
+    if name in (".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"{ctx}: expected a file name, without '/', a path separator or NUL, "
+                          f"and not '.' or '..', got {name!r}")
+    return name
 
 
 def _flag(value, ctx):
@@ -497,8 +506,17 @@ def _run_taylor(exp, tol):
     return report.rows(), report.to_jsonable(), tuple(report.cells)
 
 
-def _measures_fit(exp, kinds=None, what="the sources are"):
-    """exp, once each of its methods reads what it is given.
+def _depth_fits(exp, key, domain, sampler: str):
+    """exp, once the parameter grid of depth exp[key] stays inside the domain sampler samples."""
+    try:
+        check_depth(domain, exp[key])
+    except ValueError as exc:
+        raise _KeyRule(key, f"{sampler}: {exc}") from None
+    return exp
+
+
+def _methods_fit(exp, kinds=None, what="the sources are"):
+    """exp, once each of its methods reads what it is given and its F holds the grid to depth.
 
     A counting kernel sums sequences and a Lebesgue kernel integrates
     functions; ``kinds`` is the set of what the methods are given (None:
@@ -515,12 +533,13 @@ def _measures_fit(exp, kinds=None, what="the sources are"):
         if kinds != {needs}:
             raise _KeyRule(key, f"{spec.name} is a {spec.measure} kernel and reads {needs} "
                                 f"only; {what} {' and '.join(sorted(kinds))}")
+        _depth_fits(exp, "depth", spec.F, spec.name)
     return exp
 
 
 def _transfer(exp):
     """The probes: count unit vectors of the family's space, drawn from seed."""
-    _measures_fit(exp, {"sequences"}, "the probe orbits are")
+    _methods_fit(exp, {"sequences"}, "the probe orbits are")
     space = exp["family"].space
     rng = np.random.default_rng(exp["probes"]["seed"])
     probes = []
@@ -532,7 +551,7 @@ def _transfer(exp):
 
 def _weak_inclusion(exp):
     """The functionals, each of the sources' one dimension."""
-    _measures_fit(exp)
+    _methods_fit(exp)
     dims = {source.space.dim for _, source, _ in exp["sources"]}
     if len(dims) != 1:
         raise ValueError("sources have mixed dimensions")
@@ -569,9 +588,12 @@ def _fill_mode(exp, mode: str, modes: dict):
 
 
 def _check_regularity(exp):
-    form = "a matrix method" if isinstance(exp["method"], MatrixSpec) else "a kernel"
-    return _fill_mode(exp, form, {"a matrix method": {"n_max": 32, "m_max_exp": 14},
-                                  "a kernel": {"r_depth": 20, "exhaust_depth": 12}})
+    spec = exp["method"]
+    form = "a matrix method" if isinstance(spec, MatrixSpec) else "a kernel"
+    exp = _fill_mode(exp, form, {"a matrix method": {"n_max": 32, "m_max_exp": 14},
+                                 "a kernel": {"r_depth": 20, "exhaust_depth": 12}})
+    return _depth_fits(exp, "m_max_exp" if form == "a matrix method" else "r_depth", spec.F,
+                       spec.name)
 
 
 def _taylor(exp):
@@ -579,9 +601,12 @@ def _taylor(exp):
         "mode 'summability'": {"function": None, "chain": ["partial_sums"], "depth": 20},
         "mode 'dilate_identity'": {"count": 100, "seed": 0, "max_degree": 64,
                                    "radii": [0.25, 0.5, 0.9]}})
-    if exp["mode"] == "summability" and exp["function"] is None:
+    if exp["mode"] != "summability":
+        return exp
+    if exp["function"] is None:
         raise ValueError("mode 'summability' needs the key 'function'")
-    return exp
+    return _depth_fits(exp, "depth", chain_domain(exp["chain"]),
+                       "chain " + ", ".join(exp["chain"]))
 
 
 _METHOD = (build_method, REQUIRED)
@@ -596,10 +621,10 @@ _RUNNERS = {
     }, _check_regularity),
     "sum": (_run_sum, "methods", {
         "method": _METHOD, "sources": _SOURCES, "tol": (_TOL, 1e-6), "depth": (_COUNT, 20),
-    }, _measures_fit),
+    }, _methods_fit),
     "inclusion": (_run_inclusion, "inclusion", {
         **_PAIR, "sources": _SOURCES, "tol": (_TOL, 1e-6), "depth": (_COUNT, 14),
-    }, _measures_fit),
+    }, _methods_fit),
     "transfer": (_run_transfer, "inclusion", {
         **_PAIR, "family": (_FAMILY, REQUIRED), "probes": (_PROBES, REQUIRED),
         "tol": (_TOL, 1e-6), "depth": (_COUNT, 24),
@@ -620,7 +645,7 @@ _RUNNERS = {
 
 KINDS = tuple(_RUNNERS)
 
-_EXPERIMENT = _one_of({("kind", kind): ({"id": (_string, REQUIRED), "kind": (_keep, REQUIRED),
+_EXPERIMENT = _one_of({("kind", kind): ({"id": (_file_name, REQUIRED), "kind": (_keep, REQUIRED),
                                          **schema}, build)
                        for kind, (_, _, schema, build) in _RUNNERS.items()})
 
@@ -696,13 +721,17 @@ def write_csv(path: str, outcome: ExperimentOutcome):
 
 
 def _svg_loglog(series, title: str) -> str:
+    # imported here: xml.sax.saxutils loads urllib.request, which only --plots needs
+    from xml.sax.saxutils import escape
+
     pts = [(x, y) for x, y in series
            if isinstance(x, (int, float, np.integer, np.floating))
            and isinstance(y, (int, float, np.integer, np.floating))
            and x > 0 and y > 0 and math.isfinite(float(y))]
     width, height, margin = 640, 480, 60
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+             f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">'
+             f'{escape(title)}</text>',
              f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
              f'height="{height - 2 * margin}" fill="none" stroke="black"/>']
     if len(pts) >= 2:

@@ -15,6 +15,7 @@ of whether a path tends to 0, for the regularity and Taylor verdicts alike.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -75,13 +76,35 @@ def exhaustion(domain: IndexDomain, n: int) -> CompactWindow:
     return CompactWindow(domain, domain.right * (1.0 - 2.0 ** -(n + 1)))
 
 
+def _deepest(domain: IndexDomain) -> float:
+    """The deepest grid depth whose last point is still inside the domain (inf on the naturals)."""
+    if isinstance(domain, DiscreteNat):
+        return math.inf
+    if math.isinf(domain.right):
+        return sys.float_info.max_exp - 1  # 2^1023: 2.0**1024 overflows
+    k = 1  # R(1 - 2^-k) rounds to R from some k on, 54 on [0, 1)
+    while domain.right * (1.0 - 2.0 ** -(k + 1)) < domain.right:
+        k += 1
+    return k
+
+
+def check_depth(domain: IndexDomain, depth: int):
+    """Raise ValueError unless depth >= 1 and every point of the grid to depth is inside domain."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    deepest = _deepest(domain)
+    if depth > deepest:
+        raise ValueError(f"depth {depth} puts the grid's last point outside [0, "
+                         f"{domain.right:g}); the deepest depth inside is {deepest}")
+
+
 def parameter_grid(domain: IndexDomain, depth: int) -> list:
     """Geometric sample points approaching infinity / the right boundary.
 
     DiscreteNat: 2^k; [0, R) finite: R(1 - 2^-k); [0, inf): 2^k; k = 1..depth.
+    Raises ValueError as ``check_depth`` does.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    check_depth(domain, depth)
     if isinstance(domain, DiscreteNat):
         return [2**k for k in range(1, depth + 1)]
     if math.isinf(domain.right):
@@ -148,7 +171,8 @@ def estimate_limit_at_infinity(
     Converged: the final ``_WINDOW`` samples have pairwise diameter <= tol
     (value = last sample).  Diverged: tail norms grow monotonically beyond
     ten times the initial scale.  Otherwise inconclusive, with ``stalled``
-    set when the trailing window diameters stay large without shrinking.
+    set when the trailing window diameters stay large without shrinking; a
+    lone sample is inconclusive with residual inf, since it has no window.
     """
     n = len(samples)
     if n == 0:
@@ -156,16 +180,17 @@ def estimate_limit_at_infinity(
     space = samples[0].space
     if any(s.space != space for s in samples):
         raise ValueError("space mismatch among the samples")
-    w = max(2, min(_WINDOW, n))
+    if n < 2:
+        return ConvergenceEstimate(INCONCLUSIVE, None, math.inf, n, _WINDOW, tol,
+                                   failed_points=failed_points)
+    w = min(_WINDOW, n)
     mid_end = max(w, (n + w) // 2)
 
     # one norm call: each sample, then the pairwise differences within the
-    # trailing window and within the one that ends at mid_end (a lone
-    # sample wraps onto itself)
+    # trailing window and within the one that ends at mid_end
     coords = np.stack([s.coords for s in samples])
     first, second = np.triu_indices(w, 1)
-    diffs = [np.take(coords, lo + first, axis=0, mode="wrap")
-             - np.take(coords, lo + second, axis=0, mode="wrap") for lo in (n - w, mid_end - w)]
+    diffs = [coords[lo:lo + w][first] - coords[lo:lo + w][second] for lo in (n - w, mid_end - w)]
     norms = space_norm(np.concatenate([coords, *diffs]), space.norm_tag).tolist()
     pairs = len(first)
     tail_diam, mid_diam = max(norms[n:n + pairs]), max(norms[n + pairs:])

@@ -305,16 +305,16 @@ def disk_grid_error_bound(f: TaylorFunction) -> float:
 def _summed(spec: methods.KernelSpec, f: TaylorFunction, param, name: str = "") -> TaylorFunction:
     """The counting method ``spec`` at ``param`` on the partial sums of f: the one multiplier rule.
 
-    Coefficient k is multiplied by the spec's signed tail at N = k - 1, one
-    tail block per coefficient block.  A row with a support end m caps the
-    decay at m; any other keeps f's, as every step's multipliers lie in
-    [0, 1].  Raises ValueError for a parameter outside the spec's F.
+    Coefficient k is multiplied by the signed tail at N = k - 1 of the
+    spec's row at param (``methods._row``), one tail block per coefficient
+    block.  A row with a support end m caps the decay at m; any other keeps
+    f's, as every step's multipliers lie in [0, 1].  Raises ValueError for
+    a parameter outside the spec's F.
     """
-    p = methods._in_f(spec, param)
-    end = methods._kernel_support(spec, p)[1]
-    return TaylorFunction(block=lambda lo, hi: spec.tail_sum(p, lo - 1, hi - 1) * f.block(lo, hi),
-                          decay=f.decay if end is None else CappedDecay(f.decay, end),
-                          space=f.space, name=name or f"{spec.name}_{p:g}({f.name})")
+    row = methods._row(spec, param)
+    return TaylorFunction(block=lambda lo, hi: row.tail_sum(lo - 1, hi - 1) * f.block(lo, hi),
+                          decay=f.decay if row.hi is None else CappedDecay(f.decay, row.hi),
+                          space=f.space, name=name or f"{spec.name}_{param:g}({f.name})")
 
 
 def _log_mean_method() -> methods.SeqToFuncSpec:

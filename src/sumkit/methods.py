@@ -54,17 +54,13 @@ differently from the sum of weighted terms; every other row multiplies its
 coefficients into the terms.  A row's blocks from its start follow one
 layout, ``_block_ramp``: ``_START_BLOCK`` terms, then 4x per block up to
 and including one full block, then full blocks.  Every
-``summability_limit`` grid on one sequence source shares the source's
-block records (``_SharedBlocks``, made by the first such call), whichever
-method sums it, and a longer request at a start it holds reads only the
-missing suffix.  A record stays with the source for its lifetime exactly
-when it starts at a ramp start and ends within that ramp block, so the
-kept records are the blocks a row from 0 asks for, and a row that starts
-past 0 cannot crowd them out; the rest go with the call.  So a
+``summability_limit`` grid on one sequence source reads it through the
+source's one memo, ``_SharedBlocks``, which states what it keeps.  So a
 ``SequenceSource.block`` must be a pure function of (lo, hi) for the
 source's lifetime, and elementwise in its index range, like every other
 vectorised callable below: the terms of ``block(lo, hi)`` are those of
 ``block(lo, k)`` followed by those of ``block(k, hi)``, bit for bit.
+Grids on one source run one at a time.
 
 Every method is one ``KernelSpec``, a kernel a(r, t) on E with parameters
 r in F: a matrix (``MatrixSpec``, E = F = naturals) and a
@@ -79,15 +75,17 @@ hi)`` give those past N = lo .. hi-1, and the signed one at N = k - 1 is
 the row mass ``holo`` multiplies Taylor coefficient k by.  E's measure,
 counting on the naturals and Lebesgue on an interval, decides the
 transform; ``_kernel_support`` reads every support, an interval of E.
-``_row`` is the one reader of a counting kernel: a coefficient block, the
-support's integer points, and the tail blocks of the certificates, at one
-scalar parameter.  Only a Lebesgue kernel is integrated, over a support in
-the source's domain.  The integrals of every grid parameter of one call
-refine in lockstep (``_kernel_quadratures``): each level reads the source
-and the kernel once, at the nodes of all pending integrals, the kernel
-with an array of parameters aligned with the nodes.  So a Lebesgue
-``kernel_batch`` must be elementwise in (r, t), and each integral then
-equals a lone one bit for bit.
+``_row`` is the one reader of a counting kernel: at one scalar parameter
+it gives a ``_Row`` (a coefficient block, the support's integer points,
+the tail blocks of the certificates, a label and a box row's weight),
+which ``_certified_sum`` takes whole, and which the regularity checks and
+``holo``'s chain steps read too.  Only a Lebesgue kernel is integrated,
+over a support in the source's domain.  The integrals of every grid
+parameter of one call refine in lockstep (``_kernel_quadratures``): each
+level reads the source and the kernel once, at the nodes of all pending
+integrals, the kernel with an array of parameters aligned with the nodes.
+So a Lebesgue ``kernel_batch`` must be elementwise in (r, t), and each
+integral then equals a lone one bit for bit.
 """
 
 from __future__ import annotations
@@ -99,7 +97,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from itertools import chain, repeat
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -180,12 +178,8 @@ class SequenceSource:
     ``block`` must be a pure function of (lo, hi) for the source's lifetime,
     and elementwise in that range (see the module docstring): the grids of
     every ``summability_limit`` call on this source read it through one
-    memo, ``_SharedBlocks``, made by the first such call.  Between calls the
-    source keeps only that memo's kept ramp, for as long as the source
-    lives: a record is kept exactly when it starts at a start of
-    ``_block_ramp`` and ends within that ramp block (at most 87,360 values
-    in all).  Grids on one source run one at a time, under the source's
-    lock.
+    memo, ``_SharedBlocks``, made by the first such call and kept with the
+    source.  Grids on one source run one at a time, under the source's lock.
     """
 
     def __init__(self, block, space: SpaceDescriptor = SCALAR, name: str = ""):
@@ -486,34 +480,34 @@ class SeqToFuncSpec(KernelSpec):
 
 
 def identity_method() -> MatrixSpec:
+    tail = lambda m, lo, hi: (np.arange(lo, hi) < m).astype(float)
     return MatrixSpec(
         name="identity",
         kernel_batch=lambda m, ns: (ns == m).astype(complex),
         support=lambda m: (m, m),
-        tail_abs=lambda m, lo, hi: (np.arange(lo, hi) < m).astype(float),
-        tail_sum=lambda m, lo, hi: (np.arange(lo, hi) < m).astype(float),
+        tail_abs=tail, tail_sum=tail,
         weight=lambda m: 1.0,
     )
 
 
 def series_summation_method() -> MatrixSpec:
+    tail = lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0)
     return MatrixSpec(
         name="series_summation",
         kernel_batch=lambda m, ns: (ns <= m).astype(complex),
         support=lambda m: (0, m),
-        tail_abs=lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0),
-        tail_sum=lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0),
+        tail_abs=tail, tail_sum=tail,
         weight=lambda m: 1.0,
     )
 
 
 def cesaro_method() -> MatrixSpec:
+    tail = lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0) / (m + 1.0)
     return MatrixSpec(
         name="cesaro",
         kernel_batch=lambda m, ns: (ns <= m) / (m + 1.0) + 0j,
         support=lambda m: (0, m),
-        tail_abs=lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0) / (m + 1.0),
-        tail_sum=lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0) / (m + 1.0),
+        tail_abs=tail, tail_sum=tail,
         weight=lambda m: 1.0 / (m + 1.0),
     )
 
@@ -589,38 +583,54 @@ def as_kernel(spec: KernelSpec) -> KernelSpec:
 # Certified summation engine
 
 
+class _Row(NamedTuple):
+    """A counting kernel's row at one parameter, which ``_certified_sum`` sums.
+
+    ``coeffs(a, b)`` gives the kernel at the indices a .. b-1, and the row
+    runs over the integers lo .. hi (hi None: no end).  ``tail_abs`` and
+    ``tail_sum(a, b)``, when declared, give the coefficient tails past the
+    absolute indices N = a .. b-1, read at a block's last N as ``tail(N, N
+    + 1)[0]``.  ``label`` names the row in an error, and ``weight`` is a box
+    row's one entry w (None: every other row), so every c_n = w on the
+    support and ``coeffs`` is not called.
+    """
+
+    coeffs: Callable[[int, int], np.ndarray]
+    lo: int
+    hi: Optional[int]
+    tail_abs: Optional[Callable[[int, int], np.ndarray]]
+    tail_sum: Optional[Callable[[int, int], np.ndarray]]
+    label: str
+    weight: Optional[complex]
+
+
 # over- and underflow in a block are caught by the finiteness and overflow checks
 @np.errstate(over="ignore", invalid="ignore")
-def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
-                   tail_abs=None, tail_sum=None, label: str = "series",
-                   tail_tol: Optional[float] = None, weight: Optional[complex] = None):
-    """Sum sum_n c_n v_n over support = (lo, hi) with a numeric tail certificate.
+def _certified_sum(row: _Row, source: SequenceSource,
+                   tail_tol: Optional[float] = None) -> np.ndarray:
+    """The coordinates of sum_n c_n v_n over the row, with a numeric tail certificate.
 
-    The sum runs from n = lo up to hi inclusive, one block at a time, and
-    stops at the first of: the support end (bound 0); the plain certificate
-    or the stabilized closure within tail_tol (None: _TAIL_TOL); the
-    geometric-tail estimate on full blocks, two consecutive ratios q <= 0.999
-    of their absolute sums S with S q / (1 - q) <= _TAIL_TOL (a zero block
-    has q = 0, a nonzero block after a zero one has no ratio).  It fails on
-    a non-finite term, on terms overflowing, or at _MAX_TERMS terms without
-    an end; no sum is called divergent from the trend of its blocks.
-    coeffs(a, b) -> complex array of c_a .. c_{b-1}; tail_abs/tail_sum(a, b)
-    -> the coefficient tails beyond the absolute indices N = a .. b-1 (up
-    to hi), read at a block's last N as ``tail(N, N + 1)[0]``.
-    A box row (``weight`` w, every c_n = w on the support) sums each source
-    block as w times its sum, and coeffs is not called.
-    Returns (coords, bound, terms).
-    Raises NonSummableError when no certificate is reached.
+    The sum runs from n = row.lo up to row.hi inclusive, one block of
+    ``_block_ramp`` at a time, and stops at the first of: the support end;
+    the plain certificate or the stabilized closure within tail_tol (None:
+    _TAIL_TOL), which read the row's ``tail_abs`` (the closure its
+    ``tail_sum`` too); the geometric-tail estimate on full blocks, two
+    consecutive ratios q <= 0.999 of their absolute sums S with S q / (1 -
+    q) <= _TAIL_TOL (a zero block has q = 0, a nonzero block after a zero
+    one has no ratio).  It fails on a non-finite term, on terms overflowing,
+    or at _MAX_TERMS terms without an end; no sum is called divergent from
+    the trend of its blocks.  A box row sums each source block as its weight
+    times the block's sum.  Raises NonSummableError, with the partial sum
+    and the number of terms read, when no certificate is reached.
     """
     if tail_tol is None:
         tail_tol = _TAIL_TOL
-    lo, support_end = support
     space = source.space
     acc = np.zeros(space.dim, dtype=complex)
-    if support_end is not None and support_end < lo:
-        return acc, 0.0, 0
-    n = lo
-    end = lo + _MAX_TERMS if support_end is None else support_end + 1
+    if row.hi is not None and row.hi < row.lo:
+        return acc
+    n = row.lo
+    end = row.lo + _MAX_TERMS if row.hi is None else row.hi + 1
     cap = _block_cap(space.dim)
     sizes = chain(_block_ramp(space.dim).values(), repeat(cap))
     prev_abs = 0.0
@@ -628,17 +638,17 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
 
     def fail(msg):
         partial = VectorValue(acc, space) if np.isfinite(acc).all() else None
-        raise NonSummableError(f"{label}: {msg}", partial=partial, terms=n - lo)
+        raise NonSummableError(f"{row.label}: {msg}", partial=partial, terms=n - row.lo)
 
     while n < end:
         block = next(sizes)
         hi = min(n + block, end)
-        rec = source._record(n, hi, terms=weight is None)
-        if weight is None:
-            cs = np.asarray(coeffs(n, hi), dtype=complex)
+        rec = source._record(n, hi, terms=row.weight is None)
+        if row.weight is None:
+            cs = np.asarray(row.coeffs(n, hi), dtype=complex)
             blk_sum = (rec.terms * cs).sum(axis=1)
         else:
-            blk_sum = weight * rec.total
+            blk_sum = row.weight * rec.total
         # a non-finite term makes its component of the block sum non-finite
         if not np.isfinite(blk_sum).all():
             fail("non-finite term encountered")
@@ -646,22 +656,21 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
         N = hi - 1
         n = hi
 
-        if support_end is not None and n > support_end:
-            return acc, 0.0, n - lo
+        if row.hi is not None and n > row.hi:
+            return acc
 
-        if tail_abs is not None:
-            w_abs = float(tail_abs(N, N + 1)[0])
+        if row.tail_abs is not None:
+            w_abs = float(row.tail_abs(N, N + 1)[0])
             if w_abs * rec.sup <= tail_tol:
-                return acc, w_abs * rec.sup, n - lo
+                return acc
             # center on the last term: exact (dev = 0) for stable blocks
-            if tail_sum is not None and rec.size >= 2 and w_abs * rec.dev <= tail_tol:
+            if row.tail_sum is not None and rec.size >= 2 and w_abs * rec.dev <= tail_tol:
                 # stabilized closure: recent terms are flat to within dev,
                 # close the tail with the exact remaining weight
-                acc = acc + complex(tail_sum(N, N + 1)[0]) * rec.last
-                return acc, w_abs * rec.dev, n - lo
+                return acc + complex(row.tail_sum(N, N + 1)[0]) * rec.last
 
-        blk_abs = (float(np.sum(np.abs(cs) * rec.norms)) if weight is None
-                   else abs(weight) * rec.abs_total)
+        blk_abs = (float(np.sum(np.abs(cs) * rec.norms)) if row.weight is None
+                   else abs(row.weight) * rec.abs_total)
         if blk_abs > 1e200:
             fail("terms overflowing")
         if block == cap:
@@ -669,10 +678,8 @@ def _certified_sum(coeffs, source: SequenceSource, support: tuple = (0, None),
             # nonzero block has none after a zero block or as the first one
             q = 0.0 if blk_abs == 0.0 else (blk_abs / prev_abs if prev_abs else math.inf)
             geo_ok = geo_ok + 1 if q <= 0.999 else 0
-            if geo_ok >= 2:
-                tail_est = blk_abs * q / (1.0 - q)
-                if tail_est <= _TAIL_TOL:
-                    return acc, tail_est, n - lo
+            if geo_ok >= 2 and blk_abs * q / (1.0 - q) <= _TAIL_TOL:
+                return acc
             prev_abs = blk_abs
 
     fail("no tail certificate within max_terms")
@@ -695,23 +702,23 @@ def _in_f(spec: KernelSpec, param):
     return p
 
 
-def _row(spec: KernelSpec, param) -> tuple:
-    """(coeffs, (lo, hi), tail_abs, tail_sum, label, weight) of a counting kernel at param.
+def _row(spec: KernelSpec, param) -> _Row:
+    """The ``_Row`` of a counting kernel at param: the one reader of every discrete spec.
 
-    The one reader of every discrete spec: a matrix row (param = m in F =
-    naturals), the coefficients a_n(r) and any other counting kernel at r in
-    F.  coeffs(a, b) gives the kernel at the indices a .. b-1, (lo, hi) is
-    ``_kernel_support``'s, the tail blocks (a, b) are those of the spec with
-    its parameter fixed, and weight is a box row's one entry (None for every
-    other row).  Raises ValueError as ``_kernel_support`` does.
+    A matrix row (param = m in F = naturals), the coefficients a_n(r) and
+    any other counting kernel at r in F: the kernel at param, the integer
+    points of ``_kernel_support``, the spec's tail blocks with its parameter
+    fixed, and a box row's one entry.  The certified sum of a transform
+    (``transform_at``), the regularity table and columns and ``holo``'s
+    chain steps all read it.  Raises ValueError as ``_kernel_support`` does.
     """
     p = _in_f(spec, param)
-    label = f"{spec.name} row {p}" if spec.F == NAT else f"{spec.name} at r={p}"
-    tail_abs, tail_sum = (None if fn is None else partial(fn, p)
-                          for fn in (spec.tail_abs, spec.tail_sum))
-    return (lambda a, b: spec.kernel_batch(p, np.arange(a, b)),
-            _kernel_support(spec, p), tail_abs, tail_sum, label,
-            None if spec.weight is None else spec.weight(p))
+    lo, hi = _kernel_support(spec, p)
+    return _Row(lambda a, b: spec.kernel_batch(p, np.arange(a, b)), lo, hi,
+                spec.tail_abs and partial(spec.tail_abs, p),
+                spec.tail_sum and partial(spec.tail_sum, p),
+                f"{spec.name} row {p}" if spec.F == NAT else f"{spec.name} at r={p}",
+                spec.weight and spec.weight(p))
 
 
 def _kernel_support(spec: KernelSpec, param) -> tuple:
@@ -808,10 +815,7 @@ def transform_at(spec: KernelSpec, source, param, *,
         return value
     if not isinstance(source, SequenceSource):
         raise TypeError("counting kernels need a SequenceSource")
-    coeffs, support, tail_abs, tail_sum, label, weight = _row(spec, param)
-    coords, _, _ = _certified_sum(coeffs, source, support, tail_abs, tail_sum, label,
-                                  tail_tol=tail_tol, weight=weight)
-    return VectorValue(coords, source.space)
+    return VectorValue(_certified_sum(_row(spec, param), source, tail_tol), source.space)
 
 
 def summability_limit(spec: KernelSpec, source, depth: int = 20,
@@ -826,21 +830,18 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     (at least ``_TAIL_TOL``), whatever the measure: the limit is asked for
     only to ``tol``.  The samples of a sequence source read it through the
     source's one memo (``_SharedBlocks``), which every later call on the
-    same source reads too, whatever its method: the source keeps the memo's
-    kept ramp for its lifetime, and the rest only for the call.  A record
-    is kept exactly when it starts at a start of ``_block_ramp`` and ends
-    within that ramp block (at most about 87,360 values), so a row that
-    starts past 0 cannot crowd out the blocks a row from 0 asks for.  So
-    ``block`` must be a pure function of (lo, hi) for the source's lifetime,
-    and calls that share a source run one at a time.  A Lebesgue kernel
-    integrates the whole grid in one lockstep quadrature
-    (``_lebesgue_transforms``).  So each sample equals a lone
-    ``transform_at`` at that ``tail_tol``, bit for bit.
+    same source reads too, whatever its method.  So ``block`` must be a
+    pure function of (lo, hi) for the source's lifetime, and calls that
+    share a source run one at a time.  A Lebesgue kernel integrates the
+    whole grid in one lockstep quadrature (``_lebesgue_transforms``).  So
+    each sample equals a lone ``transform_at`` at that ``tail_tol``, bit
+    for bit.
 
     Transform failures at individual grid points are recorded in
     ``failed_points`` rather than aborting; a failure among the last
     2 * ``domains._WINDOW`` parameters downgrades the estimate to
-    inconclusive.
+    inconclusive, and so does a path with no sample.  Raises ValueError,
+    before any sample, for a depth whose grid leaves F.
     """
     window = domains._WINDOW
     params = sample_grid(spec.F, depth)
@@ -861,9 +862,9 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     samples = [out for out in outcomes if isinstance(out, VectorValue)]
     failed = tuple((p, f"{type(out).__name__}: {out}")
                    for p, out in zip(params, outcomes) if not isinstance(out, VectorValue))
-    if len(samples) < 2:
-        return ConvergenceEstimate(INCONCLUSIVE, None, math.inf, len(samples),
-                                   window, tol, failed_points=failed)
+    if not samples:
+        return ConvergenceEstimate(INCONCLUSIVE, None, math.inf, 0, window, tol,
+                                   failed_points=failed)
     est = estimate_limit_at_infinity(samples, tol=tol, failed_points=failed)
     if est.converged and not all(isinstance(out, VectorValue) for out in outcomes[-2 * window:]):
         est = replace(est, status=INCONCLUSIVE, value=None)

@@ -195,29 +195,32 @@ def _kernel_integrals(spec: KernelSpec, grid, windows=()) -> list:
     integrals in one lockstep engine call and the signed ones in another
     (``methods._kernel_quadratures``: each distinct interval once, an empty
     one not at all).  A counting kernel (a matrix row m, coefficients
-    a_n(r), any other) is read by ``methods._row`` and summed against ones,
-    one point at a time: a signed sum over a finite support exactly with
-    math.fsum, anything else with a tail certificate.  Absolute integrals
-    are floats, signed ones complex; a failed one is its QuadratureError or
-    NonSummableError.
+    a_n(r), any other) is read by ``methods._row``, one point at a time,
+    and each sum is that row, ``_replace``d, summed against ones by the
+    certified sum: the mass is the row without a box weight, the absolute
+    mass that row with coefficients |a| and ``tail_abs`` for both tails,
+    and a window's mass the absolute row with its end cut to the window
+    and no tails.  A signed sum over a finite support is summed exactly
+    with math.fsum instead.  Absolute integrals are floats, signed ones
+    complex; a failed one is its QuadratureError or NonSummableError.
     """
+    def total(row):
+        try:
+            return complex(_certified_sum(row, _ONES)[0])
+        except NonSummableError as exc:
+            return exc
+
     def column(p):  # a counting kernel's integrals at p, all complex
-        coeffs, (lo, hi), tail_abs, tail_sum, label, _ = _row(spec, p)
-
-        def total(terms, end, tails):
-            try:
-                coords, _, _ = _certified_sum(terms, _ONES, (lo, end), *tails, label)
-            except NonSummableError as exc:
-                return exc
-            return complex(coords[0])
-
-        moduli = lambda a, b: np.abs(coeffs(a, b))
-        out = [total(moduli, hi, (tail_abs, tail_abs))]
-        out += [total(moduli, int(c if hi is None else min(hi, c)), (None, None)) for c in windows]
-        if hi is not None and hi - lo <= _EXACT_TERMS:
-            entries = np.asarray(coeffs(lo, hi + 1), dtype=complex)
+        mass = _row(spec, p)._replace(weight=None)
+        moduli = mass._replace(coeffs=lambda a, b: np.abs(mass.coeffs(a, b)),
+                               tail_sum=mass.tail_abs)
+        windowed = moduli._replace(tail_abs=None, tail_sum=None)
+        out = [total(moduli)] + [total(windowed._replace(
+            hi=int(c if mass.hi is None else min(mass.hi, c)))) for c in windows]
+        if mass.hi is not None and mass.hi - mass.lo <= _EXACT_TERMS:
+            entries = np.asarray(mass.coeffs(mass.lo, mass.hi + 1), dtype=complex)
             return out + [complex(math.fsum(entries.real), math.fsum(entries.imag))]
-        return out + [total(coeffs, hi, (tail_abs, tail_sum))]
+        return out + [total(mass)]
 
     if spec.measure == MEASURE_COUNTING:
         table = [list(row) for row in zip(*(column(p) for p in grid))]
@@ -281,10 +284,10 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
     # condition 2: each column tends to 0 along the row grid; one block per row,
     # 0 off the row's support
     def head(m):
-        coeffs, (lo, hi), *_ = _row(spec, m)
+        row = _row(spec, m)
         out = np.zeros(n_max + 1, dtype=complex)
-        top = max(lo, n_max + 1 if hi is None else min(hi, n_max) + 1)
-        out[lo:top] = coeffs(lo, top)
+        top = max(row.lo, n_max + 1 if row.hi is None else min(row.hi, n_max) + 1)
+        out[row.lo:top] = row.coeffs(row.lo, top)
         return out
 
     heads = {m: head(m) for m in m_grid}

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import warnings
+from xml.etree import ElementTree
 
 import pytest
 
@@ -195,6 +196,50 @@ def test_scalar_key_of_the_wrong_type_exits_2_before_anything_runs(tmp_path, cap
     assert re.search(rf"experiments\[0\]\.{re.escape(key)}(\[\d+\])?: expected",
                      capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exp_id", ["sub/dir", "../escaped", ".", "..", "nul\0byte",
+                                    f"sep{os.sep}in", *([f"alt{os.altsep}sep"] * bool(os.altsep))])
+def test_an_id_that_is_not_a_file_name_exits_2_before_anything_runs(tmp_path, capsys,
+                                                                     monkeypatch, exp_id):
+    # {out}/{id}.csv must be one file inside --out
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: ran.append(args))
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"experiments": [{**MINIMAL["experiments"][0], "id": exp_id}]}))
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: experiments[0].id: expected a file name")
+    assert err.count("\n") == 1
+    assert ran == [] and not out.exists() and sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("exp, key, deepest", [
+    ({"kind": "sum", "method": {"builtin": "abel"}, "sources": [{"expr": "1"}], "depth": 54},
+     "depth", 53),
+    ({"kind": "inclusion", "method_a": {"builtin": "cesaro"}, "method_b": {"builtin": "abel"},
+      "sources": [{"expr": "1"}], "depth": 60}, "depth", 53),
+    ({"kind": "transfer", "method_a": {"builtin": "cesaro"},
+      "method_b": {"builtin": "abel", "as_kernel": True}, "family": {"name": "truncation"},
+      "probes": {"count": 1, "seed": 0}, "depth": 54}, "depth", 53),
+    ({"kind": "check_regularity", "method": {"builtin": "logarithmic"}, "r_depth": 54},
+     "r_depth", 53),
+    ({"kind": "check_regularity", "r_depth": 1024,
+      "method": {"kind": "kernel", "kernel": "1", "support": [0, 1], "E": "halfline",
+                 "F": "halfline"}}, "r_depth", 1023),
+    ({"kind": "taylor", "function": {"generator": "monomial", "k": 1}, "chain": ["log_mean"],
+      "depth": 54}, "depth", 53),
+], ids=["sum", "inclusion", "transfer", "check_regularity", "halfline", "taylor"])
+def test_a_depth_whose_grid_leaves_F_exits_2_before_anything_runs(tmp_path, capsys, exp, key,
+                                                                   deepest):
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"experiments": [{"id": "e", **exp}]}))
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: experiments[0].{key}: ")
+    assert err.endswith(f"the deepest depth inside is {deepest}\n") and not out.exists()
+    # the deepest depth itself is a valid config
+    validate_config({"experiments": [{"id": "e", **exp, key: deepest}]})
 
 
 def test_synthetic_source_with_a_name_exits_2(tmp_path, capsys):
@@ -685,6 +730,15 @@ def test_plots_flag_writes_svg(tmp_path):
     svg = _read(out / "quick-cesaro.svg")
     assert svg.startswith("<svg")
     assert "polyline" in svg
+
+
+def test_plots_escape_the_id_in_their_svg_text(tmp_path):
+    exp_id = "a<b&c>'d\""
+    out = tmp_path / "out"
+    config = {"experiments": [{**MINIMAL["experiments"][0], "id": exp_id}]}
+    assert run_config(config, str(out), plots=True) == 0
+    root = ElementTree.parse(out / f"{exp_id}.svg").getroot()
+    assert root.find("{http://www.w3.org/2000/svg}text").text == exp_id
 
 
 def test_weak_inclusion_kind_runs(tmp_path):

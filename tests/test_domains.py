@@ -132,6 +132,28 @@ def test_domain_usage_errors():
         parameter_grid(NAT, 0)
     with pytest.raises(ValueError):
         sample_grid(NAT, 0)
+
+
+@pytest.mark.parametrize("domain, deepest", [(UNIT_INTERVAL, 53), (HalfOpenInterval(2.0), 53),
+                                             (HALF_LINE, 1023)])
+def test_a_grid_stays_inside_F(domain, deepest):
+    # on [0, 1), 1 - 2^-54 rounds to 1; on [0, inf), 2.0**1024 overflows
+    assert parameter_grid(domain, deepest)[-1] < domain.right
+    for depth in (deepest + 1, deepest + 100):
+        with pytest.raises(ValueError, match=f"depth {depth} .* the deepest depth inside is "
+                                             f"{deepest}$"):
+            parameter_grid(domain, depth)
+        with pytest.raises(ValueError):
+            sample_grid(domain, depth)
+    assert len(parameter_grid(NAT, 1100)) == 1100
+
+
+def test_a_lone_sample_is_not_a_limit():
+    est = estimate_limit_at_infinity([scalar_value(3.0)], tol=1e-6)
+    assert est.status == INCONCLUSIVE and est.value is None
+    assert est.residual == math.inf and est.samples_used == 1
+    two = estimate_limit_at_infinity([scalar_value(3.0)] * 2, tol=1e-6)
+    assert two.status == CONVERGED and two.residual == 0.0 and two.window == 2
     with pytest.raises(ValueError):
         exhaustion(NAT, -1)
     with pytest.raises(ValueError):
