@@ -325,7 +325,7 @@ def _log_mean_method() -> methods.SeqToFuncSpec:
     """
     def kernel_batch(r, ns):
         ns = np.asarray(ns, dtype=float) + 1.0
-        return np.exp(ns * math.log(r)) / (ns * -math.log1p(-r)) + 0j
+        return np.exp(ns * math.log(r)) / (ns * -math.log1p(-r))
 
     def tail(r, lo, hi):
         if not 0.0 < r < 1.0:

@@ -39,7 +39,14 @@ package, read at call time.
 The certified sum reads its source one block at a time, as a ``_Block``
 record: the terms, their norms, and the O(dim) sums every row takes of them
 (the block's sum and norm sum, the sup norm, the last term and the
-stabilized scatter about it).  Every norm is ``vspace.space_norm``, the
+stabilized scatter about it).  The scatter is read only when an O(dim)
+floor, the largest component modulus of the block's first term minus its
+last, does not already rule the closure out: every norm of a vector is at
+least that modulus.  A kernel block may be real or complex; the builtin
+counting kernels give real ones, and a real c multiplies a term as c + 0j,
+so a row sums to the same bits either way.  Each row forms its blocks' c v
+and |c| |v| in two work buffers, allocated once per sum and grown to the
+largest block it reads.  Every norm is ``vspace.space_norm``, the
 package's one per-vector norm, which the limit estimator takes too: a term
 whose modulus overflows has norm inf, never nan.  A record holds its terms
 component-major, one C-contiguous (dim, n) array, so every sum over a block
@@ -236,9 +243,10 @@ class _Block:
     Per term: ``terms``, component-major (dim, size), and their ``norms``.
     O(dim): ``size``, ``sup`` (the largest norm), ``last`` (the last term),
     ``total`` (the sum of the terms, pairwise per component), ``abs_total``
-    (the sum of their norms) and ``dev`` (the largest norm of v - last, the
-    scatter of the stabilized closure).  Each is computed on first use;
-    ``summary()`` keeps the O(dim) part alone.
+    (the sum of their norms), ``dev`` (the largest norm of v - last, the
+    scatter of the stabilized closure) and ``dev_floor`` (the largest
+    component modulus of v_lo - last, at most ``dev`` in every norm tag).
+    Each is computed on first use; ``summary()`` keeps the O(dim) part alone.
     """
 
     def __init__(self, terms: np.ndarray, tag: str):
@@ -270,6 +278,12 @@ class _Block:
     def dev(self) -> float:
         return float(np.max(space_norm((self.terms - self.last[:, None]).T, self._tag)))
 
+    @cached_property
+    def dev_floor(self) -> float:
+        # each computed norm is at least the vector's largest computed
+        # component modulus: l1 adds the moduli, l2 rescales by that peak
+        return float(np.abs(self.terms[:, 0] - self.last).max())
+
     def prefix(self, size: int) -> "_Block":
         """The record of the first ``size`` terms (self when that is all of them)."""
         if size == self.size:
@@ -294,7 +308,7 @@ class _Block:
 
     def summary(self) -> "_Block":
         """This record without its per-term part, every O(dim) field computed."""
-        for name in ("sup", "last", "total", "abs_total", "dev"):
+        for name in ("sup", "last", "total", "abs_total", "dev", "dev_floor"):
             getattr(self, name)
         out = copy.copy(self)
         out.terms = out.norms = None
@@ -427,8 +441,9 @@ class KernelSpec:
     """Kernel a(r, t) integrated against v over E (counting or Lebesgue): the one method spec."""
 
     name: str
-    # (r, ts) -> a(r, ts); a Lebesgue kernel takes r as a scalar or as an
-    # array aligned with ts, one parameter per node, and is elementwise in (r, t)
+    # (r, ts) -> a(r, ts), real or complex (the builtin counting kernels are
+    # real); a Lebesgue kernel takes r as a scalar or as an array aligned with
+    # ts, one parameter per node, and is elementwise in (r, t)
     kernel_batch: Callable[[float, np.ndarray], np.ndarray]
     E: IndexDomain = UNIT_INTERVAL
     F: IndexDomain = UNIT_INTERVAL
@@ -483,7 +498,7 @@ def identity_method() -> MatrixSpec:
     tail = lambda m, lo, hi: (np.arange(lo, hi) < m).astype(float)
     return MatrixSpec(
         name="identity",
-        kernel_batch=lambda m, ns: (ns == m).astype(complex),
+        kernel_batch=lambda m, ns: (ns == m).astype(float),
         support=lambda m: (m, m),
         tail_abs=tail, tail_sum=tail,
         weight=lambda m: 1.0,
@@ -494,7 +509,7 @@ def series_summation_method() -> MatrixSpec:
     tail = lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0)
     return MatrixSpec(
         name="series_summation",
-        kernel_batch=lambda m, ns: (ns <= m).astype(complex),
+        kernel_batch=lambda m, ns: (ns <= m).astype(float),
         support=lambda m: (0, m),
         tail_abs=tail, tail_sum=tail,
         weight=lambda m: 1.0,
@@ -505,7 +520,7 @@ def cesaro_method() -> MatrixSpec:
     tail = lambda m, lo, hi: np.maximum(m - np.arange(lo, hi, dtype=float), 0.0) / (m + 1.0)
     return MatrixSpec(
         name="cesaro",
-        kernel_batch=lambda m, ns: (ns <= m) / (m + 1.0) + 0j,
+        kernel_batch=lambda m, ns: (ns <= m) / (m + 1.0),
         support=lambda m: (0, m),
         tail_abs=tail, tail_sum=tail,
         weight=lambda m: 1.0 / (m + 1.0),
@@ -514,10 +529,14 @@ def cesaro_method() -> MatrixSpec:
 
 def abel_method() -> SeqToFuncSpec:
     def kernel_batch(r, ns):
-        ns = np.asarray(ns, dtype=float)
-        # r**n via exp(n log r) stays accurate for r close to 1 and large n
-        return (1.0 - r) * np.exp(ns * math.log(r)) + 0j if r > 0 else \
-            (1.0 - r) * (ns == 0).astype(complex)
+        if not r > 0:
+            return (1.0 - r) * (np.asarray(ns) == 0)
+        # r**n via exp(n log r) stays accurate for r close to 1 and large n;
+        # one float array, exponentiated and scaled in place
+        out = np.multiply(ns, math.log(r), dtype=float)
+        np.exp(out, out=out)
+        out *= 1.0 - r
+        return out
 
     def tail(r, lo, hi):  # r**(N + 1) at N = lo .. hi-1 in the kernel's form, 0**0 = 1
         ns = np.arange(lo + 1, hi + 1, dtype=float)
@@ -622,6 +641,14 @@ def _certified_sum(row: _Row, source: SequenceSource,
     the trend of its blocks.  A box row sums each source block as its weight
     times the block's sum.  Raises NonSummableError, with the partial sum
     and the number of terms read, when no certificate is reached.
+
+    Every other row reads its coefficient block as it comes, real or
+    complex (any other dtype is cast to float), and forms c v and |c| |v|
+    in two work buffers, allocated once per sum, grown to the largest block
+    the row reads and reused across its blocks; c v is one C-contiguous
+    (dim, size) array, as a fresh product would be, so it sums to the same
+    bits.  The closure reads a block's scatter ``dev`` only when its floor
+    ``dev_floor`` does not rule it out, w_abs * floor > tail_tol.
     """
     if tail_tol is None:
         tail_tol = _TAIL_TOL
@@ -635,6 +662,10 @@ def _certified_sum(row: _Row, source: SequenceSource,
     sizes = chain(_block_ramp(space.dim).values(), repeat(cap))
     prev_abs = 0.0
     geo_ok = 0
+    # the work buffers of c v and |c| |v|; c v is flat, so that each block's
+    # product is one C-contiguous (dim, size) array
+    prod = np.empty(0, dtype=complex)
+    mags = np.empty(0)
 
     def fail(msg):
         partial = VectorValue(acc, space) if np.isfinite(acc).all() else None
@@ -645,8 +676,18 @@ def _certified_sum(row: _Row, source: SequenceSource,
         hi = min(n + block, end)
         rec = source._record(n, hi, terms=row.weight is None)
         if row.weight is None:
-            cs = np.asarray(row.coeffs(n, hi), dtype=complex)
-            blk_sum = (rec.terms * cs).sum(axis=1)
+            cs = np.asarray(row.coeffs(n, hi))
+            if cs.dtype.kind not in "fc":
+                cs = cs.astype(float)
+            if mags.size < rec.size:
+                prod, mags = np.empty(space.dim * rec.size, dtype=complex), np.empty(rec.size)
+            cv = prod[:space.dim * rec.size].reshape(rec.terms.shape)
+            # a real c multiplies as c + 0j, the complex kernel it stands for
+            blk_sum = np.multiply(rec.terms, cs, out=cv).sum(axis=1)
+            # |c|, times the norms below if the row goes on; the block's
+            # coefficients are dropped before the next block is read
+            cn = np.abs(cs, out=mags[:rec.size])
+            del cs
         else:
             blk_sum = row.weight * rec.total
         # a non-finite term makes its component of the block sum non-finite
@@ -664,13 +705,16 @@ def _certified_sum(row: _Row, source: SequenceSource,
             if w_abs * rec.sup <= tail_tol:
                 return acc
             # center on the last term: exact (dev = 0) for stable blocks
-            if row.tail_sum is not None and rec.size >= 2 and w_abs * rec.dev <= tail_tol:
+            if row.tail_sum is not None and rec.size >= 2 and \
+                    w_abs * rec.dev_floor <= tail_tol and w_abs * rec.dev <= tail_tol:
                 # stabilized closure: recent terms are flat to within dev,
                 # close the tail with the exact remaining weight
                 return acc + complex(row.tail_sum(N, N + 1)[0]) * rec.last
 
-        blk_abs = (float(np.sum(np.abs(cs) * rec.norms)) if row.weight is None
-                   else abs(row.weight) * rec.abs_total)
+        if row.weight is None:
+            blk_abs = float(np.multiply(cn, rec.norms, out=cn).sum())
+        else:
+            blk_abs = abs(row.weight) * rec.abs_total
         if blk_abs > 1e200:
             fail("terms overflowing")
         if block == cap:
@@ -793,6 +837,12 @@ def _lebesgue_transforms(spec: KernelSpec, source, params,
             for out in outs]
 
 
+def _check_tol(name: str, tol: float):
+    """ValueError unless tol is a positive finite number."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {tol!r}")
+
+
 def transform_at(spec: KernelSpec, source, param, *,
                  tail_tol: Optional[float] = None) -> VectorValue:
     """The transform of ``source`` at ``param``: the one transform entry point.
@@ -806,8 +856,11 @@ def transform_at(spec: KernelSpec, source, param, *,
     (see ``_row``), exact for finitely supported rows, with its tail
     certified to ``tail_tol`` (None: ``_TAIL_TOL``).  A Lebesgue kernel
     needs a ``FunctionSource`` and a counting one a ``SequenceSource``;
-    either raises TypeError for the other kind.
+    either raises TypeError for the other kind.  A ``tail_tol`` that is not
+    a positive finite number raises ValueError before the source is read.
     """
+    if tail_tol is not None:
+        _check_tol("tail_tol", tail_tol)
     if spec.measure != MEASURE_COUNTING:
         (value,) = _lebesgue_transforms(spec, source, [param], tail_tol)
         if isinstance(value, QuadratureError):
@@ -841,8 +894,10 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     ``failed_points`` rather than aborting; a failure among the last
     2 * ``domains._WINDOW`` parameters downgrades the estimate to
     inconclusive, and so does a path with no sample.  Raises ValueError,
-    before any sample, for a depth whose grid leaves F.
+    before any sample, for a ``tol`` that is not a positive finite number
+    and for a depth whose grid leaves F.
     """
+    _check_tol("tol", tol)
     window = domains._WINDOW
     params = sample_grid(spec.F, depth)
 

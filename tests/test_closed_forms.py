@@ -47,6 +47,11 @@ rows 2^13 .. 2^14 + 1, spans less than the distance still to go: with h = 1.7
 it says ``converged`` 1.07e-3 from the limit at tol 1e-3.  A strict xfail
 test pins that case until the estimator checks the method's rate.
 
+The real-block tests at the end draw from the same profile: each builtin
+counting kernel's float block is the real part of the complex block it
+replaced, bit for bit, and a certified sum gives the same bits with a real
+coefficient block as with that block + 0j.
+
 The examples are drawn with ``derandomize=True`` from the hypothesis profile
 ``closed-forms`` (a few seconds); set ``SUMKIT_CLOSED_FORMS_PROFILE`` to
 ``closed-forms-deep`` for ten times as many.
@@ -58,10 +63,10 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumkit import methods
+from sumkit import holo, methods
 from sumkit.domains import sample_grid
 from sumkit.methods import (
     FunctionSource,
@@ -242,3 +247,131 @@ def test_logarithmic_samples_match_their_closed_forms(f):
     est, pairs = _grid(spec, source, LOG_DEPTH)
     size = sum(float(np.abs(f[k]).max()) for k in "cb")
     _check(spec, est, pairs, functools.partial(_log_mean, f), f["c"], size)
+
+
+# ---------------------------------------------------------------------------
+# real coefficient blocks: the bits of the complex blocks they stand for
+# (the certified sum multiplies a real c into the terms as c + 0j)
+
+
+def _abel_complex(r, ns):
+    ns = np.asarray(ns, dtype=float)
+    # r**n via exp(n log r) stays accurate for r close to 1 and large n
+    return (1.0 - r) * np.exp(ns * math.log(r)) + 0j if r > 0 else \
+        (1.0 - r) * (ns == 0).astype(complex)
+
+
+def _log_mean_complex(r, ns):
+    ns = np.asarray(ns, dtype=float) + 1.0
+    return np.exp(ns * math.log(r)) / (ns * -math.log1p(-r)) + 0j
+
+
+_ROWS = (0, 1, 100, 2**14 + 1)
+# r = 0.5 underflows to +0 past n = 1,074; 1 - 2^-14 is the deep-sum grid's end
+_RADII = (0.0, 0.5, 0.9, 0.999, 1.0 - 2.0**-14)
+# (spec, its complex block as a reference, its parameters)
+_KERNELS = [
+    (identity_method(), lambda m, ns: (ns == m).astype(complex), _ROWS),
+    (series_summation_method(), lambda m, ns: (ns <= m).astype(complex), _ROWS),
+    (cesaro_method(), lambda m, ns: (ns <= m) / (m + 1.0) + 0j, _ROWS),
+    (abel_method(), _abel_complex, _RADII),
+    (holo._log_mean_method(), _log_mean_complex, _RADII[1:3]),
+]
+
+
+def _same_bits(a, b):
+    """Equal arrays, signed zeros and nan payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def kernel_blocks(draw):
+    spec, reference, params = draw(st.sampled_from(_KERNELS))
+    lo = draw(st.sampled_from([0, 1, 1_000, 1_070, 65_536, 200_000]))
+    return spec, reference, draw(st.sampled_from(params)), np.arange(
+        lo, lo + draw(st.sampled_from([1, 2, 64, 1_000, 65_536])))
+
+
+@PROFILE
+@given(k=kernel_blocks())
+def test_builtin_kernel_blocks_are_the_real_parts_of_their_complex_blocks(k):
+    spec, reference, param, ns = k
+    block = spec.kernel_batch(param, ns)
+    assert block.dtype == np.float64
+    assert _same_bits(block, np.real(reference(param, ns))), (spec.name, param, ns[0])
+
+
+def _signed_zero_source(f, parts):
+    """``_sequence_source(f)`` with the parts flagged in ``parts`` (re, then im) -0.0 at every n.
+
+    A part that is -0.0 throughout sums to a signed zero, so its sign shows
+    how each product rounded.
+    """
+    plain = _sequence_source(f)
+    dim = f["dim"]
+
+    def block(lo, hi):
+        vs = plain.block(lo, hi)
+        out = np.empty_like(vs)
+        out.real = np.where(parts[:dim], -0.0, vs.real)
+        out.imag = np.where(parts[dim:], -0.0, vs.imag)
+        return out
+
+    return SequenceSource(block, SpaceDescriptor(dim, "l2"), "signed_zeros")
+
+
+@st.composite
+def signed_zero_sources(draw):
+    """v_n = c + a rho^n + h/(n+1) in C^1 or C^4, some parts -0.0 throughout."""
+    dim = draw(st.sampled_from([1, 4]))
+    c, a, h = (draw(_coefficient(dim)) for _ in range(3))
+    zero = np.zeros(dim, dtype=complex)
+    f = dict(dim=dim, rho=draw(_RHO), **{k: zero if v is None else v
+                                         for k, v in zip("cah", (c, a, h))})
+    return _signed_zero_source(f, np.array(draw(st.lists(st.booleans(), min_size=2 * dim,
+                                                             max_size=2 * dim))))
+
+
+# (spec, param) of every builtin counting kernel
+_KERNEL_ROWS = [(spec, p) for spec, _, params in _KERNELS for p in params]
+
+
+def _outcome(row, source, tail_tol):
+    """The certified sum's coordinates, or its failure's message, terms and partial sum."""
+    try:
+        return methods._certified_sum(row, source, tail_tol)
+    except methods.NonSummableError as exc:
+        return str(exc), exc.terms, None if exc.partial is None else exc.partial.coords
+
+
+def _same_outcome(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return _same_bits(a, b)
+    return a[:2] == b[:2] and (a[2] is b[2] is None or _same_bits(a[2], b[2]))
+
+
+_ONES4 = np.ones(4, dtype=complex)
+
+
+@PROFILE
+@given(source=signed_zero_sources(), kernel_row=st.sampled_from(_KERNEL_ROWS),
+       tail_tol=st.sampled_from([1e-5, 1e-14, math.ulp(0.0)]))
+# Abel at r = 0.5 to the least subnormal tolerance reads its block 320 .. 1,343,
+# whose coefficients past n = 1,074 underflow to +0, against -0.0 parts in C^1 and C^4
+@example(source=_signed_zero_source(dict(dim=1, rho=0.5 + 0.5j, c=np.ones(1), a=np.ones(1),
+                                         h=np.zeros(1)), np.array([True, False])),
+         kernel_row=(abel_method(), 0.5), tail_tol=math.ulp(0.0))
+@example(source=_signed_zero_source(dict(dim=4, rho=-0.9 + 0j, c=_ONES4, a=-_ONES4, h=1j * _ONES4),
+                                    np.array([True, False] * 4)),
+         kernel_row=(abel_method(), 0.5), tail_tol=math.ulp(0.0))
+def test_real_coefficient_blocks_sum_to_the_bits_of_complex_ones(source, kernel_row, tail_tol):
+    # a box row sums its source blocks, so its coefficient path is read without the box
+    real = methods._row(*kernel_row)._replace(weight=None)
+    complex_ = real._replace(coeffs=lambda a, b: real.coeffs(a, b) + 0j)
+    want = _outcome(complex_, source, tail_tol)
+    assert _same_outcome(_outcome(real, source, tail_tol), want)
+    with source._grid() as memo:  # the second sum reads the records the first kept
+        assert _same_outcome(_outcome(real, memo, tail_tol), want)
+        assert _same_outcome(_outcome(complex_, memo, tail_tol), want)

@@ -375,6 +375,58 @@ def test_summability_limit_certifies_samples_to_its_tol():
     assert read[0] <= 700_000  # 1,215,616 with every sample certified to 1e-14
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-3, 0.0, math.inf])
+def test_summability_limit_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    src, read = _counted_grandi()
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        summability_limit(abel_method(), src, depth=10, tol=tol)
+    assert read[0] == 0
+
+
+@pytest.mark.parametrize("tail_tol", [math.nan, -1e-3, 0.0, math.inf])
+def test_transform_at_rejects_a_tail_tol_that_is_not_positive_and_finite(tail_tol):
+    src, read = _counted_grandi()
+    with pytest.raises(ValueError, match="tail_tol must be a positive finite number"):
+        transform_at(abel_method(), src, 0.999, tail_tol=tail_tol)
+    assert read[0] == 0
+    reads = []
+    wavy = scalar_function(lambda ts: reads.append(ts) or np.cos(ts))
+    with pytest.raises(ValueError, match="tail_tol must be a positive finite number"):
+        transform_at(logarithmic_method(), wavy, 0.5, tail_tol=tail_tol)
+    assert reads == []
+
+
+@pytest.mark.parametrize("tag", ["l1", "l2", "sup"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300, 1e308])
+def test_the_closure_floor_is_at_most_the_scatter(tag, dim, scale):
+    # every computed norm is at least its vector's largest computed component
+    # modulus; the terms are finite, as the closure reads them, and near 1e308
+    # a difference overflows, and both are inf
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        terms = rng.uniform(-1.0, 1.0, (dim, 8)) + 1j * rng.uniform(-1.0, 1.0, (dim, 8))
+        with np.errstate(over="ignore", invalid="ignore"):  # as the certified sum reads them
+            rec = methods._Block(scale * terms, tag)
+            assert rec.dev_floor <= rec.dev, (scale * terms, rec.dev_floor, rec.dev)
+
+
+def test_a_closure_ruled_out_by_the_floor_sums_as_without_it(monkeypatch):
+    # 1, 0, 1, 0, ...: every block starts at a 1 and ends at a 0, so the floor
+    # is 1 and rules out each closure, which the scatter then never computes
+    r = 1 - 2.0**-14
+    scatters = []
+    dev = methods._Block.dev.func
+    monkeypatch.setattr(methods._Block, "dev", property(lambda rec: scatters.append(1) or dev(rec)))
+    floored = transform_at(abel_method(), _counted_grandi()[0], r, tail_tol=1e-5).coords
+    assert scatters == []
+    monkeypatch.setattr(methods._Block, "dev_floor", 0.0)
+    unfloored = transform_at(abel_method(), _counted_grandi()[0], r, tail_tol=1e-5).coords
+    # the row reads 218,432 terms in 8 blocks; the plain certificate ends the last
+    assert len(scatters) == 7
+    assert np.array_equal(floored.view(np.uint64), unfloored.view(np.uint64))
+
+
 def test_finite_row_runs_to_its_support_end():
     # row 2^20 + 1 is longer than the cap on rows without an end
     val = _scalar(transform_at(cesaro_method(), ALT_PARTIAL, 2**20 + 1))
