@@ -312,7 +312,8 @@ def _summed(spec: methods.KernelSpec, f: TaylorFunction, param, name: str = "") 
     a parameter outside the spec's F.
     """
     row = methods._row(spec, param)
-    return TaylorFunction(block=lambda lo, hi: row.tail_sum(lo - 1, hi - 1) * f.block(lo, hi),
+    return TaylorFunction(block=lambda lo, hi: row.tail_sum(row.p, lo - 1, hi - 1)
+                          * f.block(lo, hi),
                           decay=f.decay if row.hi is None else CappedDecay(f.decay, row.hi),
                           space=f.space, name=name or f"{spec.name}_{param:g}({f.name})")
 
@@ -321,19 +322,25 @@ def _log_mean_method() -> methods.SeqToFuncSpec:
     """The discrete logarithmic kernel a_n(r) = r^(n+1) / ((n+1) L), L = -log(1-r), 0 < r < 1.
 
     Its tail past N is (L - S_{N+1}) / L, S_k = sum_{j<=k} r^j/j from one
-    cumulative sum from j = 1, so the tail at N = -1 is 1 exactly.
+    cumulative sum from j = 1, so the tail at N = -1 is 1 exactly.  Like
+    every counting kernel, both take r as a scalar or as an array that
+    broadcasts against the indices, with each logarithm by ``math``.
     """
     def kernel_batch(r, ns):
         ns = np.asarray(ns, dtype=float) + 1.0
-        return np.exp(ns * math.log(r)) / (ns * -math.log1p(-r))
+        return (np.exp(ns * methods._per_parameter(math.log, r))
+                / (ns * -methods._per_parameter(math.log1p, -r)))
 
     def tail(r, lo, hi):
-        if not 0.0 < r < 1.0:
+        inside = (0.0 < r) & (r < 1.0)
+        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
             raise ValueError("logarithmic mean needs 0 < r < 1")
-        big = -math.log1p(-r)
+        big = -methods._per_parameter(math.log1p, -r)
         js = np.arange(1, hi + 1, dtype=float)
-        head = np.concatenate(([0.0], np.cumsum(np.exp(js * math.log(r)) / js)))
-        return (big - head[lo + 1:hi + 1]) / big
+        terms = np.exp(js * methods._per_parameter(math.log, r)) / js
+        head = np.concatenate((np.zeros(terms.shape[:-1] + (1,)), np.cumsum(terms, axis=-1)),
+                              axis=-1)
+        return (big - head[..., lo + 1:hi + 1]) / big
 
     return methods.SeqToFuncSpec(name="log_mean", kernel_batch=kernel_batch, tail_sum=tail)
 

@@ -44,9 +44,9 @@ floor, the largest component modulus of the block's first term minus its
 last, does not already rule the closure out: every norm of a vector is at
 least that modulus.  A kernel block may be real or complex; the builtin
 counting kernels give real ones, and a real c multiplies a term as c + 0j,
-so a row sums to the same bits either way.  Each row forms its blocks' c v
+so a row sums to the same bits either way.  A sum forms its blocks' c v
 and |c| |v| in two work buffers, allocated once per sum and grown to the
-largest block it reads.  Every norm is ``vspace.space_norm``, the
+largest chunk of rows it reads.  Every norm is ``vspace.space_norm``, the
 package's one per-vector norm, which the limit estimator takes too: a term
 whose modulus overflows has norm inf, never nan.  A record holds its terms
 component-major, one C-contiguous (dim, n) array, so every sum over a block
@@ -82,17 +82,22 @@ hi)`` give those past N = lo .. hi-1, and the signed one at N = k - 1 is
 the row mass ``holo`` multiplies Taylor coefficient k by.  E's measure,
 counting on the naturals and Lebesgue on an interval, decides the
 transform; ``_kernel_support`` reads every support, an interval of E.
-``_row`` is the one reader of a counting kernel: at one scalar parameter
-it gives a ``_Row`` (a coefficient block, the support's integer points,
+``_row`` is the one reader of a counting kernel: at one parameter it gives
+a ``_Row`` (the kernel at that parameter, the support's integer points,
 the tail blocks of the certificates, a label and a box row's weight),
-which ``_certified_sum`` takes whole, and which the regularity checks and
-``holo``'s chain steps read too.  Only a Lebesgue kernel is integrated,
-over a support in the source's domain.  The integrals of every grid
-parameter of one call refine in lockstep (``_kernel_quadratures``): each
-level reads the source and the kernel once, at the nodes of all pending
-integrals, the kernel with an array of parameters aligned with the nodes.
-So a Lebesgue ``kernel_batch`` must be elementwise in (r, t), and each
-integral then equals a lone one bit for bit.
+which the regularity checks and ``holo``'s chain steps read too.
+``_certified_sum`` sums rows that share a start and an end in lockstep,
+reading each source block once for all of them: ``summability_limit``
+hands it a grid of rows without an end whole, and any other grid one point
+at a time.  Only a Lebesgue kernel is integrated, over a support in the
+source's domain, and the integrals of every grid parameter of one call
+refine in lockstep (``_kernel_quadratures``): each level reads the source
+and the kernel once, at the nodes of all pending integrals.  Both lockstep
+engines read the kernel and its tails with an array of parameters, one per
+node or a column of rows, so every kernel has one contract: elementwise in
+(p, index), with p a scalar or an array that broadcasts against the
+indices.  Each grid sample then equals a lone one bit for bit, and a
+counting kernel of a scalar parameter alone raises ValueError in a grid.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from typing import Callable, NamedTuple, Optional
 
@@ -158,13 +163,15 @@ def _block_cap(dim: int) -> int:
     return max(1, _MAX_BLOCK // dim)
 
 
+@lru_cache(maxsize=None)
 def _block_ramp(dim: int) -> dict:
     """The block ramp of a C^dim row from 0, {start: size}: the one block layout.
 
     ``_START_BLOCK`` terms (at most ``_block_cap(dim)``), then 4x per block
     up to and including one full block of ``_block_cap(dim)`` terms: starts
     0, 64, 320, 1,344, 5,440 and 21,824 in C^1 (ending at 87,360), and 0 ..
-    5,440 in C^4 (ending at 21,824).  Every later block is full.
+    5,440 in C^4 (ending at 21,824).  Every later block is full.  The dict
+    is made once per dimension and shared: read it, never change it.
     """
     cap = _block_cap(dim)
     ramp, start, size = {}, 0, _START_BLOCK
@@ -442,15 +449,19 @@ class KernelSpec:
 
     name: str
     # (r, ts) -> a(r, ts), real or complex (the builtin counting kernels are
-    # real); a Lebesgue kernel takes r as a scalar or as an array aligned with
-    # ts, one parameter per node, and is elementwise in (r, t)
+    # real), elementwise in (r, t) with r a scalar or an array that
+    # broadcasts against ts: a Lebesgue grid passes one parameter per node, a
+    # lockstep counting grid a column r[:, None] for a (rows, len(ts)) block,
+    # so a counting kernel must broadcast over a column of parameters
     kernel_batch: Callable[[float, np.ndarray], np.ndarray]
     E: IndexDomain = UNIT_INTERVAL
     F: IndexDomain = UNIT_INTERVAL
     # (lo, hi) inclusive, an interval of E (see _kernel_support), else all of E
     support: Optional[Callable[[float], tuple]] = None
     substitution: str = SUBSTITUTION_NONE
-    # counting, (r, lo, hi) -> sum_{n > N} |a(r, n)| and sum_{n > N} a(r, n) at N = lo .. hi-1
+    # counting, (r, lo, hi) -> sum_{n > N} |a(r, n)| and sum_{n > N} a(r, n) at
+    # N = lo .. hi-1, elementwise in (r, N) like kernel_batch: a column of
+    # parameters gives a (rows, hi - lo) block
     tail_abs: Optional[Callable[[float, int, int], np.ndarray]] = None
     tail_sum: Optional[Callable[[float, int, int], np.ndarray]] = None
     # a box row: the one value w(r) of every entry on the support, so a block
@@ -527,20 +538,44 @@ def cesaro_method() -> MatrixSpec:
     )
 
 
+def _per_parameter(fn: Callable[[float], float], r):
+    """fn(r) of one parameter, or fn of each parameter of the array r, by ``math``.
+
+    numpy's log and log1p differ from ``math``'s in the last bit on some
+    inputs, so a kernel that takes its logarithms here gives a row read in a
+    column of parameters the bits of the row read alone.
+    """
+    if isinstance(r, np.ndarray):
+        return np.array([fn(x) for x in r.ravel().tolist()], dtype=float).reshape(r.shape)
+    return fn(r)
+
+
+def _log_or_zero(x: float) -> float:  # log r, and 0 where r <= 0, which _zero_powers mends
+    return math.log(x) if x > 0 else 0.0
+
+
+def _zero_powers(r, ns, powers: np.ndarray) -> np.ndarray:
+    """powers, r**n at the integers ns, with 0**0 = 1 and 0 past it where r <= 0."""
+    if (r > 0).all() if isinstance(r, np.ndarray) else r > 0:
+        return powers
+    return np.where(r > 0, powers, np.asarray(ns) == 0)
+
+
 def abel_method() -> SeqToFuncSpec:
+    # r**n via exp(n log r) stays accurate for r close to 1 and large n
     def kernel_batch(r, ns):
-        if not r > 0:
-            return (1.0 - r) * (np.asarray(ns) == 0)
-        # r**n via exp(n log r) stays accurate for r close to 1 and large n;
-        # one float array, exponentiated and scaled in place
-        out = np.multiply(ns, math.log(r), dtype=float)
+        # the indices as one float array, times log r (a column of parameters
+        # broadcasts it), exponentiated and scaled in place
+        out, log_r = np.array(ns, dtype=float), _per_parameter(_log_or_zero, r)
+        out = out * log_r if isinstance(r, np.ndarray) else np.multiply(out, log_r, out=out)
         np.exp(out, out=out)
+        out = _zero_powers(r, ns, out)
         out *= 1.0 - r
         return out
 
-    def tail(r, lo, hi):  # r**(N + 1) at N = lo .. hi-1 in the kernel's form, 0**0 = 1
+    def tail(r, lo, hi):  # r**(N + 1) at N = lo .. hi-1 in the kernel's form
         ns = np.arange(lo + 1, hi + 1, dtype=float)
-        return np.exp(ns * math.log(r)) if r > 0 else (ns == 0).astype(float)
+        return _zero_powers(r, ns, np.exp(ns * _per_parameter(_log_or_zero, r)))
 
     return SeqToFuncSpec(
         name="abel",
@@ -603,130 +638,222 @@ def as_kernel(spec: KernelSpec) -> KernelSpec:
 
 
 class _Row(NamedTuple):
-    """A counting kernel's row at one parameter, which ``_certified_sum`` sums.
+    """A counting kernel's row at one parameter p, which ``_certified_sum`` sums.
 
-    ``coeffs(a, b)`` gives the kernel at the indices a .. b-1, and the row
-    runs over the integers lo .. hi (hi None: no end).  ``tail_abs`` and
-    ``tail_sum(a, b)``, when declared, give the coefficient tails past the
-    absolute indices N = a .. b-1, read at a block's last N as ``tail(N, N
-    + 1)[0]``.  ``label`` names the row in an error, and ``weight`` is a box
-    row's one entry w (None: every other row), so every c_n = w on the
-    support and ``coeffs`` is not called.
+    ``kernel(p, ns)`` gives its coefficients at the indices ns (``coeffs(a,
+    b)`` at a .. b-1), and the row runs over the integers lo .. hi (hi None:
+    no end).  ``tail_abs`` and ``tail_sum(p, a, b)``, when declared, give
+    the coefficient tails past the absolute indices N = a .. b-1.  These are
+    the spec's own callables, shared by its rows.  ``label`` names the row
+    in an error, and ``weight`` is a box row's one entry w (None: every other
+    row), so every c_n = w on the support and ``kernel`` is not called.
     """
 
-    coeffs: Callable[[int, int], np.ndarray]
+    kernel: Callable[[object, np.ndarray], np.ndarray]
+    p: object
     lo: int
     hi: Optional[int]
-    tail_abs: Optional[Callable[[int, int], np.ndarray]]
-    tail_sum: Optional[Callable[[int, int], np.ndarray]]
+    tail_abs: Optional[Callable[[object, int, int], np.ndarray]]
+    tail_sum: Optional[Callable[[object, int, int], np.ndarray]]
     label: str
     weight: Optional[complex]
+
+    def coeffs(self, a: int, b: int) -> np.ndarray:
+        """The row's coefficients at the indices a .. b-1."""
+        return self.kernel(self.p, np.arange(a, b))
+
+
+def _rows_block(fn, ps, shape: tuple, *args) -> np.ndarray:
+    """``fn(ps, *args)`` at one row's parameter ps, or the block of ``shape`` at a column ps.
+
+    A column's block that does not broadcast to ``shape``, (rows, size), or
+    a TypeError or ValueError raised on the column, raises ValueError
+    naming the counting kernel contract.
+    """
+    if not isinstance(ps, np.ndarray):
+        return np.asarray(fn(ps, *args))
+    try:
+        out = np.asarray(fn(ps, *args))
+        return out if out.shape == shape else np.broadcast_to(out, shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"a counting kernel and its tails must be elementwise in (p, n), with p "
+                         f"a scalar or an array that broadcasts against the indices; "
+                         f"{shape[0]} parameters gave no block of shape {shape}: {exc}") from exc
+
+
+# how a row stops at a block (None: it goes on): at its end or by the plain
+# certificate, by the stabilized closure, or on a non-finite term
+_ENDS, _CLOSES, _FAILS = "ends", "closes", "fails"
 
 
 # over- and underflow in a block are caught by the finiteness and overflow checks
 @np.errstate(over="ignore", invalid="ignore")
-def _certified_sum(row: _Row, source: SequenceSource,
-                   tail_tol: Optional[float] = None) -> np.ndarray:
-    """The coordinates of sum_n c_n v_n over the row, with a numeric tail certificate.
+def _certified_sum(rows: list, source: SequenceSource,
+                   tail_tol: Optional[float] = None) -> list:
+    """The coordinates of sum_n c_n v_n over each row, with a numeric tail certificate.
 
-    The sum runs from n = row.lo up to row.hi inclusive, one block of
-    ``_block_ramp`` at a time, and stops at the first of: the support end;
-    the plain certificate or the stabilized closure within tail_tol (None:
-    _TAIL_TOL), which read the row's ``tail_abs`` (the closure its
-    ``tail_sum`` too); the geometric-tail estimate on full blocks, two
-    consecutive ratios q <= 0.999 of their absolute sums S with S q / (1 -
-    q) <= _TAIL_TOL (a zero block has q = 0, a nonzero block after a zero
-    one has no ratio).  It fails on a non-finite term, on terms overflowing,
-    or at _MAX_TERMS terms without an end; no sum is called divergent from
-    the trend of its blocks.  A box row sums each source block as its weight
-    times the block's sum.  Raises NonSummableError, with the partial sum
-    and the number of terms read, when no certificate is reached.
+    The rows share one spec, start and end, and are summed in lockstep, one
+    block of ``_block_ramp`` at a time, each block read once for the rows
+    still summing.  A row runs from n = lo up to hi inclusive and stops at
+    the first of: the support end; the plain certificate or the stabilized
+    closure within tail_tol (None: _TAIL_TOL), which read the spec's
+    ``tail_abs`` (the closure its ``tail_sum`` too); the geometric-tail
+    estimate on full blocks, two consecutive ratios q <= 0.999 of their
+    absolute sums S with S q / (1 - q) <= _TAIL_TOL (a zero block has q = 0,
+    a nonzero block after a zero one has no ratio).  It fails on a non-finite
+    term, on terms overflowing, or at _MAX_TERMS terms without an end; no
+    sum is called divergent from the trend of its blocks.  A box row, summed
+    alone, sums each source block as its weight times the block's sum.
+    Returns, per row, its coordinates, or a NonSummableError with the
+    partial sum and the number of terms read when no certificate is reached.
 
-    Every other row reads its coefficient block as it comes, real or
-    complex (any other dtype is cast to float), and forms c v and |c| |v|
-    in two work buffers, allocated once per sum, grown to the largest block
-    the row reads and reused across its blocks; c v is one C-contiguous
-    (dim, size) array, as a fresh product would be, so it sums to the same
-    bits.  The closure reads a block's scatter ``dev`` only when its floor
-    ``dev_floor`` does not rule it out, w_abs * floor > tail_tol.
+    A lone row reads the kernel and the tails at its parameter; rows in
+    lockstep read them at the column of theirs (``_rows_block``), the kernel
+    once per chunk of rows whose (rows, dim, size) product fits in
+    ``_MAX_BLOCK`` values.  A coefficient block may be real or complex (any
+    other dtype is cast to float).  Each chunk's c v and |c| |v| are formed
+    in two work buffers, allocated once per sum and grown to the largest
+    chunk; c v sums along its contiguous last axis, so each row has the bits
+    it has alone.  Each row's certificate is decided before its |c| |v| is
+    summed, and a row leaves at the block where it stops.  The closure reads
+    a block's scatter ``dev`` only when its floor ``dev_floor`` does not rule
+    it out, w_abs * floor > tail_tol.
     """
     if tail_tol is None:
         tail_tol = _TAIL_TOL
+    first = rows[0]
+    kernel, tail_abs, tail_sum, weight = first.kernel, first.tail_abs, first.tail_sum, first.weight
     space = source.space
-    acc = np.zeros(space.dim, dtype=complex)
-    if row.hi is not None and row.hi < row.lo:
-        return acc
-    n = row.lo
-    end = row.lo + _MAX_TERMS if row.hi is None else row.hi + 1
-    cap = _block_cap(space.dim)
-    sizes = chain(_block_ramp(space.dim).values(), repeat(cap))
-    prev_abs = 0.0
-    geo_ok = 0
-    # the work buffers of c v and |c| |v|; c v is flat, so that each block's
-    # product is one C-contiguous (dim, size) array
-    prod = np.empty(0, dtype=complex)
-    mags = np.empty(0)
+    dim = space.dim
+    if first.hi is not None and first.hi < first.lo:
+        return [np.zeros(dim, dtype=complex) for _ in rows]
+    n = first.lo
+    end = first.lo + _MAX_TERMS if first.hi is None else first.hi + 1
+    cap = _block_cap(dim)
+    sizes = chain(_block_ramp(dim).values(), repeat(cap))
+    # the rows still summing, by their index in rows, with their parameters
+    # and sums aligned with them
+    live = list(range(len(rows)))
+    ps = np.array([row.p for row in rows]) if len(rows) > 1 else None
+    acc = np.zeros((len(rows), dim), dtype=complex)
+    outcomes = [None] * len(rows)
+    # each row's ratio test: its last full block's absolute sum and its run of ratios
+    prev_abs = [0.0] * len(rows)
+    geo_ok = [0] * len(rows)
+    # the work buffers of c v and |c| |v|, made at the first chunk; c v is
+    # flat, so that each chunk's product is one C-contiguous (rows, dim,
+    # size) array
+    prod = mags = np.empty(0)
 
-    def fail(msg):
-        partial = VectorValue(acc, space) if np.isfinite(acc).all() else None
-        raise NonSummableError(f"{row.label}: {msg}", partial=partial, terms=n - row.lo)
+    def failure(k, coords, msg, terms):
+        partial = VectorValue(coords, space) if np.isfinite(coords).all() else None
+        return NonSummableError(f"{rows[k].label}: {msg}", partial=partial, terms=terms)
 
-    while n < end:
+    while live and n < end:
         block = next(sizes)
         hi = min(n + block, end)
-        rec = source._record(n, hi, terms=row.weight is None)
-        if row.weight is None:
-            cs = np.asarray(row.coeffs(n, hi))
-            if cs.dtype.kind not in "fc":
-                cs = cs.astype(float)
-            if mags.size < rec.size:
-                prod, mags = np.empty(space.dim * rec.size, dtype=complex), np.empty(rec.size)
-            cv = prod[:space.dim * rec.size].reshape(rec.terms.shape)
-            # a real c multiplies as c + 0j, the complex kernel it stands for
-            blk_sum = np.multiply(rec.terms, cs, out=cv).sum(axis=1)
-            # |c|, times the norms below if the row goes on; the block's
-            # coefficients are dropped before the next block is read
-            cn = np.abs(cs, out=mags[:rec.size])
-            del cs
+        rec = source._record(n, hi, terms=weight is None)
+        count = len(live)
+        # the parameter of a row that sums alone, else the column of them
+        p_live = rows[live[0]].p if count == 1 else ps[:, None]
+        # each row's certificate at this block, read before its |c| |v|,
+        # which a row that stops here needs not
+        if first.hi is not None and hi > first.hi:
+            stops = [_ENDS] * count
+        elif tail_abs is None:
+            stops = [None] * count
         else:
-            blk_sum = row.weight * rec.total
-        # a non-finite term makes its component of the block sum non-finite
-        if not np.isfinite(blk_sum).all():
-            fail("non-finite term encountered")
-        acc = acc + blk_sum
-        N = hi - 1
+            closable = tail_sum is not None and rec.size >= 2
+            w_abs = _rows_block(tail_abs, p_live, (count, 1), hi - 1, hi).ravel().tolist()
+            stops = []
+            for w in w_abs:
+                # center the closure on the last term: exact (dev = 0) for stable blocks
+                stops.append(_ENDS if w * rec.sup <= tail_tol else
+                             _CLOSES if closable and w * rec.dev_floor <= tail_tol
+                             and w * rec.dev <= tail_tol else None)
+        if weight is None:
+            step = max(1, _MAX_BLOCK // (dim * rec.size))
+            sums, blk_abs = [], []
+            for a in range(0, count, step):
+                rc = min(step, count - a)
+                # a chunk of one row reads its own parameter; the indices are
+                # made per chunk, and dropped with the kernel call
+                cs = _rows_block(kernel, rows[live[a]].p if rc == 1 else ps[a:a + rc, None],
+                                 (rc, rec.size), np.arange(n, hi))
+                if cs.dtype.kind not in "fc":
+                    cs = cs.astype(float)
+                size = rc * rec.size
+                if mags.size < size:
+                    prod, mags = np.empty(dim * size, dtype=complex), np.empty(size)
+                cv = prod[:dim * size].reshape(rc, dim, rec.size)
+                # a real c multiplies as c + 0j, the complex kernel it stands for
+                sums.append(np.multiply(rec.terms, cs[:, None] if cs.ndim == 2 else cs,
+                                        out=cv).sum(axis=2))
+                if None in stops[a:a + rc]:  # |c| |v| of the rows that may go on
+                    cn = np.abs(cs, out=mags[:size].reshape(rc, rec.size))
+                    blk_abs += np.multiply(cn, rec.norms, out=cn).sum(axis=1).tolist()
+                else:
+                    blk_abs += [math.inf] * rc
+            # the coefficients are dropped before the next block is read
+            del cs
+            blk_sum = sums[0] if len(sums) == 1 else np.concatenate(sums)
+        else:  # a box row, summed alone
+            blk_sum = weight * rec.total[None]
+            blk_abs = [abs(weight) * rec.abs_total if stops[0] is None else math.inf]
+        # a non-finite term makes its component of the block sum non-finite;
+        # each component is at most its row's |c| |v| (inf: not summed), so
+        # a block whose |c| |v| add up to at most 1e200 (not nan) is finite
+        if not sum(blk_abs) <= 1e200 and not np.isfinite(blk_sum).all():
+            for i, ok in enumerate(np.isfinite(blk_sum).all(axis=1).tolist()):
+                if not ok:
+                    outcomes[live[i]] = failure(live[i], acc[i], "non-finite term encountered",
+                                                n - first.lo)
+                    stops[i] = _FAILS
+        acc += blk_sum
         n = hi
 
-        if row.hi is not None and n > row.hi:
-            return acc
+        keep, closing = [], []
+        for i, stop in enumerate(stops):
+            if stop is None:
+                k, b_abs = live[i], blk_abs[i]
+                if b_abs > 1e200:
+                    outcomes[k] = failure(k, acc[i], "terms overflowing", n - first.lo)
+                elif block < cap:
+                    keep.append(i)
+                else:
+                    # ratio test over full blocks: a zero block has ratio 0, and a
+                    # nonzero block has none after a zero block or as the first one
+                    q = 0.0 if b_abs == 0.0 else (b_abs / prev_abs[k] if prev_abs[k] else math.inf)
+                    geo_ok[k] = geo_ok[k] + 1 if q <= 0.999 else 0
+                    if geo_ok[k] >= 2 and b_abs * q / (1.0 - q) <= _TAIL_TOL:
+                        outcomes[k] = acc[i]
+                    else:
+                        prev_abs[k] = b_abs
+                        keep.append(i)
+            elif stop is _ENDS:
+                outcomes[live[i]] = acc[i]
+            elif stop is _CLOSES:
+                closing.append(i)
+        if closing:
+            # stabilized closure: recent terms are flat to within dev, close
+            # the tail with the exact remaining weight; a tail_sum that is
+            # tail_abs, as every builtin's is, has been read already
+            if tail_sum is tail_abs:
+                t_sum = [w_abs[i] for i in closing]
+            else:
+                col = rows[live[closing[0]]].p if len(closing) == 1 else ps[closing, None]
+                t_sum = _rows_block(tail_sum, col, (len(closing), 1), hi - 1, hi).ravel().tolist()
+            for i, t in zip(closing, t_sum):
+                outcomes[live[i]] = acc[i] + complex(t) * rec.last
+        if len(keep) < count:  # the rows that stopped leave, with their sums
+            live = [live[i] for i in keep]
+            if keep:
+                acc = acc[keep]
+                ps = ps if ps is None else ps[keep]
 
-        if row.tail_abs is not None:
-            w_abs = float(row.tail_abs(N, N + 1)[0])
-            if w_abs * rec.sup <= tail_tol:
-                return acc
-            # center on the last term: exact (dev = 0) for stable blocks
-            if row.tail_sum is not None and rec.size >= 2 and \
-                    w_abs * rec.dev_floor <= tail_tol and w_abs * rec.dev <= tail_tol:
-                # stabilized closure: recent terms are flat to within dev,
-                # close the tail with the exact remaining weight
-                return acc + complex(row.tail_sum(N, N + 1)[0]) * rec.last
-
-        if row.weight is None:
-            blk_abs = float(np.multiply(cn, rec.norms, out=cn).sum())
-        else:
-            blk_abs = abs(row.weight) * rec.abs_total
-        if blk_abs > 1e200:
-            fail("terms overflowing")
-        if block == cap:
-            # ratio test over full blocks: a zero block has ratio 0, and a
-            # nonzero block has none after a zero block or as the first one
-            q = 0.0 if blk_abs == 0.0 else (blk_abs / prev_abs if prev_abs else math.inf)
-            geo_ok = geo_ok + 1 if q <= 0.999 else 0
-            if geo_ok >= 2 and blk_abs * q / (1.0 - q) <= _TAIL_TOL:
-                return acc
-            prev_abs = blk_abs
-
-    fail("no tail certificate within max_terms")
+    for i, k in enumerate(live):
+        outcomes[k] = failure(k, acc[i], "no tail certificate within max_terms", n - first.lo)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +863,10 @@ def _certified_sum(row: _Row, source: SequenceSource,
 def _in_f(spec: KernelSpec, param):
     """param as a point of spec.F: an int row index on the naturals, else a float; or ValueError."""
     if spec.F == NAT:
-        p = int(param)
+        try:
+            p = int(param)
+        except (OverflowError, ValueError):  # inf and nan
+            p = -1
         if p != param or p < 0:
             raise ValueError(f"row index {param!r} outside the naturals")
         return p
@@ -758,9 +888,7 @@ def _row(spec: KernelSpec, param) -> _Row:
     """
     p = _in_f(spec, param)
     lo, hi = _kernel_support(spec, p)
-    return _Row(lambda a, b: spec.kernel_batch(p, np.arange(a, b)), lo, hi,
-                spec.tail_abs and partial(spec.tail_abs, p),
-                spec.tail_sum and partial(spec.tail_sum, p),
+    return _Row(spec.kernel_batch, p, lo, hi, spec.tail_abs, spec.tail_sum,
                 f"{spec.name} row {p}" if spec.F == NAT else f"{spec.name} at r={p}",
                 spec.weight and spec.weight(p))
 
@@ -868,7 +996,10 @@ def transform_at(spec: KernelSpec, source, param, *,
         return value
     if not isinstance(source, SequenceSource):
         raise TypeError("counting kernels need a SequenceSource")
-    return VectorValue(_certified_sum(_row(spec, param), source, tail_tol), source.space)
+    (coords,) = _certified_sum([_row(spec, param)], source, tail_tol)
+    if isinstance(coords, NonSummableError):
+        raise coords
+    return VectorValue(coords, source.space)
 
 
 def summability_limit(spec: KernelSpec, source, depth: int = 20,
@@ -886,9 +1017,11 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     same source reads too, whatever its method.  So ``block`` must be a
     pure function of (lo, hi) for the source's lifetime, and calls that
     share a source run one at a time.  A Lebesgue kernel integrates the
-    whole grid in one lockstep quadrature (``_lebesgue_transforms``).  So
-    each sample equals a lone ``transform_at`` at that ``tail_tol``, bit
-    for bit.
+    whole grid in one lockstep quadrature (``_lebesgue_transforms``), and
+    counting rows that share a start and have no end (Abel's) are one
+    lockstep certified sum; any other grid makes one ``transform_at`` per
+    point.  So each sample equals a lone ``transform_at`` at that
+    ``tail_tol``, bit for bit.
 
     Transform failures at individual grid points are recorded in
     ``failed_points`` rather than aborting; a failure among the last
@@ -909,11 +1042,18 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
             raise TypeError("counting kernels need a SequenceSource")
         outcomes = []
         with source._grid() as memo:
-            for p in params:
-                try:
-                    outcomes.append(transform_at(spec, memo, p, tail_tol=tail_tol))
-                except NonSummableError as exc:
-                    outcomes.append(exc)
+            # a box row reads block summaries alone, so its grid goes point by point
+            rows = [] if spec.weight is not None else [_row(spec, p) for p in params]
+            if len(rows) > 1 and all(row.lo == rows[0].lo and row.hi is None for row in rows):
+                outcomes = [out if isinstance(out, NonSummableError)
+                            else VectorValue(out, source.space)
+                            for out in _certified_sum(rows, memo, tail_tol)]
+            else:
+                for p in params:
+                    try:
+                        outcomes.append(transform_at(spec, memo, p, tail_tol=tail_tol))
+                    except NonSummableError as exc:
+                        outcomes.append(exc)
     samples = [out for out in outcomes if isinstance(out, VectorValue)]
     failed = tuple((p, f"{type(out).__name__}: {out}")
                    for p, out in zip(params, outcomes) if not isinstance(out, VectorValue))

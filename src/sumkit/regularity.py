@@ -205,14 +205,12 @@ def _kernel_integrals(spec: KernelSpec, grid, windows=()) -> list:
     complex; a failed one is its QuadratureError or NonSummableError.
     """
     def total(row):
-        try:
-            return complex(_certified_sum(row, _ONES)[0])
-        except NonSummableError as exc:
-            return exc
+        (out,) = _certified_sum([row], _ONES)
+        return out if isinstance(out, NonSummableError) else complex(out[0])
 
     def column(p):  # a counting kernel's integrals at p, all complex
         mass = _row(spec, p)._replace(weight=None)
-        moduli = mass._replace(coeffs=lambda a, b: np.abs(mass.coeffs(a, b)),
+        moduli = mass._replace(kernel=lambda q, ns: np.abs(mass.kernel(q, ns)),
                                tail_sum=mass.tail_abs)
         windowed = moduli._replace(tail_abs=None, tail_sum=None)
         out = [total(moduli)] + [total(windowed._replace(

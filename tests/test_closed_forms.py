@@ -67,6 +67,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumkit import holo, methods
+from sumkit.cli import build_method
 from sumkit.domains import sample_grid
 from sumkit.methods import (
     FunctionSource,
@@ -76,6 +77,7 @@ from sumkit.methods import (
     cesaro_method,
     identity_method,
     logarithmic_method,
+    scaled_method,
     series_summation_method,
     summability_limit,
 )
@@ -340,10 +342,10 @@ _KERNEL_ROWS = [(spec, p) for spec, _, params in _KERNELS for p in params]
 
 def _outcome(row, source, tail_tol):
     """The certified sum's coordinates, or its failure's message, terms and partial sum."""
-    try:
-        return methods._certified_sum(row, source, tail_tol)
-    except methods.NonSummableError as exc:
-        return str(exc), exc.terms, None if exc.partial is None else exc.partial.coords
+    (out,) = methods._certified_sum([row], source, tail_tol)
+    if isinstance(out, methods.NonSummableError):
+        return str(out), out.terms, None if out.partial is None else out.partial.coords
+    return out
 
 
 def _same_outcome(a, b):
@@ -369,9 +371,113 @@ _ONES4 = np.ones(4, dtype=complex)
 def test_real_coefficient_blocks_sum_to_the_bits_of_complex_ones(source, kernel_row, tail_tol):
     # a box row sums its source blocks, so its coefficient path is read without the box
     real = methods._row(*kernel_row)._replace(weight=None)
-    complex_ = real._replace(coeffs=lambda a, b: real.coeffs(a, b) + 0j)
+    complex_ = real._replace(kernel=lambda p, ns: real.kernel(p, ns) + 0j)
     want = _outcome(complex_, source, tail_tol)
     assert _same_outcome(_outcome(real, source, tail_tol), want)
     with source._grid() as memo:  # the second sum reads the records the first kept
         assert _same_outcome(_outcome(real, memo, tail_tol), want)
         assert _same_outcome(_outcome(complex_, memo, tail_tol), want)
+
+
+# ---------------------------------------------------------------------------
+# lockstep grids: each row summed in a batch has the bits it has alone (the
+# kernel and its tails are elementwise in (p, n); each row's c v sums along
+# the contiguous last axis of its chunk's (rows, dim, size) product)
+
+_LOCKSTEP_SPECS = [
+    abel_method(),
+    as_kernel(abel_method()),
+    scaled_method(abel_method(), 2 - 1j),
+    build_method({"kind": "seq_to_func", "coeff": "(1 - r) * r**n", "name": "config_abel"}),
+]
+_LOCKSTEP_DEPTH = 12
+# parameters whose log (the first two) or log1p(-r) (the last two) numpy
+# rounds one ulp away from math's
+_UNEVEN = (0.9833347065534214, 0.8203077943609558, 0.6066357757671799, 0.8574042765875693)
+
+
+@pytest.mark.parametrize("spec", _LOCKSTEP_SPECS + [holo._log_mean_method()],
+                         ids=lambda s: s.name)
+def test_a_column_of_parameters_gives_each_row_its_own_bits(spec):
+    ps = np.array(_UNEVEN + (0.5, 1.0 - 2.0**-14))
+    ns = np.arange(1_000, 1_064)
+    block = spec.kernel_batch(ps[:, None], ns)
+    assert block.shape == (len(ps), len(ns))
+    for p, row in zip(ps.tolist(), block):
+        assert _same_bits(row, spec.kernel_batch(p, ns)), (spec.name, p)
+    for tail in {spec.tail_abs, spec.tail_sum} - {None}:
+        tails = tail(ps[:, None], 999, 1_001)
+        assert tails.shape == (len(ps), 2)
+        for p, row in zip(ps.tolist(), tails):
+            assert _same_bits(row, tail(p, 999, 1_001)), (spec.name, p)
+
+
+def _outcomes(rows, source, tail_tol):
+    """``_outcome`` of each row of one lockstep sum."""
+    return [out if isinstance(out, np.ndarray) else
+            (str(out), out.terms, None if out.partial is None else out.partial.coords)
+            for out in methods._certified_sum(rows, source, tail_tol)]
+
+
+def _lockstep_rows(spec, depth=_LOCKSTEP_DEPTH, more=()):
+    return [methods._row(spec, r) for r in (*sample_grid(spec.F, depth), *more)]
+
+
+@PROFILE
+@given(source=signed_zero_sources(), spec=st.sampled_from(_LOCKSTEP_SPECS),
+       tail_tol=st.sampled_from([1e-5, 1e-9]))
+def test_lockstep_rows_sum_to_the_bits_of_lone_rows(source, spec, tail_tol):
+    rows = _lockstep_rows(spec, more=_UNEVEN)
+    batched = _outcomes(rows, source, tail_tol)
+    for row, out in zip(rows, batched):
+        assert _same_outcome(out, _outcome(row, source, tail_tol)), (spec.name, row.p)
+    with source._grid() as memo:  # and through the memo, as a grid reads its source
+        assert all(_same_outcome(a, b) for a, b in zip(_outcomes(rows, memo, tail_tol), batched))
+
+
+def _grandi_source(dim, term=lambda ns: (1.0 + (-1.0) ** ns) / 2.0, name="grandi"):
+    """term(n) + 0.5i in every coordinate of C^dim; by default 1, 0, 1, 0, ... + 0.5i."""
+    return SequenceSource(lambda lo, hi: np.repeat(term(np.arange(lo, hi))[:, None] + 0.5j,
+                                                   dim, axis=1),
+                          SpaceDescriptor(dim, "l2"), name)
+
+
+def _failing_source(kind, dim, at):
+    """1, 0, 1, 0, ... in C^dim with a nan or an inf at n = at, or 1e190 (-1)^n growing past it."""
+    if kind == "overflowing":  # ten times larger per 1,000 terms past n = at
+        return _grandi_source(dim, lambda ns: 1e190 * (-1.0) ** ns
+                              * 10.0 ** (np.maximum(ns - at, 0) / 1_000.0), kind)
+    bad = np.nan if kind == "nan" else np.inf
+    return _grandi_source(dim, lambda ns: np.where(ns == at, bad, (1.0 + (-1.0) ** ns) / 2.0),
+                          kind)
+
+
+@PROFILE
+@given(kind=st.sampled_from(["nan", "inf", "overflowing"]), dim=st.sampled_from([1, 4]),
+       at=st.sampled_from([10, 500, 5_000, 30_000]), spec=st.sampled_from(_LOCKSTEP_SPECS))
+def test_lockstep_failures_are_the_failures_of_lone_rows(kind, dim, at, spec):
+    source = _failing_source(kind, dim, at)
+    rows = _lockstep_rows(spec)
+    for row, out in zip(rows, _outcomes(rows, source, 1e-5)):
+        assert _same_outcome(out, _outcome(row, source, 1e-5)), (spec.name, row.p)
+    est = summability_limit(spec, source, depth=_LOCKSTEP_DEPTH, tol=TOL)
+    lone = []
+    for r in sample_grid(spec.F, _LOCKSTEP_DEPTH):
+        try:
+            methods.transform_at(spec, source, r, tail_tol=TOL * methods._TAIL_SHARE)
+        except methods.NonSummableError as exc:
+            lone.append((r, f"NonSummableError: {exc}"))
+    assert est.failed_points == tuple(lone)
+
+
+@pytest.mark.parametrize("spec", _LOCKSTEP_SPECS, ids=lambda s: s.name)
+def test_lockstep_rows_without_a_certificate_fail_as_lone_rows(monkeypatch, spec):
+    # 1, 0, 1, 0, ...: no closure, and a plain certificate only past
+    # 12 / (1 - r) terms, so the rows nearest r = 1 run out of terms
+    monkeypatch.setattr(methods, "_MAX_TERMS", 5_000)
+    source = _grandi_source(4)
+    rows = _lockstep_rows(spec)
+    batched = _outcomes(rows, source, 1e-5)
+    assert sum(not isinstance(out, np.ndarray) for out in batched) >= 4
+    for row, out in zip(rows, batched):
+        assert _same_outcome(out, _outcome(row, source, 1e-5)), (spec.name, row.p)

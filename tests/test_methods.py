@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -18,7 +19,7 @@ import pytest
 from sumkit import methods
 from sumkit.cli import build_method
 from sumkit.domains import (
-    CONVERGED, DIVERGED, HALF_LINE, INCONCLUSIVE, NAT, parameter_grid, UNIT_INTERVAL,
+    CONVERGED, DIVERGED, HALF_LINE, INCONCLUSIVE, NAT, parameter_grid, sample_grid, UNIT_INTERVAL,
 )
 from sumkit.integrate import MEASURE_COUNTING, MEASURE_LEBESGUE, QuadratureError
 from sumkit.methods import (
@@ -461,31 +462,39 @@ DENSE4 = vector_sequence(lambda ns: _L4[None, :] + np.power(0.99, ns)[:, None] *
                          SpaceDescriptor(4, "l2"), "dense4")
 
 
-def _record_transforms(monkeypatch):
-    """Patch methods.transform_at to log (param, coords, source) of each call."""
-    lone = methods.transform_at
+def _grid_samples(spec, src, depth, tol=1e-3):
+    """(param, coords) of each sample of one summability_limit grid, read where it is estimated.
+
+    A grid of rows without an end is summed in one lockstep call, with no
+    transform_at per point, so its samples are taken from
+    methods.estimate_limit_at_infinity, paired with the grid's parameters
+    that did not fail.
+    """
     taken = []
+    estimate = methods.estimate_limit_at_infinity
 
-    def recording(spec, source, param, **kwargs):
-        value = lone(spec, source, param, **kwargs)
-        taken.append((param, value.coords, source))
-        return value
+    def recording(samples, **kwargs):
+        taken.extend(samples)
+        return estimate(samples, **kwargs)
 
-    monkeypatch.setattr(methods, "transform_at", recording)
-    return taken
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(methods, "estimate_limit_at_infinity", recording)
+        est = summability_limit(spec, src, depth=depth, tol=tol)
+    failed = {p for p, _ in est.failed_points}
+    params = [p for p in sample_grid(spec.F, depth) if p not in failed]
+    assert len(taken) == len(params)
+    return [(param, sample.coords) for param, sample in zip(params, taken)]
 
 
 @pytest.mark.parametrize("src", [ALT_PARTIAL, DENSE4], ids=["scalar", "C4"])
 @pytest.mark.parametrize("spec", [abel_method(), cesaro_method(), as_kernel(abel_method()),
                                   identity_method()], ids=lambda s: s.name)
-def test_summability_limit_samples_equal_lone_transforms(monkeypatch, spec, src):
+def test_summability_limit_samples_equal_lone_transforms(spec, src):
     tol = 1e-3
-    taken = _record_transforms(monkeypatch)
-    summability_limit(spec, src, depth=14, tol=tol)
-    monkeypatch.undo()
+    taken = _grid_samples(spec, src, 14, tol)
     tail_tol = max(tol * methods._TAIL_SHARE, methods._TAIL_TOL)
     assert len(taken) >= 14
-    for param, coords, _ in taken:
+    for param, coords in taken:
         assert np.array_equal(coords, transform_at(spec, src, param, tail_tol=tail_tol).coords)
 
 
@@ -643,14 +652,17 @@ def test_lebesgue_transform_rejects_a_support_past_the_source_domain():
         summability_limit(TRANSLATION, src, depth=4)
 
 
-# each grid reads every source term once: the ramp, then each _MAX_BLOCK
-# past it; with a longer request at a held start read afresh (and a finite
-# row's last block read per row) the grids read 283,968, 888,949 and 386,415
+# each grid reads every source term once, as much as its largest row needs:
+# the ramp, then each _MAX_BLOCK past it.  Abel rows are summed in lockstep,
+# so each full block past the ramp is read once for all of them; summed one
+# row at a time, the depth-16 Abel grid read each again for every row that
+# reached it, 1,135,936 terms
 @pytest.mark.parametrize("spec, depth, formula, terms", [
     (abel_method(), 14, _grandi, 218_432),     # 87,360 + 2 * 65,536
+    (abel_method(), 16, _grandi, 808_256),     # 87,360 + 11 * 65,536
     (cesaro_method(), 19, _grandi, 524_290),   # exactly the largest row, 2^19 + 1
     (cesaro_method(), 19, _slow, 152_896),     # 87,360 + 65,536, where rows close
-], ids=["abel", "cesaro", "cesaro-slow"])
+], ids=["abel", "abel-16", "cesaro", "cesaro-slow"])
 def test_summability_limit_reads_each_leading_block_once(spec, depth, formula, terms):
     src, read = _counted(formula, formula.__name__)
     est = summability_limit(spec, src, depth=depth, tol=1e-3)
@@ -659,16 +671,16 @@ def test_summability_limit_reads_each_leading_block_once(spec, depth, formula, t
 
 
 def _record_open_terms(monkeypatch):
-    """Patch methods.transform_at to log the terms of the memo's open record after each call."""
-    lone = methods.transform_at
+    """Patch methods._SharedBlocks._record to log the terms of the open record after each read."""
+    read = methods._SharedBlocks._record
     opened = []
 
-    def recording(spec, source, param, **kwargs):
-        value = lone(spec, source, param, **kwargs)
-        opened.append(sum(rec.size for rec in source._open.values()))
-        return value
+    def recording(memo, lo, hi, terms=True):
+        rec = read(memo, lo, hi, terms)
+        opened.append(sum(rec.size for rec in memo._open.values()))
+        return rec
 
-    monkeypatch.setattr(methods, "transform_at", recording)
+    monkeypatch.setattr(methods._SharedBlocks, "_record", recording)
     return opened
 
 
@@ -970,14 +982,12 @@ def test_shared_blocks_serve_every_request_as_a_fresh_read(src, seed):
         gc.enable()
 
 
-def test_grid_past_the_cap_equals_lone_transforms_on_a_c4_source(monkeypatch):
+def test_grid_past_the_cap_equals_lone_transforms_on_a_c4_source():
     # Cesaro rows 2^k + 1 extend row 2^k's last block past the cap by one term
-    taken = _record_transforms(monkeypatch)
-    summability_limit(cesaro_method(), WAVY_SEQ4, depth=18, tol=1e-3)
-    monkeypatch.undo()
-    assert max(param for param, _, _ in taken) == 2**18 + 1
+    taken = _grid_samples(cesaro_method(), WAVY_SEQ4, 18)
+    assert max(param for param, _ in taken) == 2**18 + 1
     tail_tol = 1e-3 * methods._TAIL_SHARE
-    for param, coords, _ in taken:
+    for param, coords in taken:
         lone = transform_at(cesaro_method(), WAVY_SEQ4, param, tail_tol=tail_tol)
         assert np.array_equal(coords, lone.coords), param
 
@@ -1131,6 +1141,55 @@ def test_identity_limit_is_plain_convergence():
     v = scalar_sequence(lambda n: (-1.0) ** n, "alternating")
     est = summability_limit(identity_method(), v, depth=10, tol=1e-3)
     assert est.status != CONVERGED  # parity pairs expose the oscillation
+
+
+@pytest.mark.parametrize("param", [math.inf, -math.inf, math.nan, 2.5, -1],
+                         ids=["inf", "-inf", "nan", "2.5", "-1"])
+def test_a_row_index_outside_the_naturals_raises_value_error(param):
+    with pytest.raises(ValueError, match="outside the naturals"):
+        methods._row(cesaro_method(), param)
+    with pytest.raises(ValueError, match="outside the naturals"):
+        transform_at(cesaro_method(), ALT_PARTIAL, param)
+
+
+def test_a_kernel_of_a_scalar_parameter_breaks_the_counting_kernel_contract():
+    # a grid of rows without an end reads the kernel with a column of its
+    # parameters; a lone row reads it with its scalar parameter, as ever
+    spec = KernelSpec(name="scalar_only", E=NAT,
+                      kernel_batch=lambda r, ns: np.full(len(ns), r) * 0.5 ** ns)
+    assert _scalar(transform_at(spec, ALT_PARTIAL, 0.5)) == pytest.approx(0.5 * 4 / 3)
+    with pytest.raises(ValueError, match=r"elementwise in \(p, n\)"):
+        summability_limit(spec, ALT_PARTIAL, depth=6, tol=1e-3)
+
+
+def _traced_peak(run):
+    """run()'s result and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_lockstep_grid_peaks_no_higher_than_its_rows_summed_one_by_one():
+    # its chunks hold at most _MAX_BLOCK values, as a lone row's full block
+    # does.  Summed one row at a time, this grid peaked at 6,830,157 to
+    # 6,831,816 traced bytes (numpy 2.4, CPython 3.11), its kept ramp and a
+    # full block's work buffers among them; its 14 rows add some 3 KB
+    summability_limit(abel_method(), _counted_grandi()[0], depth=2, tol=1e-3)
+    src = _counted_grandi()[0]
+    est, peak = _traced_peak(lambda: summability_limit(abel_method(), src, depth=14, tol=1e-3))
+    assert est.status == CONVERGED
+    assert peak <= 6_850_000
+
+    def one_by_one():  # the same rows on a fresh source, each a lone certified sum
+        fresh = _counted_grandi()[0]
+        with fresh._grid() as memo:
+            return [transform_at(abel_method(), memo, r, tail_tol=1e-3 * methods._TAIL_SHARE)
+                    for r in sample_grid(UNIT_INTERVAL, 14)]
+
+    _, alone = _traced_peak(one_by_one)
+    assert peak <= alone + 8_192
 
 
 def test_failed_grid_points_are_recorded():
