@@ -367,7 +367,9 @@ def _source_variants(i: int) -> dict:
     return {
         ("generator", "synthetic_convergent"): (
             {"generator": (_keep, REQUIRED), "count": (_COUNT, REQUIRED),
-             "seed": (_NATURAL, REQUIRED), "rho_max": (_REAL, 0.9), "dim": (_COUNT, 1)},
+             "seed": (_NATURAL, REQUIRED), "dim": (_COUNT, 1),
+             # |rho| = rho_max * U[0.1, 1) stays below 1, so the source converges
+             "rho_max": (_number("a number in [0, 1]", lambda v: 0 <= v <= 1), 0.9)},
             _synthetic_convergent),
         ("expr", None): ({"expr": (_expression("n"), REQUIRED), "name": (_string, f"seq_{i}")},
                          _expr_source),

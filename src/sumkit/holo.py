@@ -423,7 +423,6 @@ def log_taylor_mean(f: TaylorFunction, r: float) -> TaylorFunction:
 
 CONVERGED_TO_ZERO = "converged_to_zero"
 NOT_CONVERGED = "not_converged"
-UNDECIDED = INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -491,7 +490,7 @@ def taylor_summability_experiment(f: TaylorFunction, space: SeriesSpace, chain: 
             g = _summed(_CHAIN[step], g, param)
         distances.append(series_norm(taylor_sub(g, fx)))
     outcome, route, _ = decay_verdict(distances, tol)
-    status = {ZERO: CONVERGED_TO_ZERO, NOT_ZERO: NOT_CONVERGED}.get(outcome, UNDECIDED)
+    status = {ZERO: CONVERGED_TO_ZERO, NOT_ZERO: NOT_CONVERGED}.get(outcome, INCONCLUSIVE)
     notes = ()
     if space.tag == DISK_GRID:
         notes = (f"disk-grid norm underestimates the sup norm by at most "

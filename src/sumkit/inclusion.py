@@ -51,7 +51,6 @@ from .vspace import LinearFunctional, SpaceDescriptor, VectorValue, basis_vector
 TRANSFERS = "transfers"
 VIOLATES = "violates"
 VACUOUS = "vacuous"
-UNDECIDED = INCONCLUSIVE
 
 VERDICT_MARGIN = 1e-9
 
@@ -130,7 +129,7 @@ def classify_case(est_a: Optional[ConvergenceEstimate],
                   est_b: Optional[ConvergenceEstimate], margin: float) -> tuple:
     """Combine two estimates into an inclusion verdict.  Returns (verdict, distance)."""
     if est_a is None or est_b is None:
-        return UNDECIDED, math.nan
+        return INCONCLUSIVE, math.nan
     if est_a.status == CONVERGED:
         if est_b.status == CONVERGED:
             dist = (est_a.value - est_b.value).norm()
@@ -139,10 +138,10 @@ def classify_case(est_a: Optional[ConvergenceEstimate],
             return VIOLATES, math.nan
         # B inconclusive: a stalled (non-Cauchy, non-growing) path is a
         # concrete oscillation witness; a merely slow path is not.
-        return (VIOLATES if est_b.stalled else UNDECIDED), math.nan
+        return (VIOLATES if est_b.stalled else INCONCLUSIVE), math.nan
     if est_a.status == DIVERGED or est_a.stalled:
         return VACUOUS, math.nan  # evidence that the input is not A-summable
-    return UNDECIDED, math.nan
+    return INCONCLUSIVE, math.nan
 
 
 def _as_cases(tests) -> list:
@@ -372,7 +371,7 @@ def transfer_experiment(A: KernelSpec, B: KernelSpec, family: OperatorFamily,
         elif est_b.converged or est_b.status == DIVERGED:
             verdict = VIOLATES
         else:
-            verdict = UNDECIDED
+            verdict = INCONCLUSIVE
         cases.append(CaseResult(f"probe_{i}", est_a, est_b, verdict, dist))
     return TransferReport(A.name, B.name, family.name, tuple(hypotheses),
                           tuple(cases), applicable=True)

@@ -86,18 +86,24 @@ transform; ``_kernel_support`` reads every support, an interval of E.
 a ``_Row`` (the kernel at that parameter, the support's integer points,
 the tail blocks of the certificates, a label and a box row's weight),
 which the regularity checks and ``holo``'s chain steps read too.
+``_samples`` is the one grid reader, and states the grid rule: for a spec,
+a source and a list of parameters it chooses once between one lockstep
+quadrature (a Lebesgue kernel), one lockstep certified sum (counting rows
+that share a start and have no end, or one row alone) and one
+``transform_at`` per point (any other grid).  ``transform_at`` is its grid
+of one, and ``summability_limit`` hands it a whole grid.
 ``_certified_sum`` sums rows that share a start and an end in lockstep,
-reading each source block once for all of them: ``summability_limit``
-hands it a grid of rows without an end whole, and any other grid one point
-at a time.  Only a Lebesgue kernel is integrated, over a support in the
-source's domain, and the integrals of every grid parameter of one call
-refine in lockstep (``_kernel_quadratures``): each level reads the source
-and the kernel once, at the nodes of all pending integrals.  Both lockstep
-engines read the kernel and its tails with an array of parameters, one per
-node or a column of rows, so every kernel has one contract: elementwise in
-(p, index), with p a scalar or an array that broadcasts against the
-indices.  Each grid sample then equals a lone one bit for bit, and a
-counting kernel of a scalar parameter alone raises ValueError in a grid.
+reading each source block once for all of them.  Only a Lebesgue kernel is
+integrated, over a support in the source's domain, and the integrals of
+every grid parameter of one call refine in lockstep
+(``_kernel_quadratures``): each level reads the source and the kernel once,
+at the nodes of all pending integrals.  Both lockstep engines read the
+kernel and its tails with an array of parameters, one per node or a column
+of rows (a lone row its scalar parameter), so every kernel has one
+contract: elementwise in (p, index), with p a scalar or an array that
+broadcasts against the indices.  Each grid sample then equals a lone one
+bit for bit, and a counting kernel of a scalar parameter alone raises
+ValueError in a grid.
 """
 
 from __future__ import annotations
@@ -105,7 +111,7 @@ from __future__ import annotations
 import copy
 import math
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
@@ -663,17 +669,21 @@ class _Row(NamedTuple):
         return self.kernel(self.p, np.arange(a, b))
 
 
-def _rows_block(fn, ps, shape: tuple, *args) -> np.ndarray:
-    """``fn(ps, *args)`` at one row's parameter ps, or the block of ``shape`` at a column ps.
+def _rows_block(fn, ps: list, shape: tuple, *args) -> np.ndarray:
+    """``fn(p, *args)`` at the rows' parameters ps: a block that broadcasts to ``shape``.
 
-    A column's block that does not broadcast to ``shape``, (rows, size), or
-    a TypeError or ValueError raised on the column, raises ValueError
-    naming the counting kernel contract.
+    ``shape`` is (rows, size).  One parameter is read as a scalar, as a
+    lone row is (see ``_samples``), and its block is returned as ``fn``
+    gives it; several are read as a column of them, and their block is
+    broadcast to ``shape``.  A column's block that does not broadcast, or a
+    TypeError or ValueError raised on the column, raises ValueError naming
+    the counting kernel contract.
     """
-    if not isinstance(ps, np.ndarray):
-        return np.asarray(fn(ps, *args))
+    if len(ps) == 1:
+        return np.asarray(fn(ps[0], *args))
+    # np.broadcast_to costs microseconds per call, so a block of the right shape is kept
     try:
-        out = np.asarray(fn(ps, *args))
+        out = np.asarray(fn(np.array(ps)[:, None], *args))
         return out if out.shape == shape else np.broadcast_to(out, shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"a counting kernel and its tails must be elementwise in (p, n), with p "
@@ -692,27 +702,28 @@ def _certified_sum(rows: list, source: SequenceSource,
                    tail_tol: Optional[float] = None) -> list:
     """The coordinates of sum_n c_n v_n over each row, with a numeric tail certificate.
 
-    The rows share one spec, start and end, and are summed in lockstep, one
-    block of ``_block_ramp`` at a time, each block read once for the rows
-    still summing.  A row runs from n = lo up to hi inclusive and stops at
-    the first of: the support end; the plain certificate or the stabilized
-    closure within tail_tol (None: _TAIL_TOL), which read the spec's
-    ``tail_abs`` (the closure its ``tail_sum`` too); the geometric-tail
-    estimate on full blocks, two consecutive ratios q <= 0.999 of their
-    absolute sums S with S q / (1 - q) <= _TAIL_TOL (a zero block has q = 0,
-    a nonzero block after a zero one has no ratio).  It fails on a non-finite
+    The rows share one spec, start and end (``_samples`` says which rows
+    come here), and are summed in lockstep, one block of ``_block_ramp`` at
+    a time, each block read once for the rows still summing.  A row runs
+    from n = lo up to hi inclusive and stops at the first of: the support
+    end; the plain certificate or the stabilized closure within tail_tol
+    (None: _TAIL_TOL), which read the spec's ``tail_abs`` (the closure its
+    ``tail_sum`` too); the geometric-tail estimate on full blocks, two
+    consecutive ratios q <= 0.999 of their absolute sums S with
+    S q / (1 - q) <= _TAIL_TOL (a zero block has q = 0, a nonzero block
+    after a zero one has no ratio).  It fails on a non-finite
     term, on terms overflowing, or at _MAX_TERMS terms without an end; no
     sum is called divergent from the trend of its blocks.  A box row, summed
     alone, sums each source block as its weight times the block's sum.
     Returns, per row, its coordinates, or a NonSummableError with the
     partial sum and the number of terms read when no certificate is reached.
 
-    A lone row reads the kernel and the tails at its parameter; rows in
-    lockstep read them at the column of theirs (``_rows_block``), the kernel
-    once per chunk of rows whose (rows, dim, size) product fits in
-    ``_MAX_BLOCK`` values.  A coefficient block may be real or complex (any
-    other dtype is cast to float).  Each chunk's c v and |c| |v| are formed
-    in two work buffers, allocated once per sum and grown to the largest
+    The rows read the kernel and the tails at their parameters
+    (``_rows_block``), the kernel once per chunk of rows whose (rows, dim,
+    size) product fits in ``_MAX_BLOCK`` values.  A real coefficient block,
+    bool, integer or float, multiplies a term as c + 0j, so every dtype of
+    one row gives the same bits.  Each chunk's c v and |c| |v| are formed in
+    two work buffers, allocated once per sum and grown to the largest
     chunk; c v sums along its contiguous last axis, so each row has the bits
     it has alone.  Each row's certificate is decided before its |c| |v| is
     summed, and a row leaves at the block where it stops.  The closure reads
@@ -734,7 +745,7 @@ def _certified_sum(rows: list, source: SequenceSource,
     # the rows still summing, by their index in rows, with their parameters
     # and sums aligned with them
     live = list(range(len(rows)))
-    ps = np.array([row.p for row in rows]) if len(rows) > 1 else None
+    ps = [row.p for row in rows]
     acc = np.zeros((len(rows), dim), dtype=complex)
     outcomes = [None] * len(rows)
     # each row's ratio test: its last full block's absolute sum and its run of ratios
@@ -754,8 +765,6 @@ def _certified_sum(rows: list, source: SequenceSource,
         hi = min(n + block, end)
         rec = source._record(n, hi, terms=weight is None)
         count = len(live)
-        # the parameter of a row that sums alone, else the column of them
-        p_live = rows[live[0]].p if count == 1 else ps[:, None]
         # each row's certificate at this block, read before its |c| |v|,
         # which a row that stops here needs not
         if first.hi is not None and hi > first.hi:
@@ -764,7 +773,7 @@ def _certified_sum(rows: list, source: SequenceSource,
             stops = [None] * count
         else:
             closable = tail_sum is not None and rec.size >= 2
-            w_abs = _rows_block(tail_abs, p_live, (count, 1), hi - 1, hi).ravel().tolist()
+            w_abs = _rows_block(tail_abs, ps, (count, 1), hi - 1, hi).ravel().tolist()
             stops = []
             for w in w_abs:
                 # center the closure on the last term: exact (dev = 0) for stable blocks
@@ -776,19 +785,14 @@ def _certified_sum(rows: list, source: SequenceSource,
             sums, blk_abs = [], []
             for a in range(0, count, step):
                 rc = min(step, count - a)
-                # a chunk of one row reads its own parameter; the indices are
-                # made per chunk, and dropped with the kernel call
-                cs = _rows_block(kernel, rows[live[a]].p if rc == 1 else ps[a:a + rc, None],
-                                 (rc, rec.size), np.arange(n, hi))
-                if cs.dtype.kind not in "fc":
-                    cs = cs.astype(float)
+                # the indices are made per chunk, and dropped with the kernel call
+                cs = _rows_block(kernel, ps[a:a + rc], (rc, rec.size), np.arange(n, hi))
                 size = rc * rec.size
                 if mags.size < size:
                     prod, mags = np.empty(dim * size, dtype=complex), np.empty(size)
                 cv = prod[:dim * size].reshape(rc, dim, rec.size)
                 # a real c multiplies as c + 0j, the complex kernel it stands for
-                sums.append(np.multiply(rec.terms, cs[:, None] if cs.ndim == 2 else cs,
-                                        out=cv).sum(axis=2))
+                sums.append(np.multiply(rec.terms, cs.reshape(rc, 1, -1), out=cv).sum(axis=2))
                 if None in stops[a:a + rc]:  # |c| |v| of the rows that may go on
                     cn = np.abs(cs, out=mags[:size].reshape(rc, rec.size))
                     blk_abs += np.multiply(cn, rec.norms, out=cn).sum(axis=1).tolist()
@@ -841,15 +845,14 @@ def _certified_sum(rows: list, source: SequenceSource,
             if tail_sum is tail_abs:
                 t_sum = [w_abs[i] for i in closing]
             else:
-                col = rows[live[closing[0]]].p if len(closing) == 1 else ps[closing, None]
-                t_sum = _rows_block(tail_sum, col, (len(closing), 1), hi - 1, hi).ravel().tolist()
+                t_sum = _rows_block(tail_sum, [ps[i] for i in closing], (len(closing), 1),
+                                    hi - 1, hi).ravel().tolist()
             for i, t in zip(closing, t_sum):
                 outcomes[live[i]] = acc[i] + complex(t) * rec.last
         if len(keep) < count:  # the rows that stopped leave, with their sums
             live = [live[i] for i in keep]
-            if keep:
-                acc = acc[keep]
-                ps = ps if ps is None else ps[keep]
+            if keep:  # nothing is carried past the last row's stop
+                ps, acc = [ps[i] for i in keep], acc.take(keep, axis=0)
 
     for i, k in enumerate(live):
         outcomes[k] = failure(k, acc[i], "no tail certificate within max_terms", n - first.lo)
@@ -971,6 +974,46 @@ def _check_tol(name: str, tol: float):
         raise ValueError(f"{name} must be a positive finite number, got {tol!r}")
 
 
+def _samples(spec: KernelSpec, source, params, tail_tol: Optional[float] = None) -> list:
+    """The transform of ``source`` at each parameter: the one grid reader.
+
+    Returns, per parameter, a VectorValue or the NonSummableError or
+    QuadratureError of that sample's sum or integral, each sample taken to
+    ``tail_tol`` (see ``transform_at``).  The path is chosen once, for the
+    whole grid:
+
+    * a Lebesgue kernel integrates every parameter in one lockstep
+      quadrature (``_lebesgue_transforms``);
+    * counting rows that share a start and have no end (Abel's), or one row
+      alone, are one certified sum (``_certified_sum``), which reads a lone
+      row's kernel and tails at its scalar parameter;
+    * any other grid (box rows, finite supports) makes one ``transform_at``
+      per point, a grid of one each, so a box grid builds each row only when
+      it sums it.
+
+    So each sample equals a lone ``transform_at`` at that ``tail_tol``, bit
+    for bit.  A Lebesgue kernel needs a ``FunctionSource`` and a counting one
+    a ``SequenceSource``; either raises TypeError for the other kind.
+    """
+    if spec.measure != MEASURE_COUNTING:
+        return _lebesgue_transforms(spec, source, params, tail_tol)
+    if not isinstance(source, SequenceSource):
+        raise TypeError("counting kernels need a SequenceSource")
+    # a box row reads block summaries alone, so a grid of them goes point by point
+    if len(params) == 1 or spec.weight is None:
+        rows = [_row(spec, p) for p in params]
+        if len(rows) == 1 or all(row.lo == rows[0].lo and row.hi is None for row in rows):
+            return [out if isinstance(out, NonSummableError) else VectorValue(out, source.space)
+                    for out in _certified_sum(rows, source, tail_tol)]
+    outcomes = []
+    for p in params:
+        try:
+            outcomes.append(transform_at(spec, source, p, tail_tol=tail_tol))
+        except NonSummableError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def transform_at(spec: KernelSpec, source, param, *,
                  tail_tol: Optional[float] = None) -> VectorValue:
     """The transform of ``source`` at ``param``: the one transform entry point.
@@ -982,24 +1025,16 @@ def transform_at(spec: KernelSpec, source, param, *,
     reaches past the source's domain; every other method (a matrix row m,
     coefficients a_n(r), a counting kernel) is a certified sum over its row
     (see ``_row``), exact for finitely supported rows, with its tail
-    certified to ``tail_tol`` (None: ``_TAIL_TOL``).  A Lebesgue kernel
-    needs a ``FunctionSource`` and a counting one a ``SequenceSource``;
-    either raises TypeError for the other kind.  A ``tail_tol`` that is not
-    a positive finite number raises ValueError before the source is read.
+    certified to ``tail_tol`` (None: ``_TAIL_TOL``).  It is the grid of one
+    of ``_samples``, whose failure it raises.  A ``tail_tol`` that is not a
+    positive finite number raises ValueError before the source is read.
     """
     if tail_tol is not None:
         _check_tol("tail_tol", tail_tol)
-    if spec.measure != MEASURE_COUNTING:
-        (value,) = _lebesgue_transforms(spec, source, [param], tail_tol)
-        if isinstance(value, QuadratureError):
-            raise value
-        return value
-    if not isinstance(source, SequenceSource):
-        raise TypeError("counting kernels need a SequenceSource")
-    (coords,) = _certified_sum([_row(spec, param)], source, tail_tol)
-    if isinstance(coords, NonSummableError):
-        raise coords
-    return VectorValue(coords, source.space)
+    (value,) = _samples(spec, source, [param], tail_tol)
+    if not isinstance(value, VectorValue):
+        raise value
+    return value
 
 
 def summability_limit(spec: KernelSpec, source, depth: int = 20,
@@ -1016,12 +1051,9 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     source's one memo (``_SharedBlocks``), which every later call on the
     same source reads too, whatever its method.  So ``block`` must be a
     pure function of (lo, hi) for the source's lifetime, and calls that
-    share a source run one at a time.  A Lebesgue kernel integrates the
-    whole grid in one lockstep quadrature (``_lebesgue_transforms``), and
-    counting rows that share a start and have no end (Abel's) are one
-    lockstep certified sum; any other grid makes one ``transform_at`` per
-    point.  So each sample equals a lone ``transform_at`` at that
-    ``tail_tol``, bit for bit.
+    share a source run one at a time.  The whole grid is one ``_samples``
+    call, which chooses its path; each sample equals a lone
+    ``transform_at`` at that ``tail_tol``, bit for bit.
 
     Transform failures at individual grid points are recorded in
     ``failed_points`` rather than aborting; a failure among the last
@@ -1035,25 +1067,8 @@ def summability_limit(spec: KernelSpec, source, depth: int = 20,
     params = sample_grid(spec.F, depth)
 
     tail_tol = max(tol * _TAIL_SHARE, _TAIL_TOL)
-    if spec.measure != MEASURE_COUNTING:
-        outcomes = _lebesgue_transforms(spec, source, params, tail_tol)
-    else:
-        if not isinstance(source, SequenceSource):
-            raise TypeError("counting kernels need a SequenceSource")
-        outcomes = []
-        with source._grid() as memo:
-            # a box row reads block summaries alone, so its grid goes point by point
-            rows = [] if spec.weight is not None else [_row(spec, p) for p in params]
-            if len(rows) > 1 and all(row.lo == rows[0].lo and row.hi is None for row in rows):
-                outcomes = [out if isinstance(out, NonSummableError)
-                            else VectorValue(out, source.space)
-                            for out in _certified_sum(rows, memo, tail_tol)]
-            else:
-                for p in params:
-                    try:
-                        outcomes.append(transform_at(spec, memo, p, tail_tol=tail_tol))
-                    except NonSummableError as exc:
-                        outcomes.append(exc)
+    with source._grid() if isinstance(source, SequenceSource) else nullcontext(source) as grid:
+        outcomes = _samples(spec, grid, params, tail_tol)
     samples = [out for out in outcomes if isinstance(out, VectorValue)]
     failed = tuple((p, f"{type(out).__name__}: {out}")
                    for p, out in zip(params, outcomes) if not isinstance(out, VectorValue))

@@ -45,7 +45,6 @@ from .methods import (
 
 PASS = "pass"  # the one pass and fail verdicts of every module
 FAIL = "fail"
-UNDECIDED = INCONCLUSIVE
 
 REGULAR_EVIDENCE = "RegularEvidence"
 NOT_REGULAR = "NotRegular"
@@ -86,7 +85,7 @@ class _RegularityReport:
         verdicts = {c.verdict for c in self.conditions()}
         if FAIL in verdicts:
             return NOT_REGULAR
-        return INCONCLUSIVE_OVERALL if UNDECIDED in verdicts else REGULAR_EVIDENCE
+        return INCONCLUSIVE_OVERALL if INCONCLUSIVE in verdicts else REGULAR_EVIDENCE
 
     @property
     def witness(self) -> str:
@@ -129,13 +128,13 @@ def _scan(grid, outcomes) -> tuple:
     """The cells of a grid path, one outcome per grid point: (cells, values, undecided).
 
     A point whose outcome is the QuadratureError or NonSummableError of its
-    integral or certified sum is a (p, nan, UNDECIDED) cell and sets
+    integral or certified sum is a (p, nan, INCONCLUSIVE) cell and sets
     ``undecided``; the others are (p, value, "") cells, and ``values`` lists
     their values in grid order.
     """
-    cells = tuple((p, math.nan, UNDECIDED) if isinstance(v, (QuadratureError, NonSummableError))
+    cells = tuple((p, math.nan, INCONCLUSIVE) if isinstance(v, (QuadratureError, NonSummableError))
                   else (p, v, "") for p, v in zip(grid, outcomes))
-    values = [value for _, value, verdict in cells if verdict != UNDECIDED]
+    values = [value for _, value, verdict in cells if verdict != INCONCLUSIVE]
     return cells, values, len(values) < len(cells)
 
 
@@ -146,7 +145,7 @@ def _bounded(name: str, cells: tuple, values: list, half: int, undecided: bool,
     if slope > TREND_SLOPE:
         return ConditionCheck(name, FAIL, cells,
                               witness=witness.format(slope=slope, last=_fmt(values[-1])))
-    return ConditionCheck(name, UNDECIDED if undecided else PASS, cells,
+    return ConditionCheck(name, INCONCLUSIVE if undecided else PASS, cells,
                           note=f"sup {_fmt(max(values))}, trend slope {slope:.3g}")
 
 
@@ -154,7 +153,7 @@ def _vanishing(name: str, scan: tuple, tol: float, witness: str) -> ConditionChe
     """A grid path that must tend to 0: ``domains.decay_verdict`` in pass/fail words."""
     cells, values, undecided = scan
     if undecided:
-        return ConditionCheck(name, UNDECIDED, cells)
+        return ConditionCheck(name, INCONCLUSIVE, cells)
     outcome, route, slope = decay_verdict(values, tol)
     if outcome == ZERO:
         return ConditionCheck(name, PASS, cells, note=f"within tol at the last {_WINDOW} grid "
@@ -162,19 +161,19 @@ def _vanishing(name: str, scan: tuple, tol: float, witness: str) -> ConditionChe
     if outcome == NOT_ZERO:
         return ConditionCheck(name, FAIL, cells, witness=f"{witness}stuck at "
                               f"{_fmt(values[-1])} (slope {slope:.3g})")
-    return ConditionCheck(name, UNDECIDED, cells, note=f"trend unclear (slope {slope:.3g})")
+    return ConditionCheck(name, INCONCLUSIVE, cells, note=f"trend unclear (slope {slope:.3g})")
 
 
 def _tends_to_one(name: str, scan: tuple, half: int, tol: float, witness: str,
                   note: str = "") -> ConditionCheck:
     """Each cell on the last half of the grid is within tol of 1; witness takes the first miss."""
     cells, _, undecided = scan
-    cells = tuple((p, v, verdict if verdict == UNDECIDED or i < half
+    cells = tuple((p, v, verdict if verdict == INCONCLUSIVE or i < half
                    else PASS if abs(v - 1.0) <= tol else FAIL)
                   for i, (p, v, verdict) in enumerate(cells))
     miss = next(((p, v) for p, v, verdict in cells if verdict == FAIL), None)
     if undecided:
-        return ConditionCheck(name, UNDECIDED, cells, note=note)
+        return ConditionCheck(name, INCONCLUSIVE, cells, note=note)
     if miss is not None:
         return ConditionCheck(name, FAIL, cells, witness=witness.format(*miss))
     return ConditionCheck(name, PASS, cells)
@@ -273,7 +272,7 @@ def check_matrix_st(spec: MatrixSpec, m_grid: Sequence[int] = DEFAULT_M_GRID,
     # condition 1: row absolute sums bounded
     cells, values, undecided = _scan(m_grid, absolute)
     if undecided:
-        c1 = ConditionCheck("c1_row_abs_sum", UNDECIDED, cells, note=_NO_ROW_CERTIFICATE)
+        c1 = ConditionCheck("c1_row_abs_sum", INCONCLUSIVE, cells, note=_NO_ROW_CERTIFICATE)
     else:
         c1 = _bounded("c1_row_abs_sum", cells, values, half, False,
                       "row absolute sums grow without bound "
@@ -338,14 +337,14 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
     # conditions 1 and 2: the integrals of |a(r, .)| over all of E
     cells, values, undecided = _scan(r_grid, absolute)
     k1 = ConditionCheck(
-        "k1_abs_integral", UNDECIDED if undecided else PASS,
+        "k1_abs_integral", INCONCLUSIVE if undecided else PASS,
         tuple((r, value, verdict or PASS) for r, value, verdict in cells),
         note="" if not undecided else "integral undefined at some grid parameters")
     if len(values) >= 2:
-        k2 = _bounded("k2_abs_sup", tuple(c for c in cells if c[2] != UNDECIDED), values, half,
+        k2 = _bounded("k2_abs_sup", tuple(c for c in cells if c[2] != INCONCLUSIVE), values, half,
                       undecided, "integrals of |a| grow (slope {slope:.3g})")
     else:
-        k2 = ConditionCheck("k2_abs_sup", UNDECIDED, ())
+        k2 = ConditionCheck("k2_abs_sup", INCONCLUSIVE, ())
 
     # condition 3: mass escapes every compact window; a support end of None has no end
     ends = [_kernel_support(spec, r)[1] for r in r_grid]
@@ -354,7 +353,7 @@ def check_kernel_st(spec: KernelSpec, r_depth: int = 20, exhaust_depth: int = 12
         check = _vanishing(f"k3_window_{j}", _scan(r_grid, mass), tol, f"window {j}: mass ")
         cut = sum(end is None or end > c for end in ends)
         if check.verdict == FAIL and cut < _WINDOW:
-            check = replace(check, verdict=UNDECIDED, witness="", note=f"the window cuts the "
+            check = replace(check, verdict=INCONCLUSIVE, witness="", note=f"the window cuts the "
                             f"support at {cut} of {len(r_grid)} grid points, fewer than {_WINDOW}")
         k3.append(check)
 

@@ -178,6 +178,9 @@ _BASES = {
     ("sum", "tol", float("nan")),
     ("sum", "tol", float("inf")),
     ("synthetic", "sources[0].count", 0),
+    # |rho| = rho_max * U[0.1, 1) must stay below 1, or the source diverges
+    ("synthetic", "sources[0].rho_max", 1.5),
+    ("synthetic", "sources[0].rho_max", -0.5),
     ("transfer", "probes.count", 0),
 ])
 def test_scalar_key_of_the_wrong_type_exits_2_before_anything_runs(tmp_path, capsys, base,

@@ -98,14 +98,14 @@ def test_decay_verdict_cases(path, outcome, route):
 def test_forked_paths_are_inconclusive_in_both_vocabularies(path, monkeypatch):
     grid = list(range(1, len(path) + 1))
     check = regularity._vanishing("k3_window_0", regularity._scan(grid, path), 1e-3, "")
-    assert check.verdict == regularity.UNDECIDED and check.witness == ""
+    assert check.verdict == INCONCLUSIVE and check.witness == ""
 
     # the Taylor experiment judges the distances its norm returns, one per grid point
     distances = iter(path)
     monkeypatch.setattr(holo, "series_norm", lambda f: next(distances))
     report = holo.taylor_summability_experiment(holo.monomial_taylor(1), holo.SeriesSpace(),
                                                 [holo.PARTIAL_SUMS], depth=len(path), tol=1e-3)
-    assert (report.status, report.route) == (holo.UNDECIDED, "")
+    assert (report.status, report.route) == (INCONCLUSIVE, "")
 
 
 @pytest.mark.parametrize("length", range(1, 9))
@@ -118,13 +118,13 @@ def test_stuck_path_needs_a_full_window_in_its_last_half_to_fail(length, monkeyp
 
     grid = list(range(1, length + 1))
     check = regularity._vanishing("k3_window_0", regularity._scan(grid, path), 1e-3, "")
-    assert check.verdict == (regularity.FAIL if fails else regularity.UNDECIDED)
+    assert check.verdict == (regularity.FAIL if fails else INCONCLUSIVE)
 
     distances = iter(path)
     monkeypatch.setattr(holo, "series_norm", lambda f: next(distances))
     report = holo.taylor_summability_experiment(holo.monomial_taylor(1), holo.SeriesSpace(),
                                                 [holo.PARTIAL_SUMS], depth=length, tol=1e-3)
-    assert report.status == (holo.NOT_CONVERGED if fails else holo.UNDECIDED)
+    assert report.status == (holo.NOT_CONVERGED if fails else INCONCLUSIVE)
 
 
 def test_domain_usage_errors():

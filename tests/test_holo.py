@@ -241,6 +241,13 @@ def test_geometric_norms_closed_form():
     assert series_norm(f.in_space(DISK)) == pytest.approx(2.0, rel=1e-9)
 
 
+def test_power_law_h2_norm_is_the_root_of_zeta_of_twice_alpha():
+    # sum_k (k + 1)^-6 = zeta(6); the PowerLaw tail bound decides where it is cut
+    with mpmath.workdps(30):
+        want = float(mpmath.sqrt(mpmath.zeta(6)))
+    assert abs(series_norm(power_taylor(1.0, 3.0, H2)) - want) <= 1e-15
+
+
 def test_power_law_norm_certificate_failure():
     f = power_taylor(1.0, 1.01, WIENER)
     with pytest.raises(NonSummableError):

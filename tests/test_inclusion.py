@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sumkit import inclusion
-from sumkit.domains import CONVERGED
+from sumkit.domains import CONVERGED, INCONCLUSIVE
 from sumkit.inclusion import (
     TRANSFERS,
     VACUOUS,
@@ -132,6 +132,20 @@ def test_transfer_zero_probe_is_trivial():
                                  depth=18, tol=1e-6)
     assert report.all_transfer
     assert report.cases[0].distance == 0.0
+
+
+def test_a_b_grid_that_stops_before_the_orbit_settles_is_inconclusive():
+    # truncation in C^16 fixes x from n = 15 on, but Abel's grid at depth 6
+    # stops at r = 1 - 2^-6, where the first 15 terms still weigh: the
+    # hypotheses hold, and the probe's case neither transfers nor violates
+    space = SpaceDescriptor(16, "l2")
+    x = np.random.default_rng(5).standard_normal(16)
+    probes = [VectorValue(x / np.linalg.norm(x), space)]
+    report = transfer_experiment(identity_method(), abel_method(), truncation_family(space),
+                                 probes, depth=6, tol=1e-6)
+    assert report.applicable
+    assert [case.verdict for case in report.cases] == [INCONCLUSIVE]
+    assert report.cases[0].est_b.status == INCONCLUSIVE
 
 
 def test_transfer_with_equal_methods_reduces_to_regularity():

@@ -1050,6 +1050,23 @@ def test_c4_rows_round_like_fsum(spec):
                 assert abs(getattr(got[j], part) - ref) <= 8 * math.ulp(ref), (m, j, part)
 
 
+@pytest.mark.parametrize("src", [scalar_sequence(lambda n: 1.0 + 1.0 / (n + 1.0)), WAVY_SEQ4],
+                         ids=["C1", "C4"])
+def test_bool_int_and_float_coefficient_blocks_sum_to_the_same_bits(src):
+    # the partial-sum row without support or tails: its blocks past m are
+    # zero, so it reads up to two zero full blocks past m and stops on the
+    # ratio test; every real dtype multiplies a term as c + 0j
+    dtypes = (bool, np.int64, float)
+    specs = [methods.MatrixSpec(name=f"partial_{np.dtype(dtype).name}",
+                                kernel_batch=lambda m, ns, dtype=dtype: (ns <= m).astype(dtype))
+             for dtype in dtypes]
+    for m in (0, 5, 100, 70_000):
+        got = [transform_at(spec, src, m).coords for spec in specs]
+        assert got[0].dtype == complex
+        assert all(np.array_equal(out, got[-1]) for out in got), m
+        assert np.allclose(got[-1], src.block(0, m + 1).sum(axis=0), rtol=1e-13), m
+
+
 @pytest.mark.parametrize("tag", ["l2", "sup"])
 @pytest.mark.parametrize("spec, param", [(abel_method(), 0.5), (cesaro_method(), 100)],
                          ids=["abel", "cesaro"])

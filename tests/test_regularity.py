@@ -9,7 +9,7 @@ import pytest
 
 from sumkit import methods
 from sumkit.cli import build_method
-from sumkit.domains import HALF_LINE, NAT, UNIT_INTERVAL, exhaustion, parameter_grid
+from sumkit.domains import HALF_LINE, INCONCLUSIVE, NAT, UNIT_INTERVAL, exhaustion, parameter_grid
 from sumkit.inclusion import regularity_evidence
 from sumkit.integrate import QuadratureError
 from sumkit.methods import (
@@ -31,7 +31,6 @@ from sumkit.regularity import (
     MatrixRegularityReport,
     PASS,
     REGULAR_EVIDENCE,
-    UNDECIDED,
     _kernel_integrals,
     check_kernel_st,
     check_matrix_st,
@@ -137,9 +136,9 @@ def test_noisy_log_kernel_integral_stops_at_the_evaluation_budget():
 
     report = check_kernel_st(logarithmic_method(), r_depth=28)
     assert report.overall == INCONCLUSIVE_OVERALL
-    assert report.k1.verdict == UNDECIDED
+    assert report.k1.verdict == INCONCLUSIVE
     cell_r, value, verdict = report.k1.cells[-1]
-    assert cell_r == r and math.isnan(value) and verdict == UNDECIDED
+    assert cell_r == r and math.isnan(value) and verdict == INCONCLUSIVE
 
 
 def test_lockstep_kernel_cells_equal_per_cell_integrals():
@@ -154,10 +153,10 @@ def test_lockstep_kernel_cells_equal_per_cell_integrals():
             try:
                 lone = _kernel_integral(spec, r, upto, absolute)
             except QuadratureError:
-                assert math.isnan(value) and verdict == UNDECIDED
+                assert math.isnan(value) and verdict == INCONCLUSIVE
             else:
                 assert value == lone and type(value) is type(lone)
-    undecided = [r for r, _, verdict in report.k1.cells if verdict == UNDECIDED]
+    undecided = [r for r, _, verdict in report.k1.cells if verdict == INCONCLUSIVE]
     assert undecided == [1.0 - 2.0**-k for k in (28, 29, 30)]
 
 
@@ -225,10 +224,10 @@ def test_a_grid_too_short_for_a_trend_does_not_fail_a_regular_method():
     # one value in the last half of a path has slope 0 by default, not "stuck"
     cesaro = check_matrix_st(cesaro_method(), m_grid=parameter_grid(NAT, 2))
     assert cesaro.overall == INCONCLUSIVE_OVERALL and cesaro.witness == ""
-    assert [c.verdict for c in cesaro.c2[:5]] == [UNDECIDED] * 5  # columns past 4 are 0
+    assert [c.verdict for c in cesaro.c2[:5]] == [INCONCLUSIVE] * 5  # columns past 4 are 0
     abel = check_kernel_st(as_kernel(abel_method()), r_depth=2, exhaust_depth=1)
     assert abel.overall == INCONCLUSIVE_OVERALL and abel.witness == ""
-    assert [c.verdict for c in abel.k3] == [UNDECIDED, UNDECIDED]
+    assert [c.verdict for c in abel.k3] == [INCONCLUSIVE, INCONCLUSIVE]
 
 
 @pytest.mark.parametrize("r_depth, exhaust_depth, stuck", [(8, 8, [7, 8]), (20, 19, [18, 19])])
@@ -241,11 +240,28 @@ def test_a_window_the_grid_barely_passes_does_not_fail(r_depth, exhaust_depth, s
     for j in stuck:
         check = report.k3[j]
         cut = max(0, r_depth - j - 1)
-        assert check.verdict == UNDECIDED
+        assert check.verdict == INCONCLUSIVE
         assert check.note == (f"the window cuts the support at {cut} of {r_depth} grid points, "
                               f"fewer than 4")
         assert [value for _, value, _ in check.cells][:r_depth - cut] == \
             [value for _, value, _ in report.k1.cells][:r_depth - cut]
+
+
+def test_a_counting_kernel_with_no_finite_row_is_inconclusive_everywhere():
+    # Abel's coefficients on [0, 1) with a nan at n = 0 for r >= 1/2, so every
+    # row of the grid 1 - 2^-k fails its certified sum: no condition has a
+    # value to judge, and none fails
+    spec = KernelSpec(name="nan_head", E=NAT, F=UNIT_INTERVAL,
+                      kernel_batch=lambda r, ns: np.where((ns == 0) & (r >= 0.5), np.nan,
+                                                          (1.0 - r) * r ** ns))
+    report = check_kernel_st(spec, r_depth=6, exhaust_depth=2)
+    assert report.overall == INCONCLUSIVE_OVERALL and report.witness == ""
+    for check in (report.k1, *report.k3, report.k4):
+        assert check.verdict == INCONCLUSIVE
+        assert len(check.cells) == 6
+        assert all(math.isnan(value) and verdict == INCONCLUSIVE for _, value, verdict in check.cells)
+    assert len(report.k3) == 3
+    assert (report.k2.verdict, report.k2.cells) == (INCONCLUSIVE, ())
 
 
 def test_scaled_logarithmic_flips_only_condition_four():
