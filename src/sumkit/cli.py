@@ -691,10 +691,10 @@ def run_experiment(exp: dict, tol_override=None) -> ExperimentOutcome:
 
 
 def _num_pair(value):
+    if isinstance(value, float):  # np.float64 too: complex(value) would add only "0.0"
+        return ("nan", "nan") if math.isnan(value) else (repr(float(value)), "0.0")
     if value == "" or value is None:
         return "", ""
-    if isinstance(value, float) and math.isnan(value):
-        return "nan", "nan"
     z = complex(value)
     return repr(z.real), repr(z.imag)
 
@@ -712,12 +712,24 @@ def _csv_field(text) -> str:
 
 
 def write_csv(path: str, outcome: ExperimentOutcome):
+    # quantities and verdicts repeat down a report, so each distinct string is
+    # escaped once (str only: 1, 1.0 and True would share a dict key)
+    escaped = {}
+
+    def field(text) -> str:
+        if type(text) is not str:
+            return _csv_field(text)
+        out = escaped.get(text)
+        if out is None:
+            out = escaped[text] = _csv_field(text)
+        return out
+
+    head = f"{_csv_field(outcome.experiment_id)},{outcome.module},"
     lines = [CSV_HEADER]
     for quantity, param, value, verdict in outcome.rows:
         re_s, im_s = _num_pair(value)
-        lines.append(",".join([_csv_field(outcome.experiment_id), outcome.module,
-                               _fmt_param(param), _csv_field(quantity),
-                               re_s, im_s, _csv_field(verdict)]))
+        lines.append(",".join([head + _fmt_param(param), field(quantity), re_s, im_s,
+                               field(verdict)]))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -800,9 +812,9 @@ def run_config(config, out_dir: str, threads=None, tol=None, plots: bool = False
                               if o.jsonable else
                               {"id": o.experiment_id, "status": o.status, "error": o.error}
                               for o in outcomes]}
+    # one json.dumps and one write each, not json.dump's chunked writes
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     manifest = {
@@ -813,8 +825,7 @@ def run_config(config, out_dir: str, threads=None, tol=None, plots: bool = False
                         for o in outcomes],
     }
     with open(os.path.join(out_dir, "run_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     return 3 if any(o.status == "error" for o in outcomes) else 0
 

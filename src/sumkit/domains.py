@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -212,13 +213,33 @@ def estimate_limit_at_infinity(
                                stalled=stalled, failed_points=failed_points)
 
 
+@lru_cache(maxsize=None)
+def _slope_design(n: int) -> tuple:
+    """``np.polyfit``'s degree-1 least-squares set-up at x = log 1 .. log n: (lhs, scale, rcond).
+
+    The Vandermonde matrix with its columns scaled to unit norm, the column
+    scale and polyfit's default rcond; made once per path length and shared
+    read-only.
+    """
+    xs = np.log(np.arange(1, n + 1, dtype=float))
+    lhs = np.vander(xs, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.flags.writeable = scale.flags.writeable = False
+    return lhs, scale, n * np.finfo(float).eps
+
+
 def loglog_slope(values: Sequence[float]) -> float:
-    """Slope of log(value) against log(position) over the given values."""
+    """Slope of log(value) against log(position) over the given values.
+
+    The least-squares solve of ``np.polyfit(xs, ys, 1)`` on the cached
+    design of ``_slope_design``, so the slope has polyfit's bits.
+    """
     if len(values) < 2:
         return 0.0
     ys = np.log(np.maximum(np.abs(np.asarray(values, dtype=float)), 1e-300))
-    xs = np.log(np.arange(1, len(values) + 1, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+    lhs, scale, rcond = _slope_design(len(values))
+    return float(np.linalg.lstsq(lhs, ys, rcond)[0][0] / scale[0])
 
 
 # a log-log slope above TREND_SLOPE is growth, one below -TREND_SLOPE is decay

@@ -8,9 +8,10 @@ spec, its measure deciding between quadrature and a sum over the row that
 ``methods._row`` reads; the matrix form is its counting-measure case on the
 naturals, taken by a spec declared a ``MatrixSpec``.  A check asks once for
 the integrals it needs, one table (``_kernel_integrals``), which a Lebesgue
-kernel takes in two lockstep engine calls.  Both are judged by the same
-three grid rules: boundedness (c1, k2), vanishing (columns, windows) and
-tending to 1 (c3, k4).
+kernel takes in two lockstep engine calls and a counting kernel in one
+lockstep certified sum per (family, start, end) group of its rows.  Both
+are judged by the same three grid rules: boundedness (c1, k2), vanishing
+(columns, windows) and tending to 1 (c3, k4).
 
 Finite computation can falsify these quantified conditions or accumulate
 evidence, never prove them, so verdicts are three-valued: "pass" (evidence),
@@ -185,6 +186,32 @@ _ONES = SequenceSource(block=lambda lo, hi: np.ones((hi - lo, 1), dtype=complex)
 _EXACT_TERMS = 2_000_000
 
 
+def _lockstep_totals(rows: list) -> list:
+    """sum_n c_n over each counting row: one certified sum per group of rows that share (lo, hi).
+
+    The rows of a group are summed against ones in lockstep, each with the
+    bits it has alone (see ``methods._certified_sum``).  Returns, per row,
+    its complex total or its NonSummableError.
+    """
+    groups = {}
+    for k, row in enumerate(rows):
+        groups.setdefault((row.lo, row.hi), []).append(k)
+    out = [None] * len(rows)
+    for ks in groups.values():
+        for k, total in zip(ks, _certified_sum([rows[k] for k in ks], _ONES)):
+            out[k] = total if isinstance(total, NonSummableError) else complex(total[0])
+    return out
+
+
+def _exact_total(row) -> complex:
+    """The sum of a finite row's coefficients, each part by one math.fsum pass."""
+    entries = np.asarray(row.coeffs(row.lo, row.hi + 1))
+    if entries.dtype.kind in "biuf":  # a real block: its imaginary part is 0
+        return complex(math.fsum(entries.astype(float).tolist()))
+    entries = entries.astype(complex)
+    return complex(math.fsum(entries.real.tolist()), math.fsum(entries.imag.tolist()))
+
+
 def _kernel_integrals(spec: KernelSpec, grid, windows=()) -> list:
     """The integral table of a(p, .) on the grid: [absolute, *per_window, signed].
 
@@ -194,33 +221,31 @@ def _kernel_integrals(spec: KernelSpec, grid, windows=()) -> list:
     integrals in one lockstep engine call and the signed ones in another
     (``methods._kernel_quadratures``: each distinct interval once, an empty
     one not at all).  A counting kernel (a matrix row m, coefficients
-    a_n(r), any other) is read by ``methods._row``, one point at a time,
-    and each sum is that row, ``_replace``d, summed against ones by the
-    certified sum: the mass is the row without a box weight, the absolute
+    a_n(r), any other) reads every grid point's row by ``methods._row``
+    first; each family of the table is those rows, ``_replace``d, summed
+    against ones: the mass is the row without a box weight, the absolute
     mass that row with coefficients |a| and ``tail_abs`` for both tails,
     and a window's mass the absolute row with its end cut to the window
-    and no tails.  A signed sum over a finite support is summed exactly
-    with math.fsum instead.  Absolute integrals are floats, signed ones
-    complex; a failed one is its QuadratureError or NonSummableError.
+    and no tails.  A family is one lockstep certified sum per group of its
+    rows that share a start and an end (``_lockstep_totals``), so a
+    counting kernel must take a column of parameters, as ``methods``
+    states; rows whose ends all differ (a matrix's) are one sum each.  A
+    signed sum over a finite support is summed exactly with math.fsum
+    instead.  Absolute integrals are floats, signed ones complex; a failed
+    one is its QuadratureError or NonSummableError.
     """
-    def total(row):
-        (out,) = _certified_sum([row], _ONES)
-        return out if isinstance(out, NonSummableError) else complex(out[0])
-
-    def column(p):  # a counting kernel's integrals at p, all complex
-        mass = _row(spec, p)._replace(weight=None)
-        moduli = mass._replace(kernel=lambda q, ns: np.abs(mass.kernel(q, ns)),
-                               tail_sum=mass.tail_abs)
-        windowed = moduli._replace(tail_abs=None, tail_sum=None)
-        out = [total(moduli)] + [total(windowed._replace(
-            hi=int(c if mass.hi is None else min(mass.hi, c)))) for c in windows]
-        if mass.hi is not None and mass.hi - mass.lo <= _EXACT_TERMS:
-            entries = np.asarray(mass.coeffs(mass.lo, mass.hi + 1), dtype=complex)
-            return out + [complex(math.fsum(entries.real), math.fsum(entries.imag))]
-        return out + [total(mass)]
-
     if spec.measure == MEASURE_COUNTING:
-        table = [list(row) for row in zip(*(column(p) for p in grid))]
+        masses = [_row(spec, p)._replace(weight=None) for p in grid]
+        modulus = lambda q, ns: np.abs(spec.kernel_batch(q, ns))
+        moduli = [row._replace(kernel=modulus, tail_sum=row.tail_abs) for row in masses]
+        table = [_lockstep_totals(moduli)]
+        for c in windows:
+            table.append(_lockstep_totals([row._replace(
+                hi=int(c if row.hi is None else min(row.hi, c)), tail_abs=None, tail_sum=None)
+                for row in moduli]))
+        exact = [row.hi is not None and row.hi - row.lo <= _EXACT_TERMS for row in masses]
+        summed = iter(_lockstep_totals([row for row, ok in zip(masses, exact) if not ok]))
+        table.append([_exact_total(row) if ok else next(summed) for row, ok in zip(masses, exact)])
     else:
         supports = [_kernel_support(spec, r) for r in grid]
         cuts = [(lo, max(lo, min(hi, c))) for c in (math.inf, *windows) for lo, hi in supports]

@@ -2,12 +2,14 @@
 
 import copy
 import json
+import math
 import os
 import pathlib
 import re
 import warnings
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 from sumkit import cli, methods
@@ -820,3 +822,40 @@ def test_determinism_byte_identical_csvs(tmp_path):
     run_config(config, str(out2), threads=4)
     for name in ("cesaro-into-abel.csv", "abel-into-cesaro-reverse.csv"):
         assert _read(out1 / name) == _read(out2 / name)
+
+
+def _csv_bytes_escaping_every_row(outcome) -> str:
+    """The CSV text of an outcome as a formatter that escapes every field of every row writes it."""
+    def num_pair(value):
+        if value == "" or value is None:
+            return "", ""
+        if isinstance(value, float) and math.isnan(value):
+            return "nan", "nan"
+        z = complex(value)
+        return repr(z.real), repr(z.imag)
+
+    def field(text):
+        return str(text).replace(",", ";").replace("\n", " ")
+
+    lines = [cli.CSV_HEADER]
+    for quantity, param, value, verdict in outcome.rows:
+        re_s, im_s = num_pair(value)
+        lines.append(",".join([field(outcome.experiment_id), outcome.module,
+                               cli._fmt_param(param), field(quantity), re_s, im_s,
+                               field(verdict)]))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_gives_the_bytes_of_a_formatter_that_escapes_every_row(tmp_path):
+    values = [np.float64(0.1), 0.1, -0.0, np.float64(-0.0), math.nan, np.float64(np.nan),
+              math.inf, -math.inf, np.float64(-np.inf), 1e-300, 2.5 - 0.0j, complex(-0.0, 1.5),
+              np.complex128(3 - 4j), complex(math.nan, 1.0), True, False, 3, np.int64(-7), "",
+              None]
+    params = ["", 0, 5, np.int64(7), 0.5, -0.0, np.float64(1e-300), 2**40]
+    quantities = ["k1_abs_integral", "a,b\nc", 1, 1.0, True, "k1_abs_integral"]
+    verdicts = ["pass", "", "fail,witness", "pass"]
+    rows = [(quantities[i % len(quantities)], params[i % len(params)], value,
+             verdicts[i % len(verdicts)]) for i, value in enumerate(values * 3)]
+    outcome = cli.ExperimentOutcome("exp,one\nid", "regularity", rows, {}, "completed")
+    cli.write_csv(str(tmp_path / "out.csv"), outcome)
+    assert (tmp_path / "out.csv").read_bytes() == _csv_bytes_escaping_every_row(outcome).encode()

@@ -83,9 +83,7 @@ from sumkit.methods import (
 )
 from sumkit.vspace import SpaceDescriptor, space_norm
 
-settings.register_profile("closed-forms", max_examples=12, derandomize=True, deadline=None)
-settings.register_profile("closed-forms-deep", settings.get_profile("closed-forms"),
-                          max_examples=120)
+# the profiles are registered in conftest.py
 PROFILE = settings.get_profile(os.environ.get("SUMKIT_CLOSED_FORMS_PROFILE", "closed-forms"))
 
 TOL = 1e-3

@@ -27,6 +27,17 @@ from sumkit.domains import (
 from sumkit.vspace import SCALAR, SpaceDescriptor, VectorValue, scalar_value
 
 
+def test_loglog_slope_has_the_bits_of_polyfit():
+    # the cached design solves the least-squares problem np.polyfit sets up
+    rng = np.random.default_rng(35)
+    for n in range(2, 41):
+        xs = np.log(np.arange(1, n + 1, dtype=float))
+        for _ in range(10):
+            path = 10.0 ** rng.uniform(-300.0, 3.0, n)
+            ys = np.log(np.maximum(np.abs(path), 1e-300))
+            assert repr(loglog_slope(path.tolist())) == repr(float(np.polyfit(xs, ys, 1)[0])), n
+
+
 def test_exhaustion_examples():
     assert exhaustion(NAT, 3).hi == 3
     assert exhaustion(UNIT_INTERVAL, 0).hi == pytest.approx(0.5, abs=0)

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sumkit import methods
+from sumkit import methods, regularity
 from sumkit.cli import build_method
 from sumkit.domains import HALF_LINE, INCONCLUSIVE, NAT, UNIT_INTERVAL, exhaustion, parameter_grid
 from sumkit.inclusion import regularity_evidence
@@ -220,6 +223,138 @@ def test_counting_kernel_table_equals_its_per_point_sums(spec):
             assert table[-1][k] == math.fsum(entries)
 
 
+# ---------------------------------------------------------------------------
+# counting tables in lockstep: each cell has the bits of its own certified sum
+
+# the hypothesis profiles are registered in conftest.py
+PROFILE = settings.get_profile(os.environ.get("SUMKIT_CLOSED_FORMS_PROFILE", "closed-forms"))
+
+
+def _per_cell_table(spec, grid, windows):
+    """``_kernel_integrals`` of a counting kernel, each cell summed alone.
+
+    Every certified sum is one row, ``_certified_sum([row], _ONES)``, and a
+    finite signed row is the math.fsum of the real and of the imaginary
+    parts of its entries cast to complex.
+    """
+    def total(row):
+        (out,) = methods._certified_sum([row], regularity._ONES)
+        return out if isinstance(out, methods.NonSummableError) else complex(out[0])
+
+    modulus = lambda q, ns: np.abs(spec.kernel_batch(q, ns))
+    columns = []
+    for p in grid:
+        mass = methods._row(spec, p)._replace(weight=None)
+        moduli = mass._replace(kernel=modulus, tail_sum=mass.tail_abs)
+        windowed = moduli._replace(tail_abs=None, tail_sum=None)
+        column = [total(moduli)] + [total(windowed._replace(
+            hi=int(c if mass.hi is None else min(mass.hi, c)))) for c in windows]
+        if mass.hi is None:
+            column.append(total(mass))
+        else:
+            entries = np.asarray(mass.coeffs(mass.lo, mass.hi + 1), dtype=complex)
+            column.append(complex(math.fsum(entries.real), math.fsum(entries.imag)))
+        columns.append(column)
+    *absolute, signed = [list(row) for row in zip(*columns)]
+    return [[v if isinstance(v, Exception) else v.real for v in row] for row in absolute] + [signed]
+
+
+def _cell_bits(value):
+    """A cell's type and repr, or its failure's type, message, terms and partial sum's bytes."""
+    if isinstance(value, Exception):
+        partial = None if value.partial is None else value.partial.coords.tobytes()
+        return type(value).__name__, str(value), value.terms, partial
+    return type(value).__name__, repr(value)
+
+
+def _finite_kernel(scale, start, end, dtype):
+    """a(m, n) on n = m // start .. scale * m + end as an int, a float or a complex block.
+
+    The ints are -1, 0, 1 by n + m mod 3, the floats (n + 1)^-1/2 / (m + 1),
+    and the complex values those floats turned by e^(i n).
+    """
+    def kernel_batch(m, ns):
+        m, ns = np.asarray(m), np.asarray(ns)
+        if dtype == "int":
+            return (ns + m) % 3 - 1
+        out = 1.0 / np.sqrt(ns + 1.0) / (m + 1.0)
+        return out * np.exp(1j * ns) if dtype == "complex" else out
+
+    return KernelSpec(name="finite", kernel_batch=kernel_batch, E=NAT, F=NAT,
+                      support=lambda m: (m // start, scale * m + end))
+
+
+def _phase_kernel(theta, poison):
+    """(1 - r) r^n e^(i theta n) with tail_abs r^(N+1) and no tail_sum; nan at n = poison, r >= 1/2."""
+    def kernel_batch(r, ns):
+        ns = np.asarray(ns, dtype=float)
+        out = (1.0 - r) * r ** ns * np.exp(1j * theta * ns)
+        return out if poison is None else np.where((ns == poison) & (r >= 0.5), np.nan, out)
+
+    return KernelSpec(name="phase", kernel_batch=kernel_batch, E=NAT, F=UNIT_INTERVAL,
+                      tail_abs=lambda r, lo, hi: r ** np.arange(lo + 1, hi + 1, dtype=float))
+
+
+_UNIT_PARAMS = st.lists(st.one_of(st.sampled_from(parameter_grid(UNIT_INTERVAL, 10)),
+                                  st.floats(0.05, 1.0 - 2.0**-10)), min_size=1, max_size=10)
+
+
+@st.composite
+def counting_tables(draw):
+    """(spec, grid, windows): a generated counting kernel on a grid of its F."""
+    kind = draw(st.sampled_from(["scaled_abel", "abel_as_kernel", "config", "finite", "phase"]))
+    if kind == "scaled_abel":
+        factor = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([2 - 1j, 0.5j])))
+        spec = scaled_method(abel_method(), factor)
+    elif kind == "abel_as_kernel":
+        spec = as_kernel(abel_method())
+    elif kind == "config":
+        spec = build_method({"kind": "seq_to_func", "coeff": draw(st.sampled_from(
+            ["(1 - r) * r**n", "(1 - r)**2 * (n + 1) * r**n"]))})
+    elif kind == "finite":
+        spec = _finite_kernel(draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                              draw(st.integers(0, 3)),
+                              draw(st.sampled_from(["int", "float", "complex"])))
+    else:
+        spec = _phase_kernel(draw(st.floats(0.0, 2.0 * math.pi)),
+                             draw(st.sampled_from([None, 0, 70, 3_000])))
+    if spec.F == NAT:
+        grid = draw(st.lists(st.integers(0, 16), min_size=1, max_size=12))
+    else:
+        grid = draw(_UNIT_PARAMS)
+    windows = [exhaustion(spec.E, j).hi for j in range(draw(st.integers(0, 12)))]
+    return spec, grid, windows
+
+
+@PROFILE
+@given(table=counting_tables())
+# windows that cut the supports of some rows only, and rows that fail on a nan
+@example(table=(_finite_kernel(3, 2, 0, "complex"), [0, 1, 2, 3, 5, 8, 13, 8], list(range(8))))
+@example(table=(_phase_kernel(1.0, 70), parameter_grid(UNIT_INTERVAL, 8), list(range(4))))
+def test_a_counting_table_has_the_bits_of_its_cells_summed_alone(table):
+    spec, grid, windows = table
+    lockstep = _kernel_integrals(spec, grid, windows)
+    alone = _per_cell_table(spec, grid, windows)
+    assert len(lockstep) == len(alone) == len(windows) + 2
+    for got, want in zip(lockstep, alone):
+        assert [_cell_bits(v) for v in got] == [_cell_bits(v) for v in want], spec.name
+
+
+def test_a_counting_check_sums_each_family_in_one_certified_sum_per_start_and_end(monkeypatch):
+    # Abel's rows all run from 0 with no end: the absolute masses, each of the
+    # 9 windows and the signed masses are one lockstep sum each, not 16 * 11
+    calls = []
+    certified_sum = regularity._certified_sum
+
+    def counting(rows, source, *args):
+        calls.append(len(rows))
+        return certified_sum(rows, source, *args)
+
+    monkeypatch.setattr(regularity, "_certified_sum", counting)
+    check_kernel_st(as_kernel(abel_method()), r_depth=16, exhaust_depth=8)
+    assert calls == [16] * 11
+
+
 def test_a_grid_too_short_for_a_trend_does_not_fail_a_regular_method():
     # one value in the last half of a path has slope 0 by default, not "stuck"
     cesaro = check_matrix_st(cesaro_method(), m_grid=parameter_grid(NAT, 2))
@@ -368,10 +503,12 @@ def test_matrix_and_kernel_checkers_agree_on_builtins():
 
 def test_finite_counting_kernel_mass_is_the_exact_sum_of_its_entries():
     # a(r, n) = 1/(3r + 1) on n = 0..3r: a blockwise float sum of the
-    # entries can miss 1 by an ulp (0.9999999999999998 at r = 2)
+    # entries can miss 1 by an ulp (0.9999999999999998 at r = 2); the
+    # kernel broadcasts over a column of parameters, as a counting kernel must
     spec = KernelSpec(
         name="flat_3r",
-        kernel_batch=lambda r, ts: np.full(len(ts), 1.0 / (3 * r + 1), dtype=complex),
+        kernel_batch=lambda r, ts: np.full(np.broadcast_shapes(np.shape(r), np.shape(ts)),
+                                           1.0 / (3 * r + 1), dtype=complex),
         E=NAT,
         F=NAT,
         support=lambda r: (0, 3 * r),
@@ -381,6 +518,20 @@ def test_finite_counting_kernel_mass_is_the_exact_sum_of_its_entries():
         entries = spec.kernel_batch(r, np.arange(3 * r + 1))
         assert value == math.fsum(entries.real)
     assert report.k4.verdict == PASS
+
+
+def test_a_counting_kernel_that_cannot_take_a_column_names_the_contract():
+    # the windows of a table sum every row they cut to the same end in
+    # lockstep, reading the kernel at a column of parameters
+    spec = KernelSpec(
+        name="flat_3r_scalar_only",
+        kernel_batch=lambda r, ts: np.full(len(ts), 1.0 / (3 * r + 1), dtype=complex),
+        E=NAT,
+        F=NAT,
+        support=lambda r: (0, 3 * r),
+    )
+    with pytest.raises(ValueError, match="a counting kernel and its tails must be elementwise"):
+        check_kernel_st(spec, r_depth=10, exhaust_depth=2)
 
 
 def test_kernel_scaling_law_on_abel_kernel():
